@@ -26,8 +26,6 @@ from .evaluate import (
     decompose_function,
     eval_cost,
     optimal_parameters,
-    refine_parameters,
-    search_parameters,
     simultaneous_ratio,
 )
 from .graph import (
@@ -106,10 +104,8 @@ __all__ = [
     "monotonize",
     "optimal_parameters",
     "prune",
-    "refine_parameters",
     "route",
     "sample_and_augment",
-    "search_parameters",
     "shortest_path_tree",
     "simultaneous_ratio",
     "verify_last",

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .errors import ConfigError, InvalidTreeError, InvariantError
 from .evaluate import Parameters
-from .graph import SUPERNODE, Instance, contract
+from .graph import SUPERNODE, Instance, contract, tree_vertices
 from .last import build_last
 from .layers import LayerSet
 from .routing import RoutedTree, basis_cost, basis_threshold, route
@@ -71,11 +71,7 @@ def build_tree(
             if eid in built:
                 raise InvariantError(f"round {i} re-added edge {eid}")
         built.update(added)
-        spanned.update(core)
-        for eid in added:
-            e = g.edge_by_id[eid]
-            spanned.add(e.u)
-            spanned.add(e.v)
+        spanned.update(core, tree_vertices(g.root, (g.edge_by_id[eid] for eid in added)))
         snapshots[i] = frozenset(built)
         rounds.append(
             BuildRound(

@@ -147,6 +147,17 @@ def solve_instance(
     )
 
 
+def _load_and_solve(text: str, cfg: RunConfig) -> PipelineResult:
+    """Parse one instance file and run the configured pipeline on it."""
+    g = load_instance(text)
+    solver = get_solver(cfg.ssrob, cfg.trials)
+    params = make_parameters(cfg, solver.quality)
+    oracle = ExactSolver() if cfg.oracle else None
+    return solve_instance(
+        g, params, solver, seed=cfg.seed, oracle=oracle, prune_zero_flow=cfg.prune_zero_flow
+    )
+
+
 def _measure_solver_quality(layers: LayerSet, ratio: RatioReport) -> float:
     """Worst per-threshold factor of the (monotonized) basis trees over the
     oracle optima."""
@@ -279,13 +290,21 @@ def dot_text(res: PipelineResult, include_zero_flow: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path: Path, data: bytes) -> None:
+    """Write an output file; failure is a bad argument, not a crash."""
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write_tree_artifacts(res: PipelineResult, out_tree: str) -> None:
     path = Path(out_tree)
     if path.suffix == ".dot":
-        path.write_text(dot_text(res))
+        _write(path, dot_text(res).encode())
     else:
-        path.write_text(edge_list_text(res))
-        path.with_suffix(path.suffix + ".dot").write_text(dot_text(res))
+        _write(path, edge_list_text(res).encode())
+        _write(path.with_suffix(path.suffix + ".dot"), dot_text(res).encode())
 
 
 def run_pipeline(cfg: RunConfig) -> int:
@@ -303,18 +322,7 @@ def run_pipeline(cfg: RunConfig) -> int:
             print(f"error: cannot read {name}: {exc}", file=sys.stderr)
             return EXIT_INVALID
         try:
-            g = load_instance(text)
-            solver = get_solver(cfg.ssrob, cfg.trials)
-            params = make_parameters(cfg, solver.quality)
-            oracle = ExactSolver() if cfg.oracle else None
-            res = solve_instance(
-                g,
-                params,
-                solver,
-                seed=cfg.seed,
-                oracle=oracle,
-                prune_zero_flow=cfg.prune_zero_flow,
-            )
+            res = _load_and_solve(text, cfg)
         except (ParseError, InstanceError, ConfigError) as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return EXIT_INVALID
@@ -324,7 +332,7 @@ def run_pipeline(cfg: RunConfig) -> int:
 
         report = build_report(name, res)
         if cfg.out_report:
-            Path(cfg.out_report).write_bytes(report_bytes(report))
+            _write(Path(cfg.out_report), report_bytes(report))
         if cfg.out_tree:
             _write_tree_artifacts(res, cfg.out_tree)
         _print_summary(name, res, cfg.verbose)
@@ -367,11 +375,7 @@ def run_corpus(directory: str, cfg: RunConfig) -> int:
     for path in files:
         row: dict = {"instance": path.name}
         try:
-            g = load_instance(path.read_text())
-            solver = get_solver(cfg.ssrob, cfg.trials)
-            params = make_parameters(cfg, solver.quality)
-            oracle = ExactSolver() if cfg.oracle else None
-            res = solve_instance(g, params, solver, seed=cfg.seed, oracle=oracle)
+            res = _load_and_solve(path.read_text(), cfg)
         except (ParseError, InstanceError, ConfigError) as exc:
             row.update(status="error", detail=str(exc))
             rows.append(row)
@@ -383,9 +387,9 @@ def run_corpus(directory: str, cfg: RunConfig) -> int:
             continue
         row.update(
             status="oracle skipped" if res.oracle_skipped else "ok",
-            n=g.n,
-            m=len(g.edges),
-            D=g.total_demand,
+            n=res.instance.n,
+            m=len(res.instance.edges),
+            D=res.instance.total_demand,
             K=res.layers.top_index,
             layers=len(res.layers.kept),
             tree_length=res.result.tree.total_length,
@@ -408,8 +412,8 @@ def run_corpus(directory: str, cfg: RunConfig) -> int:
     }
     if cfg.out_report:
         target = Path(cfg.out_report)
-        target.write_bytes(report_bytes(summary))
-        target.with_suffix(".csv").write_text(_corpus_csv(rows))
+        _write(target, report_bytes(summary))
+        _write(target.with_suffix(".csv"), _corpus_csv(rows).encode())
     print(
         f"{directory}: {summary['ok']}/{summary['instances']} ok, "
         f"aggregate max ratio "

@@ -343,23 +343,39 @@ def contract(
     )
 
 
-def tree_distances(root: int, edges: Iterable[Edge]) -> dict[int, float]:
-    """Distance from ``root`` to every vertex reachable through ``edges``.
+def tree_vertices(root: int, edges: Iterable[Edge]) -> set[int]:
+    """``root`` plus every endpoint of ``edges``."""
+    touched = {root}
+    for e in edges:
+        touched.add(e.u)
+        touched.add(e.v)
+    return touched
 
-    Assumes the edge set is acyclic; vertices outside the root's component
-    are simply absent from the result.
+
+def tree_order(root: int, edges: Iterable[Edge]) -> list[tuple[int, Edge | None]]:
+    """Breadth-first ``(vertex, edge to its parent)`` pairs from ``root``.
+
+    The root comes first with edge None. Assumes the edge set is acyclic;
+    vertices outside the root's component are simply absent from the result.
     """
-    adj: dict[int, list[Edge]] = {}
+    adj: dict[int, list[Edge]] = {root: []}
     for e in edges:
         adj.setdefault(e.u, []).append(e)
         adj.setdefault(e.v, []).append(e)
-    dist = {root: 0.0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for e in adj.get(v, ()):
+    order: list[tuple[int, Edge | None]] = [(root, None)]
+    seen = {root}
+    for v, _ in order:
+        for e in adj[v]:
             w = e.other(v)
-            if w not in dist:
-                dist[w] = dist[v] + e.length
-                queue.append(w)
+            if w not in seen:
+                seen.add(w)
+                order.append((w, e))
+    return order
+
+
+def tree_distances(root: int, edges: Iterable[Edge]) -> dict[int, float]:
+    """Distance from ``root`` to every vertex reachable through ``edges``."""
+    dist = {root: 0.0}
+    for v, via in tree_order(root, edges)[1:]:
+        dist[v] = dist[via.other(v)] + via.length
     return dist

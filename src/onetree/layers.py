@@ -103,10 +103,6 @@ class LayerSet:
     kept: tuple[int, ...]
     kept_buy: tuple[int, ...]
 
-    @property
-    def thresholds(self) -> tuple[float, ...]:
-        return tuple(basis_threshold(i, self.eps) for i in range(self.top_index + 1))
-
 
 def compute_layers(
     g: Instance,

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidTreeError
-from .graph import Edge, Instance, UnionFind
+from .graph import Edge, Instance, UnionFind, tree_order, tree_vertices
 
 
 def basis_threshold(index: int, eps: float) -> float:
@@ -40,11 +39,7 @@ class RoutedTree:
 
     @cached_property
     def vertices(self) -> frozenset[int]:
-        touched = {self.instance.root}
-        for e in self.edges:
-            touched.add(e.u)
-            touched.add(e.v)
-        return frozenset(touched)
+        return frozenset(tree_vertices(self.instance.root, self.edges))
 
     @property
     def total_length(self) -> float:
@@ -52,30 +47,16 @@ class RoutedTree:
 
 
 def compute_flows(
-    root: int, demands: Mapping[int, int], edges: Sequence[Edge]
+    order: Sequence[tuple[int, Edge | None]], demands: Mapping[int, int]
 ) -> dict[int, int]:
     """Rootward flow per edge of a tree: the demand hanging below it.
 
-    Assumes ``edges`` form a tree whose root component covers all demand
-    vertices; use :func:`route` when that needs checking.
+    ``order`` is the tree's :func:`~onetree.graph.tree_order` walk; use
+    :func:`route` when the edge set needs checking first.
     """
-    adj: dict[int, list[Edge]] = {root: []}
-    for e in edges:
-        adj.setdefault(e.u, []).append(e)
-        adj.setdefault(e.v, []).append(e)
-    order: list[tuple[int, Edge | None]] = [(root, None)]
-    seen = {root}
-    for v, _ in order:
-        for e in adj[v]:
-            w = e.other(v)
-            if w not in seen:
-                seen.add(w)
-                order.append((w, e))
-    subtree = {v: demands.get(v, 0) for v in seen}
+    subtree = {v: demands.get(v, 0) for v, _ in order}
     flows: dict[int, int] = {}
-    for v, via in reversed(order):
-        if via is None:
-            continue
+    for v, via in reversed(order[1:]):
         flows[via.eid] = subtree[v]
         subtree[via.other(v)] += subtree[v]
     return flows
@@ -95,35 +76,21 @@ def route(g: Instance, edge_ids: Iterable[int]) -> RoutedTree:
             raise InvalidTreeError(f"unknown edge id {eid}")
         edges.append(by_id[eid])
 
-    touched = {g.root}
-    for e in edges:
-        touched.add(e.u)
-        touched.add(e.v)
+    touched = tree_vertices(g.root, edges)
     uf = UnionFind(touched)
     for e in edges:
         if not uf.union(e.u, e.v):
             raise InvalidTreeError("cyclic edge set")
 
-    adj: dict[int, list[Edge]] = {v: [] for v in touched}
-    for e in edges:
-        adj[e.u].append(e)
-        adj[e.v].append(e)
-    seen = {g.root}
-    queue = deque([g.root])
-    while queue:
-        v = queue.popleft()
-        for e in adj[v]:
-            w = e.other(v)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+    order = tree_order(g.root, edges)
+    reached = {v for v, _ in order}
     for v, _amount in g.demand_items:
-        if v not in seen:
+        if v not in reached:
             raise InvalidTreeError(f"demand vertex not spanned: {v}")
-    if len(seen) != len(touched):
+    if len(reached) != len(touched):
         raise InvalidTreeError("edge set is not connected to the root")
 
-    flows = compute_flows(g.root, g.demands, edges)
+    flows = compute_flows(order, g.demands)
     return RoutedTree(instance=g, edge_ids=ids, flows=tuple(flows[eid] for eid in ids))
 
 

@@ -1,9 +1,19 @@
 """Rent-or-buy solvers for a single basis threshold.
 
-Two interchangeable solvers: an exact oracle that enumerates spanning trees
-of the root's component (every Steiner-optimal topology is contained in one,
-and zero-flow edges are free), and a randomized sample-and-augment heuristic.
-Both are deterministic given a seed.
+Two interchangeable solvers, both deterministic given a seed:
+
+- An exact oracle that enumerates the spanning trees of the root's
+  component (every Steiner-optimal topology is contained in one, and
+  zero-flow edges are free). One scan costs every tree at once through a
+  flow table with a row per tree and a column per edge. Up to
+  ``_TABLE_LIMIT`` (2*10^5) trees the table is built once per instance and
+  cached; above it the trees stream through fresh tables of at most that
+  many rows, so memory stays at the scale of one table at the limit
+  whatever the tree count. Beyond ``ORACLE_TREE_LIMIT`` (10^7) trees the
+  oracle refuses. Cost ties go to the lexicographically smallest edge-id
+  tuple.
+- A randomized sample-and-augment heuristic; cost ties between its trials
+  go to the smaller edge-id tuple as well.
 """
 
 from __future__ import annotations
@@ -12,7 +22,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, Iterator, Sequence
+from itertools import islice
+from typing import ClassVar, Container, Iterator, Sequence
 
 import numpy as np
 
@@ -21,11 +32,15 @@ from .graph import (
     INF,
     SUPERNODE,
     Edge,
+    Graph,
     Instance,
+    UnionFind,
     contract,
     minimum_spanning_forest,
     reachable_vertices,
     shortest_path_tree,
+    tree_order,
+    tree_vertices,
 )
 from .routing import RoutedTree, basis_cost, compute_flows, route
 
@@ -68,6 +83,9 @@ def _spanning_edge_sets(
 
     Contraction-deletion over edges in id order: include an edge joining two
     components, or exclude it when the remaining edges can still connect.
+    The walk keeps its own stack, so its depth does not grow with the graph;
+    each exclude branch is pushed before its include branch, so include is
+    explored first.
     """
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
@@ -92,99 +110,59 @@ def _spanning_edge_sets(
                     return True
         return components == 1
 
-    def walk(
-        k: int, parent: list[int], components: int, chosen: list[int]
-    ) -> Iterator[tuple[int, ...]]:
+    stack: list[tuple[int, list[int], int, tuple[int, ...]]] = [(0, list(range(n)), n, ())]
+    while stack:
+        k, parent, components, chosen = stack.pop()
         if components == 1:
-            yield tuple(chosen)
-            return
+            yield chosen
+            continue
         if k == m:
-            return
+            continue
         a, b = ends[k]
         ra, rb = find(parent, a), find(parent, b)
+        if connectable(parent, k + 1, components):
+            stack.append((k + 1, parent, components, chosen))
         if ra != rb:
             merged = parent.copy()
             merged[rb] = ra
-            chosen.append(edges[k].eid)
-            yield from walk(k + 1, merged, components - 1, chosen)
-            chosen.pop()
-        if connectable(parent, k + 1, components):
-            yield from walk(k + 1, parent, components, chosen)
-
-    yield from walk(0, list(range(n)), n, [])
+            stack.append((k + 1, merged, components - 1, chosen + (edges[k].eid,)))
 
 
 @dataclass(frozen=True)
 class _TreeTable:
-    """Enumerated spanning trees with a per-edge flow matrix for fast costs."""
+    """Spanning trees with a per-edge flow matrix for fast costs."""
 
-    column_eids: tuple[int, ...]
     edge_sets: tuple[tuple[int, ...], ...]
     flows: np.ndarray
     lengths: np.ndarray
 
 
-@lru_cache(maxsize=6)
-def _enumerated_table(g: Instance) -> _TreeTable:
-    verts, edges = _root_component(g)
+def _flow_table(
+    g: Instance, edges: Sequence[Edge], edge_sets: tuple[tuple[int, ...], ...]
+) -> _TreeTable:
     by_id = {e.eid: e for e in edges}
     column = {e.eid: j for j, e in enumerate(edges)}
-    edge_sets = tuple(_spanning_edge_sets(verts, edges))
     flows = np.zeros((len(edge_sets), len(edges)), dtype=np.int64)
     demands = g.demands
     for row, eids in enumerate(edge_sets):
-        for eid, flow in compute_flows(g.root, demands, [by_id[i] for i in eids]).items():
+        order = tree_order(g.root, [by_id[i] for i in eids])
+        for eid, flow in compute_flows(order, demands).items():
             flows[row, column[eid]] = flow
-    lengths = np.array([e.length for e in edges])
-    return _TreeTable(
-        column_eids=tuple(e.eid for e in edges),
-        edge_sets=edge_sets,
-        flows=flows,
-        lengths=lengths,
-    )
+    return _TreeTable(edge_sets, flows, np.array([e.length for e in edges]))
 
 
-def _guarded_count(g: Instance) -> int:
-    count = count_spanning_trees(g)
-    if count > ORACLE_TREE_LIMIT:
-        raise OracleLimitError(
-            f"instance too large for oracle: about {count} spanning trees "
-            f"(limit {ORACLE_TREE_LIMIT})"
-        )
-    return count
-
-
-def _pick_min(costs: np.ndarray, edge_sets: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    ties = np.flatnonzero(costs == costs.min())
-    return min(edge_sets[j] for j in ties)
-
-
-def exact_ssrob(g: Instance, threshold: float) -> RoutedTree:
-    """Minimum-cost routing tree for one basis threshold, by enumeration.
-
-    Ties go to the lexicographically smallest edge-id set. Raises
-    OracleLimitError when the component has more than ORACLE_TREE_LIMIT
-    spanning trees (estimated via the matrix-tree theorem first).
-    """
-    count = _guarded_count(g)
-    if count <= _TABLE_LIMIT:
-        table = _enumerated_table(g)
-        costs = (table.lengths * np.minimum(table.flows, threshold)).sum(axis=1)
-        return route(g, _pick_min(costs, table.edge_sets))
-
+@lru_cache(maxsize=6)
+def _enumerated_table(g: Instance) -> _TreeTable:
     verts, edges = _root_component(g)
-    by_id = {e.eid: e for e in edges}
-    demands = g.demands
-    best: tuple[float, tuple[int, ...]] | None = None
-    for eids in _spanning_edge_sets(verts, edges):
-        chosen = [by_id[i] for i in eids]
-        flows = compute_flows(g.root, demands, chosen)
-        cost = sum(e.length * min(flows[e.eid], threshold) for e in chosen)
-        key = (cost, eids)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return route(g, best[1])
+    return _flow_table(g, edges, tuple(_spanning_edge_sets(verts, edges)))
+
+
+def _streamed_tables(g: Instance) -> Iterator[_TreeTable]:
+    """Every spanning tree, in fresh flow tables of at most _TABLE_LIMIT rows."""
+    verts, edges = _root_component(g)
+    trees = _spanning_edge_sets(verts, edges)
+    while chunk := tuple(islice(trees, max(1, _TABLE_LIMIT))):
+        yield _flow_table(g, edges, chunk)
 
 
 def best_tree_for_combination(
@@ -192,35 +170,41 @@ def best_tree_for_combination(
 ) -> RoutedTree:
     """Spanning tree minimizing sum_i coefficients[i] * cost(thresholds[i]).
 
-    Same enumeration, guard, and tie rule as :func:`exact_ssrob`.
+    Enumerates the spanning trees of the root's component; ties go to the
+    lexicographically smallest edge-id set. Raises OracleLimitError when the
+    component has more than ORACLE_TREE_LIMIT spanning trees (counted via
+    the matrix-tree theorem first).
     """
     if len(thresholds) != len(coefficients):
         raise ConfigError("thresholds and coefficients must have equal length")
-    count = _guarded_count(g)
-    if count <= _TABLE_LIMIT:
-        table = _enumerated_table(g)
+    count = count_spanning_trees(g)
+    if count > ORACLE_TREE_LIMIT:
+        raise OracleLimitError(
+            f"instance too large for oracle: about {count} spanning trees "
+            f"(limit {ORACLE_TREE_LIMIT})"
+        )
+    tables = [_enumerated_table(g)] if count <= _TABLE_LIMIT else _streamed_tables(g)
+    best: tuple[float, tuple[int, ...]] | None = None
+    for table in tables:
         costs = np.zeros(len(table.edge_sets))
         for a, m in zip(coefficients, thresholds):
             if a:
                 costs += a * (table.lengths * np.minimum(table.flows, m)).sum(axis=1)
-        return route(g, _pick_min(costs, table.edge_sets))
-
-    verts, edges = _root_component(g)
-    by_id = {e.eid: e for e in edges}
-    demands = g.demands
-    best: tuple[float, tuple[int, ...]] | None = None
-    for eids in _spanning_edge_sets(verts, edges):
-        chosen = [by_id[i] for i in eids]
-        flows = compute_flows(g.root, demands, chosen)
-        cost = 0.0
-        for a, m in zip(coefficients, thresholds):
-            if a:
-                cost += a * sum(e.length * min(flows[e.eid], m) for e in chosen)
-        key = (cost, eids)
+        low = costs.min()
+        key = (low, min(table.edge_sets[j] for j in np.flatnonzero(costs == low)))
         if best is None or key < best:
             best = key
     assert best is not None
     return route(g, best[1])
+
+
+def exact_ssrob(g: Instance, threshold: float) -> RoutedTree:
+    """Minimum-cost routing tree for one basis threshold, by enumeration.
+
+    The single-term case of :func:`best_tree_for_combination`, with its
+    guard and tie rule.
+    """
+    return best_tree_for_combination(g, (threshold,), (1.0,))
 
 
 def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int]:
@@ -245,21 +229,12 @@ def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int
     closure.sort()
 
     by_id = g.edge_by_id
-    labels = {t: t for t in terms}
-
-    def find(x: int) -> int:
-        while labels[x] != x:
-            labels[x] = labels[labels[x]]
-            x = labels[x]
-        return x
-
+    uf = UnionFind(terms)
     union_edges: dict[int, Edge] = {}
     joined = 1
     for _d, a, b in closure:
-        ra, rb = find(a), find(b)
-        if ra == rb:
+        if not uf.union(a, b):
             continue
-        labels[rb] = ra
         joined += 1
         pred = trees[a][1]
         w = b
@@ -270,54 +245,44 @@ def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int
         if joined == len(terms):
             break
 
-    touched: set[int] = set()
-    for e in union_edges.values():
-        touched.add(e.u)
-        touched.add(e.v)
+    touched = tree_vertices(g.root, union_edges.values())
     reduced, _ = minimum_spanning_forest(touched, union_edges.values())
     return frozenset(e.eid for e in reduced)
 
 
-def _core_vertices(g: Instance, core_edge_ids: frozenset[int]) -> set[int]:
-    verts = {g.root}
-    by_id = g.edge_by_id
-    for eid in core_edge_ids:
-        verts.add(by_id[eid].u)
-        verts.add(by_id[eid].v)
-    return verts
-
-
-def _rent_paths(g: Instance, core_edge_ids: frozenset[int]) -> frozenset[int]:
-    """Shortest-path edges connecting every off-core demand to the core."""
-    core = _core_vertices(g, core_edge_ids)
-    contracted = contract(g, core)
-    dist, pred = shortest_path_tree(contracted, SUPERNODE)
+def _demand_paths(
+    g: Instance, graph: Graph, source: int, skip: Container[int]
+) -> frozenset[int]:
+    """Edges of the shortest ``graph`` paths to ``source`` from every demand
+    vertex of ``g`` not in ``skip``."""
+    dist, pred = shortest_path_tree(graph, source)
     picked: set[int] = set()
     for v, _amount in g.demand_items:
-        if v in core:
+        if v in skip:
             continue
         if dist.get(v, INF) == INF:
             raise InstanceError(f"disconnected demand: vertex {v} is unreachable from the root")
         w = v
-        while w != SUPERNODE:
+        while w != source:
             parent, eid = pred[w]
             picked.add(eid)
             w = parent
     return frozenset(picked)
+
+
+def _rent_paths(g: Instance, core_edge_ids: frozenset[int]) -> frozenset[int]:
+    """Shortest-path edges connecting every off-core demand to the core."""
+    core = tree_vertices(g.root, (g.edge_by_id[eid] for eid in core_edge_ids))
+    return _demand_paths(g, contract(g, core), SUPERNODE, core)
 
 
 def _spt_demand_paths(g: Instance) -> frozenset[int]:
-    dist, pred = shortest_path_tree(g, g.root)
-    picked: set[int] = set()
-    for v, _amount in g.demand_items:
-        if dist[v] == INF:
-            raise InstanceError(f"disconnected demand: vertex {v} is unreachable from the root")
-        w = v
-        while w != g.root:
-            parent, eid = pred[w]
-            picked.add(eid)
-            w = parent
-    return frozenset(picked)
+    """Shortest-path edges from the root to every demand vertex.
+
+    Not ``_rent_paths(g, frozenset())``: contraction renames the root to
+    SUPERNODE, which changes how (distance, predecessor id) ties break.
+    """
+    return _demand_paths(g, g, g.root, ())
 
 
 def sample_and_augment(

@@ -24,8 +24,6 @@ from onetree import (
     eval_cost,
     exact_ssrob,
     optimal_parameters,
-    refine_parameters,
-    search_parameters,
     verify_last,
 )
 from onetree.cli import main, solve_instance
@@ -33,7 +31,7 @@ from onetree.corpus import instance_text, random_connected_instance, random_inst
 from onetree.evaluate import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
 from onetree.last import guaranteed_beta
 
-from helpers import brute_min_cost
+from helpers import brute_min_cost, refine_parameters, search_parameters
 
 EPS = 0.5
 CORPUS_SEED = 20260809

@@ -70,6 +70,31 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.graph")]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("flag", ["--out-report", "--out-tree"])
+def test_unwritable_output_exits_2(tmp_path, capsys, flag):
+    instance = write(tmp_path, "path3.graph", PATH3)
+    target = tmp_path / "missing" / "out.txt"
+    assert main(["run", instance, flag, str(target)]) == EXIT_INVALID
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+
+def test_corpus_unwritable_report_exits_2(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    write_corpus(corpus_dir, 2, seed=3)
+    target = tmp_path / "missing" / "summary.json"
+    code = main(["run", "--corpus", str(corpus_dir), "--out-report", str(target)])
+    assert code == EXIT_INVALID
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+
+def test_exact_solver_on_long_path_exits_0(tmp_path):
+    # one spanning tree, but 1499 edges: the enumerator must not recurse per edge
+    n = 1500
+    g = make_instance(n, [(v, v + 1, 1) for v in range(n - 1)], 0, {n - 1: 1})
+    instance = write(tmp_path, "path1500.graph", instance_text(g))
+    assert main(["run", instance, "--ssrob", "exact"]) == EXIT_OK
+
+
 def test_tree_artifacts_written(tmp_path):
     instance = write(tmp_path, "path3.graph", PATH3)
     out_tree = tmp_path / "tree.txt"

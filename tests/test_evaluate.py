@@ -13,14 +13,14 @@ from onetree import (
     best_tree_for_function,
     make_instance,
     optimal_parameters,
-    refine_parameters,
     route,
-    search_parameters,
     simultaneous_ratio,
 )
 from onetree.corpus import random_instance
-from onetree.evaluate import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE, combined_objective
+from onetree.evaluate import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
 from onetree.cli import solve_instance
+
+from helpers import combined_objective, refine_parameters, search_parameters
 
 ROOT5 = math.sqrt(5.0)
 

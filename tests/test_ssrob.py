@@ -15,6 +15,7 @@ from onetree import (
     route,
     sample_and_augment,
 )
+from onetree import ssrob
 from onetree.corpus import random_instance
 from onetree.ssrob import best_tree_for_combination
 
@@ -79,6 +80,37 @@ def test_enumeration_covers_every_spanning_tree():
         independent = {tuple(sorted(s)) for s in subset_spanning_trees(g)}
         assert ours == independent
         assert len(ours) == count_spanning_trees(g)
+
+
+@pytest.mark.parametrize("limit", [1, 7])
+def test_streamed_scan_matches_table(monkeypatch, limit):
+    # K4 (16 trees) whose only optimum, the star at vertex 3, is enumerated last
+    k4 = [(0, 1, 10), (0, 2, 10), (0, 3, 1), (1, 2, 10), (1, 3, 1), (2, 3, 1)]
+    rng = random.Random(4242)
+    corpus = [make_instance(4, k4, 0, {1: 1, 2: 1})]
+    corpus += [random_instance(rng, n_min=4, n_max=7, max_extra_edges=4) for _ in range(25)]
+    thresholds = (1.0, 2.0, 3.5)
+    coefficients = (0.5, 0.0, 1.25)
+
+    def solve_all():
+        return [
+            (
+                [exact_ssrob(g, m).edge_ids for m in thresholds],
+                best_tree_for_combination(g, thresholds, coefficients).edge_ids,
+            )
+            for g in corpus
+        ]
+
+    table = solve_all()
+    monkeypatch.setattr(ssrob, "_TABLE_LIMIT", limit)
+    assert solve_all() == table
+
+
+def test_spt_ties_break_on_root_predecessor():
+    # both root-to-1 paths have length 2; the one through vertex 0 wins on
+    # the smaller predecessor id, which contracting the root would flip
+    g = make_instance(3, [(2, 1, 2), (2, 0, 1), (0, 1, 1)], 2, {1: 3})
+    assert sample_and_augment(g, 3.0).edge_ids == (1, 2)
 
 
 def test_sample_augment_degenerate_low_threshold(path3):
