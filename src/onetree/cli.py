@@ -290,6 +290,14 @@ def dot_text(res: PipelineResult, include_zero_flow: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read(name: str) -> str:
+    """Read an instance file; an unreadable or non-UTF-8 file is bad input."""
+    try:
+        return Path(name).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {name}: {exc}") from None
+
+
 def _write(path: Path, data: bytes) -> None:
     """Write an output file; failure is a bad argument, not a crash."""
     try:
@@ -317,9 +325,9 @@ def run_pipeline(cfg: RunConfig) -> int:
         return EXIT_INVALID
     for name in cfg.instances:
         try:
-            text = Path(name).read_text()
-        except OSError as exc:
-            print(f"error: cannot read {name}: {exc}", file=sys.stderr)
+            text = _read(name)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID
         try:
             res = _load_and_solve(text, cfg)
@@ -375,7 +383,7 @@ def run_corpus(directory: str, cfg: RunConfig) -> int:
     for path in files:
         row: dict = {"instance": path.name}
         try:
-            res = _load_and_solve(path.read_text(), cfg)
+            res = _load_and_solve(_read(str(path)), cfg)
         except (ParseError, InstanceError, ConfigError) as exc:
             row.update(status="error", detail=str(exc))
             rows.append(row)

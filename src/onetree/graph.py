@@ -21,6 +21,9 @@ SUPERNODE = -1
 
 INF = math.inf
 
+#: ``shortest_path_tree`` result: distances and ``(parent, edge id)`` links.
+PathTree = tuple[dict[int, float], dict[int, tuple[int, int]]]
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -64,6 +67,11 @@ class Instance:
     @cached_property
     def adjacency(self) -> dict[int, tuple[Edge, ...]]:
         return build_adjacency(self.vertex_ids, self.edges)
+
+    @cached_property
+    def source_trees(self) -> dict[int, PathTree]:
+        """Memo of ``shortest_path_tree(self, s)`` by source ``s``; read only."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -212,37 +220,53 @@ def load_instance(text: str) -> Instance:
     return g
 
 
-def shortest_path_tree(
-    g: Graph, source: int
-) -> tuple[dict[int, float], dict[int, tuple[int, int]]]:
+def shortest_path_tree(g: Graph, source: int | frozenset[int]) -> PathTree:
     """Exact single-source shortest paths by edge length.
 
     Returns (distances, predecessors) where predecessors maps each reached
     vertex other than the source to ``(parent vertex, edge id)``. Unreachable
     vertices get distance +inf and no predecessor. Ties are broken by
     (distance, smaller predecessor id, smaller edge id).
+
+    ``source`` may also be a frozenset of vertices, searched as one merged
+    source named SUPERNODE: its members get distance 0 and no predecessor,
+    and an edge leaving the set records parent SUPERNODE. Outside the set
+    this gives the (distance, predecessor, edge id) labels of this search
+    from SUPERNODE on ``contract(g, source)``, without building the
+    contraction. That holds for a one-vertex set too: SUPERNODE (-1) is
+    below every vertex id, so it wins predecessor ties that the member's own
+    id could lose. Parallel edges resolve by (length, edge id) in both, as
+    long as adding a distance does not round two of their lengths to one sum.
     """
     adj = g.adjacency
-    if source not in adj:
+    if isinstance(source, frozenset):
+        members, name = source, SUPERNODE
+    else:
+        members, name = frozenset((source,)), source
+    if not members or not members <= adj.keys():
         raise ValueError(f"source vertex {source} is not in the graph")
     dist = {v: INF for v in adj}
     pred: dict[int, tuple[int, int]] = {}
-    label: dict[int, tuple[float, int, int]] = {source: (0.0, SUPERNODE - 1, -1)}
+    start = (0.0, SUPERNODE - 1, -1)
+    label: dict[int, tuple[float, int, int]] = dict.fromkeys(members, start)
     done: set[int] = set()
-    heap: list[tuple[float, int, int, int]] = [(0.0, SUPERNODE - 1, -1, source)]
+    heap: list[tuple[float, int, int, int]] = [(*start, s) for s in sorted(members)]
     while heap:
         d, p, eid, v = heappop(heap)
         if v in done or label.get(v) != (d, p, eid):
             continue
         done.add(v)
         dist[v] = d
-        if v != source:
+        if v in members:
+            via = name
+        else:
             pred[v] = (p, eid)
+            via = v
         for e in adj[v]:
             w = e.other(v)
             if w in done:
                 continue
-            cand = (d + e.length, v, e.eid)
+            cand = (d + e.length, via, e.eid)
             if w not in label or cand < label[w]:
                 label[w] = cand
                 heappush(heap, (cand[0], cand[1], cand[2], w))

@@ -13,7 +13,12 @@ Two interchangeable solvers, both deterministic given a seed:
   oracle refuses. Cost ties go to the lexicographically smallest edge-id
   tuple.
 - A randomized sample-and-augment heuristic; cost ties between its trials
-  go to the smaller edge-id tuple as well.
+  go to the smaller edge-id tuple as well. Its terminals are always demand
+  vertices or the root, so their shortest-path trees are computed once per
+  instance (memoized on it) and shared by every threshold and trial. The
+  rent step searches the bought core as one merged source of
+  ``shortest_path_tree`` instead of building a contraction per trial; both
+  give the same trees as the plain per-trial algorithm.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat, starmap
 from typing import ClassVar, Container, Iterator, Sequence
 
 import numpy as np
@@ -32,10 +37,9 @@ from .graph import (
     INF,
     SUPERNODE,
     Edge,
-    Graph,
     Instance,
+    PathTree,
     UnionFind,
-    contract,
     minimum_spanning_forest,
     reachable_vertices,
     shortest_path_tree,
@@ -207,6 +211,20 @@ def exact_ssrob(g: Instance, threshold: float) -> RoutedTree:
     return best_tree_for_combination(g, (threshold,), (1.0,))
 
 
+def _terminal_tree(g: Instance, source: int) -> PathTree:
+    """``shortest_path_tree(g, source)``, run once per instance and source.
+
+    Terminals are demand vertices or the root, so every threshold and trial
+    of one instance shares at most |demands| + 1 trees. Callers must not
+    mutate the returned dicts.
+    """
+    trees = g.source_trees
+    tree = trees.get(source)
+    if tree is None:
+        tree = trees[source] = shortest_path_tree(g, source)
+    return tree
+
+
 def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int]:
     """Steiner tree over ``terminals`` by the metric-closure MST approximation.
 
@@ -217,7 +235,7 @@ def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int
     terms = sorted(terminals)
     if len(terms) <= 1:
         return frozenset()
-    trees = {t: shortest_path_tree(g, t) for t in terms}
+    trees = {t: _terminal_tree(g, t) for t in terms}
     closure: list[tuple[float, int, int]] = []
     for i, a in enumerate(terms):
         dist_a = trees[a][0]
@@ -251,11 +269,11 @@ def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int
 
 
 def _demand_paths(
-    g: Instance, graph: Graph, source: int, skip: Container[int]
+    g: Instance, tree: PathTree, source: int, skip: Container[int]
 ) -> frozenset[int]:
-    """Edges of the shortest ``graph`` paths to ``source`` from every demand
-    vertex of ``g`` not in ``skip``."""
-    dist, pred = shortest_path_tree(graph, source)
+    """Edges of the shortest-path ``tree`` paths to ``source`` (a vertex or
+    SUPERNODE) from every demand vertex of ``g`` not in ``skip``."""
+    dist, pred = tree
     picked: set[int] = set()
     for v, _amount in g.demand_items:
         if v in skip:
@@ -271,18 +289,38 @@ def _demand_paths(
 
 
 def _rent_paths(g: Instance, core_edge_ids: frozenset[int]) -> frozenset[int]:
-    """Shortest-path edges connecting every off-core demand to the core."""
-    core = tree_vertices(g.root, (g.edge_by_id[eid] for eid in core_edge_ids))
-    return _demand_paths(g, contract(g, core), SUPERNODE, core)
+    """Shortest-path edges connecting every off-core demand to the core.
+
+    The core is searched as one merged source, which gives the paths of a
+    search from SUPERNODE in ``contract(g, core)`` without building it.
+    """
+    core = frozenset(tree_vertices(g.root, (g.edge_by_id[eid] for eid in core_edge_ids)))
+    return _demand_paths(g, shortest_path_tree(g, core), SUPERNODE, core)
 
 
 def _spt_demand_paths(g: Instance) -> frozenset[int]:
     """Shortest-path edges from the root to every demand vertex.
 
-    Not ``_rent_paths(g, frozenset())``: contraction renames the root to
-    SUPERNODE, which changes how (distance, predecessor id) ties break.
+    Not ``_rent_paths(g, frozenset())``: the merged source is named
+    SUPERNODE, not the root's id, which changes how (distance, predecessor
+    id) ties break.
     """
-    return _demand_paths(g, g, g.root, ())
+    return _demand_paths(g, _terminal_tree(g, g.root), g.root, ())
+
+
+def _marked_vertices(
+    g: Instance, rng: random.Random, mark_probability: float
+) -> frozenset[int]:
+    """Demand vertices with at least one unit marked with ``mark_probability``.
+
+    Takes one draw per demand unit, in demand order, so the rng stream is the
+    one a per-unit loop would consume; the draws stay in C.
+    """
+    return frozenset(
+        v
+        for v, amount in g.demand_items
+        if min(starmap(rng.random, repeat((), amount))) < mark_probability
+    )
 
 
 def sample_and_augment(
@@ -292,8 +330,8 @@ def sample_and_augment(
 
     Each trial marks every demand unit independently with probability
     1/threshold, buys a Steiner core over the marked vertices plus the root,
-    and rents shortest paths into the contracted core for the rest. The
-    cheapest trial tree wins; cost ties go to the smaller edge-id set.
+    and rents shortest paths into the core for the rest. The cheapest trial
+    tree wins; cost ties go to the smaller edge-id set.
 
     Degenerate thresholds are handled deterministically: threshold >= total
     demand reduces to shortest-path routing, threshold <= 1 to the Steiner
@@ -312,16 +350,8 @@ def sample_and_augment(
     mark_probability = 1.0 / threshold
     best: tuple[tuple[float, tuple[int, ...]], RoutedTree] | None = None
     for trial in range(trials):
-        rng = random.Random(seed + trial)
-        marked: set[int] = set()
-        for v, amount in g.demand_items:
-            hit = False
-            for _unit in range(amount):
-                if rng.random() < mark_probability:
-                    hit = True
-            if hit:
-                marked.add(v)
-        core = _steiner_core_edges(g, frozenset(marked) | {g.root})
+        marked = _marked_vertices(g, random.Random(seed + trial), mark_probability)
+        core = _steiner_core_edges(g, marked | {g.root})
         tree = route(g, core | _rent_paths(g, core))
         key = (basis_cost(tree, threshold), tree.edge_ids)
         if best is None or key < best[0]:

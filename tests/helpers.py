@@ -4,16 +4,26 @@ The brute-force tree oracles deliberately share nothing with the package's
 contraction-deletion enumerator: spanning trees are found by filtering
 fixed-size edge subsets. The numeric parameter optimizer checks the closed
 form in :func:`onetree.optimal_parameters` without using it.
+:func:`reference_sample_and_augment` is the plain form of the package's
+sample-and-augment solver, which the faster one must match tree for tree.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from typing import Callable, Iterator
 
-from onetree import Instance, RoutedTree, route
-from onetree.graph import UnionFind, reachable_vertices
+from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, contract, route
+from onetree import shortest_path_tree
+from onetree.graph import (
+    INF,
+    UnionFind,
+    minimum_spanning_forest,
+    reachable_vertices,
+    tree_vertices,
+)
 
 
 def subset_spanning_trees(g: Instance) -> Iterator[tuple[int, ...]]:
@@ -110,3 +120,78 @@ def search_parameters() -> tuple[float, float, float, float]:
                     best = (value, (a, g, d))
     assert best is not None
     return refine_parameters(*best[1])
+
+
+def _reference_paths(g: Instance, graph, source: int, skip) -> set[int]:
+    dist, pred = shortest_path_tree(graph, source)
+    picked: set[int] = set()
+    for v, _amount in g.demand_items:
+        if v in skip:
+            continue
+        assert dist.get(v, INF) < INF
+        w = v
+        while w != source:
+            w, eid = pred[w]
+            picked.add(eid)
+    return picked
+
+
+def _reference_core(g: Instance, terminals: set[int]) -> frozenset[int]:
+    terms = sorted(terminals)
+    if len(terms) <= 1:
+        return frozenset()
+    trees = {t: shortest_path_tree(g, t) for t in terms}
+    closure = sorted(
+        (trees[a][0][b], a, b) for i, a in enumerate(terms) for b in terms[i + 1 :]
+    )
+    uf = UnionFind(terms)
+    union_edges = {}
+    for _d, a, b in closure:
+        if uf.union(a, b):
+            w = b
+            while w != a:
+                w, eid = trees[a][1][w]
+                union_edges[eid] = g.edge_by_id[eid]
+    touched = tree_vertices(g.root, union_edges.values())
+    reduced, _ = minimum_spanning_forest(touched, union_edges.values())
+    return frozenset(e.eid for e in reduced)
+
+
+def _reference_rent(g: Instance, core_ids: frozenset[int]) -> set[int]:
+    core = tree_vertices(g.root, (g.edge_by_id[eid] for eid in core_ids))
+    return _reference_paths(g, contract(g, core), SUPERNODE, core)
+
+
+def reference_marking(g: Instance, rng: random.Random, mark_probability: float) -> set[int]:
+    """Demand vertices with at least one marked unit, one draw per unit."""
+    marked: set[int] = set()
+    for v, amount in g.demand_items:
+        hit = False
+        for _unit in range(amount):
+            if rng.random() < mark_probability:
+                hit = True
+        if hit:
+            marked.add(v)
+    return marked
+
+
+def reference_sample_and_augment(
+    g: Instance, threshold: float, seed: int = 0, trials: int = 32
+) -> RoutedTree:
+    """Sample-and-augment with a fresh Dijkstra per terminal, rent paths
+    searched in an explicit contraction of the core, and a per-unit marking
+    loop."""
+    if threshold >= g.total_demand:
+        return route(g, _reference_paths(g, g, g.root, ()))
+    if threshold <= 1.0:
+        core = _reference_core(g, {v for v, _ in g.demand_items} | {g.root})
+        return route(g, core | _reference_rent(g, core))
+    best = None
+    for trial in range(trials):
+        marked = reference_marking(g, random.Random(seed + trial), 1.0 / threshold)
+        core = _reference_core(g, marked | {g.root})
+        tree = route(g, core | _reference_rent(g, core))
+        key = (basis_cost(tree, threshold), tree.edge_ids)
+        if best is None or key < best[0]:
+            best = (key, tree)
+    return best[1]

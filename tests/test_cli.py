@@ -70,6 +70,13 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.graph")]) == EXIT_INVALID
 
 
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"3 2 0\n0 1 1\n1 2 \xff\nd 1 1\n")
+    assert main(["run", str(path)]) == EXIT_INVALID
+    assert f"error: cannot read {path}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--out-report", "--out-tree"])
 def test_unwritable_output_exits_2(tmp_path, capsys, flag):
     instance = write(tmp_path, "path3.graph", PATH3)
@@ -148,6 +155,22 @@ def test_corpus_collects_per_file_errors(tmp_path):
     cfg = RunConfig(eps=0.5, ssrob="exact")
     assert run_corpus(str(corpus_dir), cfg) == EXIT_OK
     # the bad file is reported, the good one still processed
+
+
+def test_corpus_unreadable_files_are_row_errors(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "good.graph").write_text(PATH3)
+    (corpus_dir / "dir.graph").mkdir()
+    (corpus_dir / "latin1.graph").write_bytes(b"3 2 0\n0 1 1\n1 2 1\nd 1 1 # \xe9\n")
+    out = tmp_path / "summary.json"
+    cfg = RunConfig(eps=0.5, ssrob="exact", out_report=str(out))
+    assert run_corpus(str(corpus_dir), cfg) == EXIT_OK
+    rows = {row["instance"]: row for row in json.loads(out.read_text())["rows"]}
+    assert rows["good.graph"]["status"] == "ok"
+    for name in ("dir.graph", "latin1.graph"):
+        assert rows[name]["status"] == "error"
+        assert rows[name]["detail"].startswith(f"cannot read {corpus_dir / name}: ")
 
 
 def test_corpus_oversized_instance_marked_skipped(tmp_path):

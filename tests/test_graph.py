@@ -201,6 +201,25 @@ def test_contract_preserves_lengths_and_counts():
             assert e.length == g.edge_by_id[e.eid].length
 
 
+def test_merged_source_matches_contraction():
+    rng = random.Random(5)
+    for _ in range(200):
+        g = random_instance(rng, n_max=9, max_length=3, max_extra_edges=8)
+        merged = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        dist, pred = shortest_path_tree(g, merged)
+        cdist, cpred = shortest_path_tree(contract(g, merged), SUPERNODE)
+        for v in set(g.vertex_ids) - merged:
+            assert dist[v] == cdist[v]
+            assert pred.get(v) == cpred.get(v)
+        assert all(dist[v] == 0.0 and v not in pred for v in merged)
+
+
+def test_merged_source_rejects_bad_sets(path3):
+    for bad in (frozenset(), frozenset({0, 7})):
+        with pytest.raises(ValueError):
+            shortest_path_tree(path3, bad)
+
+
 def test_contract_requires_nonempty_set(path3):
     with pytest.raises(ValueError):
         contract(path3, set())

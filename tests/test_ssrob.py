@@ -17,9 +17,14 @@ from onetree import (
 )
 from onetree import ssrob
 from onetree.corpus import random_instance
-from onetree.ssrob import best_tree_for_combination
+from onetree.ssrob import _marked_vertices, _rent_paths, best_tree_for_combination
 
-from helpers import brute_min_cost, subset_spanning_trees
+from helpers import (
+    brute_min_cost,
+    reference_marking,
+    reference_sample_and_augment,
+    subset_spanning_trees,
+)
 
 
 def test_count_spanning_trees(path3, cycle4):
@@ -111,6 +116,50 @@ def test_spt_ties_break_on_root_predecessor():
     # the smaller predecessor id, which contracting the root would flip
     g = make_instance(3, [(2, 1, 2), (2, 0, 1), (0, 1, 1)], 2, {1: 3})
     assert sample_and_augment(g, 3.0).edge_ids == (1, 2)
+
+
+def _tie_heavy_instance(rng: random.Random):
+    """Random instance with lengths 1..3 and at least one parallel edge."""
+    g = random_instance(
+        rng, n_max=9, max_length=3, max_extra_edges=6, max_demand_vertices=5, max_total_demand=14
+    )
+    triples = [(e.u, e.v, e.length) for e in g.edges]
+    for _ in range(rng.randint(1, 3)):
+        u, v, _ = rng.choice(triples)
+        triples.append((u, v, float(rng.randint(1, 3))))
+    return make_instance(g.n, triples, g.root, g.demands)
+
+
+def test_sample_augment_matches_reference():
+    # memoized terminal trees, merged-source rent paths and the C-level
+    # marking draw must pick the very trees of the plain algorithm
+    rng = random.Random(2024)
+    for k in range(300):
+        g = _tie_heavy_instance(rng)
+        total = g.total_demand
+        for m in (1.0, 1.5, 2.0, 3.7, max(1.0, total / 2), float(total)):
+            got = sample_and_augment(g, m, seed=k, trials=4)
+            want = reference_sample_and_augment(g, m, seed=k, trials=4)
+            assert got.edge_ids == want.edge_ids, (k, m)
+
+
+def test_marking_takes_one_draw_per_unit():
+    g = make_instance(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)], 0, {1: 1, 2: 40, 3: 7})
+    for seed in range(50):
+        for p in (0.01, 0.1, 0.5):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert _marked_vertices(g, ours, p) == reference_marking(g, theirs, p)
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_rent_paths_name_single_vertex_core_supernode():
+    # core {root = 3}: vertex 0 is at distance 2 both over edge 3 and through
+    # vertex 1; named SUPERNODE (-1) the core wins that predecessor tie and
+    # edge 3 is picked, named by its own id 3 it would lose to vertex 1 (edge 0)
+    edges = [(0, 1, 1), (1, 2, 3), (2, 3, 3), (0, 3, 2), (1, 3, 3), (3, 2, 1), (0, 2, 3),
+             (1, 3, 1), (3, 1, 3)]
+    g = make_instance(4, edges, 3, {0: 15, 1: 31, 3: 27})
+    assert _rent_paths(g, frozenset()) == {3, 7}
 
 
 def test_sample_augment_degenerate_low_threshold(path3):
