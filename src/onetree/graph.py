@@ -8,6 +8,7 @@ produce identical outputs.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,6 +72,16 @@ class Instance:
     @cached_property
     def source_trees(self) -> dict[int, PathTree]:
         """Memo of ``shortest_path_tree(self, s)`` by source ``s``; read only."""
+        return {}
+
+    @cached_property
+    def rent_paths(self) -> dict[frozenset[int], frozenset[int]]:
+        """Memo of the rent-step edge ids by core vertex set; see ssrob."""
+        return {}
+
+    @cached_property
+    def unit_minima(self) -> dict[int, tuple[float, ...]]:
+        """Memo of each demand vertex's least unit draw by marking seed; see ssrob."""
         return {}
 
 
@@ -147,7 +158,8 @@ def load_instance(text: str) -> Instance:
         d v amount        one line per demand vertex
 
     Raises ParseError with the offending line number on malformed input,
-    InstanceError on nonpositive lengths or demands unreachable from the root.
+    InstanceError on nonpositive or non-finite lengths, on demands unreachable
+    from the root, and when total length times total demand is not finite.
     """
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -190,7 +202,9 @@ def load_instance(text: str) -> Instance:
                 raise ParseError(f"line {lineno}: vertex {w} out of range 0..{n - 1}")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        if not (length > 0.0) or not math.isfinite(length):
+        if not math.isfinite(length):
+            raise InstanceError(f"line {lineno}: non-finite length on edge {u}-{v}")
+        if not length > 0.0:
             raise InstanceError(f"line {lineno}: nonpositive length on edge {u}-{v}")
         edges.append(Edge(k, u, v, length))
 
@@ -213,6 +227,10 @@ def load_instance(text: str) -> Instance:
         raise ParseError("missing demand lines: at least one 'd v amount' row is required")
 
     g = Instance(n=n, edges=tuple(edges), root=root, demand_items=tuple(sorted(demands.items())))
+    # every cost the pipeline forms is at most total length times total demand
+    total = g.total_demand
+    if total > sys.float_info.max or not math.isfinite(sum(e.length for e in edges) * total):
+        raise InstanceError("total edge length times total demand is not finite")
     component = reachable_vertices(g, root)
     for v in sorted(demands):
         if v not in component:

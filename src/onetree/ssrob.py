@@ -5,20 +5,31 @@ Two interchangeable solvers, both deterministic given a seed:
 - An exact oracle that enumerates the spanning trees of the root's
   component (every Steiner-optimal topology is contained in one, and
   zero-flow edges are free). One scan costs every tree at once through a
-  flow table with a row per tree and a column per edge. Up to
-  ``_TABLE_LIMIT`` (2*10^5) trees the table is built once per instance and
-  cached; above it the trees stream through fresh tables of at most that
-  many rows, so memory stays at the scale of one table at the limit
-  whatever the tree count. Beyond ``ORACLE_TREE_LIMIT`` (10^7) trees the
-  oracle refuses. Cost ties go to the lexicographically smallest edge-id
-  tuple.
+  flow table with a row per tree. The enumerated edge ids stream straight
+  into an integer array; a row keeps the tree's n-1 edge columns and one
+  flow per component edge, each in the narrowest integer type that holds
+  the edge count or the total demand (one byte each below 256), so a
+  table of n vertices and m edges takes about (n-1) + m bytes per tree.
+  The flows of all rows come at once from peeling leaves toward the root,
+  in n-1 whole-array steps; costs are summed in row blocks, bit for bit as
+  one whole-table expression would. Up to ``_TABLE_LIMIT`` (2*10^5) trees
+  the table is built once per instance and cached; above it the trees
+  stream through fresh tables of at most that many rows, so memory stays
+  at the scale of one table at the limit whatever the tree count. Beyond
+  ``ORACLE_TREE_LIMIT`` (10^7) trees the oracle refuses. Cost ties go to
+  the lexicographically smallest edge-id tuple.
 - A randomized sample-and-augment heuristic; cost ties between its trials
   go to the smaller edge-id tuple as well. Its terminals are always demand
   vertices or the root, so their shortest-path trees are computed once per
   instance (memoized on it) and shared by every threshold and trial. The
   rent step searches the bought core as one merged source of
-  ``shortest_path_tree`` instead of building a contraction per trial; both
-  give the same trees as the plain per-trial algorithm.
+  ``shortest_path_tree`` instead of building a contraction per trial, and
+  its paths are memoized on the instance by the core's vertex set. The
+  solve at threshold index i gets seed + i and its trial t marks from
+  ``random.Random(seed + i + t)``, so K+1 indices of T trials use only K+T
+  streams; each stream's least unit draw per demand vertex is memoized on
+  the instance as well. All of these give the same trees as the plain
+  per-trial algorithm.
 """
 
 from __future__ import annotations
@@ -27,8 +38,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, repeat, starmap
-from typing import ClassVar, Container, Iterator, Sequence
+from itertools import chain, islice, repeat, starmap
+from typing import ClassVar, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,15 +54,16 @@ from .graph import (
     minimum_spanning_forest,
     reachable_vertices,
     shortest_path_tree,
-    tree_order,
     tree_vertices,
 )
-from .routing import RoutedTree, basis_cost, compute_flows, route
+from .routing import RoutedTree, basis_cost, route
 
 #: Hard ceiling on spanning trees the exact oracle will enumerate.
 ORACLE_TREE_LIMIT = 10_000_000
 #: Above this count the oracle streams trees instead of caching a flow table.
 _TABLE_LIMIT = 200_000
+#: Rows per block when costing a table; a block's temporaries stay in cache.
+_COST_BLOCK = 4096
 
 
 def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
@@ -134,39 +146,125 @@ def _spanning_edge_sets(
 
 @dataclass(frozen=True)
 class _TreeTable:
-    """Spanning trees with a per-edge flow matrix for fast costs."""
+    """Spanning trees, one per row, with their flows for fast costs.
 
-    edge_sets: tuple[tuple[int, ...], ...]
+    Column j stands for the component edge with id ``eids[j]``. ``columns``
+    lists each tree's edge columns in enumeration order; ``flows`` has one
+    entry per column, zero off the tree. ``columns`` takes the narrowest
+    integer type that holds the edge count, ``flows`` the narrowest that
+    holds the total demand.
+    """
+
+    columns: np.ndarray
     flows: np.ndarray
+    eids: np.ndarray
     lengths: np.ndarray
+
+    def edge_ids(self, row: int) -> tuple[int, ...]:
+        """Row ``row``'s tree as the edge-id tuple it was enumerated as."""
+        return tuple(self.eids[self.columns[row]].tolist())
 
 
 def _flow_table(
-    g: Instance, edges: Sequence[Edge], edge_sets: tuple[tuple[int, ...], ...]
+    g: Instance, verts: Sequence[int], edges: Sequence[Edge], trees: Iterable[tuple[int, ...]]
 ) -> _TreeTable:
-    by_id = {e.eid: e for e in edges}
-    column = {e.eid: j for j, e in enumerate(edges)}
-    flows = np.zeros((len(edge_sets), len(edges)), dtype=np.int64)
-    demands = g.demands
-    for row, eids in enumerate(edge_sets):
-        order = tree_order(g.root, [by_id[i] for i in eids])
-        for eid, flow in compute_flows(order, demands).items():
-            flows[row, column[eid]] = flow
-    return _TreeTable(edge_sets, flows, np.array([e.length for e in edges]))
+    """Flow table of ``trees``, spanning trees of the component ``verts``/``edges``.
+
+    Every row's flows come at once from peeling leaves: each vertex keeps
+    its tree degree and the XOR of its tree-edge columns, so a leaf's one
+    edge is that XOR. Each of the n-1 steps pops one pending leaf per row,
+    credits its subtree demand to its edge, hands the demand to the other
+    endpoint and pushes that endpoint once it is a leaf too. The root is
+    never pushed, so its own demand stays off every edge.
+    """
+    n = len(verts)
+    width = n - 1
+    eids = np.array([e.eid for e in edges], np.intp)
+    lengths = np.array([e.length for e in edges])
+    flat = np.fromiter(chain.from_iterable(trees), dtype=np.int32)
+    if not width:
+        # a lone root: its one spanning tree has no edges
+        return _TreeTable(np.zeros((1, 0), np.uint8), np.zeros((1, 0)), eids, lengths)
+    # degrees, columns and vertex indices all stay within the edge count
+    small = np.min_scalar_type(len(edges))
+    column = np.zeros(eids.max() + 1, small)
+    column[eids] = np.arange(len(edges))
+    columns = column[flat.reshape(-1, width)]
+    del flat
+    index = {v: i for i, v in enumerate(verts)}
+    ends = np.array([(index[e.u], index[e.v]) for e in edges], np.intp)
+
+    count = len(columns)
+    each = np.arange(count)
+    degree = np.zeros((count, n), small)
+    link = np.zeros((count, n), small)
+    for c in columns.T:
+        for end in ends[c].T:
+            degree[each, end] += 1
+            link[each, end] ^= c
+
+    # a flow never exceeds the total demand
+    own = np.array([g.demands.get(v, 0) for v in verts], np.min_scalar_type(g.total_demand))
+    below = np.tile(own, (count, 1))
+    root = index[g.root]
+    stack = np.zeros((count, width), small)
+    top = np.zeros(count, np.intp)
+    for v in range(n):
+        if v != root:
+            push = np.flatnonzero(degree[:, v] == 1)
+            stack[push, top[push]] = v
+            top[push] += 1
+    flows = np.zeros((count, len(edges)), below.dtype)
+    for _ in range(width):
+        top -= 1
+        leaf = stack[each, top]
+        c = link[each, leaf]
+        demand = below[each, leaf]
+        flows[each, c] = demand
+        other = ends[c, 0] ^ ends[c, 1] ^ leaf
+        below[each, other] += demand
+        link[each, other] ^= c
+        degree[each, other] -= 1
+        push = np.flatnonzero((degree[each, other] == 1) & (other != root))
+        stack[push, top[push]] = other[push]
+        top[push] += 1
+    return _TreeTable(columns, flows, eids, lengths)
 
 
 @lru_cache(maxsize=6)
 def _enumerated_table(g: Instance) -> _TreeTable:
     verts, edges = _root_component(g)
-    return _flow_table(g, edges, tuple(_spanning_edge_sets(verts, edges)))
+    return _flow_table(g, verts, edges, _spanning_edge_sets(verts, edges))
 
 
 def _streamed_tables(g: Instance) -> Iterator[_TreeTable]:
     """Every spanning tree, in fresh flow tables of at most _TABLE_LIMIT rows."""
     verts, edges = _root_component(g)
     trees = _spanning_edge_sets(verts, edges)
-    while chunk := tuple(islice(trees, max(1, _TABLE_LIMIT))):
-        yield _flow_table(g, edges, chunk)
+    for first in trees:
+        chunk = chain((first,), islice(trees, max(1, _TABLE_LIMIT) - 1))
+        yield _flow_table(g, verts, edges, chunk)
+
+
+def _table_costs(
+    table: _TreeTable, thresholds: Sequence[float], coefficients: Sequence[float]
+) -> np.ndarray:
+    """Combined cost of every row, in row blocks that stay in cache.
+
+    Each row is summed in column order exactly as one whole-table
+    expression would, so costs, and with them ties, are bit for bit the
+    same; a matrix product would round differently. Flows are widened to
+    float64 first: mixed with a float scalar, a narrow integer array would
+    otherwise compute in float16 under NumPy 1.x casting rules.
+    """
+    costs = np.zeros(len(table.flows))
+    for start in range(0, len(costs), _COST_BLOCK):
+        flows = table.flows[start : start + _COST_BLOCK].astype(np.float64)
+        part = costs[start : start + _COST_BLOCK]
+        for a, m in zip(coefficients, thresholds):
+            if a:
+                part += a * (table.lengths * np.minimum(flows, m)).sum(axis=1)
+    return costs
 
 
 def best_tree_for_combination(
@@ -190,12 +288,10 @@ def best_tree_for_combination(
     tables = [_enumerated_table(g)] if count <= _TABLE_LIMIT else _streamed_tables(g)
     best: tuple[float, tuple[int, ...]] | None = None
     for table in tables:
-        costs = np.zeros(len(table.edge_sets))
-        for a, m in zip(coefficients, thresholds):
-            if a:
-                costs += a * (table.lengths * np.minimum(table.flows, m)).sum(axis=1)
+        costs = _table_costs(table, thresholds, coefficients)
         low = costs.min()
-        key = (low, min(table.edge_sets[j] for j in np.flatnonzero(costs == low)))
+        tied = np.flatnonzero(costs == low)
+        key = (low, min(table.edge_ids(j) for j in tied))
         if best is None or key < best:
             best = key
     assert best is not None
@@ -292,10 +388,16 @@ def _rent_paths(g: Instance, core_edge_ids: frozenset[int]) -> frozenset[int]:
     """Shortest-path edges connecting every off-core demand to the core.
 
     The core is searched as one merged source, which gives the paths of a
-    search from SUPERNODE in ``contract(g, core)`` without building it.
+    search from SUPERNODE in ``contract(g, core)`` without building it. The
+    result depends only on the core's vertex set, so it is memoized on the
+    instance under that set; trials and thresholds often buy the same core.
     """
     core = frozenset(tree_vertices(g.root, (g.edge_by_id[eid] for eid in core_edge_ids)))
-    return _demand_paths(g, shortest_path_tree(g, core), SUPERNODE, core)
+    memo = g.rent_paths
+    paths = memo.get(core)
+    if paths is None:
+        paths = memo[core] = _demand_paths(g, shortest_path_tree(g, core), SUPERNODE, core)
+    return paths
 
 
 def _spt_demand_paths(g: Instance) -> frozenset[int]:
@@ -308,18 +410,27 @@ def _spt_demand_paths(g: Instance) -> frozenset[int]:
     return _demand_paths(g, _terminal_tree(g, g.root), g.root, ())
 
 
-def _marked_vertices(
-    g: Instance, rng: random.Random, mark_probability: float
-) -> frozenset[int]:
-    """Demand vertices with at least one unit marked with ``mark_probability``.
+def _unit_minima(g: Instance, rng: random.Random) -> tuple[float, ...]:
+    """Least of each demand vertex's unit draws, one draw per demand unit in
+    demand order: the stream a per-unit marking loop consumes, drawn in C."""
+    return tuple(min(starmap(rng.random, repeat((), amount))) for _v, amount in g.demand_items)
 
-    Takes one draw per demand unit, in demand order, so the rng stream is the
-    one a per-unit loop would consume; the draws stay in C.
+
+def _marked_vertices(g: Instance, seed: int, mark_probability: float) -> frozenset[int]:
+    """Demand vertices with a unit of ``random.Random(seed)`` marked with
+    ``mark_probability``.
+
+    A unit is marked when its draw is below the probability, so a vertex is
+    marked when its least draw is. Seeds recur across trials and thresholds
+    (trial t at index i uses seed + i + t), so the least draws are memoized
+    on the instance by seed.
     """
+    memo = g.unit_minima
+    lows = memo.get(seed)
+    if lows is None:
+        lows = memo[seed] = _unit_minima(g, random.Random(seed))
     return frozenset(
-        v
-        for v, amount in g.demand_items
-        if min(starmap(rng.random, repeat((), amount))) < mark_probability
+        v for (v, _amount), low in zip(g.demand_items, lows) if low < mark_probability
     )
 
 
@@ -350,7 +461,7 @@ def sample_and_augment(
     mark_probability = 1.0 / threshold
     best: tuple[tuple[float, tuple[int, ...]], RoutedTree] | None = None
     for trial in range(trials):
-        marked = _marked_vertices(g, random.Random(seed + trial), mark_probability)
+        marked = _marked_vertices(g, seed + trial, mark_probability)
         core = _steiner_core_edges(g, marked | {g.root})
         tree = route(g, core | _rent_paths(g, core))
         key = (basis_cost(tree, threshold), tree.edge_ids)

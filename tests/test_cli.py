@@ -60,6 +60,22 @@ def test_missing_demand_line_exits_2(tmp_path, capsys):
     assert "demand" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "length, message",
+    [
+        ("1e308", "total edge length times total demand is not finite"),
+        ("inf", "line 2: non-finite length on edge 0-1"),
+        ("nan", "line 2: non-finite length on edge 0-1"),
+    ],
+    ids=["overflow", "inf", "nan"],
+)
+def test_overflowing_lengths_exit_2(tmp_path, capsys, length, message):
+    # 1e308 is finite, but three demand units over it overflow every cost
+    instance = write(tmp_path, "bad.graph", f"2 1 0\n0 1 {length}\nd 1 3\n")
+    assert main(["run", instance]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
 def test_bad_parameters_exit_2(tmp_path, capsys):
     instance = write(tmp_path, "path3.graph", PATH3)
     assert main(["run", instance, "--alpha", "1.6", "--delta", "2.0"]) == EXIT_INVALID
@@ -100,6 +116,13 @@ def test_exact_solver_on_long_path_exits_0(tmp_path):
     g = make_instance(n, [(v, v + 1, 1) for v in range(n - 1)], 0, {n - 1: 1})
     instance = write(tmp_path, "path1500.graph", instance_text(g))
     assert main(["run", instance, "--ssrob", "exact"]) == EXIT_OK
+
+
+def test_exact_oracle_on_demand_beyond_int64_exits_0(tmp_path):
+    # flows wider than any fixed-width integer the flow table can hold
+    text = f"3 3 0\n0 1 1\n1 2 1\n0 2 1\nd 1 {10**20}\n"
+    instance = write(tmp_path, "huge.graph", text)
+    assert main(["run", instance, "--eps", "1", "--ssrob", "exact", "--oracle"]) == EXIT_OK
 
 
 def test_tree_artifacts_written(tmp_path):

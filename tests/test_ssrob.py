@@ -17,7 +17,17 @@ from onetree import (
 )
 from onetree import ssrob
 from onetree.corpus import random_instance
-from onetree.ssrob import _marked_vertices, _rent_paths, best_tree_for_combination
+from onetree.graph import tree_order
+from onetree.routing import compute_flows
+from onetree.ssrob import (
+    _flow_table,
+    _marked_vertices,
+    _rent_paths,
+    _root_component,
+    _spanning_edge_sets,
+    _unit_minima,
+    best_tree_for_combination,
+)
 
 from helpers import (
     brute_min_cost,
@@ -75,8 +85,6 @@ def test_exact_oracle_guard():
 
 
 def test_enumeration_covers_every_spanning_tree():
-    from onetree.ssrob import _root_component, _spanning_edge_sets
-
     rng = random.Random(17)
     for _ in range(10):
         g = random_instance(rng, n_min=3, n_max=6)
@@ -85,6 +93,55 @@ def test_enumeration_covers_every_spanning_tree():
         independent = {tuple(sorted(s)) for s in subset_spanning_trees(g)}
         assert ours == independent
         assert len(ours) == count_spanning_trees(g)
+
+
+def _flow_test_instance(rng: random.Random):
+    """Small instance whose root component may be the root alone, with
+    parallel edges, demand at the root and demand outside the component."""
+    n = rng.randint(1, 7)
+    inside = rng.randint(1, n)
+    edges = [(rng.randrange(v), v, rng.randint(1, 3)) for v in range(1, inside)]
+    for _ in range(rng.randint(0, 4) if inside > 1 else 0):
+        u, v = rng.sample(range(inside), 2)
+        edges.append((u, v, rng.randint(1, 3)))
+    for _ in range(rng.randint(0, 2) if inside > 1 else 0):
+        edges.append(rng.choice(edges))
+    if n - inside >= 2:
+        edges.append((inside, n - 1, 1))
+    rng.shuffle(edges)
+    demands = {v: rng.randint(1, 5) for v in rng.sample(range(n), rng.randint(1, n))}
+    if rng.random() < 0.2:
+        demands[rng.randrange(n)] = 3_000_000_000  # flows beyond int32
+    return make_instance(n, edges, rng.randrange(inside), demands)
+
+
+def test_flow_table_matches_tree_walk():
+    # every row's peeled flows equal the per-tree walk's, column by column
+    rng = random.Random(5150)
+    seen = set()
+    for _ in range(300):
+        g = _flow_test_instance(rng)
+        verts, edges = _root_component(g)
+        trees = list(_spanning_edge_sets(verts, edges))
+        table = _flow_table(g, verts, edges, iter(trees))
+        assert [table.edge_ids(j) for j in range(len(trees))] == trees
+        assert table.flows.shape == (len(trees), len(edges))
+        for eids, flows in zip(trees, table.flows.tolist()):
+            walk = compute_flows(tree_order(g.root, [g.edge_by_id[i] for i in eids]), g.demands)
+            assert flows == [walk.get(e.eid, 0) for e in edges], (g, eids)
+        pairs = [frozenset((e.u, e.v)) for e in edges]
+        seen.update(
+            name
+            for name, present in [
+                ("lone root", len(verts) == 1),
+                ("root demand", g.root in g.demands),
+                ("outside", len(verts) < g.n),
+                ("parallel", len(set(pairs)) < len(pairs)),
+                ("beyond int32", table.flows.max(initial=0) > 2**31),
+            ]
+            if present
+        )
+    assert len(seen) == 5
 
 
 @pytest.mark.parametrize("limit", [1, 7])
@@ -144,12 +201,32 @@ def test_sample_augment_matches_reference():
 
 
 def test_marking_takes_one_draw_per_unit():
+    # marking by the memoized least draws marks what the per-unit loop does,
+    # and taking those draws leaves the rng where the loop leaves it
     g = make_instance(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)], 0, {1: 1, 2: 40, 3: 7})
     for seed in range(50):
         for p in (0.01, 0.1, 0.5):
             ours, theirs = random.Random(seed), random.Random(seed)
-            assert _marked_vertices(g, ours, p) == reference_marking(g, theirs, p)
+            _unit_minima(g, ours)
+            assert _marked_vertices(g, seed, p) == reference_marking(g, theirs, p)
             assert ours.getstate() == theirs.getstate()
+
+
+def test_repeated_core_searches_once(monkeypatch):
+    searches = []
+    search = ssrob.shortest_path_tree
+
+    def counted(g, source):
+        searches.append(source)
+        return search(g, source)
+
+    monkeypatch.setattr(ssrob, "shortest_path_tree", counted)
+    g = make_instance(4, [(0, 1, 1), (0, 1, 2), (1, 2, 1), (2, 3, 1), (0, 3, 5)], 0, {2: 1, 3: 2})
+    assert _rent_paths(g, frozenset({0})) == {2, 3}
+    # the parallel edge buys the same core vertex set {0, 1}
+    assert _rent_paths(g, frozenset({1})) == {2, 3}
+    assert _rent_paths(g, frozenset({0})) == {2, 3}
+    assert searches == [frozenset({0, 1})]
 
 
 def test_rent_paths_name_single_vertex_core_supernode():
