@@ -35,6 +35,10 @@ class Parameters:
     lambda_mode: str = "exact"
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below, and inf breaks the derived constants
+        for name in ("eps", "alpha", "gamma", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
         if self.alpha <= 1:

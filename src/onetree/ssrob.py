@@ -4,20 +4,30 @@ Two interchangeable solvers, both deterministic given a seed:
 
 - An exact oracle that enumerates the spanning trees of the root's
   component (every Steiner-optimal topology is contained in one, and
-  zero-flow edges are free). One scan costs every tree at once through a
-  flow table with a row per tree. The enumerated edge ids stream straight
-  into an integer array; a row keeps the tree's n-1 edge columns and one
-  flow per component edge, each in the narrowest integer type that holds
-  the edge count or the total demand (one byte each below 256), so a
-  table of n vertices and m edges takes about (n-1) + m bytes per tree.
-  The flows of all rows come at once from peeling leaves toward the root,
-  in n-1 whole-array steps; costs are summed in row blocks, bit for bit as
-  one whole-table expression would. Up to ``_TABLE_LIMIT`` (2*10^5) trees
-  the table is built once per instance and cached; above it the trees
-  stream through fresh tables of at most that many rows, so memory stays
-  at the scale of one table at the limit whatever the tree count. Beyond
-  ``ORACLE_TREE_LIMIT`` (10^7) trees the oracle refuses. Cost ties go to
-  the lexicographically smallest edge-id tuple.
+  zero-flow edges are free). The enumeration is contraction-deletion over
+  edges in id order, run level by level over every live partial tree at
+  once: at edge k each row of the frontier gets an include child where k
+  joins two of its blocks and an exclude child where the rest can still
+  connect it. The exclude test comes from one backward pass per component:
+  every row may exclude k when edges k+1.. already join its ends, none when
+  k is a bridge, and otherwise the rows replay the components of edges
+  k+1.. on their blocks. A frontier block holds at most _FRONTIER_BLOCK
+  (and _TABLE_LIMIT) rows; a larger one is split depth first, which keeps
+  the order of the trees and bounds memory. Trees come out in ascending
+  lexicographic edge-id order and stream straight into a flow table with a
+  row per tree: the tree's n-1 edge columns and one flow per component
+  edge, each in the narrowest integer type that holds the edge count or the
+  total demand (one byte each below 256). The flows of all rows come at
+  once from peeling leaves toward the root, in n-1 whole-array steps. Costs
+  depend on flows alone, so the table keeps the first row of each distinct
+  flow vector, which holds that class's smallest edge-id tuple; costs are
+  summed in row blocks, bit for bit as one whole-table expression would. Up
+  to ``_TABLE_LIMIT`` (2*10^5) trees the table is built once per instance
+  and cached; above it the trees stream through fresh tables of at most
+  that many rows, so memory stays at the scale of one table at the limit
+  whatever the tree count. Beyond ``ORACLE_TREE_LIMIT`` (10^7) trees the
+  oracle refuses. Cost ties go to the lexicographically smallest edge-id
+  tuple.
 - A randomized sample-and-augment heuristic; cost ties between its trials
   go to the smaller edge-id tuple as well. Its terminals are always demand
   vertices or the root, so their shortest-path trees are computed once per
@@ -36,10 +46,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, repeat, starmap
-from typing import ClassVar, Container, Iterable, Iterator, Sequence
+from typing import ClassVar, Container, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -62,8 +73,11 @@ from .routing import RoutedTree, basis_cost, route
 ORACLE_TREE_LIMIT = 10_000_000
 #: Above this count the oracle streams trees instead of caching a flow table.
 _TABLE_LIMIT = 200_000
-#: Rows per block when costing a table; a block's temporaries stay in cache.
-_COST_BLOCK = 4096
+#: Most rows in one frontier block of the spanning-tree enumerator.
+_FRONTIER_BLOCK = 16_384
+#: Rows per block when costing a table (its temporaries stay in cache) or
+#: turning enumerated rows into edge-id tuples.
+_ROW_BLOCK = 4096
 
 
 def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
@@ -92,56 +106,163 @@ def count_spanning_trees(g: Instance) -> int:
     return max(0, int(round(det)))
 
 
+def _bridges(n: int, ends: Sequence[tuple[int, int]]) -> list[bool]:
+    """Which edges of the connected multigraph on vertices 0..n-1 are bridges.
+
+    Tarjan's low-link test on an explicit DFS stack; a parallel edge is told
+    from the tree edge it doubles by its index, so it is never a bridge.
+    """
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (a, b) in enumerate(ends):
+        adjacent[a].append((b, k))
+        adjacent[b].append((a, k))
+    bridge = [False] * len(ends)
+    order = [-1] * n
+    low = [0] * n
+    order[0] = 0
+    visited = 1
+    stack = [(0, -1, iter(adjacent[0]))]
+    while stack:
+        v, via, rest = stack[-1]
+        for w, k in rest:
+            if k == via:
+                continue
+            if order[w] < 0:
+                order[w] = low[w] = visited
+                visited += 1
+                stack.append((w, k, iter(adjacent[w])))
+                break
+            low[v] = min(low[v], order[w])
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[v])
+                bridge[via] = low[v] > order[parent]
+    return bridge
+
+
+#: Per edge k, which rows may exclude it: all (True), none (False), or those
+#: whose blocks the multi-vertex components of edges k+1.. still join.
+_Probe = Union[bool, list[np.ndarray]]
+
+
+def _exclude_probes(n: int, ends: Sequence[tuple[int, int]]) -> list[_Probe]:
+    """The exclude test of every edge, from one backward union-find pass.
+
+    Edge k may be left out of a partial tree exactly when its blocks and
+    edges k+1.. connect everything. That holds for every row when edges
+    k+1.. already join k's ends, and for none when k is a bridge. Otherwise
+    the rows replay the components of edges k+1.. on their blocks.
+    """
+    bridge = _bridges(n, ends)
+    later = UnionFind(range(n))
+    probes: list[_Probe] = [False] * len(ends)
+    for k in range(len(ends) - 1, -1, -1):
+        a, b = ends[k]
+        if later.find(a) == later.find(b):
+            probes[k] = True
+            continue
+        if not bridge[k]:
+            members: dict[int, list[int]] = {}
+            for v in range(n):
+                members.setdefault(later.find(v), []).append(v)
+            probes[k] = [np.array(group, np.intp) for group in members.values() if len(group) > 1]
+        later.union(a, b)
+    return probes
+
+
+def _joined(labels: np.ndarray, groups: list[np.ndarray], a: int, b: int) -> np.ndarray:
+    """Whether ``a`` and ``b`` share a block of each row of ``labels`` once
+    the blocks meeting each group are merged, group after group.
+
+    The last group needs no merge: it joins ``a`` and ``b`` exactly when
+    both their blocks meet it.
+    """
+    count, n = labels.shape
+    offset = np.arange(0, count * n, n)[:, None]
+    for group in groups[:-1]:
+        ids = labels[:, group]
+        hit = np.zeros(count * n, bool)
+        hit[ids + offset] = True
+        labels = np.where(hit[labels + offset], ids.min(axis=1)[:, None], labels)
+    at_a, at_b = labels[:, a], labels[:, b]
+    joined = at_a == at_b
+    if groups:
+        ids = labels[:, groups[-1]]
+        joined |= (ids == at_a[:, None]).any(axis=1) & (ids == at_b[:, None]).any(axis=1)
+    return joined
+
+
+def _branch(rows: np.ndarray, n: int, k: int, a: int, b: int, probe: _Probe) -> np.ndarray:
+    """The children of every frontier row at edge k, which joins ``a`` and
+    ``b``: the include child first where k joins two blocks, then the
+    exclude child where ``probe`` allows it."""
+    at_a, at_b = rows[:, a], rows[:, b]
+    include = at_a != at_b
+    if isinstance(probe, bool):
+        exclude = np.full(len(rows), probe)
+    else:
+        exclude = ~include
+        ask = np.flatnonzero(include)
+        for first in range(0, len(ask), _ROW_BLOCK):
+            part = ask[first : first + _ROW_BLOCK]
+            exclude[part] = _joined(rows[part, :n], probe, a, b)
+    low = np.minimum(at_a, at_b)[include, None]
+    high = np.maximum(at_a, at_b)[include, None]
+    kids = include + exclude.astype(np.intp)
+    took = (np.cumsum(kids) - kids)[include]
+    rows = rows[np.repeat(np.arange(len(rows)), kids)]
+    merged = rows[took]
+    labels = merged[:, :n]
+    np.copyto(labels, low, where=labels == high)
+    merged[:, n + k] = 1
+    rows[took] = merged
+    return rows
+
+
+def _spanning_tree_blocks(verts: Sequence[int], edges: Sequence[Edge]) -> Iterator[np.ndarray]:
+    """Every spanning tree as a row of 0/1 edge flags, in blocks of rows.
+
+    Contraction-deletion run level by level. A frontier row is a partial
+    tree: a block label per vertex (the least vertex of its block) followed
+    by one flag per edge chosen so far. At edge k every row gets an include
+    child if k joins two of its blocks and an exclude child if the rest can
+    still connect it (see _exclude_probes). Children stay contiguous,
+    include first, so the trees come out in ascending lexicographic order.
+    A frontier block never exceeds _FRONTIER_BLOCK or _TABLE_LIMIT rows: a
+    larger one is split and its tail set aside until the head is done, depth
+    first, so memory stays small whatever the tree count.
+    """
+    n, m = len(verts), len(edges)
+    index = {v: i for i, v in enumerate(verts)}
+    ends = [(index[e.u], index[e.v]) for e in edges]
+    probes = _exclude_probes(n, ends)
+    limit = max(1, min(_TABLE_LIMIT, _FRONTIER_BLOCK))
+    root = np.zeros((1, n + m), np.min_scalar_type(n - 1))
+    root[0, :n] = np.arange(n)
+    pending = [(0, root)]
+    while pending:
+        k, rows = pending.pop()
+        for k in range(k, m):
+            rows = _branch(rows, n, k, *ends[k], probes[k])
+            if len(rows) > limit:
+                pending.append((k + 1, rows[limit:].copy()))
+                rows = rows[:limit]
+        yield rows[:, n:]
+
+
 def _spanning_edge_sets(
     verts: Sequence[int], edges: Sequence[Edge]
 ) -> Iterator[tuple[int, ...]]:
-    """Every spanning tree as an ascending edge-id tuple, no duplicates.
-
-    Contraction-deletion over edges in id order: include an edge joining two
-    components, or exclude it when the remaining edges can still connect.
-    The walk keeps its own stack, so its depth does not grow with the graph;
-    each exclude branch is pushed before its include branch, so include is
-    explored first.
-    """
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    m = len(edges)
-    ends = [(index[e.u], index[e.v]) for e in edges]
-
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def connectable(parent: list[int], start: int, components: int) -> bool:
-        probe = parent.copy()
-        for k in range(start, m):
-            a, b = ends[k]
-            ra, rb = find(probe, a), find(probe, b)
-            if ra != rb:
-                probe[rb] = ra
-                components -= 1
-                if components == 1:
-                    return True
-        return components == 1
-
-    stack: list[tuple[int, list[int], int, tuple[int, ...]]] = [(0, list(range(n)), n, ())]
-    while stack:
-        k, parent, components, chosen = stack.pop()
-        if components == 1:
-            yield chosen
-            continue
-        if k == m:
-            continue
-        a, b = ends[k]
-        ra, rb = find(parent, a), find(parent, b)
-        if connectable(parent, k + 1, components):
-            stack.append((k + 1, parent, components, chosen))
-        if ra != rb:
-            merged = parent.copy()
-            merged[rb] = ra
-            stack.append((k + 1, merged, components - 1, chosen + (edges[k].eid,)))
+    """Every spanning tree as an ascending edge-id tuple, in ascending
+    lexicographic order, no duplicates; converted in blocks of _ROW_BLOCK rows."""
+    eids = np.array([e.eid for e in edges], np.intp)
+    for flags in _spanning_tree_blocks(verts, edges):
+        for start in range(0, len(flags), _ROW_BLOCK):
+            block = flags[start : start + _ROW_BLOCK]
+            chosen = eids[np.nonzero(block)[1]].reshape(len(block), -1)
+            yield from map(tuple, chosen.tolist())
 
 
 @dataclass(frozen=True)
@@ -194,56 +315,97 @@ def _flow_table(
     index = {v: i for i, v in enumerate(verts)}
     ends = np.array([(index[e.u], index[e.v]) for e in edges], np.intp)
 
+    # per-row arrays are kept flat, vertex v of row r at r * n + v, and so
+    # is each row's stack of pending leaves, with top[r] the flat index just
+    # past its last one: every access is one gather or scatter by one array
     count = len(columns)
-    each = np.arange(count)
-    degree = np.zeros((count, n), small)
-    link = np.zeros((count, n), small)
+    at = np.arange(0, count * n, n)
+    degree = np.zeros(count * n, small)
+    link = np.zeros(count * n, small)
     for c in columns.T:
         for end in ends[c].T:
-            degree[each, end] += 1
-            link[each, end] ^= c
+            degree[at + end] += 1
+            link[at + end] ^= c
 
     # a flow never exceeds the total demand
     own = np.array([g.demands.get(v, 0) for v in verts], np.min_scalar_type(g.total_demand))
-    below = np.tile(own, (count, 1))
+    below = np.tile(own, count)
     root = index[g.root]
-    stack = np.zeros((count, width), small)
-    top = np.zeros(count, np.intp)
+    across = (ends[:, 0] ^ ends[:, 1]).astype(small)
+    stack = np.zeros(count * n, small)
+    top = at.copy()
     for v in range(n):
         if v != root:
-            push = np.flatnonzero(degree[:, v] == 1)
-            stack[push, top[push]] = v
+            push = np.flatnonzero(degree[v::n] == 1)
+            stack[top[push]] = v
             top[push] += 1
     flows = np.zeros((count, len(edges)), below.dtype)
+    flow_at = np.arange(0, flows.size, len(edges))
     for _ in range(width):
         top -= 1
-        leaf = stack[each, top]
-        c = link[each, leaf]
-        demand = below[each, leaf]
-        flows[each, c] = demand
-        other = ends[c, 0] ^ ends[c, 1] ^ leaf
-        below[each, other] += demand
-        link[each, other] ^= c
-        degree[each, other] -= 1
-        push = np.flatnonzero((degree[each, other] == 1) & (other != root))
-        stack[push, top[push]] = other[push]
+        leaf = stack[top]
+        here = at + leaf
+        c = link[here]
+        demand = below[here]
+        flows.ravel()[flow_at + c] = demand
+        other = across[c] ^ leaf
+        here = at + other
+        below[here] += demand
+        link[here] ^= c
+        degree[here] -= 1
+        push = np.flatnonzero((degree[here] == 1) & (other != root))
+        stack[top[push]] = other[push]
         top[push] += 1
     return _TreeTable(columns, flows, eids, lengths)
+
+
+def _distinct_flows(table: _TreeTable) -> _TreeTable:
+    """``table`` cut to the first row of each distinct flow vector.
+
+    A cost depends on the flows alone, so a scan of the cut table finds the
+    same costs, bit for bit. Component edges are in ascending id order (both
+    Instance constructors number edges in list order), so trees are
+    enumerated in ascending edge-id order and the first row of a flow class
+    holds its smallest edge-id tuple: the tie rule is kept too. A tree whose
+    every edge carries flow is the only tree with its flows, since their
+    support is its edge set, so only the rows with a zero-flow tree edge are
+    compared.
+    """
+    flows = table.flows
+    maybe = np.flatnonzero(np.count_nonzero(flows, axis=1) < table.columns.shape[1])
+    if len(maybe) < 2:
+        return table
+    shared = flows[maybe]
+    if flows.dtype == object:
+        first: dict[tuple[int, ...], int] = {}
+        for j, row in enumerate(map(tuple, shared.tolist())):
+            first.setdefault(row, j)
+        firsts = np.fromiter(first.values(), np.intp, len(first))
+    else:
+        whole_row = np.dtype((np.void, flows.itemsize * flows.shape[1]))
+        firsts = np.unique(shared.view(whole_row), return_index=True)[1]
+    if len(firsts) == len(maybe):
+        return table
+    repeated = np.ones(len(maybe), bool)
+    repeated[firsts] = False
+    keep = np.delete(np.arange(len(flows)), maybe[repeated])
+    return _TreeTable(table.columns[keep], flows[keep], table.eids, table.lengths)
 
 
 @lru_cache(maxsize=6)
 def _enumerated_table(g: Instance) -> _TreeTable:
     verts, edges = _root_component(g)
-    return _flow_table(g, verts, edges, _spanning_edge_sets(verts, edges))
+    return _distinct_flows(_flow_table(g, verts, edges, _spanning_edge_sets(verts, edges)))
 
 
 def _streamed_tables(g: Instance) -> Iterator[_TreeTable]:
-    """Every spanning tree, in fresh flow tables of at most _TABLE_LIMIT rows."""
+    """Every spanning tree, in fresh flow tables of at most _TABLE_LIMIT rows,
+    each cut to its distinct flow vectors."""
     verts, edges = _root_component(g)
     trees = _spanning_edge_sets(verts, edges)
     for first in trees:
         chunk = chain((first,), islice(trees, max(1, _TABLE_LIMIT) - 1))
-        yield _flow_table(g, verts, edges, chunk)
+        yield _distinct_flows(_flow_table(g, verts, edges, chunk))
 
 
 def _table_costs(
@@ -258,9 +420,9 @@ def _table_costs(
     otherwise compute in float16 under NumPy 1.x casting rules.
     """
     costs = np.zeros(len(table.flows))
-    for start in range(0, len(costs), _COST_BLOCK):
-        flows = table.flows[start : start + _COST_BLOCK].astype(np.float64)
-        part = costs[start : start + _COST_BLOCK]
+    for start in range(0, len(costs), _ROW_BLOCK):
+        flows = table.flows[start : start + _ROW_BLOCK].astype(np.float64)
+        part = costs[start : start + _ROW_BLOCK]
         for a, m in zip(coefficients, thresholds):
             if a:
                 part += a * (table.lengths * np.minimum(flows, m)).sum(axis=1)
@@ -413,6 +575,12 @@ def _spt_demand_paths(g: Instance) -> frozenset[int]:
 def _unit_minima(g: Instance, rng: random.Random) -> tuple[float, ...]:
     """Least of each demand vertex's unit draws, one draw per demand unit in
     demand order: the stream a per-unit marking loop consumes, drawn in C."""
+    for v, amount in g.demand_items:
+        if amount > sys.maxsize:
+            raise InstanceError(
+                f"demand {amount} on vertex {v} is too large for sample-augment, "
+                "which draws one random number per demand unit"
+            )
     return tuple(min(starmap(rng.random, repeat((), amount))) for _v, amount in g.demand_items)
 
 

@@ -2,7 +2,9 @@
 
 The brute-force tree oracles deliberately share nothing with the package's
 contraction-deletion enumerator: spanning trees are found by filtering
-fixed-size edge subsets. The numeric parameter optimizer checks the closed
+fixed-size edge subsets. :func:`reference_spanning_edge_sets` is that
+enumerator in its plain form, a depth-first walk over one partial tree at a
+time, whose sequence the level-by-level one must reproduce. The numeric parameter optimizer checks the closed
 form in :func:`onetree.optimal_parameters` without using it.
 :func:`reference_sample_and_augment` is the plain form of the package's
 sample-and-augment solver, which the faster one must match tree for tree.
@@ -13,12 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, contract, route
 from onetree import shortest_path_tree
 from onetree.graph import (
     INF,
+    Edge,
     UnionFind,
     minimum_spanning_forest,
     reachable_vertices,
@@ -35,6 +38,58 @@ def subset_spanning_trees(g: Instance) -> Iterator[tuple[int, ...]]:
         uf = UnionFind(verts)
         if all(uf.union(e.u, e.v) for e in combo):
             yield tuple(e.eid for e in combo)
+
+
+def reference_spanning_edge_sets(
+    verts: Sequence[int], edges: Sequence[Edge]
+) -> Iterator[tuple[int, ...]]:
+    """Every spanning tree as an ascending edge-id tuple, no duplicates.
+
+    Contraction-deletion over edges in id order: include an edge joining two
+    components, or exclude it when the remaining edges can still connect.
+    The walk keeps its own stack, so its depth does not grow with the graph;
+    each exclude branch is pushed before its include branch, so include is
+    explored first.
+    """
+    index = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    m = len(edges)
+    ends = [(index[e.u], index[e.v]) for e in edges]
+
+    def find(parent: list[int], x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def connectable(parent: list[int], start: int, components: int) -> bool:
+        probe = parent.copy()
+        for k in range(start, m):
+            a, b = ends[k]
+            ra, rb = find(probe, a), find(probe, b)
+            if ra != rb:
+                probe[rb] = ra
+                components -= 1
+                if components == 1:
+                    return True
+        return components == 1
+
+    stack: list[tuple[int, list[int], int, tuple[int, ...]]] = [(0, list(range(n)), n, ())]
+    while stack:
+        k, parent, components, chosen = stack.pop()
+        if components == 1:
+            yield chosen
+            continue
+        if k == m:
+            continue
+        a, b = ends[k]
+        ra, rb = find(parent, a), find(parent, b)
+        if connectable(parent, k + 1, components):
+            stack.append((k + 1, parent, components, chosen))
+        if ra != rb:
+            merged = parent.copy()
+            merged[rb] = ra
+            stack.append((k + 1, merged, components - 1, chosen + (edges[k].eid,)))
 
 
 def brute_min_cost(

@@ -82,6 +82,23 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["eps", "alpha", "gamma", "delta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_parameters_exit_2(tmp_path, capsys, name, value):
+    # NaN passes every ordering check, and inf overflows the derived constants
+    instance = write(tmp_path, "path3.graph", PATH3)
+    assert main(["run", instance, f"--{name}", value]) == EXIT_INVALID
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
+def test_sample_augment_demand_beyond_ssize_t_exits_2(tmp_path, capsys):
+    # one draw per demand unit cannot even be counted; exact still solves it
+    instance = write(tmp_path, "huge.graph", f"3 2 0\n0 1 1\n1 2 1\nd 1 1\nd 2 {10**23}\n")
+    assert main(["run", instance]) == EXIT_INVALID
+    assert "draws one random number per demand unit" in capsys.readouterr().err
+    assert main(["run", instance, "--ssrob", "exact"]) == EXIT_OK
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.graph")]) == EXIT_INVALID
 

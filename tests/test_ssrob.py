@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from onetree import (
@@ -20,11 +21,13 @@ from onetree.corpus import random_instance
 from onetree.graph import tree_order
 from onetree.routing import compute_flows
 from onetree.ssrob import (
+    _enumerated_table,
     _flow_table,
     _marked_vertices,
     _rent_paths,
     _root_component,
     _spanning_edge_sets,
+    _table_costs,
     _unit_minima,
     best_tree_for_combination,
 )
@@ -33,6 +36,7 @@ from helpers import (
     brute_min_cost,
     reference_marking,
     reference_sample_and_augment,
+    reference_spanning_edge_sets,
     subset_spanning_trees,
 )
 
@@ -142,6 +146,103 @@ def test_flow_table_matches_tree_walk():
             if present
         )
     assert len(seen) == 5
+
+
+def _enumeration_test_instance(rng: random.Random, kind: str):
+    """Shuffled path, cycle, cycle with pendant trees, or a small random
+    instance from _flow_test_instance (lone roots, parallel edges, vertices
+    outside the root's component)."""
+    if kind == "random":
+        return _flow_test_instance(rng)
+    n = rng.randint(2, 9)
+    if kind == "path":
+        pairs = [(v, v + 1) for v in range(n - 1)]
+    elif kind == "cycle":
+        pairs = [(v, (v + 1) % n) for v in range(n)]
+    else:
+        core = rng.randint(2, n)
+        pairs = [(v, (v + 1) % core) for v in range(core)]
+        pairs += [(rng.randrange(v), v) for v in range(core, n)]
+    name = list(range(n))
+    rng.shuffle(name)
+    rng.shuffle(pairs)
+    edges = [(name[u], name[v], 1) for u, v in pairs]
+    return make_instance(n, edges, rng.randrange(n), {rng.randrange(n): 1})
+
+
+def _enumeration_corpus(count: int):
+    rng = random.Random(9001)
+    kinds = ("path", "cycle", "pendant", "random", "random")
+    return [_enumeration_test_instance(rng, kinds[k % len(kinds)]) for k in range(count)]
+
+
+def test_enumeration_matches_reference():
+    # the level-by-level enumerator yields the depth-first walk's trees in
+    # the walk's own order
+    seen = set()
+    for g in _enumeration_corpus(500):
+        verts, edges = _root_component(g)
+        trees = list(_spanning_edge_sets(verts, edges))
+        assert trees == list(reference_spanning_edge_sets(verts, edges)), g
+        assert len(trees) == count_spanning_trees(g)
+        pairs = [frozenset((e.u, e.v)) for e in edges]
+        seen.update(
+            name
+            for name, present in [
+                ("lone root", len(verts) == 1),
+                ("outside", len(verts) < g.n),
+                ("parallel", len(set(pairs)) < len(pairs)),
+                ("bridge", any(all(e.eid in t for t in trees) for e in edges)),
+                ("cycle", len(edges) >= len(verts) > 2),
+            ]
+            if present
+        )
+    assert len(seen) == 5
+
+
+@pytest.mark.parametrize("limit", [1, 7])
+def test_split_enumeration_matches_reference(monkeypatch, limit):
+    # a frontier split into blocks of at most `limit` rows keeps the order
+    monkeypatch.setattr(ssrob, "_TABLE_LIMIT", limit)
+    for g in _enumeration_corpus(150):
+        verts, edges = _root_component(g)
+        trees = list(_spanning_edge_sets(verts, edges))
+        assert trees == list(reference_spanning_edge_sets(verts, edges)), g
+
+
+def _full_scan(g, thresholds, coefficients):
+    """Best tree by a scan of every enumerated row, ties to the smallest ids."""
+    verts, edges = _root_component(g)
+    table = _flow_table(g, verts, edges, _spanning_edge_sets(verts, edges))
+    costs = _table_costs(table, thresholds, coefficients)
+    return min(table.edge_ids(j) for j in np.flatnonzero(costs == costs.min()))
+
+
+def test_distinct_rows_scan_matches_full_table():
+    # the table cut to distinct flow vectors picks the full scan's tree,
+    # ties included, for one- and multi-term combinations
+    rng = random.Random(7373)
+    cut = object_flows = 0
+    for k in range(150):
+        g = random_instance(rng, n_min=3, n_max=7, max_length=2, max_extra_edges=5)
+        if k % 10 == 0:
+            # flows beyond int64 make the flow table an object array
+            g = make_instance(g.n, [(e.u, e.v, e.length) for e in g.edges], g.root,
+                              {v: a * 10**19 for v, a in g.demands.items()})
+        table = _enumerated_table(g)
+        cut += len(table.flows) < count_spanning_trees(g)
+        object_flows += table.flows.dtype == object
+        total = float(g.total_demand)
+        for thresholds, coefficients in [
+            ((1.0,), (1.0,)),
+            ((total,), (1.0,)),
+            ((2.0,), (1.0,)),
+            ((1.0, 2.0, total), (0.5, 0.0, 1.25)),
+            ((1.0, 3.0), (rng.random(), rng.random())),
+        ]:
+            got = best_tree_for_combination(g, thresholds, coefficients).edge_ids
+            assert got == _full_scan(g, thresholds, coefficients), (k, thresholds)
+    assert cut > 50 and object_flows == 15
 
 
 @pytest.mark.parametrize("limit", [1, 7])
