@@ -80,8 +80,8 @@ class Instance:
         return {}
 
     @cached_property
-    def unit_minima(self) -> dict[int, tuple[float, ...]]:
-        """Memo of each demand vertex's least unit draw by marking seed; see ssrob."""
+    def unit_draws(self) -> dict[int, tuple[float, ...]]:
+        """Memo of the marking draws, one per demand vertex, by seed; see ssrob."""
         return {}
 
 

@@ -18,15 +18,37 @@ from .routing import (
 )
 
 
+#: Most threshold indices K a run may ask for; it makes K+1 basis solves.
+MAX_K = 100_000
+
+
 def compute_K(total_demand: int, eps: float) -> int:
-    """Smallest K with (1 + eps) ** K >= total demand; 0 when demand is 1."""
+    """Smallest K with (1 + eps) ** K >= total demand; 0 when demand is 1.
+
+    "At least" is up to a relative 1e-12, so a power that rounds just below
+    an exact boundary still counts. K starts from the closed form
+    log(D) / log(1 + eps), with the same base as basis_threshold, and steps
+    by one against that test, so it takes a few steps whatever D and eps are.
+    Raises ConfigError when 1 + eps rounds to 1 or K exceeds MAX_K.
+    """
     if total_demand < 1:
         raise ConfigError("total demand must be >= 1")
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    k = 0
-    while basis_threshold(k, eps) < total_demand * (1.0 - 1e-12):
+    step = math.log(1.0 + eps)
+    if step == 0.0:
+        raise ConfigError(f"eps {eps} is too small: 1 + eps rounds to 1")
+    target = total_demand * (1.0 - 1e-12)
+    k = math.ceil(math.log(total_demand) / step)
+    while k > 0 and basis_threshold(k - 1, eps) >= target:
+        k -= 1
+    while basis_threshold(k, eps) < target:
         k += 1
+    if k > MAX_K:
+        raise ConfigError(
+            f"eps {eps} needs K = {k} threshold indices, K + 1 basis solves; "
+            f"the cap is K = {MAX_K}"
+        )
     return k
 
 

@@ -34,22 +34,26 @@ Two interchangeable solvers, both deterministic given a seed:
   instance (memoized on it) and shared by every threshold and trial. The
   rent step searches the bought core as one merged source of
   ``shortest_path_tree`` instead of building a contraction per trial, and
-  its paths are memoized on the instance by the core's vertex set. The
-  solve at threshold index i gets seed + i and its trial t marks from
+  its paths are memoized on the instance by the core's vertex set. These
+  give the same trees as the plain per-trial algorithm. A trial marks each
+  demand unit with probability p = 1/threshold and reads only which
+  vertices got a marked unit, so it takes one uniform draw per demand
+  vertex and marks the vertex when the draw is below its chance
+  1 - (1 - p)^amount, computed once per solve as
+  ``-expm1(amount * log1p(-p))``: the marked set has the per-unit
+  distribution at a cost that does not grow with the total demand. The
+  solve at threshold index i gets seed + i and its trial t draws from
   ``random.Random(seed + i + t)``, so K+1 indices of T trials use only K+T
-  streams; each stream's least unit draw per demand vertex is memoized on
-  the instance as well. All of these give the same trees as the plain
-  per-trial algorithm.
+  streams; each stream's draws are memoized on the instance by seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice
 from typing import ClassVar, Container, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -572,33 +576,22 @@ def _spt_demand_paths(g: Instance) -> frozenset[int]:
     return _demand_paths(g, _terminal_tree(g, g.root), g.root, ())
 
 
-def _unit_minima(g: Instance, rng: random.Random) -> tuple[float, ...]:
-    """Least of each demand vertex's unit draws, one draw per demand unit in
-    demand order: the stream a per-unit marking loop consumes, drawn in C."""
-    for v, amount in g.demand_items:
-        if amount > sys.maxsize:
-            raise InstanceError(
-                f"demand {amount} on vertex {v} is too large for sample-augment, "
-                "which draws one random number per demand unit"
-            )
-    return tuple(min(starmap(rng.random, repeat((), amount))) for _v, amount in g.demand_items)
+def _marked_vertices(g: Instance, seed: int, chances: Sequence[float]) -> frozenset[int]:
+    """Demand vertices marked by the stream ``random.Random(seed)``.
 
-
-def _marked_vertices(g: Instance, seed: int, mark_probability: float) -> frozenset[int]:
-    """Demand vertices with a unit of ``random.Random(seed)`` marked with
-    ``mark_probability``.
-
-    A unit is marked when its draw is below the probability, so a vertex is
-    marked when its least draw is. Seeds recur across trials and thresholds
-    (trial t at index i uses seed + i + t), so the least draws are memoized
-    on the instance by seed.
+    The stream gives one draw per demand vertex, in ``demand_items`` order,
+    and a vertex is marked when its draw is below its entry of ``chances``,
+    the chance that at least one of its units is marked. Seeds recur across
+    trials and thresholds (trial t at index i uses seed + i + t), so the
+    draws are memoized on the instance by seed.
     """
-    memo = g.unit_minima
-    lows = memo.get(seed)
-    if lows is None:
-        lows = memo[seed] = _unit_minima(g, random.Random(seed))
+    memo = g.unit_draws
+    draws = memo.get(seed)
+    if draws is None:
+        rng = random.Random(seed)
+        draws = memo[seed] = tuple(rng.random() for _ in g.demand_items)
     return frozenset(
-        v for (v, _amount), low in zip(g.demand_items, lows) if low < mark_probability
+        v for (v, _amount), u, chance in zip(g.demand_items, draws, chances) if u < chance
     )
 
 
@@ -608,8 +601,11 @@ def sample_and_augment(
     """Best-of-``trials`` randomized core sampling for one threshold.
 
     Each trial marks every demand unit independently with probability
-    1/threshold, buys a Steiner core over the marked vertices plus the root,
-    and rents shortest paths into the core for the rest. The cheapest trial
+    p = 1/threshold, buys a Steiner core over the vertices with a marked
+    unit plus the root, and rents shortest paths into the core for the
+    rest. A vertex with ``amount`` units has a marked one with chance
+    1 - (1 - p)^amount; these chances are computed once per solve and each
+    trial takes one draw per demand vertex against them. The cheapest trial
     tree wins; cost ties go to the smaller edge-id set.
 
     Degenerate thresholds are handled deterministically: threshold >= total
@@ -626,10 +622,11 @@ def sample_and_augment(
         core = _steiner_core_edges(g, frozenset(v for v, _ in g.demand_items) | {g.root})
         return route(g, core | _rent_paths(g, core))
 
-    mark_probability = 1.0 / threshold
+    unmarked_log = math.log1p(-1.0 / threshold)
+    chances = [-math.expm1(amount * unmarked_log) for _v, amount in g.demand_items]
     best: tuple[tuple[float, tuple[int, ...]], RoutedTree] | None = None
     for trial in range(trials):
-        marked = _marked_vertices(g, seed + trial, mark_probability)
+        marked = _marked_vertices(g, seed + trial, chances)
         core = _steiner_core_edges(g, marked | {g.root})
         tree = route(g, core | _rent_paths(g, core))
         key = (basis_cost(tree, threshold), tree.edge_ids)

@@ -7,7 +7,9 @@ enumerator in its plain form, a depth-first walk over one partial tree at a
 time, whose sequence the level-by-level one must reproduce. The numeric parameter optimizer checks the closed
 form in :func:`onetree.optimal_parameters` without using it.
 :func:`reference_sample_and_augment` is the plain form of the package's
-sample-and-augment solver, which the faster one must match tree for tree.
+sample-and-augment solver, which the faster one must match tree for tree,
+and :func:`reference_K` the loop that the closed form of ``compute_K`` must
+match.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import random
 from typing import Callable, Iterator, Sequence
 
-from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, contract, route
+from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, basis_threshold, contract, route
 from onetree import shortest_path_tree
 from onetree.graph import (
     INF,
@@ -90,6 +92,20 @@ def reference_spanning_edge_sets(
             merged = parent.copy()
             merged[rb] = ra
             stack.append((k + 1, merged, components - 1, chosen + (edges[k].eid,)))
+
+
+def reference_K(total_demand: int, eps: float, start: int = 0) -> int:
+    """The loop ``compute_K`` replaced: step k up until the threshold
+    reaches the total demand, up to a relative 1e-12.
+
+    ``start`` lets a sweep over ascending demands resume from the previous
+    K; the test only gets harder as D grows, so every k below that K fails
+    it again and the result is the one the loop from 0 gives.
+    """
+    k = start
+    while basis_threshold(k, eps) < total_demand * (1.0 - 1e-12):
+        k += 1
+    return k
 
 
 def brute_min_cost(
@@ -218,14 +234,11 @@ def _reference_rent(g: Instance, core_ids: frozenset[int]) -> set[int]:
 
 
 def reference_marking(g: Instance, rng: random.Random, mark_probability: float) -> set[int]:
-    """Demand vertices with at least one marked unit, one draw per unit."""
+    """Demand vertices with at least one marked unit: one draw per demand
+    vertex, below the chance 1 - (1 - p)^amount that a unit is marked."""
     marked: set[int] = set()
     for v, amount in g.demand_items:
-        hit = False
-        for _unit in range(amount):
-            if rng.random() < mark_probability:
-                hit = True
-        if hit:
+        if rng.random() < -math.expm1(amount * math.log1p(-mark_probability)):
             marked.add(v)
     return marked
 
@@ -234,8 +247,8 @@ def reference_sample_and_augment(
     g: Instance, threshold: float, seed: int = 0, trials: int = 32
 ) -> RoutedTree:
     """Sample-and-augment with a fresh Dijkstra per terminal, rent paths
-    searched in an explicit contraction of the core, and a per-unit marking
-    loop."""
+    searched in an explicit contraction of the core, and fresh marking draws
+    and chances in every trial."""
     if threshold >= g.total_demand:
         return route(g, _reference_paths(g, g, g.root, ()))
     if threshold <= 1.0:

@@ -91,12 +91,33 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, name, value):
     assert f"{name} must be finite" in capsys.readouterr().err
 
 
-def test_sample_augment_demand_beyond_ssize_t_exits_2(tmp_path, capsys):
-    # one draw per demand unit cannot even be counted; exact still solves it
+@pytest.mark.parametrize("solver", ["sample-augment", "exact"])
+def test_sample_augment_demand_beyond_ssize_t_exits_0(tmp_path, solver):
+    # marking draws once per demand vertex, so no amount is too large to mark
     instance = write(tmp_path, "huge.graph", f"3 2 0\n0 1 1\n1 2 1\nd 1 1\nd 2 {10**23}\n")
-    assert main(["run", instance]) == EXIT_INVALID
-    assert "draws one random number per demand unit" in capsys.readouterr().err
-    assert main(["run", instance, "--ssrob", "exact"]) == EXIT_OK
+    assert main(["run", instance, "--ssrob", solver]) == EXIT_OK
+
+
+def test_huge_demand_on_a_cycle_exits_0_quickly(tmp_path):
+    # 10^12 demand units: marking must not take a draw per unit; the cycle
+    # gives sample-augment a real choice, unlike a path
+    instance = write(tmp_path, "triangle.graph", "3 3 0\n0 1 1\n1 2 1\n0 2 1\nd 2 1000000000000\n")
+    start = time.perf_counter()
+    assert main(["run", instance]) == EXIT_OK
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [("1e-300", "1 + eps rounds to 1"), ("1e-9", "the cap is K = 100000")],
+    ids=["1e-300", "1e-9"],
+)
+def test_eps_too_fine_for_the_threshold_grid_exits_2(tmp_path, capsys, eps, message):
+    # 1 + 1e-300 == 1.0, so the threshold grid never grows; 1e-9 asks for
+    # about 7e8 solves on this instance
+    instance = write(tmp_path, "path3.graph", PATH3)
+    assert main(["run", instance, "--eps", eps]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -1,9 +1,11 @@
+import math
 import random
 
 from onetree import (
     ExactSolver,
     SampleAugmentSolver,
     basis_cost,
+    basis_threshold,
     compute_K,
     compute_layers,
     monotonize,
@@ -13,6 +15,8 @@ from onetree import (
 )
 from onetree.corpus import random_instance
 from onetree.routing import RentBuyDecomposition
+
+from helpers import reference_K
 
 
 def fake_decompositions(buys, rents):
@@ -34,6 +38,23 @@ def test_compute_K_values():
     assert compute_K(2, 1.0) == 1
     assert compute_K(100, 0.1) == 49
     assert compute_K(8, 1.0) == 3  # exact power boundary
+
+
+def test_compute_K_matches_the_loop():
+    # the closed form with its one-step corrections ends where the loop does;
+    # past 10^12 an integer just above a threshold is inside the loop's
+    # 1e-12 slack, and log(2^29) / log(2) rounds above 29, so both need the
+    # downward step
+    large = [10**6, 3 * 10**9, 2**29, 2**31, 2**40 - 1, 2**58, 10**12 + 1, 10**15]
+    for eps in (1e-3, 0.01, 0.1, 0.5, 1.0, 3.0):
+        k = 0
+        for demand in range(1, 2001):
+            k = reference_K(demand, eps, start=k)
+            assert compute_K(demand, eps) == k, (demand, eps)
+        first = math.ceil(12 * math.log(10) / math.log(1.0 + eps))
+        above = [math.ceil(basis_threshold(first + j, eps)) for j in range(3)]
+        for demand in large + above:
+            assert compute_K(demand, eps) == reference_K(demand, eps), (demand, eps)
 
 
 def test_monotonize_identical_trees_unchanged(path3):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -28,7 +29,6 @@ from onetree.ssrob import (
     _root_component,
     _spanning_edge_sets,
     _table_costs,
-    _unit_minima,
     best_tree_for_combination,
 )
 
@@ -301,16 +301,41 @@ def test_sample_augment_matches_reference():
             assert got.edge_ids == want.edge_ids, (k, m)
 
 
-def test_marking_takes_one_draw_per_unit():
-    # marking by the memoized least draws marks what the per-unit loop does,
-    # and taking those draws leaves the rng where the loop leaves it
+def _chances(g, p):
+    return [-math.expm1(amount * math.log1p(-p)) for _v, amount in g.demand_items]
+
+
+def test_marking_takes_one_draw_per_vertex():
+    # the memoized draws mark what the plain per-vertex loop marks, and both
+    # take exactly one draw per demand vertex from the seed's stream
     g = make_instance(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)], 0, {1: 1, 2: 40, 3: 7})
     for seed in range(50):
+        stream = random.Random(seed)
+        first = tuple(stream.random() for _ in g.demand_items)
         for p in (0.01, 0.1, 0.5):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            _unit_minima(g, ours)
-            assert _marked_vertices(g, seed, p) == reference_marking(g, theirs, p)
-            assert ours.getstate() == theirs.getstate()
+            theirs = random.Random(seed)
+            assert _marked_vertices(g, seed, _chances(g, p)) == reference_marking(g, theirs, p)
+            assert theirs.getstate() == stream.getstate()
+        assert g.unit_draws[seed] == first
+
+
+def test_marking_frequency_matches_unit_marking():
+    # a vertex with `amount` units each marked with chance p has a marked
+    # unit with chance 1 - (1 - p)^amount; over fixed seeds the per-vertex
+    # draw must hit that rate within 4 standard deviations
+    amounts = {1: 1, 2: 7, 3: 40}
+    g = make_instance(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)], 0, amounts)
+    runs = 20_000
+    for p in (0.01, 0.1, 0.5):
+        chances = _chances(g, p)
+        hits = dict.fromkeys(amounts, 0)
+        for seed in range(runs):
+            for v in _marked_vertices(g, seed, chances):
+                hits[v] += 1
+        for v, amount in amounts.items():
+            want = 1.0 - (1.0 - p) ** amount
+            sigma = math.sqrt(want * (1.0 - want) / runs)
+            assert abs(hits[v] / runs - want) <= 4.0 * sigma, (p, amount, hits[v])
 
 
 def test_repeated_core_searches_once(monkeypatch):
