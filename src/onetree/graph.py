@@ -42,12 +42,22 @@ class Edge:
 
 @dataclass(frozen=True)
 class Instance:
-    """A weighted graph with a root vertex and positive integer demands."""
+    """A weighted graph with a root vertex and positive integer demands.
+
+    Raises InstanceError when total edge length times total demand is not
+    finite: every cost the pipeline forms is at most that product.
+    """
 
     n: int
     edges: tuple[Edge, ...]
     root: int
     demand_items: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        total = self.total_demand
+        length = sum(e.length for e in self.edges)
+        if total > sys.float_info.max or not math.isfinite(length * total):
+            raise InstanceError("total edge length times total demand is not finite")
 
     @property
     def vertex_ids(self) -> range:
@@ -227,10 +237,6 @@ def load_instance(text: str) -> Instance:
         raise ParseError("missing demand lines: at least one 'd v amount' row is required")
 
     g = Instance(n=n, edges=tuple(edges), root=root, demand_items=tuple(sorted(demands.items())))
-    # every cost the pipeline forms is at most total length times total demand
-    total = g.total_demand
-    if total > sys.float_info.max or not math.isfinite(sum(e.length for e in edges) * total):
-        raise InstanceError("total edge length times total demand is not finite")
     component = reachable_vertices(g, root)
     for v in sorted(demands):
         if v not in component:

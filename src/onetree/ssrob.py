@@ -12,22 +12,24 @@ Two interchangeable solvers, both deterministic given a seed:
   every row may exclude k when edges k+1.. already join its ends, none when
   k is a bridge, and otherwise the rows replay the components of edges
   k+1.. on their blocks. A frontier block holds at most _FRONTIER_BLOCK
-  (and _TABLE_LIMIT) rows; a larger one is split depth first, which keeps
-  the order of the trees and bounds memory. Trees come out in ascending
-  lexicographic edge-id order and stream straight into a flow table with a
-  row per tree: the tree's n-1 edge columns and one flow per component
-  edge, each in the narrowest integer type that holds the edge count or the
-  total demand (one byte each below 256). The flows of all rows come at
-  once from peeling leaves toward the root, in n-1 whole-array steps. Costs
-  depend on flows alone, so the table keeps the first row of each distinct
-  flow vector, which holds that class's smallest edge-id tuple; costs are
-  summed in row blocks, bit for bit as one whole-table expression would. Up
-  to ``_TABLE_LIMIT`` (2*10^5) trees the table is built once per instance
-  and cached; above it the trees stream through fresh tables of at most
-  that many rows, so memory stays at the scale of one table at the limit
+  rows; a larger one is split depth first, which keeps the order of the
+  trees and bounds memory. Trees come out in ascending lexicographic
+  edge-id order, each block as rows of 0/1 edge flags, and every block
+  goes straight into a flow table with a row per tree: the tree's n-1 edge
+  columns and one flow per component edge, each in the narrowest integer
+  type that holds the edge count or the total demand (one byte each below
+  256). The flows of all rows come at once from peeling leaves toward the
+  root, in n-1 whole-array steps. Costs depend on flows alone, so each
+  table keeps the first row of each distinct flow vector, which holds that
+  class's smallest edge-id tuple. A scan keys each table by its least cost
+  and its smallest edge-id tuple at that cost, and takes the least key, so
+  cost ties go to the lexicographically smallest edge-id tuple across
+  tables too. One generator makes every table. Up to ``_TABLE_LIMIT``
+  (2*10^5) trees its tables are cached per instance, since the oracle
+  scans an instance once per threshold index; above it they are made
+  afresh on each scan, so memory stays at the scale of one frontier block
   whatever the tree count. Beyond ``ORACLE_TREE_LIMIT`` (10^7) trees the
-  oracle refuses. Cost ties go to the lexicographically smallest edge-id
-  tuple.
+  oracle refuses.
 - A randomized sample-and-augment heuristic; cost ties between its trials
   go to the smaller edge-id tuple as well. Its terminals are always demand
   vertices or the root, so their shortest-path trees are computed once per
@@ -53,8 +55,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
-from typing import ClassVar, Container, Iterable, Iterator, Sequence, Union
+from typing import ClassVar, Container, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -75,13 +76,11 @@ from .routing import RoutedTree, basis_cost, route
 
 #: Hard ceiling on spanning trees the exact oracle will enumerate.
 ORACLE_TREE_LIMIT = 10_000_000
-#: Above this count the oracle streams trees instead of caching a flow table.
+#: Above this count the oracle streams its flow tables instead of caching them.
 _TABLE_LIMIT = 200_000
-#: Most rows in one frontier block of the spanning-tree enumerator.
+#: Most rows in one frontier block of the spanning-tree enumerator, and so
+#: in one flow table.
 _FRONTIER_BLOCK = 16_384
-#: Rows per block when costing a table (its temporaries stay in cache) or
-#: turning enumerated rows into edge-id tuples.
-_ROW_BLOCK = 4096
 
 
 def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
@@ -208,10 +207,7 @@ def _branch(rows: np.ndarray, n: int, k: int, a: int, b: int, probe: _Probe) -> 
         exclude = np.full(len(rows), probe)
     else:
         exclude = ~include
-        ask = np.flatnonzero(include)
-        for first in range(0, len(ask), _ROW_BLOCK):
-            part = ask[first : first + _ROW_BLOCK]
-            exclude[part] = _joined(rows[part, :n], probe, a, b)
+        exclude[include] = _joined(rows[include, :n], probe, a, b)
     low = np.minimum(at_a, at_b)[include, None]
     high = np.maximum(at_a, at_b)[include, None]
     kids = include + exclude.astype(np.intp)
@@ -226,23 +222,23 @@ def _branch(rows: np.ndarray, n: int, k: int, a: int, b: int, probe: _Probe) -> 
 
 
 def _spanning_tree_blocks(verts: Sequence[int], edges: Sequence[Edge]) -> Iterator[np.ndarray]:
-    """Every spanning tree as a row of 0/1 edge flags, in blocks of rows.
+    """Every spanning tree as a row of 0/1 edge flags, one flag per edge of
+    ``edges``, in blocks of at most _FRONTIER_BLOCK rows.
 
     Contraction-deletion run level by level. A frontier row is a partial
     tree: a block label per vertex (the least vertex of its block) followed
     by one flag per edge chosen so far. At edge k every row gets an include
     child if k joins two of its blocks and an exclude child if the rest can
     still connect it (see _exclude_probes). Children stay contiguous,
-    include first, so the trees come out in ascending lexicographic order.
-    A frontier block never exceeds _FRONTIER_BLOCK or _TABLE_LIMIT rows: a
-    larger one is split and its tail set aside until the head is done, depth
+    include first, so the trees come out in ascending lexicographic order of
+    their edge positions. A frontier block that outgrows _FRONTIER_BLOCK
+    rows is split and its tail set aside until the head is done, depth
     first, so memory stays small whatever the tree count.
     """
     n, m = len(verts), len(edges)
     index = {v: i for i, v in enumerate(verts)}
     ends = [(index[e.u], index[e.v]) for e in edges]
     probes = _exclude_probes(n, ends)
-    limit = max(1, min(_TABLE_LIMIT, _FRONTIER_BLOCK))
     root = np.zeros((1, n + m), np.min_scalar_type(n - 1))
     root[0, :n] = np.arange(n)
     pending = [(0, root)]
@@ -250,23 +246,10 @@ def _spanning_tree_blocks(verts: Sequence[int], edges: Sequence[Edge]) -> Iterat
         k, rows = pending.pop()
         for k in range(k, m):
             rows = _branch(rows, n, k, *ends[k], probes[k])
-            if len(rows) > limit:
-                pending.append((k + 1, rows[limit:].copy()))
-                rows = rows[:limit]
+            if len(rows) > _FRONTIER_BLOCK:
+                pending.append((k + 1, rows[_FRONTIER_BLOCK:].copy()))
+                rows = rows[:_FRONTIER_BLOCK]
         yield rows[:, n:]
-
-
-def _spanning_edge_sets(
-    verts: Sequence[int], edges: Sequence[Edge]
-) -> Iterator[tuple[int, ...]]:
-    """Every spanning tree as an ascending edge-id tuple, in ascending
-    lexicographic order, no duplicates; converted in blocks of _ROW_BLOCK rows."""
-    eids = np.array([e.eid for e in edges], np.intp)
-    for flags in _spanning_tree_blocks(verts, edges):
-        for start in range(0, len(flags), _ROW_BLOCK):
-            block = flags[start : start + _ROW_BLOCK]
-            chosen = eids[np.nonzero(block)[1]].reshape(len(block), -1)
-            yield from map(tuple, chosen.tolist())
 
 
 @dataclass(frozen=True)
@@ -274,7 +257,7 @@ class _TreeTable:
     """Spanning trees, one per row, with their flows for fast costs.
 
     Column j stands for the component edge with id ``eids[j]``. ``columns``
-    lists each tree's edge columns in enumeration order; ``flows`` has one
+    lists each tree's edge columns in ascending order; ``flows`` has one
     entry per column, zero off the tree. ``columns`` takes the narrowest
     integer type that holds the edge count, ``flows`` the narrowest that
     holds the total demand.
@@ -286,14 +269,15 @@ class _TreeTable:
     lengths: np.ndarray
 
     def edge_ids(self, row: int) -> tuple[int, ...]:
-        """Row ``row``'s tree as the edge-id tuple it was enumerated as."""
+        """Row ``row``'s tree as an ascending edge-id tuple."""
         return tuple(self.eids[self.columns[row]].tolist())
 
 
 def _flow_table(
-    g: Instance, verts: Sequence[int], edges: Sequence[Edge], trees: Iterable[tuple[int, ...]]
+    g: Instance, verts: Sequence[int], edges: Sequence[Edge], flags: np.ndarray
 ) -> _TreeTable:
-    """Flow table of ``trees``, spanning trees of the component ``verts``/``edges``.
+    """Flow table of the spanning trees of the component ``verts``/``edges``
+    given as rows of 0/1 edge ``flags``, one block of _spanning_tree_blocks.
 
     Every row's flows come at once from peeling leaves: each vertex keeps
     its tree degree and the XOR of its tree-edge columns, so a leaf's one
@@ -306,16 +290,12 @@ def _flow_table(
     width = n - 1
     eids = np.array([e.eid for e in edges], np.intp)
     lengths = np.array([e.length for e in edges])
-    flat = np.fromiter(chain.from_iterable(trees), dtype=np.int32)
     if not width:
         # a lone root: its one spanning tree has no edges
         return _TreeTable(np.zeros((1, 0), np.uint8), np.zeros((1, 0)), eids, lengths)
     # degrees, columns and vertex indices all stay within the edge count
     small = np.min_scalar_type(len(edges))
-    column = np.zeros(eids.max() + 1, small)
-    column[eids] = np.arange(len(edges))
-    columns = column[flat.reshape(-1, width)]
-    del flat
+    columns = np.nonzero(flags)[1].astype(small).reshape(-1, width)
     index = {v: i for i, v in enumerate(verts)}
     ends = np.array([(index[e.u], index[e.v]) for e in edges], np.intp)
 
@@ -396,40 +376,36 @@ def _distinct_flows(table: _TreeTable) -> _TreeTable:
     return _TreeTable(table.columns[keep], flows[keep], table.eids, table.lengths)
 
 
+def _tables(g: Instance) -> Iterator[_TreeTable]:
+    """Every spanning tree of the root's component, in enumeration order, in
+    one flow table per enumerator block, each cut to its distinct flows."""
+    verts, edges = _root_component(g)
+    for flags in _spanning_tree_blocks(verts, edges):
+        yield _distinct_flows(_flow_table(g, verts, edges, flags))
+
+
 @lru_cache(maxsize=6)
-def _enumerated_table(g: Instance) -> _TreeTable:
-    verts, edges = _root_component(g)
-    return _distinct_flows(_flow_table(g, verts, edges, _spanning_edge_sets(verts, edges)))
-
-
-def _streamed_tables(g: Instance) -> Iterator[_TreeTable]:
-    """Every spanning tree, in fresh flow tables of at most _TABLE_LIMIT rows,
-    each cut to its distinct flow vectors."""
-    verts, edges = _root_component(g)
-    trees = _spanning_edge_sets(verts, edges)
-    for first in trees:
-        chunk = chain((first,), islice(trees, max(1, _TABLE_LIMIT) - 1))
-        yield _distinct_flows(_flow_table(g, verts, edges, chunk))
+def _enumerated_table(g: Instance) -> tuple[_TreeTable, ...]:
+    """``_tables(g)``, kept for instances scanned once per threshold index."""
+    return tuple(_tables(g))
 
 
 def _table_costs(
     table: _TreeTable, thresholds: Sequence[float], coefficients: Sequence[float]
 ) -> np.ndarray:
-    """Combined cost of every row, in row blocks that stay in cache.
+    """Combined cost of every row of ``table``.
 
-    Each row is summed in column order exactly as one whole-table
-    expression would, so costs, and with them ties, are bit for bit the
-    same; a matrix product would round differently. Flows are widened to
-    float64 first: mixed with a float scalar, a narrow integer array would
-    otherwise compute in float16 under NumPy 1.x casting rules.
+    Each row is summed on its own, in column order, so its cost, and with
+    it every tie, is bit for bit the same whichever table the row is in; a
+    matrix product would round differently. Flows are widened to float64
+    first: mixed with a float scalar, a narrow integer array would otherwise
+    compute in float16 under NumPy 1.x casting rules.
     """
-    costs = np.zeros(len(table.flows))
-    for start in range(0, len(costs), _ROW_BLOCK):
-        flows = table.flows[start : start + _ROW_BLOCK].astype(np.float64)
-        part = costs[start : start + _ROW_BLOCK]
-        for a, m in zip(coefficients, thresholds):
-            if a:
-                part += a * (table.lengths * np.minimum(flows, m)).sum(axis=1)
+    flows = table.flows.astype(np.float64)
+    costs = np.zeros(len(flows))
+    for a, m in zip(coefficients, thresholds):
+        if a:
+            costs += a * (table.lengths * np.minimum(flows, m)).sum(axis=1)
     return costs
 
 
@@ -451,7 +427,7 @@ def best_tree_for_combination(
             f"instance too large for oracle: about {count} spanning trees "
             f"(limit {ORACLE_TREE_LIMIT})"
         )
-    tables = [_enumerated_table(g)] if count <= _TABLE_LIMIT else _streamed_tables(g)
+    tables = _enumerated_table(g) if count <= _TABLE_LIMIT else _tables(g)
     best: tuple[float, tuple[int, ...]] | None = None
     for table in tables:
         costs = _table_costs(table, thresholds, coefficients)

@@ -4,7 +4,9 @@ The brute-force tree oracles deliberately share nothing with the package's
 contraction-deletion enumerator: spanning trees are found by filtering
 fixed-size edge subsets. :func:`reference_spanning_edge_sets` is that
 enumerator in its plain form, a depth-first walk over one partial tree at a
-time, whose sequence the level-by-level one must reproduce. The numeric parameter optimizer checks the closed
+time, whose sequence the level-by-level one must reproduce;
+:func:`flagged_edge_sets` reads that one's 0/1 flag blocks back as edge-id
+tuples to compare. The numeric parameter optimizer checks the closed
 form in :func:`onetree.optimal_parameters` without using it.
 :func:`reference_sample_and_augment` is the plain form of the package's
 sample-and-augment solver, which the faster one must match tree for tree,
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, basis_threshold, contract, route
 from onetree import shortest_path_tree
@@ -92,6 +94,16 @@ def reference_spanning_edge_sets(
             merged = parent.copy()
             merged[rb] = ra
             stack.append((k + 1, merged, components - 1, chosen + (edges[k].eid,)))
+
+
+def flagged_edge_sets(
+    blocks: Iterable[Sequence[Sequence[int]]], edges: Sequence[Edge]
+) -> Iterator[tuple[int, ...]]:
+    """Each row of each block of 0/1 flags, one flag per edge of ``edges``,
+    as the edge-id tuple of its flagged edges, in row order."""
+    for flags in blocks:
+        for row in flags:
+            yield tuple(e.eid for e, flag in zip(edges, row) if flag)
 
 
 def reference_K(total_demand: int, eps: float, start: int = 0) -> int:

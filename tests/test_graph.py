@@ -49,6 +49,19 @@ def test_load_rejects_disconnected_demand():
         load_instance(text)
 
 
+@pytest.mark.parametrize(
+    "lengths, amount",
+    [((1, 1, 1), 10**400), ((1e308, 1e308, 1), 1), ((1e300, 1, 1), 10**9), ((math.inf, 1, 1), 1)],
+    ids=["demand beyond float", "length sum", "product", "infinite length"],
+)
+def test_make_instance_rejects_non_finite_cost_range(lengths, amount):
+    # the library constructor applies load_instance's check, so no solver
+    # ever meets a cost it cannot hold in a float
+    edges = [(0, 1, lengths[0]), (1, 2, lengths[1]), (0, 2, lengths[2])]
+    with pytest.raises(InstanceError, match="not finite"):
+        make_instance(3, edges, 0, {2: amount})
+
+
 def test_load_ignores_disconnected_non_demand_vertex():
     text = "4 2 0\n0 1 1\n2 3 1\nd 1 1\n"
     g = load_instance(text)

@@ -27,13 +27,14 @@ from onetree.ssrob import (
     _marked_vertices,
     _rent_paths,
     _root_component,
-    _spanning_edge_sets,
+    _spanning_tree_blocks,
     _table_costs,
     best_tree_for_combination,
 )
 
 from helpers import (
     brute_min_cost,
+    flagged_edge_sets,
     reference_marking,
     reference_sample_and_augment,
     reference_spanning_edge_sets,
@@ -93,7 +94,7 @@ def test_enumeration_covers_every_spanning_tree():
     for _ in range(10):
         g = random_instance(rng, n_min=3, n_max=6)
         verts, edges = _root_component(g)
-        ours = set(_spanning_edge_sets(verts, edges))
+        ours = set(flagged_edge_sets(_spanning_tree_blocks(verts, edges), edges))
         independent = {tuple(sorted(s)) for s in subset_spanning_trees(g)}
         assert ours == independent
         assert len(ours) == count_spanning_trees(g)
@@ -126,8 +127,9 @@ def test_flow_table_matches_tree_walk():
     for _ in range(300):
         g = _flow_test_instance(rng)
         verts, edges = _root_component(g)
-        trees = list(_spanning_edge_sets(verts, edges))
-        table = _flow_table(g, verts, edges, iter(trees))
+        flags = np.concatenate(list(_spanning_tree_blocks(verts, edges)))
+        trees = list(flagged_edge_sets([flags], edges))
+        table = _flow_table(g, verts, edges, flags)
         assert [table.edge_ids(j) for j in range(len(trees))] == trees
         assert table.flows.shape == (len(trees), len(edges))
         for eids, flows in zip(trees, table.flows.tolist()):
@@ -182,7 +184,7 @@ def test_enumeration_matches_reference():
     seen = set()
     for g in _enumeration_corpus(500):
         verts, edges = _root_component(g)
-        trees = list(_spanning_edge_sets(verts, edges))
+        trees = list(flagged_edge_sets(_spanning_tree_blocks(verts, edges), edges))
         assert trees == list(reference_spanning_edge_sets(verts, edges)), g
         assert len(trees) == count_spanning_trees(g)
         pairs = [frozenset((e.u, e.v)) for e in edges]
@@ -203,17 +205,20 @@ def test_enumeration_matches_reference():
 @pytest.mark.parametrize("limit", [1, 7])
 def test_split_enumeration_matches_reference(monkeypatch, limit):
     # a frontier split into blocks of at most `limit` rows keeps the order
-    monkeypatch.setattr(ssrob, "_TABLE_LIMIT", limit)
+    monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", limit)
     for g in _enumeration_corpus(150):
         verts, edges = _root_component(g)
-        trees = list(_spanning_edge_sets(verts, edges))
+        blocks = list(_spanning_tree_blocks(verts, edges))
+        assert all(len(flags) <= limit for flags in blocks), g
+        trees = list(flagged_edge_sets(blocks, edges))
         assert trees == list(reference_spanning_edge_sets(verts, edges)), g
 
 
 def _full_scan(g, thresholds, coefficients):
     """Best tree by a scan of every enumerated row, ties to the smallest ids."""
     verts, edges = _root_component(g)
-    table = _flow_table(g, verts, edges, _spanning_edge_sets(verts, edges))
+    flags = np.concatenate(list(_spanning_tree_blocks(verts, edges)))
+    table = _flow_table(g, verts, edges, flags)
     costs = _table_costs(table, thresholds, coefficients)
     return min(table.edge_ids(j) for j in np.flatnonzero(costs == costs.min()))
 
@@ -229,9 +234,9 @@ def test_distinct_rows_scan_matches_full_table():
             # flows beyond int64 make the flow table an object array
             g = make_instance(g.n, [(e.u, e.v, e.length) for e in g.edges], g.root,
                               {v: a * 10**19 for v, a in g.demands.items()})
-        table = _enumerated_table(g)
-        cut += len(table.flows) < count_spanning_trees(g)
-        object_flows += table.flows.dtype == object
+        tables = _enumerated_table(g)
+        cut += sum(len(table.flows) for table in tables) < count_spanning_trees(g)
+        object_flows += tables[0].flows.dtype == object
         total = float(g.total_demand)
         for thresholds, coefficients in [
             ((1.0,), (1.0,)),
@@ -245,9 +250,11 @@ def test_distinct_rows_scan_matches_full_table():
     assert cut > 50 and object_flows == 15
 
 
-@pytest.mark.parametrize("limit", [1, 7])
-def test_streamed_scan_matches_table(monkeypatch, limit):
-    # K4 (16 trees) whose only optimum, the star at vertex 3, is enumerated last
+@pytest.mark.parametrize("block", [1, 7])
+def test_streamed_scan_matches_table(monkeypatch, block):
+    # trees split over many tables give the one-table answer, ties across
+    # tables included, from the cached tables and streamed alike; K4 (16
+    # trees) has one optimum, the star at vertex 3, which is enumerated last
     k4 = [(0, 1, 10), (0, 2, 10), (0, 3, 1), (1, 2, 10), (1, 3, 1), (2, 3, 1)]
     rng = random.Random(4242)
     corpus = [make_instance(4, k4, 0, {1: 1, 2: 1})]
@@ -265,8 +272,14 @@ def test_streamed_scan_matches_table(monkeypatch, limit):
         ]
 
     table = solve_all()
-    monkeypatch.setattr(ssrob, "_TABLE_LIMIT", limit)
-    assert solve_all() == table
+    monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", block)
+    _enumerated_table.cache_clear()
+    try:
+        assert solve_all() == table
+        monkeypatch.setattr(ssrob, "_TABLE_LIMIT", 0)
+        assert solve_all() == table
+    finally:
+        _enumerated_table.cache_clear()
 
 
 def test_spt_ties_break_on_root_predecessor():
