@@ -7,7 +7,13 @@ layer cores together with light approximate shortest-path trees. An exact
 enumeration oracle verifies desk-scale approximation ratios.
 """
 
-from .builder import SimultaneousTree, build_tree, check_layer_bounds
+from .builder import (
+    Parameters,
+    SimultaneousTree,
+    build_tree,
+    check_layer_bounds,
+    optimal_parameters,
+)
 from .errors import (
     ConfigError,
     DisconnectedError,
@@ -20,12 +26,10 @@ from .errors import (
 )
 from .evaluate import (
     ConcaveFunction,
-    Parameters,
     RatioReport,
     best_tree_for_function,
     decompose_function,
     eval_cost,
-    optimal_parameters,
     simultaneous_ratio,
 )
 from .graph import (

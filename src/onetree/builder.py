@@ -4,16 +4,16 @@ Working from the innermost kept layer outward: contract everything built so
 far, restrict to the layer's core, attach a light approximate shortest-path
 tree rooted at the contraction, and keep a snapshot of the edges present
 after each round. The snapshots partition the final tree per layer, which is
-what the cost-bound checks consume.
+what the cost-bound checks consume, with caps from ``Parameters`` (below).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, InvalidTreeError, InvariantError
-from .evaluate import Parameters
 from .graph import SUPERNODE, Instance, contract, tree_vertices
 from .last import build_last
 from .layers import LayerSet
@@ -113,6 +113,93 @@ def build_tree(
         rent_parts=rent_parts,
         rounds=tuple(rounds),
     )
+
+
+#: Stretch bound at the closed-form optimum, (1 + sqrt 5) / 2.
+GOLDEN_ALPHA = (1.0 + math.sqrt(5.0)) / 2.0
+#: Value of both balanced cost branches at the optimum, 8 + 4 sqrt 5.
+OPTIMAL_BRANCH_VALUE = 8.0 + 4.0 * math.sqrt(5.0)
+
+
+@dataclass(frozen=True)
+class Parameters:
+    """Construction parameters with derived constants and the headline bound.
+
+    alpha is the LAST stretch, beta its weight ratio, gamma the geometric
+    buy-cost drop between kept layers, delta the geometric rent-cost growth.
+    """
+
+    eps: float
+    alpha: float
+    beta: float
+    gamma: float
+    delta: float
+    lambda_mode: str = "exact"
+
+    def __post_init__(self) -> None:
+        # NaN passes every comparison below, and inf breaks the derived constants
+        for name in ("eps", "alpha", "gamma", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if self.eps <= 0:
+            raise ConfigError("eps must be positive")
+        if self.alpha <= 1:
+            raise ConfigError("alpha must be > 1")
+        if self.gamma <= 1:
+            raise ConfigError("gamma must be > 1")
+        if self.delta <= self.alpha + 1:
+            raise ConfigError("delta must exceed alpha + 1")
+        if self.beta < (self.alpha + 1.0) / (self.alpha - 1.0) - 1e-9:
+            raise ConfigError("beta must be at least (alpha + 1) / (alpha - 1)")
+
+    @property
+    def buy_constant(self) -> float:
+        """Per-layer cap on plain edge cost: beta * gamma / (gamma - 1)."""
+        return self.beta * self.gamma / (self.gamma - 1.0)
+
+    @property
+    def rent_constant(self) -> float:
+        """Per-layer cap on flow cost: alpha * delta / (delta - alpha - 1)."""
+        return self.alpha * self.delta / (self.delta - self.alpha - 1.0)
+
+    @property
+    def headline_ratio(self) -> float:
+        """(1 + eps) * max(buy branch, rent branch); the solver quality factor
+        is reported separately as ``lambda_mode``."""
+        return (1.0 + self.eps) * max(
+            self.buy_constant * self.gamma, self.rent_constant * self.delta
+        )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "eps": self.eps,
+            "alpha": self.alpha,
+            "beta": self.beta,
+            "gamma": self.gamma,
+            "delta": self.delta,
+            "buy_constant": self.buy_constant,
+            "rent_constant": self.rent_constant,
+            "headline_ratio": self.headline_ratio,
+        }
+
+
+def optimal_parameters(lambda_descriptor: str = "exact", eps: float = 0.1) -> Parameters:
+    """Closed-form optimum: alpha = (1+sqrt5)/2, beta = 2+sqrt5, gamma = 2,
+    delta = 3+sqrt5, where both cost branches equal 8+4*sqrt5."""
+    root5 = math.sqrt(5.0)
+    params = Parameters(
+        eps=eps,
+        alpha=GOLDEN_ALPHA,
+        beta=2.0 + root5,
+        gamma=2.0,
+        delta=3.0 + root5,
+        lambda_mode=lambda_descriptor,
+    )
+    buy_branch = params.buy_constant * params.gamma
+    rent_branch = params.rent_constant * params.delta
+    if abs(buy_branch - OPTIMAL_BRANCH_VALUE) > 1e-9 or abs(rent_branch - OPTIMAL_BRANCH_VALUE) > 1e-9:
+        raise InvariantError("closed-form parameters do not balance the two cost branches")
+    return params
 
 
 @dataclass(frozen=True)

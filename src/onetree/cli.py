@@ -16,7 +16,14 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .builder import LayerBoundReport, SimultaneousTree, build_tree, check_layer_bounds
+from .builder import (
+    LayerBoundReport,
+    Parameters,
+    SimultaneousTree,
+    build_tree,
+    check_layer_bounds,
+    optimal_parameters,
+)
 from .errors import (
     ConfigError,
     InstanceError,
@@ -25,7 +32,7 @@ from .errors import (
     OracleLimitError,
     ParseError,
 )
-from .evaluate import Parameters, RatioReport, optimal_parameters, simultaneous_ratio
+from .evaluate import RatioReport, simultaneous_ratio
 from .graph import Instance, load_instance
 from .layers import LayerSet, compute_layers, verify_layerset
 from .routing import basis_cost

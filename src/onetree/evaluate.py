@@ -1,5 +1,5 @@
-"""Concave cost functions over the threshold basis, ratio measurement
-against per-threshold oracle trees, and the closed-form parameter optimum."""
+"""Concave cost functions over the threshold basis and ratio measurement
+against per-threshold oracle trees."""
 
 from __future__ import annotations
 
@@ -7,97 +7,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .builder import Parameters
 from .errors import ConfigError, InvariantError
 from .graph import Instance
 from .layers import compute_K
 from .routing import RoutedTree, basis_cost, basis_threshold
 from .ssrob import best_tree_for_combination
-
-#: Stretch bound at the closed-form optimum, (1 + sqrt 5) / 2.
-GOLDEN_ALPHA = (1.0 + math.sqrt(5.0)) / 2.0
-#: Value of both balanced cost branches at the optimum, 8 + 4 sqrt 5.
-OPTIMAL_BRANCH_VALUE = 8.0 + 4.0 * math.sqrt(5.0)
-
-
-@dataclass(frozen=True)
-class Parameters:
-    """Construction parameters with derived constants and the headline bound.
-
-    alpha is the LAST stretch, beta its weight ratio, gamma the geometric
-    buy-cost drop between kept layers, delta the geometric rent-cost growth.
-    """
-
-    eps: float
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    lambda_mode: str = "exact"
-
-    def __post_init__(self) -> None:
-        # NaN passes every comparison below, and inf breaks the derived constants
-        for name in ("eps", "alpha", "gamma", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
-        if self.alpha <= 1:
-            raise ConfigError("alpha must be > 1")
-        if self.gamma <= 1:
-            raise ConfigError("gamma must be > 1")
-        if self.delta <= self.alpha + 1:
-            raise ConfigError("delta must exceed alpha + 1")
-        if self.beta < (self.alpha + 1.0) / (self.alpha - 1.0) - 1e-9:
-            raise ConfigError("beta must be at least (alpha + 1) / (alpha - 1)")
-
-    @property
-    def buy_constant(self) -> float:
-        """Per-layer cap on plain edge cost: beta * gamma / (gamma - 1)."""
-        return self.beta * self.gamma / (self.gamma - 1.0)
-
-    @property
-    def rent_constant(self) -> float:
-        """Per-layer cap on flow cost: alpha * delta / (delta - alpha - 1)."""
-        return self.alpha * self.delta / (self.delta - self.alpha - 1.0)
-
-    @property
-    def headline_ratio(self) -> float:
-        """(1 + eps) * max(buy branch, rent branch); the solver quality factor
-        is reported separately as ``lambda_mode``."""
-        return (1.0 + self.eps) * max(
-            self.buy_constant * self.gamma, self.rent_constant * self.delta
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "buy_constant": self.buy_constant,
-            "rent_constant": self.rent_constant,
-            "headline_ratio": self.headline_ratio,
-        }
-
-
-def optimal_parameters(lambda_descriptor: str = "exact", eps: float = 0.1) -> Parameters:
-    """Closed-form optimum: alpha = (1+sqrt5)/2, beta = 2+sqrt5, gamma = 2,
-    delta = 3+sqrt5, where both cost branches equal 8+4*sqrt5."""
-    root5 = math.sqrt(5.0)
-    params = Parameters(
-        eps=eps,
-        alpha=GOLDEN_ALPHA,
-        beta=2.0 + root5,
-        gamma=2.0,
-        delta=3.0 + root5,
-        lambda_mode=lambda_descriptor,
-    )
-    buy_branch = params.buy_constant * params.gamma
-    rent_branch = params.rent_constant * params.delta
-    if abs(buy_branch - OPTIMAL_BRANCH_VALUE) > 1e-9 or abs(rent_branch - OPTIMAL_BRANCH_VALUE) > 1e-9:
-        raise InvariantError("closed-form parameters do not balance the two cost branches")
-    return params
 
 
 @dataclass(frozen=True)

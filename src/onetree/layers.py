@@ -86,7 +86,7 @@ def prune(
     The buy pass walks indices upward keeping an index only when its buy cost
     drops strictly below 1/gamma of the last kept value; the rent pass walks
     the survivors downward keeping strict 1/delta drops in rent cost. Ties
-    are discarded.
+    are discarded; a zero cost is a drop from any positive one.
     """
     if gamma <= 1:
         raise ConfigError("gamma must be > 1")
@@ -98,15 +98,16 @@ def prune(
     survivors: list[int] = []
     bound = math.inf
     for d in decompositions:
-        if d.buy_cost < bound / gamma:
+        if d.buy_cost < bound / gamma or d.buy_cost == 0.0 < bound:
             survivors.append(d.index)
             bound = d.buy_cost
     kept: list[int] = []
     bound = math.inf
     for i in reversed(survivors):
-        if decompositions[i].rent_cost < bound / delta:
+        cost = decompositions[i].rent_cost
+        if cost < bound / delta or cost == 0.0 < bound:
             kept.append(i)
-            bound = decompositions[i].rent_cost
+            bound = cost
     return tuple(sorted(kept)), tuple(survivors)
 
 

@@ -8,28 +8,27 @@ Two interchangeable solvers, both deterministic given a seed:
   edges in id order, run level by level over every live partial tree at
   once: at edge k each row of the frontier gets an include child where k
   joins two of its blocks and an exclude child where the rest can still
-  connect it. The exclude test comes from one backward pass per component:
-  every row may exclude k when edges k+1.. already join its ends, none when
-  k is a bridge, and otherwise the rows replay the components of edges
-  k+1.. on their blocks. A frontier block holds at most _FRONTIER_BLOCK
-  rows; a larger one is split depth first, which keeps the order of the
-  trees and bounds memory. Trees come out in ascending lexicographic
-  edge-id order, each block as rows of 0/1 edge flags, and every block
-  goes straight into a flow table with a row per tree: the tree's n-1 edge
-  columns and one flow per component edge, each in the narrowest integer
-  type that holds the edge count or the total demand (one byte each below
-  256). The flows of all rows come at once from peeling leaves toward the
-  root, in n-1 whole-array steps. Costs depend on flows alone, so each
-  table keeps the first row of each distinct flow vector, which holds that
-  class's smallest edge-id tuple. A scan keys each table by its least cost
-  and its smallest edge-id tuple at that cost, and takes the least key, so
-  cost ties go to the lexicographically smallest edge-id tuple across
-  tables too. One generator makes every table. Up to ``_TABLE_LIMIT``
-  (2*10^5) trees its tables are cached per instance, since the oracle
-  scans an instance once per threshold index; above it they are made
-  afresh on each scan, so memory stays at the scale of one frontier block
-  whatever the tree count. Beyond ``ORACLE_TREE_LIMIT`` (10^7) trees the
-  oracle refuses.
+  connect it, that is where its blocks and the components of edges k+1..
+  together join k's ends; one backward pass gives those components for
+  every edge. A frontier block holds at most _FRONTIER_BLOCK rows; a larger
+  one is split depth first, which keeps the order of the trees and bounds
+  memory. Trees come out in ascending lexicographic edge-id order, each
+  block as rows of 0/1 edge flags, and every block goes straight into a
+  flow table with a row per tree: the tree's n-1 edge columns and one flow
+  per component edge, each in the narrowest integer type that holds the
+  edge count or the total demand (one byte each below 256). The flows of
+  all rows come at once from peeling leaves toward the root, in n-1
+  whole-array steps. Costs depend on flows alone, so each table keeps the
+  first row of each distinct flow vector, which holds that class's smallest
+  edge-id tuple. A scan keys each table by its least cost and its smallest
+  edge-id tuple at that cost, and takes the least key, so cost ties go to
+  the lexicographically smallest edge-id tuple across tables too. One
+  generator makes every table. Up to ``_TABLE_LIMIT`` (2*10^5) trees its
+  tables are joined into one, cut to distinct flows across blocks, and
+  cached per instance, since the oracle scans an instance once per
+  threshold index; above it they are made afresh on each scan, so memory
+  stays at the scale of one frontier block whatever the tree count. Beyond
+  ``ORACLE_TREE_LIMIT`` (10^7) trees the oracle refuses.
 - A randomized sample-and-augment heuristic; cost ties between its trials
   go to the smaller edge-id tuple as well. Its terminals are always demand
   vertices or the root, so their shortest-path trees are computed once per
@@ -55,7 +54,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, Container, Iterator, Sequence, Union
+from typing import ClassVar, Container, Iterator, Sequence
 
 import numpy as np
 
@@ -90,11 +89,10 @@ def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
 
 
 def count_spanning_trees(g: Instance) -> int:
-    """Number of spanning trees of the root's component (matrix-tree theorem)."""
+    """Number of spanning trees of the root's component (matrix-tree theorem;
+    a lone root's reduced Laplacian is empty, with determinant 1)."""
     verts, edges = _root_component(g)
     n = len(verts)
-    if n == 1:
-        return 1
     index = {v: i for i, v in enumerate(verts)}
     lap = np.zeros((n, n))
     for e in edges:
@@ -109,78 +107,29 @@ def count_spanning_trees(g: Instance) -> int:
     return max(0, int(round(det)))
 
 
-def _bridges(n: int, ends: Sequence[tuple[int, int]]) -> list[bool]:
-    """Which edges of the connected multigraph on vertices 0..n-1 are bridges.
+def _exclude_probes(n: int, ends: Sequence[tuple[int, int]]) -> list[list[np.ndarray]]:
+    """Per edge k, the multi-vertex components of edges k+1.. as vertex arrays.
 
-    Tarjan's low-link test on an explicit DFS stack; a parallel edge is told
-    from the tree edge it doubles by its index, so it is never a bridge.
+    One backward pass over a component label per vertex: before edge k joins
+    the labels of its ends, a stable sort of the labels gives the components
+    of edges k+1.., one run of equal labels each, bounded by ``runs``.
     """
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, (a, b) in enumerate(ends):
-        adjacent[a].append((b, k))
-        adjacent[b].append((a, k))
-    bridge = [False] * len(ends)
-    order = [-1] * n
-    low = [0] * n
-    order[0] = 0
-    visited = 1
-    stack = [(0, -1, iter(adjacent[0]))]
-    while stack:
-        v, via, rest = stack[-1]
-        for w, k in rest:
-            if k == via:
-                continue
-            if order[w] < 0:
-                order[w] = low[w] = visited
-                visited += 1
-                stack.append((w, k, iter(adjacent[w])))
-                break
-            low[v] = min(low[v], order[w])
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                bridge[via] = low[v] > order[parent]
-    return bridge
-
-
-#: Per edge k, which rows may exclude it: all (True), none (False), or those
-#: whose blocks the multi-vertex components of edges k+1.. still join.
-_Probe = Union[bool, list[np.ndarray]]
-
-
-def _exclude_probes(n: int, ends: Sequence[tuple[int, int]]) -> list[_Probe]:
-    """The exclude test of every edge, from one backward union-find pass.
-
-    Edge k may be left out of a partial tree exactly when its blocks and
-    edges k+1.. connect everything. That holds for every row when edges
-    k+1.. already join k's ends, and for none when k is a bridge. Otherwise
-    the rows replay the components of edges k+1.. on their blocks.
-    """
-    bridge = _bridges(n, ends)
-    later = UnionFind(range(n))
-    probes: list[_Probe] = [False] * len(ends)
-    for k in range(len(ends) - 1, -1, -1):
-        a, b = ends[k]
-        if later.find(a) == later.find(b):
-            probes[k] = True
-            continue
-        if not bridge[k]:
-            members: dict[int, list[int]] = {}
-            for v in range(n):
-                members.setdefault(later.find(v), []).append(v)
-            probes[k] = [np.array(group, np.intp) for group in members.values() if len(group) > 1]
-        later.union(a, b)
-    return probes
+    label = np.arange(n)
+    probes: list[list[np.ndarray]] = []
+    for a, b in reversed(ends):
+        order = np.argsort(label, kind="stable")
+        runs = np.flatnonzero(np.diff(label[order], prepend=-1, append=n))
+        probes.append([order[runs[j] : runs[j + 1]] for j in np.flatnonzero(np.diff(runs) > 1)])
+        label[label == label[b]] = label[a]
+    return probes[::-1]
 
 
 def _joined(labels: np.ndarray, groups: list[np.ndarray], a: int, b: int) -> np.ndarray:
     """Whether ``a`` and ``b`` share a block of each row of ``labels`` once
-    the blocks meeting each group are merged, group after group.
-
-    The last group needs no merge: it joins ``a`` and ``b`` exactly when
-    both their blocks meet it.
+    the blocks meeting each group are merged, group after group. The last
+    group needs no merge: it joins them exactly when both blocks meet it.
+    No group meets both ends of a bridge, and later edges that join the ends
+    put both in one group: those cases need no test of their own.
     """
     count, n = labels.shape
     offset = np.arange(0, count * n, n)[:, None]
@@ -197,17 +146,16 @@ def _joined(labels: np.ndarray, groups: list[np.ndarray], a: int, b: int) -> np.
     return joined
 
 
-def _branch(rows: np.ndarray, n: int, k: int, a: int, b: int, probe: _Probe) -> np.ndarray:
+def _branch(
+    rows: np.ndarray, n: int, k: int, a: int, b: int, probe: list[np.ndarray]
+) -> np.ndarray:
     """The children of every frontier row at edge k, which joins ``a`` and
     ``b``: the include child first where k joins two blocks, then the
-    exclude child where ``probe`` allows it."""
+    exclude child where the row's blocks and the components ``probe`` of
+    edges k+1.. still join ``a`` and ``b``."""
     at_a, at_b = rows[:, a], rows[:, b]
     include = at_a != at_b
-    if isinstance(probe, bool):
-        exclude = np.full(len(rows), probe)
-    else:
-        exclude = ~include
-        exclude[include] = _joined(rows[include, :n], probe, a, b)
+    exclude = _joined(rows[:, :n], probe, a, b)
     low = np.minimum(at_a, at_b)[include, None]
     high = np.maximum(at_a, at_b)[include, None]
     kids = include + exclude.astype(np.intp)
@@ -385,9 +333,13 @@ def _tables(g: Instance) -> Iterator[_TreeTable]:
 
 
 @lru_cache(maxsize=6)
-def _enumerated_table(g: Instance) -> tuple[_TreeTable, ...]:
-    """``_tables(g)``, kept for instances scanned once per threshold index."""
-    return tuple(_tables(g))
+def _enumerated_table(g: Instance) -> tuple[_TreeTable]:
+    """``_tables(g)`` joined into one table and cut to its distinct flows
+    across blocks, kept for instances scanned once per threshold index."""
+    tables = list(_tables(g))
+    columns = np.concatenate([t.columns for t in tables])
+    flows = np.concatenate([t.flows for t in tables])
+    return (_distinct_flows(_TreeTable(columns, flows, tables[0].eids, tables[0].lengths)),)
 
 
 def _table_costs(
@@ -428,16 +380,13 @@ def best_tree_for_combination(
             f"(limit {ORACLE_TREE_LIMIT})"
         )
     tables = _enumerated_table(g) if count <= _TABLE_LIMIT else _tables(g)
-    best: tuple[float, tuple[int, ...]] | None = None
-    for table in tables:
+
+    def key(table: _TreeTable) -> tuple[float, tuple[int, ...]]:
         costs = _table_costs(table, thresholds, coefficients)
         low = costs.min()
-        tied = np.flatnonzero(costs == low)
-        key = (low, min(table.edge_ids(j) for j in tied))
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return route(g, best[1])
+        return low, min(table.edge_ids(j) for j in np.flatnonzero(costs == low))
+
+    return route(g, min(map(key, tables))[1])
 
 
 def exact_ssrob(g: Instance, threshold: float) -> RoutedTree:

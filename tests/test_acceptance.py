@@ -28,7 +28,7 @@ from onetree import (
 )
 from onetree.cli import main, solve_instance
 from onetree.corpus import instance_text, random_connected_instance, random_instance
-from onetree.evaluate import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
+from onetree.builder import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
 from onetree.last import guaranteed_beta
 
 from helpers import brute_min_cost, refine_parameters, search_parameters

@@ -156,6 +156,18 @@ def test_exact_solver_on_long_path_exits_0(tmp_path):
     assert main(["run", instance, "--ssrob", "exact"]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "text, delta",
+    [("2 1 0\n0 1 1e-323\nd 1 2\n", "9"), ("3 2 0\n0 1 1e-300\n1 2 1e-300\nd 2 7\n", "1e300")],
+    ids=["subnormal-length", "huge-delta"],
+)
+def test_rent_bound_underflow_keeps_index_0(tmp_path, text, delta):
+    # the top layer's rent cost divided by delta rounds to 0.0, and index 0's
+    # rent cost is exactly 0.0: pruning must still keep index 0
+    instance = write(tmp_path, "tiny.graph", text)
+    assert main(["run", instance, "--delta", delta]) == EXIT_OK
+
+
 def test_exact_oracle_on_demand_beyond_int64_exits_0(tmp_path):
     # flows wider than any fixed-width integer the flow table can hold
     text = f"3 3 0\n0 1 1\n1 2 1\n0 2 1\nd 1 {10**20}\n"

@@ -17,7 +17,7 @@ from onetree import (
     simultaneous_ratio,
 )
 from onetree.corpus import random_instance
-from onetree.evaluate import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
+from onetree.builder import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
 from onetree.cli import solve_instance
 
 from helpers import combined_objective, refine_parameters, search_parameters

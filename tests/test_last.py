@@ -11,7 +11,7 @@ from onetree import (
     verify_last,
 )
 from onetree.corpus import random_connected_instance
-from onetree.evaluate import GOLDEN_ALPHA
+from onetree.builder import GOLDEN_ALPHA
 from onetree.last import LastTree, guaranteed_beta
 
 

@@ -124,6 +124,15 @@ def test_prune_zero_buy_tail_keeps_single_zero():
     assert 3 not in survivors
 
 
+def test_prune_keeps_zero_cost_where_the_quotient_underflows():
+    # 1e-323 / 9 and 5e-324 / 2 round to 0.0, yet a zero cost is still a
+    # strict drop from a positive one; from a zero cost it is not
+    decs = fake_decompositions([5e-324, 0, 0], [0, 1e-323, 1e-323])
+    kept, survivors = prune(decs, 2.0, 9.0)
+    assert survivors == (0, 1)
+    assert kept == (0, 1)
+
+
 def test_layerset_invariants_on_random_instances():
     rng = random.Random(3)
     for k in range(40):

@@ -151,11 +151,20 @@ def test_flow_table_matches_tree_walk():
 
 
 def _enumeration_test_instance(rng: random.Random, kind: str):
-    """Shuffled path, cycle, cycle with pendant trees, or a small random
-    instance from _flow_test_instance (lone roots, parallel edges, vertices
-    outside the root's component)."""
+    """Shuffled path, cycle, cycle with pendant trees, complete graph on 5 or
+    6 vertices with one parallel edge, or a small random instance from
+    _flow_test_instance (lone roots, parallel edges, vertices outside the
+    root's component)."""
     if kind == "random":
         return _flow_test_instance(rng)
+    if kind == "complete":
+        # later edges join k's ends on levels whose frontiers are large
+        n = rng.randint(5, 6)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        pairs.append(rng.choice(pairs))
+        rng.shuffle(pairs)
+        edges = [(u, v, rng.randint(1, 9)) for u, v in pairs]
+        return make_instance(n, edges, rng.randrange(n), {rng.randrange(n): 1})
     n = rng.randint(2, 9)
     if kind == "path":
         pairs = [(v, v + 1) for v in range(n - 1)]
@@ -173,9 +182,14 @@ def _enumeration_test_instance(rng: random.Random, kind: str):
 
 
 def _enumeration_corpus(count: int):
+    """``count`` small instances of every kind, then a 300-vertex path and a
+    6-cycle with a 200-vertex tail, where almost every edge is a bridge."""
     rng = random.Random(9001)
-    kinds = ("path", "cycle", "pendant", "random", "random")
-    return [_enumeration_test_instance(rng, kinds[k % len(kinds)]) for k in range(count)]
+    kinds = ("path", "cycle", "pendant", "complete", "random", "random")
+    corpus = [_enumeration_test_instance(rng, kinds[k % len(kinds)]) for k in range(count)]
+    path = [(v + 1, v, 1) for v in range(299)]
+    tail = [(v, (v + 1) % 6, 1) for v in range(6)] + [(v, v + 1, 1) for v in range(5, 205)]
+    return corpus + [make_instance(300, path, 150, {0: 1}), make_instance(206, tail, 205, {0: 2})]
 
 
 def test_enumeration_matches_reference():
@@ -275,6 +289,13 @@ def test_streamed_scan_matches_table(monkeypatch, block):
     monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", block)
     _enumerated_table.cache_clear()
     try:
+        # the cached table is cut across blocks: the rows of one whole cut
+        for g in corpus:
+            verts, edges = _root_component(g)
+            flags = np.concatenate(list(_spanning_tree_blocks(verts, edges)))
+            (cached,) = _enumerated_table(g)
+            whole = ssrob._distinct_flows(_flow_table(g, verts, edges, flags))
+            assert np.array_equal(cached.columns, whole.columns), g
         assert solve_all() == table
         monkeypatch.setattr(ssrob, "_TABLE_LIMIT", 0)
         assert solve_all() == table
