@@ -2,33 +2,34 @@
 
 Two interchangeable solvers, both deterministic given a seed:
 
-- An exact oracle that enumerates the spanning trees of the root's
-  component (every Steiner-optimal topology is contained in one, and
-  zero-flow edges are free). The enumeration is contraction-deletion over
-  edges in id order, run level by level over every live partial tree at
-  once: at edge k each row of the frontier gets an include child where k
-  joins two of its blocks and an exclude child where the rest can still
-  connect it, that is where its blocks and the components of edges k+1..
-  together join k's ends; one backward pass gives those components for
-  every edge. A frontier block holds at most _FRONTIER_BLOCK rows; a larger
-  one is split depth first, which keeps the order of the trees and bounds
-  memory. Trees come out in ascending lexicographic edge-id order, each
-  block as rows of 0/1 edge flags, and every block goes straight into a
-  flow table with a row per tree: the tree's n-1 edge columns and one flow
-  per component edge, each in the narrowest integer type that holds the
-  edge count or the total demand (one byte each below 256). The flows of
-  all rows come at once from peeling leaves toward the root, in n-1
-  whole-array steps. Costs depend on flows alone, so each table keeps the
-  first row of each distinct flow vector, which holds that class's smallest
-  edge-id tuple. A scan keys each table by its least cost and its smallest
-  edge-id tuple at that cost, and takes the least key, so cost ties go to
-  the lexicographically smallest edge-id tuple across tables too. One
-  generator makes every table. Up to ``_TABLE_LIMIT`` (2*10^5) trees its
-  tables are joined into one, cut to distinct flows across blocks, and
-  cached per instance, since the oracle scans an instance once per
-  threshold index; above it they are made afresh on each scan, so memory
-  stays at the scale of one frontier block whatever the tree count. Beyond
-  ``ORACLE_TREE_LIMIT`` (10^7) trees the oracle refuses.
+- An exact oracle. A spanning tree's flows are zero off its flow support,
+  the least subtree joining the root and the positive-demand vertices (the
+  terminals): a Steiner topology, a tree whose leaves are all terminals.
+  Costs depend on flows alone, so the oracle enumerates each Steiner
+  topology of the root's component once, one per flow class. The
+  enumeration is contraction-deletion over edges in id order, run level by
+  level over every live partial topology at once: at edge k each row gets
+  an include child where k joins two of its blocks and an exclude child
+  where every terminal and every vertex it covers still joins the root's
+  block through its blocks and the components of edges k+1.. (one backward
+  pass gives those components for every edge); the leaf rule drops either
+  child where a non-terminal end of k is left with degree 1 after its last
+  edge. A frontier block holds at most _FRONTIER_BLOCK rows; a larger one
+  is split depth first, which bounds memory. A Kruskal pass in edge-id
+  order completes each topology to its class's least spanning tree (the
+  trees holding it are the bases of a matroid, whose greedy basis is the
+  lexicographically least). Each block of those trees goes straight into a
+  flow table: a row per tree, its n-1 edge columns and one flow per
+  component edge, in the narrowest integer types that hold the edge count
+  and the total demand, all flows from peeling leaves toward the root in
+  n-1 whole-array steps. A scan keys each table by its least cost and its
+  smallest edge-id tuple at that cost and takes the least key, so cost ties
+  go to the lexicographically smallest spanning tree. Up to
+  ``_TABLE_LIMIT`` (2*10^5) rows the tables are joined into one and cached
+  per instance, since the oracle scans an instance once per threshold
+  index; past it the cache keeps None and each scan makes them afresh, so
+  memory stays at the scale of one frontier block. Beyond
+  ``ORACLE_TREE_LIMIT`` (10^7) spanning trees the oracle refuses.
 - A randomized sample-and-augment heuristic; cost ties between its trials
   go to the smaller edge-id tuple as well. Its terminals are always demand
   vertices or the root, so their shortest-path trees are computed once per
@@ -75,10 +76,10 @@ from .routing import RoutedTree, basis_cost, route
 
 #: Hard ceiling on spanning trees the exact oracle will enumerate.
 ORACLE_TREE_LIMIT = 10_000_000
-#: Above this count the oracle streams its flow tables instead of caching them.
+#: Most flow-table rows the oracle caches per instance; past it, scans stream.
 _TABLE_LIMIT = 200_000
-#: Most rows in one frontier block of the spanning-tree enumerator, and so
-#: in one flow table.
+#: Most rows in one frontier block of the Steiner-topology enumerator, and
+#: so in one flow table.
 _FRONTIER_BLOCK = 16_384
 
 
@@ -124,38 +125,36 @@ def _exclude_probes(n: int, ends: Sequence[tuple[int, int]]) -> list[list[np.nda
     return probes[::-1]
 
 
-def _joined(labels: np.ndarray, groups: list[np.ndarray], a: int, b: int) -> np.ndarray:
-    """Whether ``a`` and ``b`` share a block of each row of ``labels`` once
-    the blocks meeting each group are merged, group after group. The last
-    group needs no merge: it joins them exactly when both blocks meet it.
-    No group meets both ends of a bridge, and later edges that join the ends
-    put both in one group: those cases need no test of their own.
-    """
+def _joined(labels: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+    """Each row of block ``labels`` with the blocks meeting each group merged
+    under their least label: one label per component of blocks and groups."""
     count, n = labels.shape
     offset = np.arange(0, count * n, n)[:, None]
-    for group in groups[:-1]:
+    for group in groups:
         ids = labels[:, group]
         hit = np.zeros(count * n, bool)
         hit[ids + offset] = True
         labels = np.where(hit[labels + offset], ids.min(axis=1)[:, None], labels)
-    at_a, at_b = labels[:, a], labels[:, b]
-    joined = at_a == at_b
-    if groups:
-        ids = labels[:, groups[-1]]
-        joined |= (ids == at_a[:, None]).any(axis=1) & (ids == at_b[:, None]).any(axis=1)
-    return joined
+    return labels
 
 
 def _branch(
-    rows: np.ndarray, n: int, k: int, a: int, b: int, probe: list[np.ndarray]
+    rows: np.ndarray, n: int, k: int, a: int, b: int, probe: list[np.ndarray], ending: list[int]
 ) -> np.ndarray:
     """The children of every frontier row at edge k, which joins ``a`` and
     ``b``: the include child first where k joins two blocks, then the
-    exclude child where the row's blocks and the components ``probe`` of
-    edges k+1.. still join ``a`` and ``b``."""
-    at_a, at_b = rows[:, a], rows[:, b]
+    exclude child where every vertex of positive degree (every terminal and
+    every covered vertex) still joins the root's block, label 0, through the
+    row's blocks and the components ``probe`` of edges k+1 onward. Either
+    child is dropped where it leaves a vertex of ``ending`` (non-terminal
+    ends whose last edge is k) with degree 1."""
+    labels, degrees = rows[:, :n], rows[:, n : 2 * n]
+    at_a, at_b = labels[:, a], labels[:, b]
     include = at_a != at_b
-    exclude = _joined(rows[:, :n], probe, a, b)
+    exclude = ((_joined(labels, probe) == 0) | (degrees == 0)).all(axis=1)
+    for v in ending:
+        include &= degrees[:, v] != 0
+        exclude &= degrees[:, v] != 1
     low = np.minimum(at_a, at_b)[include, None]
     high = np.maximum(at_a, at_b)[include, None]
     kids = include + exclude.astype(np.intp)
@@ -164,40 +163,63 @@ def _branch(
     merged = rows[took]
     labels = merged[:, :n]
     np.copyto(labels, low, where=labels == high)
-    merged[:, n + k] = 1
+    merged[:, [n + a, n + b]] += 1
+    merged[:, 2 * n + k] = 1
     rows[took] = merged
     return rows
 
 
-def _spanning_tree_blocks(verts: Sequence[int], edges: Sequence[Edge]) -> Iterator[np.ndarray]:
-    """Every spanning tree as a row of 0/1 edge flags, one flag per edge of
-    ``edges``, in blocks of at most _FRONTIER_BLOCK rows.
+def _least_trees(rows: np.ndarray, n: int, ends: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The 0/1 edge flags of each row's Steiner topology completed to the
+    least spanning tree that holds it: one Kruskal pass in edge-id order
+    over the rows' block labels adds every edge that joins two blocks."""
+    labels, flags = rows[:, :n], rows[:, 2 * n :]
+    for k, (a, b) in enumerate(ends):
+        low = np.minimum(labels[:, a], labels[:, b])[:, None]
+        high = np.maximum(labels[:, a], labels[:, b])[:, None]
+        flags[:, k] |= low[:, 0] != high[:, 0]
+        np.copyto(labels, low, where=labels == high)
+    return flags
 
-    Contraction-deletion run level by level. A frontier row is a partial
-    tree: a block label per vertex (the least vertex of its block) followed
-    by one flag per edge chosen so far. At edge k every row gets an include
-    child if k joins two of its blocks and an exclude child if the rest can
-    still connect it (see _exclude_probes). Children stay contiguous,
-    include first, so the trees come out in ascending lexicographic order of
-    their edge positions. A frontier block that outgrows _FRONTIER_BLOCK
-    rows is split and its tail set aside until the head is done, depth
-    first, so memory stays small whatever the tree count.
+
+def _steiner_topologies(
+    g: Instance, verts: Sequence[int], edges: Sequence[Edge]
+) -> Iterator[np.ndarray]:
+    """One spanning tree per flow class of the component ``verts``/``edges``,
+    the class's least, as a row of 0/1 edge flags, in blocks of at most
+    _FRONTIER_BLOCK rows.
+
+    Contraction-deletion over Steiner topologies, run level by level. A
+    frontier row is a partial topology: a block label per vertex (the least
+    vertex of its block, with the root as vertex 0), a degree per vertex
+    (one more for a terminal, so that positive degrees mark every vertex the
+    topology must reach) and one flag per edge chosen so far. _branch gives
+    each row its children at edge k; a row that survives every edge is a
+    Steiner topology. A frontier block that outgrows _FRONTIER_BLOCK rows is
+    split and its tail set aside until the head is done, depth first, so
+    memory stays small whatever the count.
     """
     n, m = len(verts), len(edges)
-    index = {v: i for i, v in enumerate(verts)}
+    order = sorted(verts, key=lambda v: v != g.root)
+    index = {v: i for i, v in enumerate(order)}
     ends = [(index[e.u], index[e.v]) for e in edges]
     probes = _exclude_probes(n, ends)
-    root = np.zeros((1, n + m), np.min_scalar_type(n - 1))
-    root[0, :n] = np.arange(n)
-    pending = [(0, root)]
+    terminal = [v == g.root or g.demands.get(v, 0) > 0 for v in order]
+    last = {v: k for k, pair in enumerate(ends) for v in pair if not terminal[v]}
+    ending = [[v for v in {a, b} if last.get(v) == k] for k, (a, b) in enumerate(ends)]
+    start = np.zeros((1, 2 * n + m), np.min_scalar_type(n))
+    start[0, :n] = np.arange(n)
+    start[0, n : 2 * n] = terminal
+    pending = [(0, start)]
     while pending:
         k, rows = pending.pop()
         for k in range(k, m):
-            rows = _branch(rows, n, k, *ends[k], probes[k])
+            rows = _branch(rows, n, k, *ends[k], probes[k], ending[k])
             if len(rows) > _FRONTIER_BLOCK:
                 pending.append((k + 1, rows[_FRONTIER_BLOCK:].copy()))
                 rows = rows[:_FRONTIER_BLOCK]
-        yield rows[:, n:]
+        if len(rows):
+            yield _least_trees(rows, n, ends)
 
 
 @dataclass(frozen=True)
@@ -225,7 +247,8 @@ def _flow_table(
     g: Instance, verts: Sequence[int], edges: Sequence[Edge], flags: np.ndarray
 ) -> _TreeTable:
     """Flow table of the spanning trees of the component ``verts``/``edges``
-    given as rows of 0/1 edge ``flags``, one block of _spanning_tree_blocks.
+    given as rows of 0/1 edge ``flags``, such as one block of
+    _steiner_topologies.
 
     Every row's flows come at once from peeling leaves: each vertex keeps
     its tree degree and the XOR of its tree-edge columns, so a leaf's one
@@ -291,55 +314,27 @@ def _flow_table(
     return _TreeTable(columns, flows, eids, lengths)
 
 
-def _distinct_flows(table: _TreeTable) -> _TreeTable:
-    """``table`` cut to the first row of each distinct flow vector.
-
-    A cost depends on the flows alone, so a scan of the cut table finds the
-    same costs, bit for bit. Component edges are in ascending id order (both
-    Instance constructors number edges in list order), so trees are
-    enumerated in ascending edge-id order and the first row of a flow class
-    holds its smallest edge-id tuple: the tie rule is kept too. A tree whose
-    every edge carries flow is the only tree with its flows, since their
-    support is its edge set, so only the rows with a zero-flow tree edge are
-    compared.
-    """
-    flows = table.flows
-    maybe = np.flatnonzero(np.count_nonzero(flows, axis=1) < table.columns.shape[1])
-    if len(maybe) < 2:
-        return table
-    shared = flows[maybe]
-    if flows.dtype == object:
-        first: dict[tuple[int, ...], int] = {}
-        for j, row in enumerate(map(tuple, shared.tolist())):
-            first.setdefault(row, j)
-        firsts = np.fromiter(first.values(), np.intp, len(first))
-    else:
-        whole_row = np.dtype((np.void, flows.itemsize * flows.shape[1]))
-        firsts = np.unique(shared.view(whole_row), return_index=True)[1]
-    if len(firsts) == len(maybe):
-        return table
-    repeated = np.ones(len(maybe), bool)
-    repeated[firsts] = False
-    keep = np.delete(np.arange(len(flows)), maybe[repeated])
-    return _TreeTable(table.columns[keep], flows[keep], table.eids, table.lengths)
-
-
 def _tables(g: Instance) -> Iterator[_TreeTable]:
-    """Every spanning tree of the root's component, in enumeration order, in
-    one flow table per enumerator block, each cut to its distinct flows."""
+    """One flow table per block of _steiner_topologies: a row per flow
+    class of the root's component, holding the class's least tree."""
     verts, edges = _root_component(g)
-    for flags in _spanning_tree_blocks(verts, edges):
-        yield _distinct_flows(_flow_table(g, verts, edges, flags))
+    for flags in _steiner_topologies(g, verts, edges):
+        yield _flow_table(g, verts, edges, flags)
 
 
 @lru_cache(maxsize=6)
-def _enumerated_table(g: Instance) -> tuple[_TreeTable]:
-    """``_tables(g)`` joined into one table and cut to its distinct flows
-    across blocks, kept for instances scanned once per threshold index."""
-    tables = list(_tables(g))
+def _enumerated_table(g: Instance) -> tuple[_TreeTable] | None:
+    """``_tables(g)`` joined into one table, kept for instances scanned once
+    per threshold index; None, kept too, once the rows pass _TABLE_LIMIT, so
+    that each scan streams ``_tables(g)`` instead."""
+    tables: list[_TreeTable] = []
+    for table in _tables(g):
+        tables.append(table)
+        if sum(len(t.flows) for t in tables) > _TABLE_LIMIT:
+            return None
     columns = np.concatenate([t.columns for t in tables])
     flows = np.concatenate([t.flows for t in tables])
-    return (_distinct_flows(_TreeTable(columns, flows, tables[0].eids, tables[0].lengths)),)
+    return (_TreeTable(columns, flows, tables[0].eids, tables[0].lengths),)
 
 
 def _table_costs(
@@ -351,13 +346,18 @@ def _table_costs(
     it every tie, is bit for bit the same whichever table the row is in; a
     matrix product would round differently. Flows are widened to float64
     first: mixed with a float scalar, a narrow integer array would otherwise
-    compute in float16 under NumPy 1.x casting rules.
+    compute in float16 under NumPy 1.x casting rules. Rows go _FRONTIER_BLOCK
+    at a time through two float buffers, which bounds memory.
     """
-    flows = table.flows.astype(np.float64)
-    costs = np.zeros(len(flows))
-    for a, m in zip(coefficients, thresholds):
-        if a:
-            costs += a * (table.lengths * np.minimum(flows, m)).sum(axis=1)
+    costs = np.zeros(len(table.flows))
+    for lo in range(0, len(costs), _FRONTIER_BLOCK):
+        flows = table.flows[lo : lo + _FRONTIER_BLOCK].astype(np.float64)
+        capped = np.empty_like(flows)
+        part = costs[lo : lo + _FRONTIER_BLOCK]
+        for a, m in zip(coefficients, thresholds):
+            if a:
+                np.multiply(np.minimum(flows, m, out=capped), table.lengths, out=capped)
+                part += a * capped.sum(axis=1)
     return costs
 
 
@@ -366,10 +366,10 @@ def best_tree_for_combination(
 ) -> RoutedTree:
     """Spanning tree minimizing sum_i coefficients[i] * cost(thresholds[i]).
 
-    Enumerates the spanning trees of the root's component; ties go to the
-    lexicographically smallest edge-id set. Raises OracleLimitError when the
-    component has more than ORACLE_TREE_LIMIT spanning trees (counted via
-    the matrix-tree theorem first).
+    Scans one spanning tree per flow class of the root's component; ties go
+    to the lexicographically smallest edge-id set. Raises OracleLimitError
+    when the component has more than ORACLE_TREE_LIMIT spanning trees
+    (counted via the matrix-tree theorem first).
     """
     if len(thresholds) != len(coefficients):
         raise ConfigError("thresholds and coefficients must have equal length")
@@ -379,7 +379,7 @@ def best_tree_for_combination(
             f"instance too large for oracle: about {count} spanning trees "
             f"(limit {ORACLE_TREE_LIMIT})"
         )
-    tables = _enumerated_table(g) if count <= _TABLE_LIMIT else _tables(g)
+    tables = _enumerated_table(g) or _tables(g)
 
     def key(table: _TreeTable) -> tuple[float, tuple[int, ...]]:
         costs = _table_costs(table, thresholds, coefficients)

@@ -2,12 +2,15 @@
 
 The brute-force tree oracles deliberately share nothing with the package's
 contraction-deletion enumerator: spanning trees are found by filtering
-fixed-size edge subsets. :func:`reference_spanning_edge_sets` is that
-enumerator in its plain form, a depth-first walk over one partial tree at a
-time, whose sequence the level-by-level one must reproduce;
-:func:`flagged_edge_sets` reads that one's 0/1 flag blocks back as edge-id
-tuples to compare. The numeric parameter optimizer checks the closed
-form in :func:`onetree.optimal_parameters` without using it.
+fixed-size edge subsets. :func:`reference_spanning_edge_sets` is a plain
+contraction-deletion walk over every spanning tree, one partial tree at a
+time, and :func:`reference_flow_classes` groups its trees by their walked
+flows, keeping the least edge-id tuple per class: the rows the package's
+Steiner-topology enumerator must produce. :func:`flagged_edge_sets` reads
+that enumerator's 0/1 flag blocks back as edge-id tuples to compare, and
+:func:`edge_flags` writes tuples as flags. The numeric parameter optimizer
+checks the closed form in :func:`onetree.optimal_parameters` without using
+it.
 :func:`reference_sample_and_augment` is the plain form of the package's
 sample-and-augment solver, which the faster one must match tree for tree,
 and :func:`reference_K` the loop that the closed form of ``compute_K`` must
@@ -29,8 +32,10 @@ from onetree.graph import (
     UnionFind,
     minimum_spanning_forest,
     reachable_vertices,
+    tree_order,
     tree_vertices,
 )
+from onetree.routing import compute_flows
 
 
 def subset_spanning_trees(g: Instance) -> Iterator[tuple[int, ...]]:
@@ -104,6 +109,26 @@ def flagged_edge_sets(
     for flags in blocks:
         for row in flags:
             yield tuple(e.eid for e, flag in zip(edges, row) if flag)
+
+
+def reference_flow_classes(
+    g: Instance, verts: Sequence[int], edges: Sequence[Edge]
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every flow class of the spanning trees of the root's component
+    ``verts``/``edges``: its flow vector, one flow per edge of ``edges``
+    from a walk of each tree, mapped to the class's smallest edge-id tuple."""
+    classes: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for eids in reference_spanning_edge_sets(verts, edges):
+        walk = compute_flows(tree_order(g.root, [g.edge_by_id[i] for i in eids]), g.demands)
+        flows = tuple(walk.get(e.eid, 0) for e in edges)
+        classes[flows] = min(classes.get(flows, eids), eids)
+    return classes
+
+
+def edge_flags(trees: Sequence[tuple[int, ...]], edges: Sequence[Edge]) -> list[list[int]]:
+    """Each edge-id tuple of ``trees`` as a row of 0/1 flags, one flag per
+    edge of ``edges``: the inverse of :func:`flagged_edge_sets`."""
+    return [[int(e.eid in chosen) for e in edges] for chosen in map(set, trees)]
 
 
 def reference_K(total_demand: int, eps: float, start: int = 0) -> int:

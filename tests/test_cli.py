@@ -1,12 +1,14 @@
 import json
+import logging
 import random
 import time
 
 import pytest
 
-from onetree import make_instance, route
+from onetree import cli, make_instance, route
 from onetree.cli import (
     EXIT_INVALID,
+    EXIT_INVARIANT,
     EXIT_OK,
     RunConfig,
     dot_text,
@@ -16,7 +18,7 @@ from onetree.cli import (
     solve_instance,
 )
 from onetree.corpus import instance_text, write_corpus
-from onetree.errors import ConfigError
+from onetree.errors import ConfigError, InvariantError
 
 PATH3 = "3 2 0\n0 1 1\n1 2 1\nd 1 1\nd 2 1\n"
 CYCLE4 = "4 4 0\n0 1 1\n1 2 1\n2 3 1\n3 0 1\nd 1 1\nd 2 1\nd 3 1\n"
@@ -244,6 +246,52 @@ def test_corpus_unreadable_files_are_row_errors(tmp_path):
     for name in ("dir.graph", "latin1.graph"):
         assert rows[name]["status"] == "error"
         assert rows[name]["detail"].startswith(f"cannot read {corpus_dir / name}: ")
+
+
+def _crash(text, cfg):
+    raise RuntimeError("boom")
+
+
+def test_unexpected_exception_exits_3_without_traceback(tmp_path, monkeypatch, capsys, caplog):
+    # stderr gets one line; the traceback goes to the onetree logger at DEBUG
+    monkeypatch.setattr(cli, "_load_and_solve", _crash)
+    caplog.set_level(logging.DEBUG, logger="onetree")
+    instance = write(tmp_path, "p.graph", PATH3)
+    assert main(["run", instance]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
+    (record,) = caplog.records
+    assert isinstance(record.exc_info[1], RuntimeError)
+
+
+def test_invariant_error_escaping_run_pipeline_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(cfg):
+        raise InvariantError("tree lost an edge")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    assert main(["run", write(tmp_path, "p.graph", PATH3)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == "invariant violation: tree lost an edge\n"
+
+
+def test_corpus_crash_is_a_row_and_exits_3(tmp_path, monkeypatch):
+    # the crash is recorded per row, counted, and the rest of the batch runs
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "a.graph").write_text(PATH3)
+    (corpus_dir / "b.graph").write_text(CYCLE4)
+    solve = cli._load_and_solve
+
+    def crash_on_cycle(text, cfg):
+        return _crash(text, cfg) if text == CYCLE4 else solve(text, cfg)
+
+    monkeypatch.setattr(cli, "_load_and_solve", crash_on_cycle)
+    out = tmp_path / "summary.json"
+    code = main(["run", "--corpus", str(corpus_dir), "--out-report", str(out)])
+    assert code == EXIT_INVARIANT
+    summary = json.loads(out.read_text())
+    assert (summary["ok"], summary["crashes"], summary["invariant_violations"]) == (1, 1, 0)
+    rows = {row["instance"]: row for row in summary["rows"]}
+    assert rows["b.graph"]["status"] == "crash"
+    assert rows["b.graph"]["detail"] == "internal: RuntimeError: boom"
 
 
 def test_corpus_oversized_instance_marked_skipped(tmp_path):

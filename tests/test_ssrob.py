@@ -27,14 +27,17 @@ from onetree.ssrob import (
     _marked_vertices,
     _rent_paths,
     _root_component,
-    _spanning_tree_blocks,
+    _steiner_topologies,
     _table_costs,
+    _tables,
     best_tree_for_combination,
 )
 
 from helpers import (
     brute_min_cost,
+    edge_flags,
     flagged_edge_sets,
+    reference_flow_classes,
     reference_marking,
     reference_sample_and_augment,
     reference_spanning_edge_sets,
@@ -90,14 +93,21 @@ def test_exact_oracle_guard():
 
 
 def test_enumeration_covers_every_spanning_tree():
+    # every spanning tree, found by subset filtering and routed on its own,
+    # falls in the flow class of exactly one row, and that row is the
+    # class's smallest edge-id tuple
     rng = random.Random(17)
     for _ in range(10):
         g = random_instance(rng, n_min=3, n_max=6)
         verts, edges = _root_component(g)
-        ours = set(flagged_edge_sets(_spanning_tree_blocks(verts, edges), edges))
-        independent = {tuple(sorted(s)) for s in subset_spanning_trees(g)}
-        assert ours == independent
-        assert len(ours) == count_spanning_trees(g)
+        ours = list(flagged_edge_sets(_steiner_topologies(g, verts, edges), edges))
+        least: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for eids in map(tuple, map(sorted, subset_spanning_trees(g))):
+            flows = route(g, eids).flow_map
+            key = tuple(flows.get(e.eid, 0) for e in edges)
+            least[key] = min(least.get(key, eids), eids)
+        assert sorted(ours) == sorted(least.values())
+        assert len(ours) <= count_spanning_trees(g)
 
 
 def _flow_test_instance(rng: random.Random):
@@ -127,9 +137,8 @@ def test_flow_table_matches_tree_walk():
     for _ in range(300):
         g = _flow_test_instance(rng)
         verts, edges = _root_component(g)
-        flags = np.concatenate(list(_spanning_tree_blocks(verts, edges)))
-        trees = list(flagged_edge_sets([flags], edges))
-        table = _flow_table(g, verts, edges, flags)
+        trees = list(reference_spanning_edge_sets(verts, edges))
+        table = _flow_table(g, verts, edges, np.array(edge_flags(trees, edges)))
         assert [table.edge_ids(j) for j in range(len(trees))] == trees
         assert table.flows.shape == (len(trees), len(edges))
         for eids, flows in zip(trees, table.flows.tolist()):
@@ -192,15 +201,24 @@ def _enumeration_corpus(count: int):
     return corpus + [make_instance(300, path, 150, {0: 1}), make_instance(206, tail, 205, {0: 2})]
 
 
+def _check_classes(g):
+    """The enumerator's blocks for ``g``, after checking that its rows are
+    one per flow class, each the class's smallest edge-id tuple, against the
+    depth-first walk's trees grouped by their walked flows."""
+    verts, edges = _root_component(g)
+    blocks = list(_steiner_topologies(g, verts, edges))
+    trees = list(flagged_edge_sets(blocks, edges))
+    classes = reference_flow_classes(g, verts, edges)
+    assert len(trees) == len(classes) <= count_spanning_trees(g), g
+    assert sorted(trees) == sorted(classes.values()), g
+    return blocks
+
+
 def test_enumeration_matches_reference():
-    # the level-by-level enumerator yields the depth-first walk's trees in
-    # the walk's own order
     seen = set()
     for g in _enumeration_corpus(500):
         verts, edges = _root_component(g)
-        trees = list(flagged_edge_sets(_spanning_tree_blocks(verts, edges), edges))
-        assert trees == list(reference_spanning_edge_sets(verts, edges)), g
-        assert len(trees) == count_spanning_trees(g)
+        trees = list(flagged_edge_sets(_check_classes(g), edges))
         pairs = [frozenset((e.u, e.v)) for e in edges]
         seen.update(
             name
@@ -210,36 +228,34 @@ def test_enumeration_matches_reference():
                 ("parallel", len(set(pairs)) < len(pairs)),
                 ("bridge", any(all(e.eid in t for t in trees) for e in edges)),
                 ("cycle", len(edges) >= len(verts) > 2),
+                ("merged classes", len(trees) < count_spanning_trees(g)),
+                ("demand at the root only", set(g.demands) & set(verts) <= {g.root}),
             ]
             if present
         )
-    assert len(seen) == 5
+    assert len(seen) == 7
 
 
 @pytest.mark.parametrize("limit", [1, 7])
 def test_split_enumeration_matches_reference(monkeypatch, limit):
-    # a frontier split into blocks of at most `limit` rows keeps the order
+    # a frontier split into blocks of at most `limit` rows keeps every class
     monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", limit)
     for g in _enumeration_corpus(150):
-        verts, edges = _root_component(g)
-        blocks = list(_spanning_tree_blocks(verts, edges))
-        assert all(len(flags) <= limit for flags in blocks), g
-        trees = list(flagged_edge_sets(blocks, edges))
-        assert trees == list(reference_spanning_edge_sets(verts, edges)), g
+        assert all(len(flags) <= limit for flags in _check_classes(g)), g
 
 
 def _full_scan(g, thresholds, coefficients):
-    """Best tree by a scan of every enumerated row, ties to the smallest ids."""
+    """Best tree by a scan of every spanning tree's row, ties to the smallest ids."""
     verts, edges = _root_component(g)
-    flags = np.concatenate(list(_spanning_tree_blocks(verts, edges)))
-    table = _flow_table(g, verts, edges, flags)
+    trees = list(reference_spanning_edge_sets(verts, edges))
+    table = _flow_table(g, verts, edges, np.array(edge_flags(trees, edges)))
     costs = _table_costs(table, thresholds, coefficients)
     return min(table.edge_ids(j) for j in np.flatnonzero(costs == costs.min()))
 
 
 def test_distinct_rows_scan_matches_full_table():
-    # the table cut to distinct flow vectors picks the full scan's tree,
-    # ties included, for one- and multi-term combinations
+    # the table of one row per flow class picks the full scan's tree, ties
+    # included, for one- and multi-term combinations
     rng = random.Random(7373)
     cut = object_flows = 0
     for k in range(150):
@@ -289,18 +305,45 @@ def test_streamed_scan_matches_table(monkeypatch, block):
     monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", block)
     _enumerated_table.cache_clear()
     try:
-        # the cached table is cut across blocks: the rows of one whole cut
+        # the cache joins every block's table into one
         for g in corpus:
-            verts, edges = _root_component(g)
-            flags = np.concatenate(list(_spanning_tree_blocks(verts, edges)))
             (cached,) = _enumerated_table(g)
-            whole = ssrob._distinct_flows(_flow_table(g, verts, edges, flags))
-            assert np.array_equal(cached.columns, whole.columns), g
+            rows = np.concatenate([t.columns for t in _tables(g)])
+            assert np.array_equal(cached.columns, rows), g
         assert solve_all() == table
+        # past the row limit the cache keeps None and every scan streams
         monkeypatch.setattr(ssrob, "_TABLE_LIMIT", 0)
+        _enumerated_table.cache_clear()
         assert solve_all() == table
+        assert all(_enumerated_table(g) is None for g in corpus)
     finally:
         _enumerated_table.cache_clear()
+
+
+@pytest.mark.parametrize("limit, enumerations", [(16, 1), (15, 4)])
+def test_cache_decided_by_class_rows(monkeypatch, limit, enumerations):
+    # K5 with one demand vertex has 125 spanning trees but 16 flow classes,
+    # the simple paths from the root to it: 16 rows are cached and scanned
+    # by every call, 17 would stream on each call after the first
+    calls = []
+    topologies = ssrob._steiner_topologies
+
+    def counted(*args):
+        calls.append(args)
+        return topologies(*args)
+
+    monkeypatch.setattr(ssrob, "_steiner_topologies", counted)
+    monkeypatch.setattr(ssrob, "_TABLE_LIMIT", limit)
+    g = make_instance(5, [(u, v, 1 + u + v) for u in range(5) for v in range(u + 1, 5)], 0, {4: 3})
+    assert count_spanning_trees(g) == 125
+    _enumerated_table.cache_clear()
+    try:
+        trees = [exact_ssrob(g, m).edge_ids for m in (1.0, 2.0, 3.0)]
+    finally:
+        _enumerated_table.cache_clear()
+    # the direct edge 3 wins; edges 0..2 complete it to the least tree
+    assert trees == [(0, 1, 2, 3)] * 3
+    assert len(calls) == enumerations
 
 
 def test_spt_ties_break_on_root_predecessor():
