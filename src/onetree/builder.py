@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .errors import ConfigError, InvalidTreeError, InvariantError
 from .graph import SUPERNODE, Instance, contract, tree_vertices
-from .last import build_last
+from .last import build_last, guaranteed_beta
 from .layers import LayerSet
 from .routing import RoutedTree, basis_cost, basis_threshold, route
 
@@ -143,13 +143,12 @@ class Parameters:
                 raise ConfigError(f"{name} must be finite")
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
-        if self.alpha <= 1:
-            raise ConfigError("alpha must be > 1")
+        beta_floor = guaranteed_beta(self.alpha)  # raises unless alpha > 1
         if self.gamma <= 1:
             raise ConfigError("gamma must be > 1")
         if self.delta <= self.alpha + 1:
             raise ConfigError("delta must exceed alpha + 1")
-        if self.beta < (self.alpha + 1.0) / (self.alpha - 1.0) - 1e-9:
+        if self.beta < beta_floor - 1e-9:
             raise ConfigError("beta must be at least (alpha + 1) / (alpha - 1)")
 
     @property

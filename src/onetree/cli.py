@@ -4,7 +4,10 @@
 layer-and-stitch pipeline, and emits the tree, a layer trace, and a JSON
 report. Exit codes: 0 success, 2 validation failure, 3 internal invariant
 violation or any other unexpected exception (a bug, named in the message,
-never a traceback).
+never a traceback). The error hierarchy decides a file's outcome: an
+``InvariantError`` is exit 3 (a corpus ``invariant-violation`` row), any
+other ``OneTreeError`` exit 2 naming the file (an ``error`` row), and any
+other exception exit 3 (a ``crash`` row).
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 from .builder import (
     LayerBoundReport,
@@ -25,6 +30,8 @@ from .builder import (
     check_layer_bounds,
     optimal_parameters,
 )
+# ParseError and InstanceError are not caught here; callers that sort
+# failures by class import them from this module
 from .errors import (
     ConfigError,
     InstanceError,
@@ -35,6 +42,7 @@ from .errors import (
 )
 from .evaluate import RatioReport, simultaneous_ratio
 from .graph import Instance, load_instance
+from .last import guaranteed_beta
 from .layers import LayerSet, compute_layers, verify_layerset
 from .routing import basis_cost
 from .ssrob import ExactSolver, get_solver
@@ -57,9 +65,10 @@ _ROUND_COLORS = (
 
 @dataclass
 class RunConfig:
-    """Everything one invocation needs; defaults match the CLI flags."""
+    """Everything one invocation needs. Each ``run`` flag stores into the
+    field of its name and takes its default from here."""
 
-    instances: tuple[str, ...] = ()
+    instances: Sequence[str] = ()
     corpus_dir: str | None = None
     eps: float = 0.1
     alpha: float | None = None
@@ -92,22 +101,18 @@ class PipelineResult:
 def make_parameters(cfg: RunConfig, lambda_mode: str) -> Parameters:
     """Closed-form defaults, with any of alpha/gamma/delta overridden.
 
-    beta is never an input; it is pinned to (alpha + 1) / (alpha - 1).
+    beta is never an input; it is pinned to ``guaranteed_beta(alpha)``.
     """
     defaults = optimal_parameters(lambda_descriptor=lambda_mode, eps=cfg.eps)
     if cfg.alpha is None and cfg.gamma is None and cfg.delta is None:
         return defaults
     alpha = defaults.alpha if cfg.alpha is None else cfg.alpha
-    gamma = defaults.gamma if cfg.gamma is None else cfg.gamma
-    delta = defaults.delta if cfg.delta is None else cfg.delta
-    if alpha <= 1:
-        raise ConfigError("alpha must be > 1")
     return Parameters(
         eps=cfg.eps,
         alpha=alpha,
-        beta=(alpha + 1.0) / (alpha - 1.0),
-        gamma=gamma,
-        delta=delta,
+        beta=guaranteed_beta(alpha),
+        gamma=defaults.gamma if cfg.gamma is None else cfg.gamma,
+        delta=defaults.delta if cfg.delta is None else cfg.delta,
         lambda_mode=lambda_mode,
     )
 
@@ -180,23 +185,31 @@ def _measure_solver_quality(layers: LayerSet, ratio: RatioReport) -> float:
 
 
 def build_report(name: str, res: PipelineResult) -> dict:
-    """Full JSON-serializable report for one run.
+    """Full JSON-serializable report for one run, and the only writer of
+    its schema.
 
     The ratio keys (eps, K, per_i, max_ratio, argmax_i, params, lambda_mode)
-    sit at the top level; layer trace, bound checks, and the tree ride along.
+    sit at the top level, None without oracle ratios; layer trace, bound
+    checks, and the tree ride along.
     """
-    if res.ratio is not None:
-        report = res.ratio.to_json_dict(res.params)
-    else:
-        report = {
-            "eps": res.params.eps,
-            "K": res.layers.top_index,
-            "per_i": None,
-            "max_ratio": None,
-            "argmax_i": None,
-            "params": res.params.to_json_dict(),
-            "lambda_mode": None,
-        }
+    ratio = res.ratio  # None without oracle ratios, and so is each ratio key
+    report = {
+        "eps": res.params.eps,
+        "K": res.layers.top_index,
+        "per_i": ratio and [
+            {
+                "M": row.threshold,
+                "cost_T": row.tree_cost,
+                "cost_opt": row.optimal_cost,
+                "ratio": row.ratio,
+            }
+            for row in ratio.rows
+        ],
+        "max_ratio": ratio and ratio.max_ratio,
+        "argmax_i": ratio and ratio.argmax_index,
+        "params": res.params.to_json_dict(),
+        "lambda_mode": ratio and ratio.lambda_mode,
+    }
     report["instance"] = name
     report["oracle_skipped"] = res.oracle_skipped
     report["lambda_emp"] = res.lambda_emp
@@ -332,19 +345,15 @@ def run_pipeline(cfg: RunConfig) -> int:
         print("error: --out-tree/--out-report need a single instance", file=sys.stderr)
         return EXIT_INVALID
     for name in cfg.instances:
-        try:
-            text = _read(name)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        text = _read(name)  # its error names the file; main reports it
         try:
             res = _load_and_solve(text, cfg)
-        except (ParseError, InstanceError, ConfigError) as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
-            return EXIT_INVALID
         except InvariantError as exc:
             print(f"invariant violation: {name}: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
+        except OneTreeError as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return EXIT_INVALID
 
         report = build_report(name, res)
         if cfg.out_report:
@@ -387,50 +396,41 @@ def run_corpus(directory: str, cfg: RunConfig) -> int:
         print(f"error: no *.graph files in {directory}", file=sys.stderr)
         return EXIT_INVALID
     rows: list[dict] = []
-    invariant_failures = crashes = 0
     for path in files:
         row: dict = {"instance": path.name}
+        rows.append(row)
         try:
             res = _load_and_solve(_read(str(path)), cfg)
-        except (ParseError, InstanceError, ConfigError) as exc:
-            row.update(status="error", detail=str(exc))
-            rows.append(row)
-            continue
         except InvariantError as exc:
-            invariant_failures += 1
             row.update(status="invariant-violation", detail=str(exc))
-            rows.append(row)
-            continue
-        except OneTreeError:
-            raise
+        except OneTreeError as exc:
+            row.update(status="error", detail=str(exc))
         except Exception as exc:
-            crashes += 1
             row.update(status="crash", detail=_internal(exc))
-            rows.append(row)
-            continue
-        row.update(
-            status="oracle skipped" if res.oracle_skipped else "ok",
-            n=res.instance.n,
-            m=len(res.instance.edges),
-            D=res.instance.total_demand,
-            K=res.layers.top_index,
-            layers=len(res.layers.kept),
-            tree_length=res.result.tree.total_length,
-            max_ratio=res.ratio.max_ratio if res.ratio else None,
-            lambda_emp=res.lambda_emp,
-            bounds_ok=res.bounds.all_ok,
-        )
-        rows.append(row)
+        else:
+            row.update(
+                status="oracle skipped" if res.oracle_skipped else "ok",
+                n=res.instance.n,
+                m=len(res.instance.edges),
+                D=res.instance.total_demand,
+                K=res.layers.top_index,
+                layers=len(res.layers.kept),
+                tree_length=res.result.tree.total_length,
+                max_ratio=res.ratio.max_ratio if res.ratio else None,
+                lambda_emp=res.lambda_emp,
+                bounds_ok=res.bounds.all_ok,
+            )
 
     ratios = [r["max_ratio"] for r in rows if r.get("max_ratio") is not None]
+    status = Counter(r["status"] for r in rows)
     summary = {
         "corpus": str(directory),
         "instances": len(rows),
-        "ok": sum(1 for r in rows if r["status"] == "ok"),
-        "errors": sum(1 for r in rows if r["status"] == "error"),
-        "oracle_skipped": sum(1 for r in rows if r["status"] == "oracle skipped"),
-        "invariant_violations": invariant_failures,
-        "crashes": crashes,
+        "ok": status["ok"],
+        "errors": status["error"],
+        "oracle_skipped": status["oracle skipped"],
+        "invariant_violations": status["invariant-violation"],
+        "crashes": status["crash"],
         "aggregate_max_ratio": max(ratios) if ratios else None,
         "rows": rows,
     }
@@ -446,7 +446,7 @@ def run_corpus(directory: str, cfg: RunConfig) -> int:
     if cfg.verbose:
         for row in rows:
             print(f"  {row['instance']}: {row['status']}")
-    return EXIT_INVARIANT if invariant_failures or crashes else EXIT_OK
+    return EXIT_INVARIANT if summary["invariant_violations"] or summary["crashes"] else EXIT_OK
 
 
 def _internal(exc: Exception) -> str:
@@ -496,19 +496,18 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run the pipeline on instance files or a corpus")
     run.add_argument("instances", nargs="*", help="instance files")
-    run.add_argument("--corpus", metavar="DIR", help="run every *.graph file in DIR")
-    run.add_argument("--eps", type=float, default=0.1, help="threshold grid ratio (default 0.1)")
-    run.add_argument("--alpha", type=float, default=None, help="LAST stretch (> 1)")
-    run.add_argument("--gamma", type=float, default=None, help="buy-cost drop factor (> 1)")
-    run.add_argument("--delta", type=float, default=None, help="rent-cost growth factor (> alpha + 1)")
+    run.add_argument("--corpus", dest="corpus_dir", metavar="DIR", help="run every *.graph file in DIR")
+    run.add_argument("--eps", type=float, help="threshold grid ratio (default %(default)s)")
+    run.add_argument("--alpha", type=float, help="LAST stretch (> 1)")
+    run.add_argument("--gamma", type=float, help="buy-cost drop factor (> 1)")
+    run.add_argument("--delta", type=float, help="rent-cost growth factor (> alpha + 1)")
     run.add_argument(
         "--ssrob",
         choices=("exact", "sample-augment"),
-        default="sample-augment",
-        help="rent-or-buy solver (default sample-augment)",
+        help="rent-or-buy solver (default %(default)s)",
     )
-    run.add_argument("--trials", type=int, default=32, help="heuristic repeats (default 32)")
-    run.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    run.add_argument("--trials", type=int, help="heuristic repeats (default %(default)s)")
+    run.add_argument("--seed", type=int, help="random seed (default %(default)s)")
     run.add_argument(
         "--oracle",
         action="store_true",
@@ -516,27 +515,15 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     run.add_argument("--out-tree", metavar="PATH", help="write the tree edge list (plus .dot)")
     run.add_argument("--out-report", metavar="PATH", help="write the JSON report (corpus: plus .csv)")
-    run.add_argument("-v", "--verbose", action="count", default=0)
+    run.add_argument("-v", "--verbose", action="count")
+    run.set_defaults(**asdict(RunConfig()))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_argparser().parse_args(argv)
-    cfg = RunConfig(
-        instances=tuple(args.instances),
-        corpus_dir=args.corpus,
-        eps=args.eps,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        delta=args.delta,
-        ssrob=args.ssrob,
-        trials=args.trials,
-        seed=args.seed,
-        oracle=args.oracle,
-        out_tree=args.out_tree,
-        out_report=args.out_report,
-        verbose=args.verbose,
-    )
+    args = vars(_build_argparser().parse_args(argv))
+    del args["command"]  # "run" is the only command
+    cfg = RunConfig(**args)
     try:
         if cfg.corpus_dir is not None:
             if cfg.instances:

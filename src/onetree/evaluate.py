@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .builder import Parameters
 from .errors import ConfigError, InvariantError
 from .graph import Instance
 from .layers import compute_K
@@ -109,7 +108,8 @@ class RatioRow:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Per-threshold cost ratios of one tree against oracle trees."""
+    """Per-threshold cost ratios of one tree against oracle trees; the
+    report schema that carries them is ``cli.build_report``'s."""
 
     eps: float
     top_index: int
@@ -118,25 +118,6 @@ class RatioReport:
     argmax_index: int
     lambda_mode: str
     caveat: str | None = None
-
-    def to_json_dict(self, params: Parameters | None = None) -> dict:
-        return {
-            "eps": self.eps,
-            "K": self.top_index,
-            "per_i": [
-                {
-                    "M": row.threshold,
-                    "cost_T": row.tree_cost,
-                    "cost_opt": row.optimal_cost,
-                    "ratio": row.ratio,
-                }
-                for row in self.rows
-            ],
-            "max_ratio": self.max_ratio,
-            "argmax_i": self.argmax_index,
-            "params": params.to_json_dict() if params is not None else None,
-            "lambda_mode": self.lambda_mode,
-        }
 
 
 def simultaneous_ratio(

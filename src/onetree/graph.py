@@ -100,15 +100,13 @@ class ContractedGraph:
     """``base`` with ``merged`` collapsed to SUPERNODE, optionally restricted.
 
     Retained edges keep their base edge id. Among parallel edges between the
-    same contracted endpoints only the shortest survives (ties by smaller id);
-    the losers are listed in ``dropped_parallel``.
+    same contracted endpoints only the shortest survives (ties by smaller id).
     """
 
     base: Instance
     merged: frozenset[int]
     vertex_ids: tuple[int, ...]
     edges: tuple[Edge, ...]
-    dropped_parallel: tuple[int, ...]
 
     @cached_property
     def edge_by_id(self) -> dict[int, Edge]:
@@ -361,7 +359,6 @@ def contract(
     else:
         kept_base = set(keep) - s
     best: dict[tuple[int, int], Edge] = {}
-    dropped: list[int] = []
     for e in g.edges:
         a = SUPERNODE if e.u in s else e.u
         b = SUPERNODE if e.v in s else e.v
@@ -374,20 +371,14 @@ def contract(
         if a > b:
             a, b = b, a
         cur = best.get((a, b))
-        if cur is None:
+        if cur is None or (e.length, e.eid) < (cur.length, cur.eid):
             best[(a, b)] = Edge(e.eid, a, b, e.length)
-        elif (e.length, e.eid) < (cur.length, cur.eid):
-            dropped.append(cur.eid)
-            best[(a, b)] = Edge(e.eid, a, b, e.length)
-        else:
-            dropped.append(e.eid)
     edges = tuple(sorted(best.values(), key=lambda e: e.eid))
     return ContractedGraph(
         base=g,
         merged=s,
         vertex_ids=(SUPERNODE, *sorted(kept_base)),
         edges=edges,
-        dropped_parallel=tuple(sorted(dropped)),
     )
 
 

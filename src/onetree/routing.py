@@ -118,10 +118,6 @@ class RentBuyDecomposition:
     buy_cost: float
     core: frozenset[int]
 
-    @property
-    def total_cost(self) -> float:
-        return self.rent_cost + self.threshold * self.buy_cost
-
 
 def decompose(tree: RoutedTree, index: int, eps: float) -> RentBuyDecomposition:
     """Classify each edge as bought (flow >= threshold) or rented.

@@ -25,11 +25,12 @@ Two interchangeable solvers, both deterministic given a seed:
   n-1 whole-array steps. A scan keys each table by its least cost and its
   smallest edge-id tuple at that cost and takes the least key, so cost ties
   go to the lexicographically smallest spanning tree. Up to
-  ``_TABLE_LIMIT`` (2*10^5) rows the tables are joined into one and cached
-  per instance, since the oracle scans an instance once per threshold
-  index; past it the cache keeps None and each scan makes them afresh, so
-  memory stays at the scale of one frontier block. Beyond
-  ``ORACLE_TREE_LIMIT`` (10^7) spanning trees the oracle refuses.
+  ``_TABLE_LIMIT`` (2*10^5) rows the tables are cached per instance, as
+  the enumerator yields them, since the oracle scans an instance once per
+  threshold index; past it the cache keeps None and each scan makes them
+  afresh, so memory stays at the scale of one frontier block. Beyond
+  ``ORACLE_TREE_LIMIT`` (10^7) spanning trees, counted once per instance
+  with the cache, the oracle refuses on every call.
 - A randomized sample-and-augment heuristic; cost ties between its trials
   go to the smaller edge-id tuple as well. Its terminals are always demand
   vertices or the root, so their shortest-path trees are computed once per
@@ -323,18 +324,29 @@ def _tables(g: Instance) -> Iterator[_TreeTable]:
 
 
 @lru_cache(maxsize=6)
-def _enumerated_table(g: Instance) -> tuple[_TreeTable] | None:
-    """``_tables(g)`` joined into one table, kept for instances scanned once
-    per threshold index; None, kept too, once the rows pass _TABLE_LIMIT, so
-    that each scan streams ``_tables(g)`` instead."""
+def _enumerated_table(g: Instance) -> tuple[_TreeTable, ...] | None:
+    """``_tables(g)`` as a tuple, kept for instances scanned once per
+    threshold index; None, kept too, once the rows pass _TABLE_LIMIT, so
+    that each scan streams ``_tables(g)`` instead.
+
+    Raises OracleLimitError when the root's component has more than
+    ORACLE_TREE_LIMIT spanning trees (by the matrix-tree theorem). An
+    exception is not cached, so a refused instance is refused on every call.
+    """
+    count = count_spanning_trees(g)
+    if count > ORACLE_TREE_LIMIT:
+        raise OracleLimitError(
+            f"instance too large for oracle: about {count} spanning trees "
+            f"(limit {ORACLE_TREE_LIMIT})"
+        )
     tables: list[_TreeTable] = []
+    rows = 0
     for table in _tables(g):
         tables.append(table)
-        if sum(len(t.flows) for t in tables) > _TABLE_LIMIT:
+        rows += len(table.flows)
+        if rows > _TABLE_LIMIT:
             return None
-    columns = np.concatenate([t.columns for t in tables])
-    flows = np.concatenate([t.flows for t in tables])
-    return (_TreeTable(columns, flows, tables[0].eids, tables[0].lengths),)
+    return tuple(tables)
 
 
 def _table_costs(
@@ -346,18 +358,16 @@ def _table_costs(
     it every tie, is bit for bit the same whichever table the row is in; a
     matrix product would round differently. Flows are widened to float64
     first: mixed with a float scalar, a narrow integer array would otherwise
-    compute in float16 under NumPy 1.x casting rules. Rows go _FRONTIER_BLOCK
-    at a time through two float buffers, which bounds memory.
+    compute in float16 under NumPy 1.x casting rules. A table holds at most
+    _FRONTIER_BLOCK rows, so its two float buffers stay small.
     """
     costs = np.zeros(len(table.flows))
-    for lo in range(0, len(costs), _FRONTIER_BLOCK):
-        flows = table.flows[lo : lo + _FRONTIER_BLOCK].astype(np.float64)
-        capped = np.empty_like(flows)
-        part = costs[lo : lo + _FRONTIER_BLOCK]
-        for a, m in zip(coefficients, thresholds):
-            if a:
-                np.multiply(np.minimum(flows, m, out=capped), table.lengths, out=capped)
-                part += a * capped.sum(axis=1)
+    flows = table.flows.astype(np.float64)
+    capped = np.empty_like(flows)
+    for a, m in zip(coefficients, thresholds):
+        if a:
+            np.multiply(np.minimum(flows, m, out=capped), table.lengths, out=capped)
+            costs += a * capped.sum(axis=1)
     return costs
 
 
@@ -369,16 +379,10 @@ def best_tree_for_combination(
     Scans one spanning tree per flow class of the root's component; ties go
     to the lexicographically smallest edge-id set. Raises OracleLimitError
     when the component has more than ORACLE_TREE_LIMIT spanning trees
-    (counted via the matrix-tree theorem first).
+    (checked by ``_enumerated_table``).
     """
     if len(thresholds) != len(coefficients):
         raise ConfigError("thresholds and coefficients must have equal length")
-    count = count_spanning_trees(g)
-    if count > ORACLE_TREE_LIMIT:
-        raise OracleLimitError(
-            f"instance too large for oracle: about {count} spanning trees "
-            f"(limit {ORACLE_TREE_LIMIT})"
-        )
     tables = _enumerated_table(g) or _tables(g)
 
     def key(table: _TreeTable) -> tuple[float, tuple[int, ...]]:

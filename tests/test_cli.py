@@ -311,6 +311,35 @@ def test_corpus_oversized_instance_marked_skipped(tmp_path):
     assert by_name["small.graph"]["status"] == "ok"
 
 
+def _k12_text():
+    # 12**10 spanning trees: the exact solver refuses it
+    n = 12
+    return instance_text(make_instance(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)], 0, {1: 1}))
+
+
+def test_corpus_exact_solver_refusal_is_an_error_row(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "big.graph").write_text(_k12_text())
+    (corpus_dir / "small.graph").write_text(PATH3)
+    out = tmp_path / "summary.json"
+    code = main(["run", "--corpus", str(corpus_dir), "--ssrob", "exact", "--out-report", str(out)])
+    assert code == EXIT_OK
+    summary = json.loads(out.read_text())
+    assert (summary["ok"], summary["errors"]) == (1, 1)
+    rows = {row["instance"]: row for row in summary["rows"]}
+    assert rows["big.graph"]["status"] == "error"
+    assert rows["big.graph"]["detail"].startswith("instance too large for oracle")
+    assert rows["small.graph"]["status"] == "ok"
+    assert len(out.with_suffix(".csv").read_text().splitlines()) == 3
+
+
+def test_exact_solver_refusal_exits_2_naming_the_file(tmp_path, capsys):
+    instance = write(tmp_path, "big.graph", _k12_text())
+    assert main(["run", instance, "--ssrob", "exact"]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: {instance}: instance too large for oracle")
+
+
 def test_reports_byte_identical_for_same_seed(tmp_path):
     instance = write(tmp_path, "path3.graph", CYCLE4)
     blobs = set()

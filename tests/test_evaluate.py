@@ -18,7 +18,7 @@ from onetree import (
 )
 from onetree.corpus import random_instance
 from onetree.builder import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
-from onetree.cli import solve_instance
+from onetree.cli import build_report, solve_instance
 
 from helpers import combined_objective, refine_parameters, search_parameters
 
@@ -98,12 +98,23 @@ def test_ratio_cycle_far_demand_is_three():
 
 
 def test_ratio_report_serialization(path3):
-    t = route(path3, (0, 1))
+    # build_report writes the same keys with and without oracle ratios; the
+    # ratio keys are None without them
     params = optimal_parameters(eps=1.0)
-    payload = simultaneous_ratio(t, path3, 1.0, ExactSolver()).to_json_dict(params)
-    assert set(payload) == {"eps", "K", "per_i", "max_ratio", "argmax_i", "params", "lambda_mode"}
-    assert payload["lambda_mode"] == "exact"
-    assert payload["per_i"][0].keys() == {"M", "cost_T", "cost_opt", "ratio"}
+    keys = {"eps", "K", "per_i", "max_ratio", "argmax_i", "params", "lambda_mode",
+            "instance", "oracle_skipped", "lambda_emp", "layers", "bound_checks", "tree"}
+    for oracle in (ExactSolver(), None):
+        res = solve_instance(path3, params, ExactSolver(), oracle=oracle)
+        payload = build_report("path3", res)
+        assert set(payload) == keys
+        assert payload["eps"] == 1.0 and payload["K"] == res.layers.top_index == 1
+        assert payload["params"] == params.to_json_dict()
+        if oracle is None:
+            assert [payload[k] for k in ("per_i", "max_ratio", "argmax_i", "lambda_mode")] == [None] * 4
+        else:
+            assert payload["lambda_mode"] == "exact"
+            assert payload["max_ratio"] == 1.0 and payload["argmax_i"] == 0
+            assert [row.keys() for row in payload["per_i"]] == [{"M", "cost_T", "cost_opt", "ratio"}] * 2
 
 
 def test_ratio_with_heuristic_oracle_carries_caveat(path3):

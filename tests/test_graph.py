@@ -178,7 +178,6 @@ def test_contract_singleton_keeps_graph(path3):
     cg = contract(path3, {0})
     assert cg.vertex_ids == (SUPERNODE, 1, 2)
     assert [(e.eid, e.u, e.v) for e in cg.edges] == [(0, SUPERNODE, 1), (1, 1, 2)]
-    assert cg.dropped_parallel == ()
 
 
 def test_contract_pair_on_path(path3):
@@ -190,11 +189,11 @@ def test_contract_pair_on_path(path3):
 def test_contract_reduces_parallel_edges(cycle4):
     cg = contract(cycle4, {0, 2})
     assert cg.vertex_ids == (SUPERNODE, 1, 3)
+    # edges 1 and 3 lose their ties to the parallel edges 0 and 2
     assert [(e.eid, e.u, e.v, e.length) for e in cg.edges] == [
         (0, SUPERNODE, 1, 1.0),
         (2, SUPERNODE, 3, 1.0),
     ]
-    assert cg.dropped_parallel == (1, 3)
 
 
 def test_contract_vertex_filter_restricts(cycle4):

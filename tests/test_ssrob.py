@@ -305,11 +305,15 @@ def test_streamed_scan_matches_table(monkeypatch, block):
     monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", block)
     _enumerated_table.cache_clear()
     try:
-        # the cache joins every block's table into one
+        # the cache keeps every block's table as the enumerator yields it
         for g in corpus:
-            (cached,) = _enumerated_table(g)
-            rows = np.concatenate([t.columns for t in _tables(g)])
-            assert np.array_equal(cached.columns, rows), g
+            cached = _enumerated_table(g)
+            streamed = list(_tables(g))
+            assert len(cached) == len(streamed), g
+            for kept, made in zip(cached, streamed):
+                assert len(kept.columns) <= block
+                assert np.array_equal(kept.columns, made.columns), g
+                assert np.array_equal(kept.flows, made.flows), g
         assert solve_all() == table
         # past the row limit the cache keeps None and every scan streams
         monkeypatch.setattr(ssrob, "_TABLE_LIMIT", 0)
