@@ -56,7 +56,6 @@ from .routing import (
 from .ssrob import (
     ExactSolver,
     SampleAugmentSolver,
-    count_spanning_trees,
     exact_ssrob,
     get_solver,
     sample_and_augment,
@@ -96,7 +95,6 @@ __all__ = [
     "compute_K",
     "compute_layers",
     "contract",
-    "count_spanning_trees",
     "decompose",
     "decompose_function",
     "eval_cost",

@@ -111,13 +111,10 @@ class RatioReport:
     """Per-threshold cost ratios of one tree against oracle trees; the
     report schema that carries them is ``cli.build_report``'s."""
 
-    eps: float
-    top_index: int
     rows: tuple[RatioRow, ...]
     max_ratio: float
     argmax_index: int
     lambda_mode: str
-    caveat: str | None = None
 
 
 def simultaneous_ratio(
@@ -127,7 +124,8 @@ def simultaneous_ratio(
 
     With an exact oracle the max ratio is the tree's simultaneous
     approximation factor over the whole basis; with a heuristic oracle the
-    per-threshold ratios are only lower bounds, and the report says so.
+    per-threshold ratios are only lower bounds, and the report's
+    ``lambda_mode`` names that oracle's quality.
     """
     top = compute_K(g.total_demand, eps)
     rows = []
@@ -151,15 +149,9 @@ def simultaneous_ratio(
         )
     max_ratio = max(row.ratio for row in rows)
     argmax_index = min(row.index for row in rows if row.ratio == max_ratio)
-    caveat = None
-    if oracle.quality != "exact":
-        caveat = "oracle is heuristic: per-threshold ratios are lower bounds"
     return RatioReport(
-        eps=eps,
-        top_index=top,
         rows=tuple(rows),
         max_ratio=max_ratio,
         argmax_index=argmax_index,
         lambda_mode=oracle.quality,
-        caveat=caveat,
     )

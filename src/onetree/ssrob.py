@@ -15,22 +15,23 @@ Two interchangeable solvers, both deterministic given a seed:
   pass gives those components for every edge); the leaf rule drops either
   child where a non-terminal end of k is left with degree 1 after its last
   edge. A frontier block holds at most _FRONTIER_BLOCK rows; a larger one
-  is split depth first, which bounds memory. A Kruskal pass in edge-id
-  order completes each topology to its class's least spanning tree (the
-  trees holding it are the bases of a matroid, whose greedy basis is the
-  lexicographically least). Each block of those trees goes straight into a
-  flow table: a row per tree, its n-1 edge columns and one flow per
-  component edge, in the narrowest integer types that hold the edge count
-  and the total demand, all flows from peeling leaves toward the root in
-  n-1 whole-array steps. A scan keys each table by its least cost and its
-  smallest edge-id tuple at that cost and takes the least key, so cost ties
-  go to the lexicographically smallest spanning tree. Up to
-  ``_TABLE_LIMIT`` (2*10^5) rows the tables are cached per instance, as
-  the enumerator yields them, since the oracle scans an instance once per
-  threshold index; past it the cache keeps None and each scan makes them
-  afresh, so memory stays at the scale of one frontier block. Beyond
-  ``ORACLE_TREE_LIMIT`` (10^7) spanning trees, counted once per instance
-  with the cache, the oracle refuses on every call.
+  is split depth first, which bounds memory. The oracle's one limit is on
+  the enumerator's work: once the rows it has branched, summed over every
+  level, pass ``ORACLE_ROW_BUDGET`` (2^21), it refuses. The spanning-tree
+  count plays no part, so a graph with many trees but few topologies is
+  answered. A Kruskal pass in edge-id order completes each topology to
+  its class's least spanning tree (the trees holding it are the bases of a
+  matroid, whose greedy basis is the lexicographically least). Each block
+  of those trees goes straight into a flow table: a row per tree, its n-1
+  edge columns and one flow per component edge, in the narrowest integer
+  types that hold the edge count and the total demand, all flows from
+  peeling leaves toward the root in n-1 whole-array steps. The tables are
+  cached per instance, as the enumerator yields them, since the oracle
+  scans an instance once per threshold index; a row that survives the
+  last edge is the only child of a row branched there, so the cached rows
+  never outnumber the budget. A scan keys each table by its least cost and
+  its smallest edge-id tuple at that cost and takes the least key, so cost
+  ties go to the lexicographically smallest spanning tree.
 - A randomized sample-and-augment heuristic; cost ties between its trials
   go to the smaller edge-id tuple as well. Its terminals are always demand
   vertices or the root, so their shortest-path trees are computed once per
@@ -75,10 +76,9 @@ from .graph import (
 )
 from .routing import RoutedTree, basis_cost, route
 
-#: Hard ceiling on spanning trees the exact oracle will enumerate.
-ORACLE_TREE_LIMIT = 10_000_000
-#: Most flow-table rows the oracle caches per instance; past it, scans stream.
-_TABLE_LIMIT = 200_000
+#: Most frontier rows the exact oracle's enumerator branches per instance,
+#: summed over its levels; past it the oracle refuses the instance.
+ORACLE_ROW_BUDGET = 2**21
 #: Most rows in one frontier block of the Steiner-topology enumerator, and
 #: so in one flow table.
 _FRONTIER_BLOCK = 16_384
@@ -88,25 +88,6 @@ def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
     verts = reachable_vertices(g, g.root)
     edges = tuple(e for e in g.edges if e.u in verts)
     return tuple(sorted(verts)), edges
-
-
-def count_spanning_trees(g: Instance) -> int:
-    """Number of spanning trees of the root's component (matrix-tree theorem;
-    a lone root's reduced Laplacian is empty, with determinant 1)."""
-    verts, edges = _root_component(g)
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    lap = np.zeros((n, n))
-    for e in edges:
-        i, j = index[e.u], index[e.v]
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
-    det = float(np.linalg.det(lap[1:, 1:]))
-    if not math.isfinite(det):
-        return ORACLE_TREE_LIMIT + 1
-    return max(0, int(round(det)))
 
 
 def _exclude_probes(n: int, ends: Sequence[tuple[int, int]]) -> list[list[np.ndarray]]:
@@ -199,6 +180,10 @@ def _steiner_topologies(
     Steiner topology. A frontier block that outgrows _FRONTIER_BLOCK rows is
     split and its tail set aside until the head is done, depth first, so
     memory stays small whatever the count.
+
+    Raises OracleLimitError before branching past ORACLE_ROW_BUDGET rows in
+    all, counted over every level and block: that, not the topologies
+    yielded, is what the enumeration costs.
     """
     n, m = len(verts), len(edges)
     order = sorted(verts, key=lambda v: v != g.root)
@@ -212,9 +197,16 @@ def _steiner_topologies(
     start[0, :n] = np.arange(n)
     start[0, n : 2 * n] = terminal
     pending = [(0, start)]
+    work = 0
     while pending:
         k, rows = pending.pop()
         for k in range(k, m):
+            work += len(rows)
+            if work > ORACLE_ROW_BUDGET:
+                raise OracleLimitError(
+                    f"instance too large for oracle: its enumeration passed "
+                    f"{ORACLE_ROW_BUDGET} frontier rows"
+                )
             rows = _branch(rows, n, k, *ends[k], probes[k], ending[k])
             if len(rows) > _FRONTIER_BLOCK:
                 pending.append((k + 1, rows[_FRONTIER_BLOCK:].copy()))
@@ -315,38 +307,20 @@ def _flow_table(
     return _TreeTable(columns, flows, eids, lengths)
 
 
-def _tables(g: Instance) -> Iterator[_TreeTable]:
-    """One flow table per block of _steiner_topologies: a row per flow
-    class of the root's component, holding the class's least tree."""
-    verts, edges = _root_component(g)
-    for flags in _steiner_topologies(g, verts, edges):
-        yield _flow_table(g, verts, edges, flags)
-
-
 @lru_cache(maxsize=6)
-def _enumerated_table(g: Instance) -> tuple[_TreeTable, ...] | None:
-    """``_tables(g)`` as a tuple, kept for instances scanned once per
-    threshold index; None, kept too, once the rows pass _TABLE_LIMIT, so
-    that each scan streams ``_tables(g)`` instead.
+def _enumerated_table(g: Instance) -> tuple[_TreeTable, ...]:
+    """One flow table per block of _steiner_topologies: a row per flow class
+    of the root's component, holding the class's least tree. Cached, since
+    the oracle scans an instance once per threshold index.
 
-    Raises OracleLimitError when the root's component has more than
-    ORACLE_TREE_LIMIT spanning trees (by the matrix-tree theorem). An
-    exception is not cached, so a refused instance is refused on every call.
+    Raises OracleLimitError once the enumerator has branched
+    ORACLE_ROW_BUDGET frontier rows. An exception is not cached, so a
+    refused instance is refused on every call, each after that much work.
     """
-    count = count_spanning_trees(g)
-    if count > ORACLE_TREE_LIMIT:
-        raise OracleLimitError(
-            f"instance too large for oracle: about {count} spanning trees "
-            f"(limit {ORACLE_TREE_LIMIT})"
-        )
-    tables: list[_TreeTable] = []
-    rows = 0
-    for table in _tables(g):
-        tables.append(table)
-        rows += len(table.flows)
-        if rows > _TABLE_LIMIT:
-            return None
-    return tuple(tables)
+    verts, edges = _root_component(g)
+    return tuple(
+        _flow_table(g, verts, edges, flags) for flags in _steiner_topologies(g, verts, edges)
+    )
 
 
 def _table_costs(
@@ -378,12 +352,12 @@ def best_tree_for_combination(
 
     Scans one spanning tree per flow class of the root's component; ties go
     to the lexicographically smallest edge-id set. Raises OracleLimitError
-    when the component has more than ORACLE_TREE_LIMIT spanning trees
-    (checked by ``_enumerated_table``).
+    when enumerating the classes passes ORACLE_ROW_BUDGET frontier rows
+    (see ``_enumerated_table``).
     """
     if len(thresholds) != len(coefficients):
         raise ConfigError("thresholds and coefficients must have equal length")
-    tables = _enumerated_table(g) or _tables(g)
+    tables = _enumerated_table(g)
 
     def key(table: _TreeTable) -> tuple[float, tuple[int, ...]]:
         costs = _table_costs(table, thresholds, coefficients)
@@ -397,7 +371,7 @@ def exact_ssrob(g: Instance, threshold: float) -> RoutedTree:
     """Minimum-cost routing tree for one basis threshold, by enumeration.
 
     The single-term case of :func:`best_tree_for_combination`, with its
-    guard and tie rule.
+    row budget and tie rule.
     """
     return best_tree_for_combination(g, (threshold,), (1.0,))
 

@@ -2,11 +2,12 @@
 
 The brute-force tree oracles deliberately share nothing with the package's
 contraction-deletion enumerator: spanning trees are found by filtering
-fixed-size edge subsets. :func:`reference_spanning_edge_sets` is a plain
-contraction-deletion walk over every spanning tree, one partial tree at a
-time, and :func:`reference_flow_classes` groups its trees by their walked
-flows, keeping the least edge-id tuple per class: the rows the package's
-Steiner-topology enumerator must produce. :func:`flagged_edge_sets` reads
+fixed-size edge subsets, and :func:`count_spanning_trees` counts them
+exactly by the matrix-tree theorem. :func:`reference_spanning_edge_sets`
+is a plain contraction-deletion walk over every spanning tree, one partial
+tree at a time, and :func:`reference_flow_classes` groups its trees by
+their walked flows, keeping the least edge-id tuple per class: the rows
+the package's Steiner-topology enumerator must produce. :func:`flagged_edge_sets` reads
 that enumerator's 0/1 flag blocks back as edge-id tuples to compare, and
 :func:`edge_flags` writes tuples as flags. The numeric parameter optimizer
 checks the closed form in :func:`onetree.optimal_parameters` without using
@@ -47,6 +48,34 @@ def subset_spanning_trees(g: Instance) -> Iterator[tuple[int, ...]]:
         uf = UnionFind(verts)
         if all(uf.union(e.u, e.v) for e in combo):
             yield tuple(e.eid for e in combo)
+
+
+def count_spanning_trees(g: Instance) -> int:
+    """Number of spanning trees of the root's component, by the matrix-tree
+    theorem with exact integer (Bareiss) elimination; a lone root's reduced
+    Laplacian is empty, with determinant 1."""
+    index = {v: i for i, v in enumerate(sorted(reachable_vertices(g, g.root)))}
+    lap = [[0] * len(index) for _ in index]
+    for e in g.edges:
+        if e.u in index:
+            i, j = index[e.u], index[e.v]
+            lap[i][i] += 1
+            lap[j][j] += 1
+            lap[i][j] -= 1
+            lap[j][i] -= 1
+    a = [row[1:] for row in lap[1:]]
+    size, prev = len(a), 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        a[k], a[pivot] = a[pivot], a[k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    # a row swap flips the sign; the count is the determinant's magnitude
+    return abs(prev)
 
 
 def reference_spanning_edge_sets(

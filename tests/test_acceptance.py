@@ -19,7 +19,6 @@ from onetree import (
     basis_cost,
     best_tree_for_function,
     build_last,
-    count_spanning_trees,
     compute_layers,
     eval_cost,
     exact_ssrob,
@@ -31,7 +30,7 @@ from onetree.corpus import instance_text, random_connected_instance, random_inst
 from onetree.builder import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
 from onetree.last import guaranteed_beta
 
-from helpers import brute_min_cost, refine_parameters, search_parameters
+from helpers import brute_min_cost, count_spanning_trees, refine_parameters, search_parameters
 
 EPS = 0.5
 CORPUS_SEED = 20260809

@@ -10,7 +10,6 @@ from onetree import (
     OracleLimitError,
     SampleAugmentSolver,
     basis_cost,
-    count_spanning_trees,
     exact_ssrob,
     get_solver,
     make_instance,
@@ -29,12 +28,12 @@ from onetree.ssrob import (
     _root_component,
     _steiner_topologies,
     _table_costs,
-    _tables,
     best_tree_for_combination,
 )
 
 from helpers import (
     brute_min_cost,
+    count_spanning_trees,
     edge_flags,
     flagged_edge_sets,
     reference_flow_classes,
@@ -84,7 +83,8 @@ def test_exact_matches_independent_subset_oracle():
 
 
 def test_exact_oracle_guard():
-    # complete graph on 12 vertices has 12**10 spanning trees
+    # the complete graph on 12 vertices branches more frontier rows than
+    # the oracle's budget before it finds a topology
     n = 12
     edges = [(u, v, 1) for u in range(n) for v in range(u + 1, n)]
     g = make_instance(n, edges, 0, {1: 1})
@@ -281,10 +281,10 @@ def test_distinct_rows_scan_matches_full_table():
 
 
 @pytest.mark.parametrize("block", [1, 7])
-def test_streamed_scan_matches_table(monkeypatch, block):
-    # trees split over many tables give the one-table answer, ties across
-    # tables included, from the cached tables and streamed alike; K4 (16
-    # trees) has one optimum, the star at vertex 3, which is enumerated last
+def test_split_tables_scan_matches_one_table(monkeypatch, block):
+    # trees split over many cached tables give the one-table answer, ties
+    # across tables included; K4 (16 trees) has one optimum, the star at
+    # vertex 3, which is enumerated last
     k4 = [(0, 1, 10), (0, 2, 10), (0, 3, 1), (1, 2, 10), (1, 3, 1), (2, 3, 1)]
     rng = random.Random(4242)
     corpus = [make_instance(4, k4, 0, {1: 1, 2: 1})]
@@ -307,47 +307,83 @@ def test_streamed_scan_matches_table(monkeypatch, block):
     try:
         # the cache keeps every block's table as the enumerator yields it
         for g in corpus:
+            verts, edges = _root_component(g)
+            blocks = list(_steiner_topologies(g, verts, edges))
             cached = _enumerated_table(g)
-            streamed = list(_tables(g))
-            assert len(cached) == len(streamed), g
-            for kept, made in zip(cached, streamed):
+            assert len(cached) == len(blocks), g
+            for kept, flags in zip(cached, blocks):
+                made = _flow_table(g, verts, edges, flags)
                 assert len(kept.columns) <= block
                 assert np.array_equal(kept.columns, made.columns), g
                 assert np.array_equal(kept.flows, made.flows), g
         assert solve_all() == table
-        # past the row limit the cache keeps None and every scan streams
-        monkeypatch.setattr(ssrob, "_TABLE_LIMIT", 0)
-        _enumerated_table.cache_clear()
-        assert solve_all() == table
-        assert all(_enumerated_table(g) is None for g in corpus)
     finally:
         _enumerated_table.cache_clear()
 
 
-@pytest.mark.parametrize("limit, enumerations", [(16, 1), (15, 4)])
-def test_cache_decided_by_class_rows(monkeypatch, limit, enumerations):
-    # K5 with one demand vertex has 125 spanning trees but 16 flow classes,
-    # the simple paths from the root to it: 16 rows are cached and scanned
-    # by every call, 17 would stream on each call after the first
-    calls = []
+def test_budget_counts_branched_rows(monkeypatch):
+    # K5 with one demand vertex has 16 flow classes, the simple paths from
+    # the root to it, and the enumerator branches 249 frontier rows to find
+    # them: under a smaller budget it stops within one frontier block of
+    # it, on every call; at 249 it answers, enumerating once for three calls
+    branched = []
+    enumerations = []
+    branch = ssrob._branch
     topologies = ssrob._steiner_topologies
 
-    def counted(*args):
-        calls.append(args)
+    def counted_branch(rows, *args):
+        branched.append(len(rows))
+        return branch(rows, *args)
+
+    def counted_topologies(*args):
+        enumerations.append(args)
         return topologies(*args)
 
-    monkeypatch.setattr(ssrob, "_steiner_topologies", counted)
-    monkeypatch.setattr(ssrob, "_TABLE_LIMIT", limit)
+    monkeypatch.setattr(ssrob, "_branch", counted_branch)
+    monkeypatch.setattr(ssrob, "_steiner_topologies", counted_topologies)
+    monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", 8)
     g = make_instance(5, [(u, v, 1 + u + v) for u in range(5) for v in range(u + 1, 5)], 0, {4: 3})
-    assert count_spanning_trees(g) == 125
     _enumerated_table.cache_clear()
     try:
+        monkeypatch.setattr(ssrob, "ORACLE_ROW_BUDGET", 100)
+        for _ in range(2):
+            branched.clear()
+            with pytest.raises(OracleLimitError, match="^instance too large for oracle"):
+                exact_ssrob(g, 1.0)
+            assert 100 - 8 < sum(branched) <= 100
+        monkeypatch.setattr(ssrob, "ORACLE_ROW_BUDGET", 249)
+        branched.clear()
+        enumerations.clear()
         trees = [exact_ssrob(g, m).edge_ids for m in (1.0, 2.0, 3.0)]
+        assert sum(len(table.flows) for table in _enumerated_table(g)) == 16
     finally:
         _enumerated_table.cache_clear()
     # the direct edge 3 wins; edges 0..2 complete it to the least tree
     assert trees == [(0, 1, 2, 3)] * 3
-    assert len(calls) == enumerations
+    assert len(enumerations) == 1 and sum(branched) == 249
+
+
+def _cycle_chain(cycles: int):
+    """``cycles`` 4-cycles in a row, each joined to the next at one vertex,
+    rooted at the first; 5 units of demand where the second cycle ends."""
+    edges = []
+    for i in range(cycles):
+        entry, a, b, leave = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(entry, a, 1 + i % 3), (a, leave, 2), (leave, b, 1 + (i + 1) % 2), (b, entry, 2)]
+    return make_instance(3 * cycles + 1, edges, 0, {6: 5})
+
+
+def test_oracle_answers_many_trees_with_few_topologies():
+    # the chain of 12 cycles has 4**12 spanning trees but only the flow
+    # classes of its first two cycles; it is answered at the cost of that
+    # two-cycle truncation, whose optimum brute force finds
+    g, short = _cycle_chain(12), _cycle_chain(2)
+    assert count_spanning_trees(g) == 4**12
+    for m in (1.0, 2.0, 5.0):
+        tree = exact_ssrob(g, m)
+        want, want_ids = brute_min_cost(short, lambda t: basis_cost(t, m))
+        assert basis_cost(tree, m) == pytest.approx(want, rel=1e-12)
+        assert tree.edge_ids[:6] == want_ids
 
 
 def test_spt_ties_break_on_root_predecessor():
