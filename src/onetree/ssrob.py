@@ -4,51 +4,25 @@ Two interchangeable solvers, both deterministic given a seed:
 
 - An exact oracle. A spanning tree's flows are zero off its flow support,
   the least subtree joining the root and the positive-demand vertices (the
-  terminals): a Steiner topology, a tree whose leaves are all terminals.
-  Costs depend on flows alone, so the oracle enumerates each Steiner
-  topology of the root's component once, one per flow class. The
-  enumeration is contraction-deletion over edges in id order, run level by
-  level over every live partial topology at once: at edge k each row gets
-  an include child where k joins two of its blocks and an exclude child
-  where every terminal and every vertex it covers still joins the root's
-  block through its blocks and the components of edges k+1.. (one backward
-  pass gives those components for every edge); the leaf rule drops either
-  child where a non-terminal end of k is left with degree 1 after its last
-  edge. A frontier block holds at most _FRONTIER_BLOCK rows; a larger one
-  is split depth first, which bounds memory. The oracle's one limit is on
-  the enumerator's work: once the rows it has branched, summed over every
-  level, pass ``ORACLE_ROW_BUDGET`` (2^21), it refuses. The spanning-tree
+  terminals): a Steiner topology. Costs depend on flows alone, so the
+  oracle enumerates each Steiner topology of the root's component once
+  (``_steiner_topologies``), completes each to the least spanning tree of
+  its flow class and scans flow tables of those trees (``_flow_table``),
+  cached per instance since it scans an instance once per threshold index.
+  Cost ties go to the lexicographically smallest spanning tree. Its one
+  limit is on the enumerator's work, counted in array cells since a
+  frontier row costs in proportion to its width: past
+  ``ORACLE_CELL_BUDGET`` (2^26) it refuses the instance. The spanning-tree
   count plays no part, so a graph with many trees but few topologies is
-  answered. A Kruskal pass in edge-id order completes each topology to
-  its class's least spanning tree (the trees holding it are the bases of a
-  matroid, whose greedy basis is the lexicographically least). Each block
-  of those trees goes straight into a flow table: a row per tree, its n-1
-  edge columns and one flow per component edge, in the narrowest integer
-  types that hold the edge count and the total demand, all flows from
-  peeling leaves toward the root in n-1 whole-array steps. The tables are
-  cached per instance, as the enumerator yields them, since the oracle
-  scans an instance once per threshold index; a row that survives the
-  last edge is the only child of a row branched there, so the cached rows
-  never outnumber the budget. A scan keys each table by its least cost and
-  its smallest edge-id tuple at that cost and takes the least key, so cost
-  ties go to the lexicographically smallest spanning tree.
-- A randomized sample-and-augment heuristic; cost ties between its trials
-  go to the smaller edge-id tuple as well. Its terminals are always demand
-  vertices or the root, so their shortest-path trees are computed once per
-  instance (memoized on it) and shared by every threshold and trial. The
-  rent step searches the bought core as one merged source of
-  ``shortest_path_tree`` instead of building a contraction per trial, and
-  its paths are memoized on the instance by the core's vertex set. These
-  give the same trees as the plain per-trial algorithm. A trial marks each
-  demand unit with probability p = 1/threshold and reads only which
-  vertices got a marked unit, so it takes one uniform draw per demand
-  vertex and marks the vertex when the draw is below its chance
-  1 - (1 - p)^amount, computed once per solve as
-  ``-expm1(amount * log1p(-p))``: the marked set has the per-unit
-  distribution at a cost that does not grow with the total demand. The
-  solve at threshold index i gets seed + i and its trial t draws from
+  answered.
+- A randomized sample-and-augment heuristic (``sample_and_augment``);
+  cost ties between its trials go to the smaller edge-id tuple as well. It
+  gives the plain per-trial algorithm's trees but memoizes on the instance
+  what trials and thresholds share: terminal shortest-path trees, rent
+  paths per bought core and each seed's draws. The solve at threshold
+  index i gets seed + i and its trial t draws from
   ``random.Random(seed + i + t)``, so K+1 indices of T trials use only K+T
-  streams; each stream's draws are memoized on the instance by seed.
+  streams.
 """
 
 from __future__ import annotations
@@ -57,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, Container, Iterator, Sequence
+from typing import Callable, ClassVar, Container, Iterator, Sequence
 
 import numpy as np
 
@@ -76,12 +50,14 @@ from .graph import (
 )
 from .routing import RoutedTree, basis_cost, route
 
-#: Most frontier rows the exact oracle's enumerator branches per instance,
-#: summed over its levels; past it the oracle refuses the instance.
-ORACLE_ROW_BUDGET = 2**21
+#: Most array cells the exact oracle's enumerator handles per instance
+#: (see _steiner_topologies); past it the oracle refuses the instance.
+ORACLE_CELL_BUDGET = 2**26
 #: Most rows in one frontier block of the Steiner-topology enumerator, and
 #: so in one flow table.
 _FRONTIER_BLOCK = 16_384
+#: Most array cells (2n+m per row) in one frontier block, for wide rows.
+_FRONTIER_CELLS = 2**20
 
 
 def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
@@ -90,21 +66,41 @@ def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
     return tuple(sorted(verts)), edges
 
 
-def _exclude_probes(n: int, ends: Sequence[tuple[int, int]]) -> list[list[np.ndarray]]:
-    """Per edge k, the multi-vertex components of edges k+1.. as vertex arrays.
+def _exclude_probes(n: int, ends: Sequence[tuple[int, int]]) -> Callable[[int], list[np.ndarray]]:
+    """A function giving, per edge k, the multi-vertex components of edges
+    k+1.. as vertex arrays, in O(n) a call after O(n + m) setup.
 
-    One backward pass over a component label per vertex: before edge k joins
-    the labels of its ends, a stable sort of the labels gives the components
-    of edges k+1.., one run of equal labels each, bounded by ``runs``.
+    Union-find joins the edges last to first, and a join appends one root's
+    linked list of vertices to the other's, so every component ever made is
+    a run of the final lists. The components of edges k+1.. are those made
+    by a join at an edge after k and joined into another at or before k.
     """
-    label = np.arange(n)
-    probes: list[list[np.ndarray]] = []
-    for a, b in reversed(ends):
-        order = np.argsort(label, kind="stable")
-        runs = np.flatnonzero(np.diff(label[order], prepend=-1, append=n))
-        probes.append([order[runs[j] : runs[j + 1]] for j in np.flatnonzero(np.diff(runs) > 1)])
-        label[label == label[b]] = label[a]
-    return probes[::-1]
+    uf = UnionFind(range(n))
+    tail, after, top = list(range(n)), [-1] * n, list(range(n))
+    # each vertex, then one component per join, as [first vertex, size, edge
+    # making it, edge joining it into another]; top[r] is root r's latest
+    comps = [[v, 1, -1, -1] for v in range(n)]
+    for k in range(len(ends) - 1, -1, -1):
+        a, b = uf.find(ends[k][0]), uf.find(ends[k][1])
+        if uf.union(a, b):
+            comps[top[a]][3] = comps[top[b]][3] = k
+            comps.append([a, comps[top[a]][1] + comps[top[b]][1], k, -1])
+            after[tail[a]], tail[a], top[a] = b, tail[b], len(comps) - 1
+    order = []
+    for v in (r for r in range(n) if uf.find(r) == r):
+        while v >= 0:
+            order.append(v)
+            v = after[v]
+    head, size, made, gone = np.array(comps).T
+    lo = np.argsort(order)[head]
+    hi = lo + size
+    order = np.array(order, np.min_scalar_type(n))
+
+    def probes(k: int) -> list[np.ndarray]:
+        live = np.flatnonzero((made > k) & (gone <= k))
+        return [order[i:j] for i, j in zip(lo[live].tolist(), hi[live].tolist())]
+
+    return probes
 
 
 def _joined(labels: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
@@ -154,7 +150,9 @@ def _branch(
 def _least_trees(rows: np.ndarray, n: int, ends: Sequence[tuple[int, int]]) -> np.ndarray:
     """The 0/1 edge flags of each row's Steiner topology completed to the
     least spanning tree that holds it: one Kruskal pass in edge-id order
-    over the rows' block labels adds every edge that joins two blocks."""
+    over the rows' block labels adds every edge that joins two blocks. The
+    trees that hold a topology are the bases of a matroid, so that greedy
+    basis is the lexicographically least tree of the flow class."""
     labels, flags = rows[:, :n], rows[:, 2 * n :]
     for k, (a, b) in enumerate(ends):
         low = np.minimum(labels[:, a], labels[:, b])[:, None]
@@ -169,7 +167,7 @@ def _steiner_topologies(
 ) -> Iterator[np.ndarray]:
     """One spanning tree per flow class of the component ``verts``/``edges``,
     the class's least, as a row of 0/1 edge flags, in blocks of at most
-    _FRONTIER_BLOCK rows.
+    _FRONTIER_BLOCK rows and _FRONTIER_CELLS cells.
 
     Contraction-deletion over Steiner topologies, run level by level. A
     frontier row is a partial topology: a block label per vertex (the least
@@ -177,13 +175,14 @@ def _steiner_topologies(
     (one more for a terminal, so that positive degrees mark every vertex the
     topology must reach) and one flag per edge chosen so far. _branch gives
     each row its children at edge k; a row that survives every edge is a
-    Steiner topology. A frontier block that outgrows _FRONTIER_BLOCK rows is
-    split and its tail set aside until the head is done, depth first, so
-    memory stays small whatever the count.
+    Steiner topology. A frontier block that outgrows that size is split
+    and its tail set aside, without the flags of edges past k, which are
+    all 0, until the head is done, depth first.
 
-    Raises OracleLimitError before branching past ORACLE_ROW_BUDGET rows in
-    all, counted over every level and block: that, not the topologies
-    yielded, is what the enumeration costs.
+    Raises OracleLimitError before its work passes ORACLE_CELL_BUDGET
+    array cells, counting per branched row its 2n+m cells plus the n that
+    _joined spends per probe group, over every level and block: rows
+    branched, not topologies yielded, are what the enumeration costs.
     """
     n, m = len(verts), len(edges)
     order = sorted(verts, key=lambda v: v != g.root)
@@ -193,24 +192,24 @@ def _steiner_topologies(
     terminal = [v == g.root or g.demands.get(v, 0) > 0 for v in order]
     last = {v: k for k, pair in enumerate(ends) for v in pair if not terminal[v]}
     ending = [[v for v in {a, b} if last.get(v) == k] for k, (a, b) in enumerate(ends)]
-    start = np.zeros((1, 2 * n + m), np.min_scalar_type(n))
-    start[0, :n] = np.arange(n)
-    start[0, n : 2 * n] = terminal
-    pending = [(0, start)]
-    work = 0
+    start = np.array([[*range(n), *terminal] + [0] * m], np.min_scalar_type(n))
+    block = max(1, min(_FRONTIER_BLOCK, _FRONTIER_CELLS // (2 * n + m)))
+    pending, work = [(0, start)], 0
     while pending:
         k, rows = pending.pop()
+        rows = np.pad(rows, ((0, 0), (0, 2 * n + m - rows.shape[1])))
         for k in range(k, m):
-            work += len(rows)
-            if work > ORACLE_ROW_BUDGET:
+            probe = probes(k)
+            work += len(rows) * (2 * n + m + n * len(probe))
+            if work > ORACLE_CELL_BUDGET:
                 raise OracleLimitError(
                     f"instance too large for oracle: its enumeration passed "
-                    f"{ORACLE_ROW_BUDGET} frontier rows"
+                    f"{ORACLE_CELL_BUDGET} array cells"
                 )
-            rows = _branch(rows, n, k, *ends[k], probes[k], ending[k])
-            if len(rows) > _FRONTIER_BLOCK:
-                pending.append((k + 1, rows[_FRONTIER_BLOCK:].copy()))
-                rows = rows[:_FRONTIER_BLOCK]
+            rows = _branch(rows, n, k, *ends[k], probe, ending[k])
+            if len(rows) > block:
+                pending.append((k + 1, rows[block:, : 2 * n + k + 1].copy()))
+                rows = rows[:block]
         if len(rows):
             yield _least_trees(rows, n, ends)
 
@@ -313,8 +312,13 @@ def _enumerated_table(g: Instance) -> tuple[_TreeTable, ...]:
     of the root's component, holding the class's least tree. Cached, since
     the oracle scans an instance once per threshold index.
 
-    Raises OracleLimitError once the enumerator has branched
-    ORACLE_ROW_BUDGET frontier rows. An exception is not cached, so a
+    Each cached row was branched at the last edge for 2n+m cells of the
+    budget and holds n-1 columns and m flows, so an instance caches at most
+    8 bytes (2 with 16-bit flows) per ORACLE_CELL_BUDGET cell; K_8 with 4
+    demand vertices, near the budget, caches 48,818 rows, under 2 MB.
+
+    Raises OracleLimitError once the enumerator's work passes
+    ORACLE_CELL_BUDGET array cells. An exception is not cached, so a
     refused instance is refused on every call, each after that much work.
     """
     verts, edges = _root_component(g)
@@ -352,7 +356,7 @@ def best_tree_for_combination(
 
     Scans one spanning tree per flow class of the root's component; ties go
     to the lexicographically smallest edge-id set. Raises OracleLimitError
-    when enumerating the classes passes ORACLE_ROW_BUDGET frontier rows
+    when enumerating the classes passes ORACLE_CELL_BUDGET array cells
     (see ``_enumerated_table``).
     """
     if len(thresholds) != len(coefficients):
@@ -508,8 +512,9 @@ def sample_and_augment(
     unit plus the root, and rents shortest paths into the core for the
     rest. A vertex with ``amount`` units has a marked one with chance
     1 - (1 - p)^amount; these chances are computed once per solve and each
-    trial takes one draw per demand vertex against them. The cheapest trial
-    tree wins; cost ties go to the smaller edge-id set.
+    trial takes one draw per demand vertex against them, so its cost does
+    not grow with the total demand. The cheapest trial tree wins; cost ties
+    go to the smaller edge-id set.
 
     Degenerate thresholds are handled deterministically: threshold >= total
     demand reduces to shortest-path routing, threshold <= 1 to the Steiner

@@ -312,7 +312,7 @@ def test_corpus_oversized_instance_marked_skipped(tmp_path):
 
 
 def _k12_text():
-    # K_12 passes the oracle's row budget: the exact solver refuses it
+    # K_12 passes the oracle's work budget: the exact solver refuses it
     n = 12
     return instance_text(make_instance(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)], 0, {1: 1}))
 

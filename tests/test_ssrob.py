@@ -83,8 +83,8 @@ def test_exact_matches_independent_subset_oracle():
 
 
 def test_exact_oracle_guard():
-    # the complete graph on 12 vertices branches more frontier rows than
-    # the oracle's budget before it finds a topology
+    # the complete graph on 12 vertices passes the oracle's work budget
+    # before it finds a topology
     n = 12
     edges = [(u, v, 1) for u in range(n) for v in range(u + 1, n)]
     g = make_instance(n, edges, 0, {1: 1})
@@ -305,35 +305,27 @@ def test_split_tables_scan_matches_one_table(monkeypatch, block):
     monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", block)
     _enumerated_table.cache_clear()
     try:
-        # the cache keeps every block's table as the enumerator yields it
-        for g in corpus:
-            verts, edges = _root_component(g)
-            blocks = list(_steiner_topologies(g, verts, edges))
-            cached = _enumerated_table(g)
-            assert len(cached) == len(blocks), g
-            for kept, flags in zip(cached, blocks):
-                made = _flow_table(g, verts, edges, flags)
-                assert len(kept.columns) <= block
-                assert np.array_equal(kept.columns, made.columns), g
-                assert np.array_equal(kept.flows, made.flows), g
         assert solve_all() == table
+        assert all(len(kept.columns) <= block for g in corpus for kept in _enumerated_table(g))
     finally:
         _enumerated_table.cache_clear()
 
 
-def test_budget_counts_branched_rows(monkeypatch):
+def test_budget_counts_branched_cells(monkeypatch):
     # K5 with one demand vertex has 16 flow classes, the simple paths from
     # the root to it, and the enumerator branches 249 frontier rows to find
-    # them: under a smaller budget it stops within one frontier block of
-    # it, on every call; at 249 it answers, enumerating once for three calls
-    branched = []
+    # them, 6,020 array cells by the budget's count: each row's 2n+m cells
+    # plus n per exclude probe group. Under a smaller budget it stops within
+    # one frontier block of it, on every call; at 6,020 it answers,
+    # enumerating once for three calls
+    spent = []
     enumerations = []
     branch = ssrob._branch
     topologies = ssrob._steiner_topologies
 
-    def counted_branch(rows, *args):
-        branched.append(len(rows))
-        return branch(rows, *args)
+    def counted_branch(rows, n, k, a, b, probe, ending):
+        spent.append(len(rows) * (rows.shape[1] + n * len(probe)))
+        return branch(rows, n, k, a, b, probe, ending)
 
     def counted_topologies(*args):
         enumerations.append(args)
@@ -343,16 +335,18 @@ def test_budget_counts_branched_rows(monkeypatch):
     monkeypatch.setattr(ssrob, "_steiner_topologies", counted_topologies)
     monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", 8)
     g = make_instance(5, [(u, v, 1 + u + v) for u in range(5) for v in range(u + 1, 5)], 0, {4: 3})
+    # a block of 8 rows of 2*5+10 cells, with at most 2 probe groups of K5
+    block_cells = 8 * (2 * 5 + 10 + 5 * 2)
     _enumerated_table.cache_clear()
     try:
-        monkeypatch.setattr(ssrob, "ORACLE_ROW_BUDGET", 100)
+        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 2000)
         for _ in range(2):
-            branched.clear()
+            spent.clear()
             with pytest.raises(OracleLimitError, match="^instance too large for oracle"):
                 exact_ssrob(g, 1.0)
-            assert 100 - 8 < sum(branched) <= 100
-        monkeypatch.setattr(ssrob, "ORACLE_ROW_BUDGET", 249)
-        branched.clear()
+            assert 2000 - block_cells < sum(spent) <= 2000
+        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 6020)
+        spent.clear()
         enumerations.clear()
         trees = [exact_ssrob(g, m).edge_ids for m in (1.0, 2.0, 3.0)]
         assert sum(len(table.flows) for table in _enumerated_table(g)) == 16
@@ -360,7 +354,7 @@ def test_budget_counts_branched_rows(monkeypatch):
         _enumerated_table.cache_clear()
     # the direct edge 3 wins; edges 0..2 complete it to the least tree
     assert trees == [(0, 1, 2, 3)] * 3
-    assert len(enumerations) == 1 and sum(branched) == 249
+    assert len(enumerations) == 1 and sum(spent) == 6020
 
 
 def _cycle_chain(cycles: int):
