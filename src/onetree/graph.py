@@ -13,9 +13,12 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .errors import DisconnectedError, InstanceError, ParseError
+
+if TYPE_CHECKING:
+    from .routing import RoutedTree
 
 #: Vertex id of the merged supervertex in a contracted graph.
 SUPERNODE = -1
@@ -92,6 +95,15 @@ class Instance:
     @cached_property
     def unit_draws(self) -> dict[int, tuple[float, ...]]:
         """Memo of the marking draws, one per demand vertex, by seed; see ssrob."""
+        return {}
+
+    @cached_property
+    def trial_trees(self) -> dict[frozenset[int], RoutedTree]:
+        """Memo of the sample-and-augment trial tree by terminal set (marked
+        demand vertices plus the root); see ssrob. A pipeline run of K+1
+        thresholds and T trials holds at most min((K+1)·T, (K+T)·(d+1)) of
+        them, d demand vertices: a seed's marked set only shrinks as the
+        threshold grows, and the run draws from K+T seeds."""
         return {}
 
 

@@ -19,10 +19,12 @@ Two interchangeable solvers, both deterministic given a seed:
   cost ties between its trials go to the smaller edge-id tuple as well. It
   gives the plain per-trial algorithm's trees but memoizes on the instance
   what trials and thresholds share: terminal shortest-path trees, rent
-  paths per bought core and each seed's draws. The solve at threshold
-  index i gets seed + i and its trial t draws from
-  ``random.Random(seed + i + t)``, so K+1 indices of T trials use only K+T
-  streams.
+  paths per bought core, each seed's draws and each terminal set's routed
+  trial tree. The solve at threshold index i gets seed + i and its trial t
+  draws from ``random.Random(seed + i + t)``, so K+1 indices of T trials
+  use only K+T streams. A stream's marked set only shrinks as the
+  threshold grows, so over d demand vertices a run routes at most
+  min((K+1)·T, (K+T)·(d+1)) distinct trial trees.
 """
 
 from __future__ import annotations
@@ -502,6 +504,23 @@ def _marked_vertices(g: Instance, seed: int, chances: Sequence[float]) -> frozen
     )
 
 
+def _trial_tree(g: Instance, marked: frozenset[int]) -> RoutedTree:
+    """The tree a trial builds from its ``marked`` demand vertices: a Steiner
+    core over them and the root, plus rent paths into it.
+
+    It depends on the terminal set alone, so it is memoized on the instance
+    under that set; the trials of one threshold and of its neighbours mark
+    the same sets again and again.
+    """
+    terminals = marked | {g.root}
+    memo = g.trial_trees
+    tree = memo.get(terminals)
+    if tree is None:
+        core = _steiner_core_edges(g, terminals)
+        tree = memo[terminals] = route(g, core | _rent_paths(g, core))
+    return tree
+
+
 def sample_and_augment(
     g: Instance, threshold: float, seed: int = 0, trials: int = 32
 ) -> RoutedTree:
@@ -514,7 +533,8 @@ def sample_and_augment(
     1 - (1 - p)^amount; these chances are computed once per solve and each
     trial takes one draw per demand vertex against them, so its cost does
     not grow with the total demand. The cheapest trial tree wins; cost ties
-    go to the smaller edge-id set.
+    go to the smaller edge-id set. A trial that marks a set already tried
+    is skipped: its tree, and so its (cost, edge ids) key, is the same.
 
     Degenerate thresholds are handled deterministically: threshold >= total
     demand reduces to shortest-path routing, threshold <= 1 to the Steiner
@@ -527,16 +547,18 @@ def sample_and_augment(
     if threshold >= g.total_demand:
         return route(g, _spt_demand_paths(g))
     if threshold <= 1.0:
-        core = _steiner_core_edges(g, frozenset(v for v, _ in g.demand_items) | {g.root})
-        return route(g, core | _rent_paths(g, core))
+        return _trial_tree(g, frozenset(v for v, _ in g.demand_items))
 
     unmarked_log = math.log1p(-1.0 / threshold)
     chances = [-math.expm1(amount * unmarked_log) for _v, amount in g.demand_items]
     best: tuple[tuple[float, tuple[int, ...]], RoutedTree] | None = None
+    tried: set[frozenset[int]] = set()
     for trial in range(trials):
         marked = _marked_vertices(g, seed + trial, chances)
-        core = _steiner_core_edges(g, marked | {g.root})
-        tree = route(g, core | _rent_paths(g, core))
+        if marked in tried:
+            continue
+        tried.add(marked)
+        tree = _trial_tree(g, marked)
         key = (basis_cost(tree, threshold), tree.edge_ids)
         if best is None or key < best[0]:
             best = (key, tree)

@@ -19,7 +19,8 @@ from onetree import (
 from onetree import ssrob
 from onetree.corpus import random_instance
 from onetree.graph import tree_order
-from onetree.routing import compute_flows
+from onetree.layers import compute_K
+from onetree.routing import basis_threshold, compute_flows
 from onetree.ssrob import (
     _enumerated_table,
     _flow_table,
@@ -410,6 +411,52 @@ def test_sample_augment_matches_reference():
             got = sample_and_augment(g, m, seed=k, trials=4)
             want = reference_sample_and_augment(g, m, seed=k, trials=4)
             assert got.edge_ids == want.edge_ids, (k, m)
+
+
+def test_sample_augment_ladder_matches_reference():
+    # the pipeline's order: every threshold index of one instance, seed + i
+    # and 32 trials, so later solves read trial trees memoized by earlier ones
+    rng = random.Random(77)
+    eps = 0.25
+    for k in range(40):
+        g = _tie_heavy_instance(rng)
+        for i in range(compute_K(g.total_demand, eps) + 1):
+            m = basis_threshold(i, eps)
+            got = sample_and_augment(g, m, seed=k + i, trials=32)
+            want = reference_sample_and_augment(g, m, seed=k + i, trials=32)
+            assert got.edge_ids == want.edge_ids, (k, i)
+
+
+def test_repeated_marked_sets_route_once(monkeypatch):
+    # 32 trials over three demand vertices mark at most 8 sets per
+    # threshold: each distinct set gets one core and one route per instance
+    g = make_instance(
+        6,
+        [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 2), (4, 5, 1), (5, 0, 2), (1, 4, 3)],
+        0,
+        {2: 3, 4: 1, 5: 6},
+    )
+    calls = {"route": 0, "core": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ssrob, "route", counted("route", ssrob.route))
+    monkeypatch.setattr(ssrob, "_steiner_core_edges", counted("core", ssrob._steiner_core_edges))
+    marked = {frozenset(v for v, _ in g.demand_items)}
+    sample_and_augment(g, 1.0, seed=5, trials=32)
+    for i, m in enumerate((1.5, 2.0, 3.0, 5.0), start=1):
+        sample_and_augment(g, m, seed=5 + i, trials=32)
+        marked |= {
+            frozenset(reference_marking(g, random.Random(5 + i + t), 1.0 / m)) for t in range(32)
+        }
+    assert len(marked) > 1
+    assert calls == {"route": len(marked), "core": len(marked)}
+    assert len(g.trial_trees) == len(marked)
 
 
 def _chances(g, p):
