@@ -88,11 +88,6 @@ class Instance:
         return {}
 
     @cached_property
-    def rent_paths(self) -> dict[frozenset[int], frozenset[int]]:
-        """Memo of the rent-step edge ids by core vertex set; see ssrob."""
-        return {}
-
-    @cached_property
     def unit_draws(self) -> dict[int, tuple[float, ...]]:
         """Memo of the marking draws, one per demand vertex, by seed; see ssrob."""
         return {}

@@ -6,7 +6,8 @@ Two interchangeable solvers, both deterministic given a seed:
   the least subtree joining the root and the positive-demand vertices (the
   terminals): a Steiner topology. Costs depend on flows alone, so the
   oracle enumerates each Steiner topology of the root's component once
-  (``_steiner_topologies``), completes each to the least spanning tree of
+  (``_steiner_topologies``, branching edges in a greedy min-frontier order,
+  ``_frontier_order``), completes each to the least spanning tree of
   its flow class and scans flow tables of those trees (``_flow_table``),
   cached per instance since it scans an instance once per threshold index.
   Cost ties go to the lexicographically smallest spanning tree. Its one
@@ -18,13 +19,13 @@ Two interchangeable solvers, both deterministic given a seed:
 - A randomized sample-and-augment heuristic (``sample_and_augment``);
   cost ties between its trials go to the smaller edge-id tuple as well. It
   gives the plain per-trial algorithm's trees but memoizes on the instance
-  what trials and thresholds share: terminal shortest-path trees, rent
-  paths per bought core, each seed's draws and each terminal set's routed
-  trial tree. The solve at threshold index i gets seed + i and its trial t
-  draws from ``random.Random(seed + i + t)``, so K+1 indices of T trials
-  use only K+T streams. A stream's marked set only shrinks as the
-  threshold grows, so over d demand vertices a run routes at most
-  min((K+1)·T, (K+T)·(d+1)) distinct trial trees.
+  what trials and thresholds share: terminal shortest-path trees, each
+  seed's draws and each terminal set's routed trial tree. The solve at
+  threshold index i gets seed + i and its trial t draws from
+  ``random.Random(seed + i + t)``, so K+1 indices of T trials use only K+T
+  streams. A stream's marked set only shrinks as the threshold grows, so
+  over d demand vertices a run routes at most min((K+1)·T, (K+T)·(d+1))
+  distinct trial trees.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Callable, ClassVar, Container, Iterator, Sequence
 
 import numpy as np
@@ -66,6 +68,52 @@ def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
     verts = reachable_vertices(g, g.root)
     edges = tuple(e for e in g.edges if e.u in verts)
     return tuple(sorted(verts)), edges
+
+
+def _frontier_order(n: int, ends: Sequence[tuple[int, int]]) -> list[int]:
+    """The edges ``ends`` of a connected graph on vertices 0..n-1 in a greedy
+    min-frontier order, which keeps the enumerator's open vertices few.
+
+    Vertices are placed one at a time from vertex 0, the root, each step
+    taking the unplaced neighbour of the placed set whose placement grows
+    the frontier (placed vertices with an unplaced neighbour) least, ties to
+    the smaller index; parallel edges count once. Edges then go by (later
+    end's place, earlier end's place, index). A vertex's growth is kept as
+    two counts that a placement updates only near the placed vertex, and a
+    lazy heap re-scores just the vertices whose counts changed, so the
+    order takes O(m log n).
+    """
+    near = [set() for _ in range(n)]
+    for a, b in ends:
+        near[a].add(b)
+        near[b].add(a)
+    # per vertex: unplaced neighbours, and placed neighbours it is the last
+    # unplaced neighbour of
+    left, closes = [len(vs) for vs in near], [0] * n
+
+    def growth(v: int) -> int:
+        return (left[v] > 0) - closes[v]
+
+    place, placed, heap = [-1] * n, 0, [(growth(0), 0)]
+    while heap:
+        s, v = heappop(heap)
+        if place[v] >= 0 or s != growth(v):
+            continue
+        place[v], placed = placed, placed + 1
+        stale = set()
+        for w in near[v]:
+            left[w] -= 1
+            if place[w] < 0:
+                stale.add(w)
+        for w in (v, *near[v]):
+            if place[w] >= 0 and left[w] == 1:
+                last = next(u for u in near[w] if place[u] < 0)
+                closes[last] += 1
+                stale.add(last)
+        for w in stale:
+            heappush(heap, (growth(w), w))
+    spans = [(max(place[a], place[b]), min(place[a], place[b]), k) for k, (a, b) in enumerate(ends)]
+    return [k for _, _, k in sorted(spans)]
 
 
 def _exclude_probes(n: int, ends: Sequence[tuple[int, int]]) -> Callable[[int], list[np.ndarray]]:
@@ -181,17 +229,27 @@ def _steiner_topologies(
     and its tail set aside, without the flags of edges past k, which are
     all 0, until the head is done, depth first.
 
+    Edges are branched in _frontier_order, not by id: the fewer vertices
+    still wait for an edge, the sooner a dead branch fails the leaf rule or
+    the exclude probes, which on the oracle_n14 graphs of seed 1 cuts the
+    rows branched from 260,544 to 77,506. Each finished block's flag
+    columns go back to edge-id order before _least_trees, so every row is
+    its class's least tree whichever order found it.
+
     Raises OracleLimitError before its work passes ORACLE_CELL_BUDGET
     array cells, counting per branched row its 2n+m cells plus the n that
     _joined spends per probe group, over every level and block: rows
     branched, not topologies yielded, are what the enumeration costs.
     """
     n, m = len(verts), len(edges)
-    order = sorted(verts, key=lambda v: v != g.root)
-    index = {v: i for i, v in enumerate(order)}
-    ends = [(index[e.u], index[e.v]) for e in edges]
+    ranked = sorted(verts, key=lambda v: v != g.root)
+    index = {v: i for i, v in enumerate(ranked)}
+    id_ends = [(index[e.u], index[e.v]) for e in edges]
+    order = _frontier_order(n, id_ends)
+    ends = [id_ends[k] for k in order]
+    id_flags = 2 * n + np.argsort(order)
     probes = _exclude_probes(n, ends)
-    terminal = [v == g.root or g.demands.get(v, 0) > 0 for v in order]
+    terminal = [v == g.root or g.demands.get(v, 0) > 0 for v in ranked]
     last = {v: k for k, pair in enumerate(ends) for v in pair if not terminal[v]}
     ending = [[v for v in {a, b} if last.get(v) == k] for k, (a, b) in enumerate(ends)]
     start = np.array([[*range(n), *terminal] + [0] * m], np.min_scalar_type(n))
@@ -213,7 +271,8 @@ def _steiner_topologies(
                 pending.append((k + 1, rows[block:, : 2 * n + k + 1].copy()))
                 rows = rows[:block]
         if len(rows):
-            yield _least_trees(rows, n, ends)
+            rows[:, 2 * n :] = rows[:, id_flags]
+            yield _least_trees(rows, n, id_ends)
 
 
 @dataclass(frozen=True)
@@ -316,8 +375,9 @@ def _enumerated_table(g: Instance) -> tuple[_TreeTable, ...]:
 
     Each cached row was branched at the last edge for 2n+m cells of the
     budget and holds n-1 columns and m flows, so an instance caches at most
-    8 bytes (2 with 16-bit flows) per ORACLE_CELL_BUDGET cell; K_8 with 4
-    demand vertices, near the budget, caches 48,818 rows, under 2 MB.
+    8 bytes (2 with 16-bit flows) per ORACLE_CELL_BUDGET cell; K_8 with
+    demand on vertices 1-4, 5.2·10^7 cells of work, caches 48,818 rows,
+    under 2 MB.
 
     Raises OracleLimitError once the enumerator's work passes
     ORACLE_CELL_BUDGET array cells. An exception is not cached, so a
@@ -463,16 +523,10 @@ def _rent_paths(g: Instance, core_edge_ids: frozenset[int]) -> frozenset[int]:
     """Shortest-path edges connecting every off-core demand to the core.
 
     The core is searched as one merged source, which gives the paths of a
-    search from SUPERNODE in ``contract(g, core)`` without building it. The
-    result depends only on the core's vertex set, so it is memoized on the
-    instance under that set; trials and thresholds often buy the same core.
+    search from SUPERNODE in ``contract(g, core)`` without building it.
     """
     core = frozenset(tree_vertices(g.root, (g.edge_by_id[eid] for eid in core_edge_ids)))
-    memo = g.rent_paths
-    paths = memo.get(core)
-    if paths is None:
-        paths = memo[core] = _demand_paths(g, shortest_path_tree(g, core), SUPERNODE, core)
-    return paths
+    return _demand_paths(g, shortest_path_tree(g, core), SUPERNODE, core)
 
 
 def _spt_demand_paths(g: Instance) -> frozenset[int]:

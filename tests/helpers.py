@@ -12,6 +12,11 @@ that enumerator's 0/1 flag blocks back as edge-id tuples to compare, and
 :func:`edge_flags` writes tuples as flags. The numeric parameter optimizer
 checks the closed form in :func:`onetree.optimal_parameters` without using
 it.
+:func:`reference_frontier_order` recomputes the enumerator's greedy edge
+order from scratch at every step, and :func:`answers_in_both_orders` runs
+the oracle once in that order and once in edge-id order
+(:func:`edge_id_order`), for tests that the order changes no answer, on
+graphs that include :func:`oracle_n14_instances`, the benchmark's own.
 :func:`reference_sample_and_augment` is the plain form of the package's
 sample-and-augment solver, which the faster one must match tree for tree,
 and :func:`reference_K` the loop that the closed form of ``compute_K`` must
@@ -20,13 +25,18 @@ match.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import random
+import sys
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+import pytest
+
 from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, basis_threshold, contract, route
-from onetree import shortest_path_tree
+from onetree import InvalidTreeError, load_instance, shortest_path_tree, ssrob
 from onetree.graph import (
     INF,
     Edge,
@@ -37,6 +47,9 @@ from onetree.graph import (
     tree_vertices,
 )
 from onetree.routing import compute_flows
+from onetree.ssrob import _enumerated_table, _table_costs, best_tree_for_combination
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def subset_spanning_trees(g: Instance) -> Iterator[tuple[int, ...]]:
@@ -158,6 +171,89 @@ def edge_flags(trees: Sequence[tuple[int, ...]], edges: Sequence[Edge]) -> list[
     """Each edge-id tuple of ``trees`` as a row of 0/1 flags, one flag per
     edge of ``edges``: the inverse of :func:`flagged_edge_sets`."""
     return [[int(e.eid in chosen) for e in edges] for chosen in map(set, trees)]
+
+
+def edge_id_order(n: int, ends: Sequence[tuple[int, int]]) -> list[int]:
+    """Stand-in for ``ssrob._frontier_order`` that branches in edge-id order."""
+    return list(range(len(ends)))
+
+
+def reference_frontier_order(n: int, ends: Sequence[tuple[int, int]]) -> list[int]:
+    """The greedy min-frontier edge order, every growth recomputed from
+    scratch at every step: place vertex 0, then repeatedly the unplaced
+    neighbour v of the placed set with the least (v has an unplaced
+    neighbour) minus (placed neighbours whose only unplaced neighbour is
+    v), ties to the smaller v; then sort edges by (later end's place,
+    earlier end's place, index)."""
+    near = [set() for _ in range(n)]
+    for a, b in ends:
+        near[a].add(b)
+        near[b].add(a)
+    place = {0: 0}
+
+    def growth(v: int) -> int:
+        opens = any(u not in place for u in near[v])
+        closes = sum(u in place and near[u] - place.keys() == {v} for u in near[v])
+        return opens - closes
+
+    while len(place) < n:
+        _, v = min((growth(v), v) for v in range(n) if v not in place and near[v] & place.keys())
+        place[v] = len(place)
+    spans = [sorted((place[a], place[b])) for a, b in ends]
+    return sorted(range(len(ends)), key=lambda k: (spans[k][1], spans[k][0], k))
+
+
+def oracle_answers(g: Instance, combinations) -> tuple[list, list[tuple[int, ...] | str]]:
+    """What the exact oracle answers for ``g`` from a fresh enumeration:
+    its rows as sorted (edge ids, flows, one cost per combination), the
+    costs from ``_table_costs``, and ``best_tree_for_combination``'s tree
+    per combination, or its error where demand lies outside the root's
+    component. ``combinations`` holds (thresholds, coefficients) pairs; the
+    table cache is cleared before and after."""
+    def best(combination) -> tuple[int, ...] | str:
+        try:
+            return best_tree_for_combination(g, *combination).edge_ids
+        except InvalidTreeError as error:
+            return str(error)
+
+    _enumerated_table.cache_clear()
+    try:
+        rows = []
+        for table in _enumerated_table(g):
+            costs = [_table_costs(table, *combination).tolist() for combination in combinations]
+            rows += [
+                (table.edge_ids(j), table.flows[j].tolist(), [c[j] for c in costs])
+                for j in range(len(table.flows))
+            ]
+        trees = [best(combination) for combination in combinations]
+    finally:
+        _enumerated_table.cache_clear()
+    return sorted(rows), trees
+
+
+def answers_in_both_orders(g: Instance, combinations) -> tuple[tuple, tuple]:
+    """:func:`oracle_answers` with the enumerator branching in its own edge
+    order, then in edge-id order (``_frontier_order`` patched)."""
+    first = oracle_answers(g, combinations)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ssrob, "_frontier_order", edge_id_order)
+        return first, oracle_answers(g, combinations)
+
+
+def oracle_n14_instances(seeds: Iterable[int]) -> list[Instance]:
+    """The ``oracle_n14`` benchmark graphs of ``seeds``, made by the
+    benchmark's own stdlib-only generator, ``perfbench/workloads.py``."""
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+    # dataclasses look their module up by name while the module runs
+    workloads = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    w = workloads.WORKLOADS["oracle_n14"]
+    graphs = []
+    for seed in seeds:
+        rng = random.Random(f"{w.name}:{seed}")
+        graphs += [load_instance(workloads.instance_text(w, rng)) for _ in range(w.graphs)]
+    return graphs
 
 
 def reference_K(total_demand: int, eps: float, start: int = 0) -> int:

@@ -1,5 +1,6 @@
-"""Property tests: the exact oracle against the brute-force tree oracle on
-random small graphs, drawn by hypothesis."""
+"""Property tests on random small graphs, drawn by hypothesis: the exact
+oracle against the brute-force tree oracle, and against itself branching
+in edge-id order."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,19 +9,19 @@ from hypothesis import strategies as st
 from onetree import basis_cost, make_instance
 from onetree.ssrob import best_tree_for_combination
 
-from helpers import brute_min_cost
+from helpers import answers_in_both_orders, brute_min_cost
 
 
 @st.composite
-def small_instances(draw):
+def small_instances(draw, max_n=6, max_extra=4):
     """A random tree plus a few extra edges (parallel ones included) on up
-    to 6 vertices, in a drawn edge order, with demand on a drawn vertex set
-    that may hold the root."""
-    n = draw(st.integers(1, 6))
+    to ``max_n`` vertices, in a drawn edge order, with demand on a drawn
+    vertex set that may hold the root."""
+    n = draw(st.integers(1, max_n))
     vertex = st.integers(0, n - 1)
     length = st.integers(1, 4)
     edges = [(draw(st.integers(0, v - 1)), v, draw(length)) for v in range(1, n)]
-    extra = draw(st.lists(st.tuples(vertex, vertex, length), max_size=4))
+    extra = draw(st.lists(st.tuples(vertex, vertex, length), max_size=max_extra))
     edges = draw(st.permutations(edges + [(u, v, w) for u, v, w in extra if u != v]))
     demanded = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
     demands = {v: draw(st.integers(1, 6)) for v in demanded}
@@ -46,3 +47,14 @@ def test_oracle_matches_brute_force(g, combination):
     got = cost(best_tree_for_combination(g, thresholds, coefficients))
     want, _ = brute_min_cost(g, cost)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(max_n=9, max_extra=8), terms)
+def test_edge_order_does_not_change_random_answers(g, combination):
+    # the same rows, flows and row cost bits, and the same best tree, whether
+    # the enumerator branches in its greedy order or in edge-id order
+    thresholds, coefficients = zip(*combination)
+    combinations = [(thresholds, coefficients), ((1.0,), (1.0,))]
+    ours, by_id = answers_in_both_orders(g, combinations)
+    assert ours == by_id

@@ -33,10 +33,14 @@ from onetree.ssrob import (
 )
 
 from helpers import (
+    answers_in_both_orders,
     brute_min_cost,
     count_spanning_trees,
     edge_flags,
+    edge_id_order,
     flagged_edge_sets,
+    oracle_n14_instances,
+    reference_frontier_order,
     reference_flow_classes,
     reference_marking,
     reference_sample_and_augment,
@@ -245,6 +249,38 @@ def test_split_enumeration_matches_reference(monkeypatch, limit):
         assert all(len(flags) <= limit for flags in _check_classes(g)), g
 
 
+def _combinations(g):
+    total = float(g.total_demand)
+    return [((1.0,), (1.0,)), ((2.0,), (1.0,)), ((total,), (1.0,)),
+            ((1.0, 2.0, total), (0.5, 0.0, 1.25))]
+
+
+def test_frontier_order_matches_plain_greedy(monkeypatch):
+    # the lazy heap gives the order a from-scratch greedy gives, on every
+    # component the enumerator sees
+    seen = []
+    frontier_order = ssrob._frontier_order
+
+    def recorded(n, ends):
+        seen.append((n, list(ends), frontier_order(n, ends)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(ssrob, "_frontier_order", recorded)
+    for g in _enumeration_corpus(150) + oracle_n14_instances([1]):
+        list(_steiner_topologies(g, *_root_component(g)))
+    assert all(got == reference_frontier_order(n, ends) for n, ends, got in seen)
+    assert sum(got != sorted(got) for _n, _ends, got in seen) > 100
+
+
+def test_edge_order_does_not_change_answers():
+    # branching in edge-id order instead gives the same rows, flows and row
+    # cost bits, and the same best trees
+    corpus = _enumeration_corpus(150) + oracle_n14_instances([1, 2, 3])
+    for g in corpus:
+        ours, by_id = answers_in_both_orders(g, _combinations(g))
+        assert ours == by_id, g
+
+
 def _full_scan(g, thresholds, coefficients):
     """Best tree by a scan of every spanning tree's row, ties to the smallest ids."""
     verts, edges = _root_component(g)
@@ -314,10 +350,10 @@ def test_split_tables_scan_matches_one_table(monkeypatch, block):
 
 def test_budget_counts_branched_cells(monkeypatch):
     # K5 with one demand vertex has 16 flow classes, the simple paths from
-    # the root to it, and the enumerator branches 249 frontier rows to find
-    # them, 6,020 array cells by the budget's count: each row's 2n+m cells
+    # the root to it, and the enumerator branches 264 frontier rows to find
+    # them, 6,395 array cells by the budget's count: each row's 2n+m cells
     # plus n per exclude probe group. Under a smaller budget it stops within
-    # one frontier block of it, on every call; at 6,020 it answers,
+    # one frontier block of it, on every call; at 6,395 it answers,
     # enumerating once for three calls
     spent = []
     enumerations = []
@@ -346,7 +382,7 @@ def test_budget_counts_branched_cells(monkeypatch):
             with pytest.raises(OracleLimitError, match="^instance too large for oracle"):
                 exact_ssrob(g, 1.0)
             assert 2000 - block_cells < sum(spent) <= 2000
-        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 6020)
+        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 6395)
         spent.clear()
         enumerations.clear()
         trees = [exact_ssrob(g, m).edge_ids for m in (1.0, 2.0, 3.0)]
@@ -355,7 +391,42 @@ def test_budget_counts_branched_cells(monkeypatch):
         _enumerated_table.cache_clear()
     # the direct edge 3 wins; edges 0..2 complete it to the least tree
     assert trees == [(0, 1, 2, 3)] * 3
-    assert len(enumerations) == 1 and sum(spent) == 6020
+    assert len(enumerations) == 1 and sum(spent) == 6395
+
+
+def _sparse_instance(seed: int, n: int = 20, m: int = 32, demand_vertices: int = 6):
+    """A random tree rooted at 0, each vertex hung below a smaller one, plus
+    random extra edges up to m, with demand on random non-root vertices."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v, rng.randint(1, 9)) for v in range(1, n)]
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.randint(1, 9)))
+    demands = {v: rng.randint(1, 5) for v in rng.sample(range(1, n), demand_vertices)}
+    return make_instance(n, edges, 0, demands)
+
+
+def test_frontier_order_answers_what_id_order_refuses(monkeypatch):
+    # in edge-id order every extra edge, each closing a cycle, comes after
+    # the tree edges, so the connect rule prunes late: this graph takes
+    # about 1.2e8 cells that way, past the budget, and 4.4e6 in the greedy
+    # order; under a budget raised for it, id order finds the same trees
+    g = _sparse_instance(36)
+    thresholds = (1.0, 3.0, float(g.total_demand))
+    _enumerated_table.cache_clear()
+    try:
+        ours = [exact_ssrob(g, m) for m in thresholds]
+        monkeypatch.setattr(ssrob, "_frontier_order", edge_id_order)
+        _enumerated_table.cache_clear()
+        with pytest.raises(OracleLimitError, match="^instance too large for oracle"):
+            exact_ssrob(g, 1.0)
+        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 2**27)
+        by_id = [exact_ssrob(g, m) for m in thresholds]
+    finally:
+        _enumerated_table.cache_clear()
+    for m, got, want in zip(thresholds, ours, by_id):
+        assert got.edge_ids == want.edge_ids
+        assert basis_cost(got, m) == basis_cost(want, m)
 
 
 def _cycle_chain(cycles: int):
@@ -496,7 +567,7 @@ def test_marking_frequency_matches_unit_marking():
             assert abs(hits[v] / runs - want) <= 4.0 * sigma, (p, amount, hits[v])
 
 
-def test_repeated_core_searches_once(monkeypatch):
+def test_rent_paths_search_from_core_vertex_set(monkeypatch):
     searches = []
     search = ssrob.shortest_path_tree
 
@@ -506,11 +577,11 @@ def test_repeated_core_searches_once(monkeypatch):
 
     monkeypatch.setattr(ssrob, "shortest_path_tree", counted)
     g = make_instance(4, [(0, 1, 1), (0, 1, 2), (1, 2, 1), (2, 3, 1), (0, 3, 5)], 0, {2: 1, 3: 2})
+    # either parallel edge buys the core vertex set {0, 1}, searched as one
+    # merged source, so both give the same rent paths
     assert _rent_paths(g, frozenset({0})) == {2, 3}
-    # the parallel edge buys the same core vertex set {0, 1}
     assert _rent_paths(g, frozenset({1})) == {2, 3}
-    assert _rent_paths(g, frozenset({0})) == {2, 3}
-    assert searches == [frozenset({0, 1})]
+    assert searches == [frozenset({0, 1})] * 2
 
 
 def test_rent_paths_name_single_vertex_core_supernode():
