@@ -98,14 +98,6 @@ def build_tree(
     buy_parts = {i: snapshots[i] for i in layers.kept}
     rent_parts = {i: all_edges - snapshots[i] for i in layers.kept}
 
-    order = sorted(layers.kept, reverse=True)
-    for earlier, later in zip(order, order[1:]):
-        if not buy_parts[earlier] <= buy_parts[later]:
-            raise InvariantError("layer snapshots are not nested")
-    for i in layers.kept:
-        if buy_parts[i] | rent_parts[i] != all_edges or buy_parts[i] & rent_parts[i]:
-            raise InvariantError(f"layer {i} does not partition the tree edges")
-
     return SimultaneousTree(
         tree=tree,
         alpha=alpha,
@@ -125,13 +117,13 @@ OPTIMAL_BRANCH_VALUE = 8.0 + 4.0 * math.sqrt(5.0)
 class Parameters:
     """Construction parameters with derived constants and the headline bound.
 
-    alpha is the LAST stretch, beta its weight ratio, gamma the geometric
-    buy-cost drop between kept layers, delta the geometric rent-cost growth.
+    alpha is the LAST stretch, gamma the geometric buy-cost drop between
+    kept layers, delta the geometric rent-cost growth. beta, the LAST weight
+    ratio, follows from alpha.
     """
 
     eps: float
     alpha: float
-    beta: float
     gamma: float
     delta: float
     lambda_mode: str = "exact"
@@ -143,13 +135,17 @@ class Parameters:
                 raise ConfigError(f"{name} must be finite")
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
-        beta_floor = guaranteed_beta(self.alpha)  # raises unless alpha > 1
+        if self.alpha <= 1:
+            raise ConfigError("alpha must be > 1")
         if self.gamma <= 1:
             raise ConfigError("gamma must be > 1")
         if self.delta <= self.alpha + 1:
             raise ConfigError("delta must exceed alpha + 1")
-        if self.beta < beta_floor - 1e-9:
-            raise ConfigError("beta must be at least (alpha + 1) / (alpha - 1)")
+
+    @property
+    def beta(self) -> float:
+        """LAST weight ratio guaranteed at stretch alpha: (alpha+1)/(alpha-1)."""
+        return guaranteed_beta(self.alpha)
 
     @property
     def buy_constant(self) -> float:
@@ -189,7 +185,6 @@ def optimal_parameters(lambda_descriptor: str = "exact", eps: float = 0.1) -> Pa
     params = Parameters(
         eps=eps,
         alpha=GOLDEN_ALPHA,
-        beta=2.0 + root5,
         gamma=2.0,
         delta=3.0 + root5,
         lambda_mode=lambda_descriptor,

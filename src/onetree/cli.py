@@ -18,7 +18,7 @@ import io
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .evaluate import RatioReport, simultaneous_ratio
 from .graph import Instance, load_instance
-from .last import guaranteed_beta
 from .layers import LayerSet, compute_layers, verify_layerset
 from .routing import basis_cost
 from .ssrob import ExactSolver, get_solver
@@ -101,20 +100,11 @@ class PipelineResult:
 def make_parameters(cfg: RunConfig, lambda_mode: str) -> Parameters:
     """Closed-form defaults, with any of alpha/gamma/delta overridden.
 
-    beta is never an input; it is pinned to ``guaranteed_beta(alpha)``.
+    beta is never an input; ``Parameters`` derives it from alpha.
     """
+    given = {"alpha": cfg.alpha, "gamma": cfg.gamma, "delta": cfg.delta}
     defaults = optimal_parameters(lambda_descriptor=lambda_mode, eps=cfg.eps)
-    if cfg.alpha is None and cfg.gamma is None and cfg.delta is None:
-        return defaults
-    alpha = defaults.alpha if cfg.alpha is None else cfg.alpha
-    return Parameters(
-        eps=cfg.eps,
-        alpha=alpha,
-        beta=guaranteed_beta(alpha),
-        gamma=defaults.gamma if cfg.gamma is None else cfg.gamma,
-        delta=defaults.delta if cfg.delta is None else cfg.delta,
-        lambda_mode=lambda_mode,
-    )
+    return replace(defaults, **{k: v for k, v in given.items() if v is not None})
 
 
 def solve_instance(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -148,21 +147,6 @@ def build_adjacency(
     return {v: tuple(es) for v, es in lists.items()}
 
 
-def reachable_vertices(g: Graph, start: int) -> set[int]:
-    """Vertices in the connected component of ``start``."""
-    adj = g.adjacency
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for e in adj[v]:
-            w = e.other(v)
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
 def load_instance(text: str) -> Instance:
     """Parse and validate an instance file.
 
@@ -242,7 +226,7 @@ def load_instance(text: str) -> Instance:
         raise ParseError("missing demand lines: at least one 'd v amount' row is required")
 
     g = Instance(n=n, edges=tuple(edges), root=root, demand_items=tuple(sorted(demands.items())))
-    component = reachable_vertices(g, root)
+    component = {v for v, _ in tree_order(root, g.edges)}
     for v in sorted(demands):
         if v not in component:
             raise InstanceError(f"disconnected demand: vertex {v} is unreachable from the root")
@@ -401,8 +385,10 @@ def tree_vertices(root: int, edges: Iterable[Edge]) -> set[int]:
 def tree_order(root: int, edges: Iterable[Edge]) -> list[tuple[int, Edge | None]]:
     """Breadth-first ``(vertex, edge to its parent)`` pairs from ``root``.
 
-    The root comes first with edge None. Assumes the edge set is acyclic;
-    vertices outside the root's component are simply absent from the result.
+    The root comes first with edge None. Every vertex of the root's
+    component comes once, so the walk lays one edge per vertex past the
+    root: ``edges`` form a tree at ``root`` exactly when the walk is one
+    longer than ``edges``. Vertices outside that component are absent.
     """
     adj: dict[int, list[Edge]] = {root: []}
     for e in edges:

@@ -24,12 +24,12 @@ from .graph import (
 
 @dataclass(frozen=True)
 class LastTree:
-    """A spanning tree of the host graph with per-vertex root distances."""
+    """A spanning tree of the host graph, rooted at ``root``; ``verify_last``
+    recomputes its root distances."""
 
     graph: Graph
     root: int
     edge_ids: frozenset[int]
-    distances: Mapping[int, float]
 
 
 def guaranteed_beta(alpha: float) -> float:
@@ -54,7 +54,7 @@ def build_last(g: Graph, root: int, alpha: float) -> LastTree:
     if root not in adjacency:
         raise ConfigError(f"root {root} is not a vertex of the graph")
     if len(adjacency) == 1:
-        return LastTree(graph=g, root=root, edge_ids=frozenset(), distances={root: 0.0})
+        return LastTree(graph=g, root=root, edge_ids=frozenset())
 
     dist_true, pred_true = shortest_path_tree(g, root)
     if any(d == math.inf for d in dist_true.values()):
@@ -105,8 +105,7 @@ def build_last(g: Graph, root: int, alpha: float) -> LastTree:
                 stack.append((w, v, e))
 
     edge_ids = frozenset(eid for _, eid in parent.values())
-    final = tree_distances(root, [by_id[eid] for eid in edge_ids])
-    return LastTree(graph=g, root=root, edge_ids=edge_ids, distances=final)
+    return LastTree(graph=g, root=root, edge_ids=edge_ids)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidTreeError
-from .graph import Edge, Instance, UnionFind, tree_order, tree_vertices
+from .graph import Edge, Instance, tree_order, tree_vertices
 
 
 def basis_threshold(index: int, eps: float) -> float:
@@ -65,8 +65,10 @@ def compute_flows(
 def route(g: Instance, edge_ids: Iterable[int]) -> RoutedTree:
     """Validate an edge set as a routing tree and compute its flows.
 
-    The edges must be acyclic, hang together with the root, and span every
-    demand vertex.
+    The edges must form a tree at the root and span every demand vertex.
+    One breadth-first walk checks the first: it lays one edge per vertex it
+    reaches, so any edge left over closes a cycle in the root's component
+    or lies off it, and the error names whichever the leftovers show.
     """
     ids = tuple(sorted(set(edge_ids)))
     by_id = g.edge_by_id
@@ -76,19 +78,15 @@ def route(g: Instance, edge_ids: Iterable[int]) -> RoutedTree:
             raise InvalidTreeError(f"unknown edge id {eid}")
         edges.append(by_id[eid])
 
-    touched = tree_vertices(g.root, edges)
-    uf = UnionFind(touched)
-    for e in edges:
-        if not uf.union(e.u, e.v):
-            raise InvalidTreeError("cyclic edge set")
-
     order = tree_order(g.root, edges)
     reached = {v for v, _ in order}
+    if len(order) != len(edges) + 1:
+        if any(e.u not in reached for e in edges):
+            raise InvalidTreeError("edge set is not connected to the root")
+        raise InvalidTreeError("cyclic edge set")
     for v, _amount in g.demand_items:
         if v not in reached:
             raise InvalidTreeError(f"demand vertex not spanned: {v}")
-    if len(reached) != len(touched):
-        raise InvalidTreeError("edge set is not connected to the root")
 
     flows = compute_flows(order, g.demands)
     return RoutedTree(instance=g, edge_ids=ids, flows=tuple(flows[eid] for eid in ids))

@@ -48,8 +48,8 @@ from .graph import (
     PathTree,
     UnionFind,
     minimum_spanning_forest,
-    reachable_vertices,
     shortest_path_tree,
+    tree_order,
     tree_vertices,
 )
 from .routing import RoutedTree, basis_cost, route
@@ -65,7 +65,7 @@ _FRONTIER_CELLS = 2**20
 
 
 def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
-    verts = reachable_vertices(g, g.root)
+    verts = {v for v, _ in tree_order(g.root, g.edges)}
     edges = tuple(e for e in g.edges if e.u in verts)
     return tuple(sorted(verts)), edges
 
@@ -240,8 +240,15 @@ def _steiner_topologies(
     array cells, counting per branched row its 2n+m cells plus the n that
     _joined spends per probe group, over every level and block: rows
     branched, not topologies yielded, are what the enumeration costs.
+    Every level branches at least one row, so a graph with m·(2n+m) over
+    the budget is refused before any set-up.
     """
     n, m = len(verts), len(edges)
+    too_large = OracleLimitError(
+        f"instance too large for oracle: its enumeration passes {ORACLE_CELL_BUDGET} array cells"
+    )
+    if m * (2 * n + m) > ORACLE_CELL_BUDGET:
+        raise too_large
     ranked = sorted(verts, key=lambda v: v != g.root)
     index = {v: i for i, v in enumerate(ranked)}
     id_ends = [(index[e.u], index[e.v]) for e in edges]
@@ -262,10 +269,7 @@ def _steiner_topologies(
             probe = probes(k)
             work += len(rows) * (2 * n + m + n * len(probe))
             if work > ORACLE_CELL_BUDGET:
-                raise OracleLimitError(
-                    f"instance too large for oracle: its enumeration passed "
-                    f"{ORACLE_CELL_BUDGET} array cells"
-                )
+                raise too_large
             rows = _branch(rows, n, k, *ends[k], probe, ending[k])
             if len(rows) > block:
                 pending.append((k + 1, rows[block:, : 2 * n + k + 1].copy()))
@@ -456,6 +460,14 @@ def _terminal_tree(g: Instance, source: int) -> PathTree:
     return tree
 
 
+def _path_edges(pred: dict[int, tuple[int, int]], start: int, stop: int) -> Iterator[int]:
+    """Edge ids of the shortest-path tree path ``pred`` walks from ``start``
+    back to ``stop``."""
+    while start != stop:
+        start, eid = pred[start]
+        yield eid
+
+
 def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int]:
     """Steiner tree over ``terminals`` by the metric-closure MST approximation.
 
@@ -485,12 +497,8 @@ def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int
         if not uf.union(a, b):
             continue
         joined += 1
-        pred = trees[a][1]
-        w = b
-        while w != a:
-            parent, eid = pred[w]
+        for eid in _path_edges(trees[a][1], b, a):
             union_edges[eid] = by_id[eid]
-            w = parent
         if joined == len(terms):
             break
 
@@ -511,11 +519,7 @@ def _demand_paths(
             continue
         if dist.get(v, INF) == INF:
             raise InstanceError(f"disconnected demand: vertex {v} is unreachable from the root")
-        w = v
-        while w != source:
-            parent, eid = pred[w]
-            picked.add(eid)
-            w = parent
+        picked.update(_path_edges(pred, v, source))
     return frozenset(picked)
 
 
@@ -587,8 +591,8 @@ def sample_and_augment(
     1 - (1 - p)^amount; these chances are computed once per solve and each
     trial takes one draw per demand vertex against them, so its cost does
     not grow with the total demand. The cheapest trial tree wins; cost ties
-    go to the smaller edge-id set. A trial that marks a set already tried
-    is skipped: its tree, and so its (cost, edge ids) key, is the same.
+    go to the smaller edge-id set. Trials that mark the same set count
+    once: their tree, and so its (cost, edge ids) key, is the same.
 
     Degenerate thresholds are handled deterministically: threshold >= total
     demand reduces to shortest-path routing, threshold <= 1 to the Steiner
@@ -605,19 +609,11 @@ def sample_and_augment(
 
     unmarked_log = math.log1p(-1.0 / threshold)
     chances = [-math.expm1(amount * unmarked_log) for _v, amount in g.demand_items]
-    best: tuple[tuple[float, tuple[int, ...]], RoutedTree] | None = None
-    tried: set[frozenset[int]] = set()
-    for trial in range(trials):
-        marked = _marked_vertices(g, seed + trial, chances)
-        if marked in tried:
-            continue
-        tried.add(marked)
-        tree = _trial_tree(g, marked)
-        key = (basis_cost(tree, threshold), tree.edge_ids)
-        if best is None or key < best[0]:
-            best = (key, tree)
-    assert best is not None
-    return best[1]
+    marked_sets = {_marked_vertices(g, seed + trial, chances) for trial in range(trials)}
+    return min(
+        (_trial_tree(g, marked) for marked in marked_sets),
+        key=lambda tree: (basis_cost(tree, threshold), tree.edge_ids),
+    )
 
 
 @dataclass(frozen=True)

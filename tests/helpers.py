@@ -42,7 +42,6 @@ from onetree.graph import (
     Edge,
     UnionFind,
     minimum_spanning_forest,
-    reachable_vertices,
     tree_order,
     tree_vertices,
 )
@@ -52,9 +51,14 @@ from onetree.ssrob import _enumerated_table, _table_costs, best_tree_for_combina
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def root_component(g: Instance) -> set[int]:
+    """Vertices reachable from the root."""
+    return {v for v, _ in tree_order(g.root, g.edges)}
+
+
 def subset_spanning_trees(g: Instance) -> Iterator[tuple[int, ...]]:
     """Every spanning tree of the root's component, by subset filtering."""
-    verts = sorted(reachable_vertices(g, g.root))
+    verts = sorted(root_component(g))
     vert_set = set(verts)
     edges = [e for e in g.edges if e.u in vert_set]
     for combo in itertools.combinations(edges, len(verts) - 1):
@@ -67,7 +71,7 @@ def count_spanning_trees(g: Instance) -> int:
     """Number of spanning trees of the root's component, by the matrix-tree
     theorem with exact integer (Bareiss) elimination; a lone root's reduced
     Laplacian is empty, with determinant 1."""
-    index = {v: i for i, v in enumerate(sorted(reachable_vertices(g, g.root)))}
+    index = {v: i for i, v in enumerate(sorted(root_component(g)))}
     lap = [[0] * len(index) for _ in index]
     for e in g.edges:
         if e.u in index:

@@ -20,7 +20,7 @@ from onetree.corpus import random_instance
 def two_layer_instance():
     """Hub instance whose kept layers are {0, 2} with inner core {root, hub}."""
     g = make_instance(5, [(0, 1, 8), (1, 2, 4), (1, 3, 4), (1, 4, 4)], 0, {2: 2, 3: 1, 4: 1})
-    params = Parameters(eps=1.0, alpha=1.4, beta=6.0, gamma=2.0, delta=2.5, lambda_mode="exact")
+    params = Parameters(eps=1.0, alpha=1.4, gamma=2.0, delta=2.5, lambda_mode="exact")
     layers = compute_layers(g, 1.0, ExactSolver(), params.gamma, params.delta)
     return g, params, layers
 
@@ -119,13 +119,13 @@ def test_zero_flow_pruning_preserves_costs():
 
 def test_delta_too_small_rejected_before_building():
     with pytest.raises(ConfigError, match="delta"):
-        Parameters(eps=0.5, alpha=1.6, beta=5.0, gamma=2.0, delta=2.5)
+        Parameters(eps=0.5, alpha=1.6, gamma=2.0, delta=2.5)
 
 
 def test_mismatched_parameters_rejected():
     g, params, layers = two_layer_instance()
     result = build_tree(g, layers, params.alpha)
-    other = Parameters(eps=1.0, alpha=1.4, beta=6.0, gamma=3.0, delta=2.5, lambda_mode="exact")
+    other = Parameters(eps=1.0, alpha=1.4, gamma=3.0, delta=2.5, lambda_mode="exact")
     with pytest.raises(ConfigError, match="gamma/delta"):
         check_layer_bounds(result, layers, other)
 

@@ -128,13 +128,15 @@ def test_ratio_with_heuristic_oracle_carries_caveat(path3):
 
 def test_parameters_validation():
     with pytest.raises(ConfigError):
-        Parameters(eps=0.5, alpha=1.0, beta=5.0, gamma=2.0, delta=5.0)
+        Parameters(eps=0.5, alpha=1.0, gamma=2.0, delta=5.0)
     with pytest.raises(ConfigError):
-        Parameters(eps=0.5, alpha=2.0, beta=2.9, gamma=2.0, delta=5.0)  # beta < 3
+        Parameters(eps=0.5, alpha=2.0, gamma=1.0, delta=5.0)
     with pytest.raises(ConfigError):
-        Parameters(eps=0.5, alpha=2.0, beta=3.0, gamma=1.0, delta=5.0)
-    with pytest.raises(ConfigError):
-        Parameters(eps=-0.5, alpha=2.0, beta=3.0, gamma=2.0, delta=5.0)
+        Parameters(eps=-0.5, alpha=2.0, gamma=2.0, delta=5.0)
+    # beta is derived, so a beta below (alpha+1)/(alpha-1) cannot be given
+    assert Parameters(eps=0.5, alpha=2.0, gamma=2.0, delta=5.0).beta == 3.0
+    with pytest.raises(TypeError):
+        Parameters(eps=0.5, alpha=2.0, beta=2.9, gamma=2.0, delta=5.0)
 
 
 def test_optimal_parameters_closed_form():

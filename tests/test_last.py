@@ -12,7 +12,13 @@ from onetree import (
 )
 from onetree.corpus import random_connected_instance
 from onetree.builder import GOLDEN_ALPHA
+from onetree.graph import shortest_path_tree, tree_distances
 from onetree.last import LastTree, guaranteed_beta
+
+
+def last_distances(t: LastTree) -> dict[int, float]:
+    """Root distances along the LAST's own edges."""
+    return tree_distances(t.root, [t.graph.edge_by_id[e] for e in t.edge_ids])
 
 
 def test_star_is_its_own_last():
@@ -28,7 +34,7 @@ def test_star_is_its_own_last():
 def test_cycle_splices_far_vertex(cycle4):
     t = build_last(cycle4, 0, 1.618)
     assert t.edge_ids == {0, 1, 3}
-    assert t.distances == {0: 0.0, 1: 1.0, 2: 2.0, 3: 1.0}
+    assert last_distances(t) == {0: 0.0, 1: 1.0, 2: 2.0, 3: 1.0}
     report = verify_last(t, 1.618, guaranteed_beta(1.618))
     assert report.passed
     assert report.tree_weight == 3.0
@@ -44,7 +50,9 @@ def test_single_vertex_graph():
     g = make_instance(1, [], 0, {0: 1})
     t = build_last(g, 0, 2.0)
     assert t.edge_ids == frozenset()
-    assert t.distances == {0: 0.0}
+    assert last_distances(t) == {0: 0.0}
+    report = verify_last(t, 2.0, guaranteed_beta(2.0))
+    assert report.passed and report.stretches == {}
 
 
 def test_rejects_alpha_at_most_one(path3):
@@ -53,7 +61,7 @@ def test_rejects_alpha_at_most_one(path3):
 
 
 def test_verify_flags_mst_stretch(cycle4):
-    mst = LastTree(cycle4, 0, frozenset(minimum_spanning_tree(cycle4)), {})
+    mst = LastTree(cycle4, 0, frozenset(minimum_spanning_tree(cycle4)))
     report = verify_last(mst, 1.1, 21.0)
     assert not report.passed
     assert report.worst_vertex == 3
@@ -61,13 +69,11 @@ def test_verify_flags_mst_stretch(cycle4):
 
 
 def test_shortest_path_tree_always_passes_stretch():
-    from onetree import shortest_path_tree
-
     rng = random.Random(1)
     for _ in range(20):
         g = random_connected_instance(rng, n_max=20)
         _, pred = shortest_path_tree(g, 0)
-        spt = LastTree(g, 0, frozenset(eid for _, eid in pred.values()), {})
+        spt = LastTree(g, 0, frozenset(eid for _, eid in pred.values()))
         report = verify_last(spt, 1.0 + 1e-12, 1e9)
         assert report.stretch_ok
 
@@ -114,10 +120,10 @@ def test_distances_match_edge_set():
     for _ in range(20):
         g = random_connected_instance(rng, n_max=30)
         t = build_last(g, 0, 2.0)
-        # recomputed distances agree with the stored ones
-        from onetree.graph import tree_distances
-
-        recomputed = tree_distances(0, [g.edge_by_id[e] for e in t.edge_ids])
-        assert recomputed == t.distances
-        assert len(t.edge_ids) == g.n - 1
-        assert not math.isinf(max(t.distances.values()))
+        distances = last_distances(t)
+        assert len(distances) == g.n and len(t.edge_ids) == g.n - 1
+        assert not math.isinf(max(distances.values()))
+        # verify_last's stretches are these distances over the true ones
+        true_dist, _ = shortest_path_tree(g, 0)
+        report = verify_last(t, 2.0, guaranteed_beta(2.0))
+        assert report.stretches == {v: distances[v] / true_dist[v] for v in range(1, g.n)}

@@ -40,6 +40,31 @@ def test_route_rejects_cycle(cycle4):
         route(cycle4, (0, 1, 2, 3))
 
 
+@pytest.mark.parametrize(
+    "edges, ids",
+    [
+        # a triangle through the root
+        ([(0, 1, 1), (1, 2, 1), (2, 0, 1)], (0, 1, 2)),
+        # a triangle hanging below the root
+        ([(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1)], (0, 1, 2, 3)),
+        # two parallel edges, a cycle of length two
+        ([(0, 1, 1), (0, 1, 2), (1, 2, 1)], (0, 1, 2)),
+    ],
+)
+def test_route_rejects_cycle_in_root_component(edges, ids):
+    g = make_instance(4, edges, 0, {1: 1})
+    with pytest.raises(InvalidTreeError, match="cyclic edge set"):
+        route(g, ids)
+
+
+def test_route_cycle_off_the_root_is_not_connected():
+    # a tree at the root plus a triangle elsewhere: the root's walk leaves
+    # the triangle's edges over, and they lie off its component
+    g = make_instance(5, [(0, 1, 1), (2, 3, 1), (3, 4, 1), (4, 2, 1)], 0, {1: 1})
+    with pytest.raises(InvalidTreeError, match="not connected"):
+        route(g, (0, 1, 2, 3))
+
+
 def test_route_rejects_unspanned_demand(cycle4):
     with pytest.raises(InvalidTreeError, match="demand vertex not spanned: 2"):
         route(cycle4, (0, 3))

@@ -394,6 +394,30 @@ def test_budget_counts_branched_cells(monkeypatch):
     assert len(enumerations) == 1 and sum(spent) == 6395
 
 
+def test_wide_graph_refused_before_set_up(monkeypatch):
+    # K5 branches at least one row of 2n+m = 20 cells at each of its 10
+    # edges, 200 cells in all: under a budget of 199 the enumerator refuses
+    # before it orders the edges, and at 200 it goes on to order them
+    class SetUp(Exception):
+        pass
+
+    def no_set_up(*args):
+        raise SetUp
+
+    monkeypatch.setattr(ssrob, "_frontier_order", no_set_up)
+    g = make_instance(5, [(u, v, 1) for u in range(5) for v in range(u + 1, 5)], 0, {4: 1})
+    _enumerated_table.cache_clear()
+    try:
+        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 199)
+        with pytest.raises(OracleLimitError, match="^instance too large for oracle"):
+            exact_ssrob(g, 1.0)
+        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 200)
+        with pytest.raises(SetUp):
+            exact_ssrob(g, 1.0)
+    finally:
+        _enumerated_table.cache_clear()
+
+
 def _sparse_instance(seed: int, n: int = 20, m: int = 32, demand_vertices: int = 6):
     """A random tree rooted at 0, each vertex hung below a smaller one, plus
     random extra edges up to m, with demand on random non-root vertices."""
