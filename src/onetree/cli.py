@@ -2,12 +2,13 @@
 
 ``onetree run`` loads instance files (or a corpus directory), runs the
 layer-and-stitch pipeline, and emits the tree, a layer trace, and a JSON
-report. Exit codes: 0 success, 2 validation failure, 3 internal invariant
-violation or any other unexpected exception (a bug, named in the message,
-never a traceback). The error hierarchy decides a file's outcome: an
-``InvariantError`` is exit 3 (a corpus ``invariant-violation`` row), any
-other ``OneTreeError`` exit 2 naming the file (an ``error`` row), and any
-other exception exit 3 (a ``crash`` row).
+report. Exit codes: 0 success, 2 bad input or environment (an unreadable
+file, out of memory), 3 internal invariant violation or any other
+unexpected exception (a bug, named in the message, never a traceback).
+The error hierarchy decides a file's outcome: an ``InvariantError`` is
+exit 3 (a corpus ``invariant-violation`` row), any other ``OneTreeError``
+exit 2 naming the file (an ``error`` row), and any other exception exit 3
+(a ``crash`` row).
 """
 
 from __future__ import annotations
@@ -151,14 +152,18 @@ def solve_instance(
 
 
 def _load_and_solve(text: str, cfg: RunConfig) -> PipelineResult:
-    """Parse one instance file and run the configured pipeline on it."""
-    g = load_instance(text)
-    solver = get_solver(cfg.ssrob, cfg.trials)
-    params = make_parameters(cfg, solver.quality)
-    oracle = ExactSolver() if cfg.oracle else None
-    return solve_instance(
-        g, params, solver, seed=cfg.seed, oracle=oracle, prune_zero_flow=cfg.prune_zero_flow
-    )
+    """Parse one instance file and run the configured pipeline on it. Running
+    out of memory is a limit of the environment, not a bug: a ConfigError."""
+    try:
+        g = load_instance(text)
+        solver = get_solver(cfg.ssrob, cfg.trials)
+        params = make_parameters(cfg, solver.quality)
+        oracle = ExactSolver() if cfg.oracle else None
+        return solve_instance(
+            g, params, solver, seed=cfg.seed, oracle=oracle, prune_zero_flow=cfg.prune_zero_flow
+        )
+    except MemoryError:
+        raise ConfigError("out of memory: the instance needs more than is available") from None
 
 
 def _measure_solver_quality(layers: LayerSet, ratio: RatioReport) -> float:

@@ -42,8 +42,30 @@ class Edge:
         return self.v if w == self.u else self.u
 
 
+class Lookups:
+    """Per-graph indexes, built once from ``vertex_ids`` and ``edges``."""
+
+    @cached_property
+    def edge_by_id(self) -> dict[int, Edge]:
+        return {e.eid: e for e in self.edges}
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], dict[int, int], tuple[tuple, ...]]:
+        """The vertex ids in order, id -> index in them, and per index its
+        (neighbour index, length, edge id) triples; read only by
+        ``shortest_path_tree``."""
+        index = {v: i for i, v in enumerate(self.vertex_ids)}
+        lists: list[list[tuple[int, float, int]]] = [[] for _ in index]
+        for e in self.edges:
+            a, b = index[e.u], index[e.v]
+            lists[a].append((b, e.length, e.eid))
+            lists[b].append((a, e.length, e.eid))
+        # the ids come from ``index`` so every search's dicts share one int per id
+        return tuple(index), index, tuple(map(tuple, lists))
+
+
 @dataclass(frozen=True)
-class Instance:
+class Instance(Lookups):
     """A weighted graph with a root vertex and positive integer demands.
 
     Raises InstanceError when total edge length times total demand is not
@@ -74,14 +96,6 @@ class Instance:
         return sum(amount for _, amount in self.demand_items)
 
     @cached_property
-    def edge_by_id(self) -> dict[int, Edge]:
-        return {e.eid: e for e in self.edges}
-
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[Edge, ...]]:
-        return build_adjacency(self.vertex_ids, self.edges)
-
-    @cached_property
     def source_trees(self) -> dict[int, PathTree]:
         """Memo of ``shortest_path_tree(self, s)`` by source ``s``; read only."""
         return {}
@@ -102,7 +116,7 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class ContractedGraph:
+class ContractedGraph(Lookups):
     """``base`` with ``merged`` collapsed to SUPERNODE, optionally restricted.
 
     Retained edges keep their base edge id. Among parallel edges between the
@@ -113,14 +127,6 @@ class ContractedGraph:
     merged: frozenset[int]
     vertex_ids: tuple[int, ...]
     edges: tuple[Edge, ...]
-
-    @cached_property
-    def edge_by_id(self) -> dict[int, Edge]:
-        return {e.eid: e for e in self.edges}
-
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[Edge, ...]]:
-        return build_adjacency(self.vertex_ids, self.edges)
 
 
 Graph = Union[Instance, ContractedGraph]
@@ -135,16 +141,6 @@ def make_instance(
     """Build an Instance from (u, v, length) triples; ids follow list order."""
     built = tuple(Edge(i, u, v, float(length)) for i, (u, v, length) in enumerate(edges))
     return Instance(n=n, edges=built, root=root, demand_items=tuple(sorted(demands.items())))
-
-
-def build_adjacency(
-    vertices: Iterable[int], edges: Iterable[Edge]
-) -> dict[int, tuple[Edge, ...]]:
-    lists: dict[int, list[Edge]] = {v: [] for v in vertices}
-    for e in edges:
-        lists[e.u].append(e)
-        lists[e.v].append(e)
-    return {v: tuple(es) for v, es in lists.items()}
 
 
 def load_instance(text: str) -> Instance:
@@ -250,40 +246,49 @@ def shortest_path_tree(g: Graph, source: int | frozenset[int]) -> PathTree:
     below every vertex id, so it wins predecessor ties that the member's own
     id could lose. Parallel edges resolve by (length, edge id) in both, as
     long as adding a distance does not round two of their lengths to one sum.
+
+    The search runs over ``g.adjacency``'s dense indices. A vertex's label is
+    its least heap entry (distance, via, edge id, index): an entry is pushed
+    only when it beats the label, and never for a settled vertex, so the
+    heap pops that least entry first and the first pop is final. The index
+    order is the id order (SUPERNODE first in a contraction), so an entry
+    tie that reaches the index, as the merged source's members do, resolves
+    as it would on ids.
     """
-    adj = g.adjacency
+    ids, index, adj = g.adjacency
     if isinstance(source, frozenset):
         members, name = source, SUPERNODE
     else:
         members, name = frozenset((source,)), source
-    if not members or not members <= adj.keys():
+    if not members or not members <= index.keys():
         raise ValueError(f"source vertex {source} is not in the graph")
-    dist = {v: INF for v in adj}
+    dist = [INF] * len(ids)
+    done = [False] * len(ids)
+    # (INF, INF) compares above every entry: no label yet
+    label: list[tuple] = [(INF, INF)] * len(ids)
+    heap = sorted((0.0, SUPERNODE - 1, -1, index[s]) for s in members)
+    for entry in heap:
+        label[entry[3]] = entry
     pred: dict[int, tuple[int, int]] = {}
-    start = (0.0, SUPERNODE - 1, -1)
-    label: dict[int, tuple[float, int, int]] = dict.fromkeys(members, start)
-    done: set[int] = set()
-    heap: list[tuple[float, int, int, int]] = [(*start, s) for s in sorted(members)]
     while heap:
-        d, p, eid, v = heappop(heap)
-        if v in done or label.get(v) != (d, p, eid):
+        d, p, eid, i = heappop(heap)
+        if done[i]:
             continue
-        done.add(v)
-        dist[v] = d
+        done[i] = True
+        dist[i] = d
+        v = ids[i]
         if v in members:
             via = name
         else:
             pred[v] = (p, eid)
             via = v
-        for e in adj[v]:
-            w = e.other(v)
-            if w in done:
-                continue
-            cand = (d + e.length, via, e.eid)
-            if w not in label or cand < label[w]:
-                label[w] = cand
-                heappush(heap, (cand[0], cand[1], cand[2], w))
-    return dist, pred
+        for w, length, e in adj[i]:
+            if not done[w]:
+                cand = (d + length, via, e, w)
+                if cand < label[w]:
+                    label[w] = cand
+                    heappush(heap, cand)
+    return dict(zip(ids, dist)), pred
 
 
 class UnionFind:

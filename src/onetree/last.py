@@ -50,10 +50,10 @@ def build_last(g: Graph, root: int, alpha: float) -> LastTree:
     """
     if alpha <= 1:
         raise ConfigError("alpha must be > 1")
-    adjacency = g.adjacency
-    if root not in adjacency:
+    vertices = g.vertex_ids
+    if root not in vertices:
         raise ConfigError(f"root {root} is not a vertex of the graph")
-    if len(adjacency) == 1:
+    if len(vertices) == 1:
         return LastTree(graph=g, root=root, edge_ids=frozenset())
 
     dist_true, pred_true = shortest_path_tree(g, root)
@@ -62,7 +62,7 @@ def build_last(g: Graph, root: int, alpha: float) -> LastTree:
     mst_ids = minimum_spanning_tree(g)
     by_id = g.edge_by_id
 
-    mst_adj: dict[int, list[Edge]] = {v: [] for v in adjacency}
+    mst_adj: dict[int, list[Edge]] = {v: [] for v in vertices}
     for eid in sorted(mst_ids):
         e = by_id[eid]
         mst_adj[e.u].append(e)
@@ -70,7 +70,7 @@ def build_last(g: Graph, root: int, alpha: float) -> LastTree:
     for v in mst_adj:
         mst_adj[v].sort(key=lambda e: (e.length, e.eid))
 
-    dist = {v: math.inf for v in adjacency}
+    dist = {v: math.inf for v in vertices}
     dist[root] = 0.0
     parent: dict[int, tuple[int, int]] = {}
 
@@ -136,7 +136,7 @@ def verify_last(t: LastTree, alpha: float, beta: float) -> LastReport:
     edges = [by_id[eid] for eid in sorted(t.edge_ids)]
     reached = tree_distances(t.root, edges)
 
-    vertices = list(g.adjacency)
+    vertices = g.vertex_ids
     spanning = len(reached) == len(vertices) and len(edges) == len(vertices) - 1
 
     stretches: dict[int, float] = {}

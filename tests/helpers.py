@@ -20,7 +20,8 @@ graphs that include :func:`oracle_n14_instances`, the benchmark's own.
 :func:`reference_sample_and_augment` is the plain form of the package's
 sample-and-augment solver, which the faster one must match tree for tree,
 and :func:`reference_K` the loop that the closed form of ``compute_K`` must
-match.
+match. :func:`reference_shortest_path_tree` is the shortest-path search
+over per-vertex ``Edge`` tuples that the dense-indexed one replaced.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import itertools
 import math
 import random
 import sys
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -357,6 +359,48 @@ def search_parameters() -> tuple[float, float, float, float]:
                     best = (value, (a, g, d))
     assert best is not None
     return refine_parameters(*best[1])
+
+
+def reference_shortest_path_tree(g, source):
+    """The package's shortest-path search as it stood over per-vertex
+    ``Edge`` tuples, keyed by vertex id, with a pop-time label test: the
+    dense-indexed search must give the same ``(dist, pred)`` dicts."""
+    adj: dict[int, list[Edge]] = {v: [] for v in g.vertex_ids}
+    for e in g.edges:
+        adj[e.u].append(e)
+        adj[e.v].append(e)
+    if isinstance(source, frozenset):
+        members, name = source, SUPERNODE
+    else:
+        members, name = frozenset((source,)), source
+    if not members or not members <= adj.keys():
+        raise ValueError(f"source vertex {source} is not in the graph")
+    dist = {v: INF for v in adj}
+    pred: dict[int, tuple[int, int]] = {}
+    start = (0.0, SUPERNODE - 1, -1)
+    label: dict[int, tuple[float, int, int]] = dict.fromkeys(members, start)
+    done: set[int] = set()
+    heap: list[tuple[float, int, int, int]] = [(*start, s) for s in sorted(members)]
+    while heap:
+        d, p, eid, v = heappop(heap)
+        if v in done or label.get(v) != (d, p, eid):
+            continue
+        done.add(v)
+        dist[v] = d
+        if v in members:
+            via = name
+        else:
+            pred[v] = (p, eid)
+            via = v
+        for e in adj[v]:
+            w = e.other(v)
+            if w in done:
+                continue
+            cand = (d + e.length, via, e.eid)
+            if w not in label or cand < label[w]:
+                label[w] = cand
+                heappush(heap, (cand[0], cand[1], cand[2], w))
+    return dist, pred
 
 
 def _reference_paths(g: Instance, graph, source: int, skip) -> set[int]:

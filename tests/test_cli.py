@@ -294,6 +294,38 @@ def test_corpus_crash_is_a_row_and_exits_3(tmp_path, monkeypatch):
     assert rows["b.graph"]["detail"] == "internal: RuntimeError: boom"
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError()
+
+
+@pytest.mark.parametrize("stage", ["load_instance", "solve_instance"])
+def test_out_of_memory_exits_2_naming_memory(tmp_path, monkeypatch, capsys, stage):
+    # an empty MemoryError, as the allocator raises it, is an environment
+    # failure with a message of its own, not an internal error
+    monkeypatch.setattr(cli, stage, _out_of_memory)
+    instance = write(tmp_path, "p.graph", PATH3)
+    assert main(["run", instance]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"error: {instance}: out of memory: the instance needs more than is available\n"
+    )
+
+
+def test_corpus_out_of_memory_is_an_error_row(tmp_path, monkeypatch):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "a.graph").write_text(PATH3)
+    (corpus_dir / "b.graph").write_text(CYCLE4)
+    load = cli.load_instance
+    monkeypatch.setattr(cli, "load_instance", lambda t: _out_of_memory() if t == CYCLE4 else load(t))
+    out = tmp_path / "summary.json"
+    assert main(["run", "--corpus", str(corpus_dir), "--out-report", str(out)]) == EXIT_OK
+    summary = json.loads(out.read_text())
+    assert (summary["ok"], summary["errors"], summary["crashes"]) == (1, 1, 0)
+    rows = {row["instance"]: row for row in summary["rows"]}
+    assert rows["b.graph"]["status"] == "error"
+    assert rows["b.graph"]["detail"].startswith("out of memory: ")
+
+
 def test_corpus_oversized_instance_marked_skipped(tmp_path):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

@@ -17,7 +17,7 @@ from onetree import (
 from onetree.corpus import instance_text, random_instance
 from onetree.graph import tree_distances
 
-from helpers import brute_min_cost
+from helpers import brute_min_cost, reference_shortest_path_tree
 
 PATH3_TEXT = """\
 # tiny path
@@ -224,6 +224,82 @@ def test_merged_source_matches_contraction():
             assert dist[v] == cdist[v]
             assert pred.get(v) == cpred.get(v)
         assert all(dist[v] == 0.0 and v not in pred for v in merged)
+
+
+def _assert_same_search(g, source):
+    got = shortest_path_tree(g, source)
+    want = reference_shortest_path_tree(g, source)
+    assert got == want, source
+    # same settle order and the same distance keys, in the same order
+    assert [list(part) for part in got] == [list(part) for part in want], source
+
+
+def _rounding_instance(rng):
+    """Random graph whose lengths mix 1.0 with 1e-17, which a sum with 1.0
+    rounds away, so distinct paths tie on distance and parallel edges tie
+    on their sums."""
+    n = rng.randint(2, 9)
+    edges = [(rng.randrange(v), v, rng.choice((1.0, 1e-17, 2.0))) for v in range(1, n)]
+    for _ in range(rng.randint(0, 10)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.append((u, v, rng.choice((1.0, 1e-17, 1.0 + 2**-52))))
+    return make_instance(n, edges, 0, {n - 1: 1})
+
+
+def test_search_matches_reference_from_every_vertex():
+    rng = random.Random(23)
+    for k in range(300):
+        if k % 2:
+            g = _rounding_instance(rng)
+        else:
+            g = random_instance(rng, n_max=12, max_length=3, max_extra_edges=12)
+        for v in g.vertex_ids:
+            _assert_same_search(g, v)
+
+
+def test_search_matches_reference_from_merged_sets():
+    rng = random.Random(29)
+    for k in range(300):
+        g = _rounding_instance(rng) if k % 2 else random_instance(rng, n_max=12, max_length=3)
+        merged = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        _assert_same_search(g, merged)
+
+
+def test_search_matches_reference_on_contractions():
+    rng = random.Random(31)
+    for k in range(300):
+        g = _rounding_instance(rng) if k % 2 else random_instance(rng, n_max=12, max_length=3)
+        merged = rng.sample(range(g.n), rng.randint(1, g.n))
+        keep = rng.sample(range(g.n), rng.randint(0, g.n)) if k % 3 == 0 else None
+        cg = contract(g, merged, keep)
+        for v in cg.vertex_ids:
+            _assert_same_search(cg, v)
+
+
+def test_search_matches_reference_on_parallel_and_rounding_edges():
+    g = make_instance(
+        4,
+        [(0, 1, 1.0), (1, 0, 1.0), (0, 1, 1e-17), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1e-17),
+         (1, 3, 1.0), (0, 2, 1.0), (3, 0, 2.0)],
+        0,
+        {3: 1},
+    )
+    for source in (*g.vertex_ids, frozenset({0, 1}), frozenset({2})):
+        _assert_same_search(g, source)
+    for merged in ({0}, {1, 2}):
+        cg = contract(g, merged)
+        for v in cg.vertex_ids:
+            _assert_same_search(cg, v)
+
+
+def test_search_rejects_what_reference_rejects(path3):
+    cg = contract(path3, {1})
+    for g, source in ((path3, 7), (path3, -1), (path3, frozenset()), (path3, frozenset({0, 7})),
+                      (cg, 1), (cg, frozenset({SUPERNODE, 1}))):
+        for search in (shortest_path_tree, reference_shortest_path_tree):
+            with pytest.raises(ValueError, match="is not in the graph"):
+                search(g, source)
 
 
 def test_merged_source_rejects_bad_sets(path3):
