@@ -4,7 +4,8 @@ every concave, nondecreasing edge-cost function.
 The pipeline: solve a rent-or-buy instance per cost threshold, monotonize
 and geometrically prune the results into nested layers, then stitch the
 layer cores together with light approximate shortest-path trees. An exact
-enumeration oracle verifies desk-scale approximation ratios.
+subset-DP oracle verifies approximation ratios on instances with few demand
+vertices.
 """
 
 from .builder import (
@@ -24,14 +25,7 @@ from .errors import (
     OracleLimitError,
     ParseError,
 )
-from .evaluate import (
-    ConcaveFunction,
-    RatioReport,
-    best_tree_for_function,
-    decompose_function,
-    eval_cost,
-    simultaneous_ratio,
-)
+from .evaluate import RatioReport, simultaneous_ratio
 from .graph import (
     SUPERNODE,
     ContractedGraph,
@@ -65,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SUPERNODE",
-    "ConcaveFunction",
     "ConfigError",
     "ContractedGraph",
     "DisconnectedError",
@@ -88,7 +81,6 @@ __all__ = [
     "SimultaneousTree",
     "basis_cost",
     "basis_threshold",
-    "best_tree_for_function",
     "build_last",
     "build_tree",
     "check_layer_bounds",
@@ -96,8 +88,6 @@ __all__ = [
     "compute_layers",
     "contract",
     "decompose",
-    "decompose_function",
-    "eval_cost",
     "exact_ssrob",
     "get_solver",
     "load_instance",

@@ -2,22 +2,28 @@
 
 Two interchangeable solvers, both deterministic given a seed:
 
-- An exact oracle. A spanning tree's flows are zero off its flow support,
-  the least subtree joining the root and the positive-demand vertices (the
-  terminals): a Steiner topology. Costs depend on flows alone, so the
-  oracle enumerates each Steiner topology of the root's component once
-  (``_steiner_topologies``, branching edges in a greedy min-frontier order,
-  ``_frontier_order``), completes each to the least spanning tree of
-  its flow class and scans flow tables of those trees (``_flow_table``),
-  cached per instance since it scans an instance once per threshold index.
-  Cost ties go to the lexicographically smallest spanning tree. Its one
-  limit is on the enumerator's work, counted in array cells since a
-  frontier row costs in proportion to its width: past
-  ``ORACLE_CELL_BUDGET`` (2^26) it refuses the instance. The spanning-tree
-  count plays no part, so a graph with many trees but few topologies is
-  answered.
+- An exact oracle: the subset DP of Dreyfus and Wagner (Networks 1, 1971)
+  in the send-and-split form that Erickson, Monma and Veinott give for
+  single-sink concave-cost flow (Math. Oper. Res. 12, 1987). Its terminals
+  are the t positive-demand vertices of the root's component other than
+  the root. A terminal set S with demand D(S) pays w(S) = Σ a_i·min(D(S),
+  M_i) per unit of length, and over the branch vertices (the root, the
+  terminals and every vertex with three or more neighbours, the only
+  places an optimal tree can fork):
+
+  - split: G[S][v] = min over A ⊂ S of F[A][v] + F[S∖A][v];
+  - send: F[S][v] = min over u of G[S][u] + w(S)·dist(u, v).
+
+  F[T][root] over all terminals T is the least cost of any tree, exact for
+  every concave w with w(0) = 0, so one code path serves a single
+  threshold and a combination of them. The winning sends are expanded into
+  shortest paths, any cycle their union closes is cancelled, and the flow
+  support is completed to a spanning tree by Kruskal in edge-id order: the
+  least tree of that flow class. Cost ties go to the first minimum in the
+  DP's scan order. Its one limit is 3^t·n + 2^t·n² array cells over n
+  branch vertices (``ORACLE_CELL_BUDGET``), checked before any work.
 - A randomized sample-and-augment heuristic (``sample_and_augment``);
-  cost ties between its trials go to the smaller edge-id tuple as well. It
+  cost ties between its trials go to the smaller edge-id tuple. It
   gives the plain per-trial algorithm's trees but memoizes on the instance
   what trials and thresholds share: terminal shortest-path trees, each
   seed's draws and each terminal set's routed trial tree. The solve at
@@ -34,7 +40,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush
 from typing import Callable, ClassVar, Container, Iterator, Sequence
 
 import numpy as np
@@ -54,14 +59,12 @@ from .graph import (
 )
 from .routing import RoutedTree, basis_cost, route
 
-#: Most array cells the exact oracle's enumerator handles per instance
-#: (see _steiner_topologies); past it the oracle refuses the instance.
+#: Most array cells the exact oracle's subset DP may take, counted as
+#: 3^t·n + 2^t·n² for t terminals and n branch vertices; an instance over it
+#: is refused before any work.
 ORACLE_CELL_BUDGET = 2**26
-#: Most rows in one frontier block of the Steiner-topology enumerator, and
-#: so in one flow table.
-_FRONTIER_BLOCK = 16_384
-#: Most array cells (2n+m per row) in one frontier block, for wide rows.
-_FRONTIER_CELLS = 2**20
+#: Most array cells in one block of the subset DP's temporaries.
+_DP_BLOCK = 2**16
 
 
 def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
@@ -70,388 +73,209 @@ def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
     return tuple(sorted(verts)), edges
 
 
-def _frontier_order(n: int, ends: Sequence[tuple[int, int]]) -> list[int]:
-    """The edges ``ends`` of a connected graph on vertices 0..n-1 in a greedy
-    min-frontier order, which keeps the enumerator's open vertices few.
+@lru_cache(maxsize=16)
+def _subsets(t: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per size k = 1..t, the bitmasks of every k-set of t terminals, in
+    ascending order, and under each set (one column per set) the bitmask of
+    the part holding its least terminal, one row per proper split, in
+    ascending order."""
+    masks = np.arange(1 << t)
+    size = sum((masks >> i) & 1 for i in range(t))
+    out = []
+    for k in range(1, t + 1):
+        sets = masks[size == k]
+        bits = np.nonzero((sets[:, None] >> np.arange(t)) & 1)[1].reshape(len(sets), k)
+        picks = (np.arange(2 ** (k - 1) - 1)[:, None] >> np.arange(k - 1)) & 1
+        out.append((sets, (1 << bits[:, 0]) + picks @ (1 << bits[:, 1:]).T))
+    return tuple(out)
 
-    Vertices are placed one at a time from vertex 0, the root, each step
-    taking the unplaced neighbour of the placed set whose placement grows
-    the frontier (placed vertices with an unplaced neighbour) least, ties to
-    the smaller index; parallel edges count once. Edges then go by (later
-    end's place, earlier end's place, index). A vertex's growth is kept as
-    two counts that a placement updates only near the placed vertex, and a
-    lazy heap re-scores just the vertices whose counts changed, so the
-    order takes O(m log n).
-    """
-    near = [set() for _ in range(n)]
-    for a, b in ends:
-        near[a].add(b)
-        near[b].add(a)
-    # per vertex: unplaced neighbours, and placed neighbours it is the last
-    # unplaced neighbour of
-    left, closes = [len(vs) for vs in near], [0] * n
 
-    def growth(v: int) -> int:
-        return (left[v] > 0) - closes[v]
+def _subset_dp(
+    w: np.ndarray, dist: np.ndarray, starts: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The send table F and the split table G, one row per terminal bitmask
+    and one column per branch vertex, for per-set weights ``w``, branch
+    distances ``dist`` (dist[u, v] from u to v) and each terminal's column
+    ``starts``. A one-terminal set starts at its terminal at no cost; every
+    size is then split and sent in blocks of at most _DP_BLOCK cells."""
+    n = len(dist)
+    F = np.empty((len(w), n))
+    G = np.empty((len(w), n))
+    cols = max(1, min(n, _DP_BLOCK // n))
+    for sets, parts in _subsets(len(starts)):
+        if len(parts):
+            step = max(1, _DP_BLOCK // (len(parts) * n))
+            for lo in range(0, len(sets), step):
+                s, a = sets[lo : lo + step], parts[:, lo : lo + step]
+                G[s] = (F[a] + F[s ^ a]).min(axis=0)
+        else:
+            G[sets] = INF
+            G[sets, starts] = 0.0
+        step = max(1, _DP_BLOCK // (n * cols))
+        for lo in range(0, len(sets), step):
+            s = sets[lo : lo + step]
+            here, weight = G[s][:, :, None], w[s][:, None, None]
+            for c in range(0, n, cols):
+                F[s, c : c + cols] = (here + weight * dist[:, c : c + cols]).min(axis=1)
+    return F, G
 
-    place, placed, heap = [-1] * n, 0, [(growth(0), 0)]
-    while heap:
-        s, v = heappop(heap)
-        if place[v] >= 0 or s != growth(v):
+
+def _first_cycle(g: Instance, eids: Sequence[int]) -> list[tuple[int, int]]:
+    """The cycle closed by the first edge of ``eids``, in id order, that
+    closes one, as (edge id, +1 or -1) pairs, +1 where the cycle runs from
+    the edge's end u to its end v; empty if the edges form a forest."""
+    edges = [g.edge_by_id[eid] for eid in sorted(eids)]
+    uf = UnionFind({x for e in edges for x in (e.u, e.v)})
+    forest: list[Edge] = []
+    for e in edges:
+        if uf.union(e.u, e.v):
+            forest.append(e)
             continue
-        place[v], placed = placed, placed + 1
-        stale = set()
-        for w in near[v]:
-            left[w] -= 1
-            if place[w] < 0:
-                stale.add(w)
-        for w in (v, *near[v]):
-            if place[w] >= 0 and left[w] == 1:
-                last = next(u for u in near[w] if place[u] < 0)
-                closes[last] += 1
-                stale.add(last)
-        for w in stale:
-            heappush(heap, (growth(w), w))
-    spans = [(max(place[a], place[b]), min(place[a], place[b]), k) for k, (a, b) in enumerate(ends)]
-    return [k for _, _, k in sorted(spans)]
+        cycle, via, x = [(e.eid, 1)], dict(tree_order(e.u, forest)), e.v
+        while x != e.u:
+            cycle.append((via[x].eid, 1 if via[x].u == x else -1))
+            x = via[x].other(x)
+        return cycle
+    return []
 
 
-def _exclude_probes(n: int, ends: Sequence[tuple[int, int]]) -> Callable[[int], list[np.ndarray]]:
-    """A function giving, per edge k, the multi-vertex components of edges
-    k+1.. as vertex arrays, in O(n) a call after O(n + m) setup.
+def _acyclic_support(
+    g: Instance, flow: dict[int, int], unit_cost: Callable[[int], float]
+) -> frozenset[int]:
+    """The support of ``flow`` (edge id -> flow from its end u to its end v)
+    after cancelling every cycle in it.
 
-    Union-find joins the edges last to first, and a join appends one root's
-    linked list of vertices to the other's, so every component ever made is
-    a run of the final lists. The components of edges k+1.. are those made
-    by a join at an edge after k and joined into another at or before k.
+    A push of δ units around a cycle keeps each edge's flow on its side of 0
+    for δ in some [lo, hi]; there the cost, a sum of concave functions of δ,
+    is least at an end, so the push goes to the cheaper end (ties to lo),
+    which empties an edge and costs no more. The support left is a forest in
+    which every edge carries demand to the root.
     """
-    uf = UnionFind(range(n))
-    tail, after, top = list(range(n)), [-1] * n, list(range(n))
-    # each vertex, then one component per join, as [first vertex, size, edge
-    # making it, edge joining it into another]; top[r] is root r's latest
-    comps = [[v, 1, -1, -1] for v in range(n)]
-    for k in range(len(ends) - 1, -1, -1):
-        a, b = uf.find(ends[k][0]), uf.find(ends[k][1])
-        if uf.union(a, b):
-            comps[top[a]][3] = comps[top[b]][3] = k
-            comps.append([a, comps[top[a]][1] + comps[top[b]][1], k, -1])
-            after[tail[a]], tail[a], top[a] = b, tail[b], len(comps) - 1
-    order = []
-    for v in (r for r in range(n) if uf.find(r) == r):
-        while v >= 0:
-            order.append(v)
-            v = after[v]
-    head, size, made, gone = np.array(comps).T
-    lo = np.argsort(order)[head]
-    hi = lo + size
-    order = np.array(order, np.min_scalar_type(n))
+    flow = {eid: f for eid, f in flow.items() if f}
+    while cycle := _first_cycle(g, list(flow)):
+        agree = [abs(flow[eid]) for eid, d in cycle if (flow[eid] > 0) == (d > 0)]
+        against = [abs(flow[eid]) for eid, d in cycle if (flow[eid] > 0) != (d > 0)]
+        pushes = [-min(agree)] * bool(agree) + [min(against)] * bool(against)
 
-    def probes(k: int) -> list[np.ndarray]:
-        live = np.flatnonzero((made > k) & (gone <= k))
-        return [order[i:j] for i, j in zip(lo[live].tolist(), hi[live].tolist())]
+        def cost(delta: int) -> float:
+            return sum(
+                g.edge_by_id[eid].length * unit_cost(abs(flow[eid] + d * delta))
+                for eid, d in cycle
+            )
 
-    return probes
+        delta = min(pushes, key=cost)
+        for eid, d in cycle:
+            flow[eid] += d * delta
+            if not flow[eid]:
+                del flow[eid]
+    return frozenset(flow)
 
 
-def _joined(labels: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
-    """Each row of block ``labels`` with the blocks meeting each group merged
-    under their least label: one label per component of blocks and groups."""
-    count, n = labels.shape
-    offset = np.arange(0, count * n, n)[:, None]
-    for group in groups:
-        ids = labels[:, group]
-        hit = np.zeros(count * n, bool)
-        hit[ids + offset] = True
-        labels = np.where(hit[labels + offset], ids.min(axis=1)[:, None], labels)
-    return labels
+@lru_cache(maxsize=4)
+def _oracle_setup(g: Instance):
+    """What every subset-DP solve of ``g`` shares: the root's component
+    (vertices, edges), the terminals' demands, the branch vertices, the
+    distances between them (dist[u, v] from u to v in v's shortest-path
+    tree), each terminal set's total demand in float64, indexed by bitmask,
+    and each terminal's column. Cached, since the oracle solves an instance
+    once per threshold index.
 
-
-def _branch(
-    rows: np.ndarray, n: int, k: int, a: int, b: int, probe: list[np.ndarray], ending: list[int]
-) -> np.ndarray:
-    """The children of every frontier row at edge k, which joins ``a`` and
-    ``b``: the include child first where k joins two blocks, then the
-    exclude child where every vertex of positive degree (every terminal and
-    every covered vertex) still joins the root's block, label 0, through the
-    row's blocks and the components ``probe`` of edges k+1 onward. Either
-    child is dropped where it leaves a vertex of ``ending`` (non-terminal
-    ends whose last edge is k) with degree 1."""
-    labels, degrees = rows[:, :n], rows[:, n : 2 * n]
-    at_a, at_b = labels[:, a], labels[:, b]
-    include = at_a != at_b
-    exclude = ((_joined(labels, probe) == 0) | (degrees == 0)).all(axis=1)
-    for v in ending:
-        include &= degrees[:, v] != 0
-        exclude &= degrees[:, v] != 1
-    low = np.minimum(at_a, at_b)[include, None]
-    high = np.maximum(at_a, at_b)[include, None]
-    kids = include + exclude.astype(np.intp)
-    took = (np.cumsum(kids) - kids)[include]
-    rows = rows[np.repeat(np.arange(len(rows)), kids)]
-    merged = rows[took]
-    labels = merged[:, :n]
-    np.copyto(labels, low, where=labels == high)
-    merged[:, [n + a, n + b]] += 1
-    merged[:, 2 * n + k] = 1
-    rows[took] = merged
-    return rows
-
-
-def _least_trees(rows: np.ndarray, n: int, ends: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The 0/1 edge flags of each row's Steiner topology completed to the
-    least spanning tree that holds it: one Kruskal pass in edge-id order
-    over the rows' block labels adds every edge that joins two blocks. The
-    trees that hold a topology are the bases of a matroid, so that greedy
-    basis is the lexicographically least tree of the flow class."""
-    labels, flags = rows[:, :n], rows[:, 2 * n :]
-    for k, (a, b) in enumerate(ends):
-        low = np.minimum(labels[:, a], labels[:, b])[:, None]
-        high = np.maximum(labels[:, a], labels[:, b])[:, None]
-        flags[:, k] |= low[:, 0] != high[:, 0]
-        np.copyto(labels, low, where=labels == high)
-    return flags
-
-
-def _steiner_topologies(
-    g: Instance, verts: Sequence[int], edges: Sequence[Edge]
-) -> Iterator[np.ndarray]:
-    """One spanning tree per flow class of the component ``verts``/``edges``,
-    the class's least, as a row of 0/1 edge flags, in blocks of at most
-    _FRONTIER_BLOCK rows and _FRONTIER_CELLS cells.
-
-    Contraction-deletion over Steiner topologies, run level by level. A
-    frontier row is a partial topology: a block label per vertex (the least
-    vertex of its block, with the root as vertex 0), a degree per vertex
-    (one more for a terminal, so that positive degrees mark every vertex the
-    topology must reach) and one flag per edge chosen so far. _branch gives
-    each row its children at edge k; a row that survives every edge is a
-    Steiner topology. A frontier block that outgrows that size is split
-    and its tail set aside, without the flags of edges past k, which are
-    all 0, until the head is done, depth first.
-
-    Edges are branched in _frontier_order, not by id: the fewer vertices
-    still wait for an edge, the sooner a dead branch fails the leaf rule or
-    the exclude probes, which on the oracle_n14 graphs of seed 1 cuts the
-    rows branched from 260,544 to 77,506. Each finished block's flag
-    columns go back to edge-id order before _least_trees, so every row is
-    its class's least tree whichever order found it.
-
-    Raises OracleLimitError before its work passes ORACLE_CELL_BUDGET
-    array cells, counting per branched row its 2n+m cells plus the n that
-    _joined spends per probe group, over every level and block: rows
-    branched, not topologies yielded, are what the enumeration costs.
-    Every level branches at least one row, so a graph with m·(2n+m) over
-    the budget is refused before any set-up.
-    """
-    n, m = len(verts), len(edges)
-    too_large = OracleLimitError(
-        f"instance too large for oracle: its enumeration passes {ORACLE_CELL_BUDGET} array cells"
-    )
-    if m * (2 * n + m) > ORACLE_CELL_BUDGET:
-        raise too_large
-    ranked = sorted(verts, key=lambda v: v != g.root)
-    index = {v: i for i, v in enumerate(ranked)}
-    id_ends = [(index[e.u], index[e.v]) for e in edges]
-    order = _frontier_order(n, id_ends)
-    ends = [id_ends[k] for k in order]
-    id_flags = 2 * n + np.argsort(order)
-    probes = _exclude_probes(n, ends)
-    terminal = [v == g.root or g.demands.get(v, 0) > 0 for v in ranked]
-    last = {v: k for k, pair in enumerate(ends) for v in pair if not terminal[v]}
-    ending = [[v for v in {a, b} if last.get(v) == k] for k, (a, b) in enumerate(ends)]
-    start = np.array([[*range(n), *terminal] + [0] * m], np.min_scalar_type(n))
-    block = max(1, min(_FRONTIER_BLOCK, _FRONTIER_CELLS // (2 * n + m)))
-    pending, work = [(0, start)], 0
-    while pending:
-        k, rows = pending.pop()
-        rows = np.pad(rows, ((0, 0), (0, 2 * n + m - rows.shape[1])))
-        for k in range(k, m):
-            probe = probes(k)
-            work += len(rows) * (2 * n + m + n * len(probe))
-            if work > ORACLE_CELL_BUDGET:
-                raise too_large
-            rows = _branch(rows, n, k, *ends[k], probe, ending[k])
-            if len(rows) > block:
-                pending.append((k + 1, rows[block:, : 2 * n + k + 1].copy()))
-                rows = rows[:block]
-        if len(rows):
-            rows[:, 2 * n :] = rows[:, id_flags]
-            yield _least_trees(rows, n, id_ends)
-
-
-@dataclass(frozen=True)
-class _TreeTable:
-    """Spanning trees, one per row, with their flows for fast costs.
-
-    Column j stands for the component edge with id ``eids[j]``. ``columns``
-    lists each tree's edge columns in ascending order; ``flows`` has one
-    entry per column, zero off the tree. ``columns`` takes the narrowest
-    integer type that holds the edge count, ``flows`` the narrowest that
-    holds the total demand.
-    """
-
-    columns: np.ndarray
-    flows: np.ndarray
-    eids: np.ndarray
-    lengths: np.ndarray
-
-    def edge_ids(self, row: int) -> tuple[int, ...]:
-        """Row ``row``'s tree as an ascending edge-id tuple."""
-        return tuple(self.eids[self.columns[row]].tolist())
-
-
-def _flow_table(
-    g: Instance, verts: Sequence[int], edges: Sequence[Edge], flags: np.ndarray
-) -> _TreeTable:
-    """Flow table of the spanning trees of the component ``verts``/``edges``
-    given as rows of 0/1 edge ``flags``, such as one block of
-    _steiner_topologies.
-
-    Every row's flows come at once from peeling leaves: each vertex keeps
-    its tree degree and the XOR of its tree-edge columns, so a leaf's one
-    edge is that XOR. Each of the n-1 steps pops one pending leaf per row,
-    credits its subtree demand to its edge, hands the demand to the other
-    endpoint and pushes that endpoint once it is a leaf too. The root is
-    never pushed, so its own demand stays off every edge.
-    """
-    n = len(verts)
-    width = n - 1
-    eids = np.array([e.eid for e in edges], np.intp)
-    lengths = np.array([e.length for e in edges])
-    if not width:
-        # a lone root: its one spanning tree has no edges
-        return _TreeTable(np.zeros((1, 0), np.uint8), np.zeros((1, 0)), eids, lengths)
-    # degrees, columns and vertex indices all stay within the edge count
-    small = np.min_scalar_type(len(edges))
-    columns = np.nonzero(flags)[1].astype(small).reshape(-1, width)
-    index = {v: i for i, v in enumerate(verts)}
-    ends = np.array([(index[e.u], index[e.v]) for e in edges], np.intp)
-
-    # per-row arrays are kept flat, vertex v of row r at r * n + v, and so
-    # is each row's stack of pending leaves, with top[r] the flat index just
-    # past its last one: every access is one gather or scatter by one array
-    count = len(columns)
-    at = np.arange(0, count * n, n)
-    degree = np.zeros(count * n, small)
-    link = np.zeros(count * n, small)
-    for c in columns.T:
-        for end in ends[c].T:
-            degree[at + end] += 1
-            link[at + end] ^= c
-
-    # a flow never exceeds the total demand
-    own = np.array([g.demands.get(v, 0) for v in verts], np.min_scalar_type(g.total_demand))
-    below = np.tile(own, count)
-    root = index[g.root]
-    across = (ends[:, 0] ^ ends[:, 1]).astype(small)
-    stack = np.zeros(count * n, small)
-    top = at.copy()
-    for v in range(n):
-        if v != root:
-            push = np.flatnonzero(degree[v::n] == 1)
-            stack[top[push]] = v
-            top[push] += 1
-    flows = np.zeros((count, len(edges)), below.dtype)
-    flow_at = np.arange(0, flows.size, len(edges))
-    for _ in range(width):
-        top -= 1
-        leaf = stack[top]
-        here = at + leaf
-        c = link[here]
-        demand = below[here]
-        flows.ravel()[flow_at + c] = demand
-        other = across[c] ^ leaf
-        here = at + other
-        below[here] += demand
-        link[here] ^= c
-        degree[here] -= 1
-        push = np.flatnonzero((degree[here] == 1) & (other != root))
-        stack[top[push]] = other[push]
-        top[push] += 1
-    return _TreeTable(columns, flows, eids, lengths)
-
-
-@lru_cache(maxsize=6)
-def _enumerated_table(g: Instance) -> tuple[_TreeTable, ...]:
-    """One flow table per block of _steiner_topologies: a row per flow class
-    of the root's component, holding the class's least tree. Cached, since
-    the oracle scans an instance once per threshold index.
-
-    Each cached row was branched at the last edge for 2n+m cells of the
-    budget and holds n-1 columns and m flows, so an instance caches at most
-    8 bytes (2 with 16-bit flows) per ORACLE_CELL_BUDGET cell; K_8 with
-    demand on vertices 1-4, 5.2·10^7 cells of work, caches 48,818 rows,
-    under 2 MB.
-
-    Raises OracleLimitError once the enumerator's work passes
-    ORACLE_CELL_BUDGET array cells. An exception is not cached, so a
-    refused instance is refused on every call, each after that much work.
+    Raises OracleLimitError, before any search, when 3^t·n + 2^t·n² passes
+    ORACLE_CELL_BUDGET. An exception is not cached, so a refused instance is
+    refused on every call.
     """
     verts, edges = _root_component(g)
-    return tuple(
-        _flow_table(g, verts, edges, flags) for flags in _steiner_topologies(g, verts, edges)
-    )
-
-
-def _table_costs(
-    table: _TreeTable, thresholds: Sequence[float], coefficients: Sequence[float]
-) -> np.ndarray:
-    """Combined cost of every row of ``table``.
-
-    Each row is summed on its own, in column order, so its cost, and with
-    it every tie, is bit for bit the same whichever table the row is in; a
-    matrix product would round differently. Flows are widened to float64
-    first: mixed with a float scalar, a narrow integer array would otherwise
-    compute in float16 under NumPy 1.x casting rules. A table holds at most
-    _FRONTIER_BLOCK rows, so its two float buffers stay small.
-    """
-    costs = np.zeros(len(table.flows))
-    flows = table.flows.astype(np.float64)
-    capped = np.empty_like(flows)
-    for a, m in zip(coefficients, thresholds):
-        if a:
-            np.multiply(np.minimum(flows, m, out=capped), table.lengths, out=capped)
-            costs += a * capped.sum(axis=1)
-    return costs
+    near: dict[int, set[int]] = {v: set() for v in verts}
+    for e in edges:
+        near[e.u].add(e.v)
+        near[e.v].add(e.u)
+    terms = [v for v, _ in g.demand_items if v != g.root and v in near]
+    keys = [v for v in verts if len(near[v]) >= 3 or v == g.root or v in terms]
+    t, n = len(terms), len(keys)
+    cells = 3**t * n + 2**t * n * n
+    if cells > ORACLE_CELL_BUDGET:
+        raise OracleLimitError(
+            f"instance too large for oracle: its subset DP takes {cells} array cells,"
+            f" over {ORACLE_CELL_BUDGET}"
+        )
+    # one search per branch vertex; only those from terminals and the root,
+    # which sample-and-augment shares, are kept, since n trees hold n² labels
+    dist = np.empty((n, n))
+    for j, v in enumerate(keys):
+        tree = _source_tree(g, v) if v in terms or v == g.root else shortest_path_tree(g, v)
+        dist[:, j] = [tree[0][u] for u in keys]
+    demand = tuple(g.demands[v] for v in terms)
+    total = np.zeros(1)
+    for d in demand:
+        total = np.concatenate((total, total + float(d)))
+    starts = np.array([keys.index(v) for v in terms], np.intp)
+    return verts, edges, demand, tuple(keys), dist, total, starts
 
 
 def best_tree_for_combination(
     g: Instance, thresholds: Sequence[float], coefficients: Sequence[float]
 ) -> RoutedTree:
-    """Spanning tree minimizing sum_i coefficients[i] * cost(thresholds[i]).
+    """Spanning tree minimizing sum_i coefficients[i] * cost(thresholds[i]),
+    by the subset DP (module docstring).
 
-    Scans one spanning tree per flow class of the root's component; ties go
-    to the lexicographically smallest edge-id set. Raises OracleLimitError
-    when enumerating the classes passes ORACLE_CELL_BUDGET array cells
-    (see ``_enumerated_table``).
+    Ties go to the first minimum in the DP's scan order: a send from the
+    least branch vertex id, then a split whose part holding the set's least
+    terminal has the smallest bitmask (terminals ordered by vertex id). The
+    flow class found is completed to its least spanning tree. Raises
+    OracleLimitError, before any work, when 3^t·n + 2^t·n² passes
+    ORACLE_CELL_BUDGET (see ``_oracle_setup``).
     """
     if len(thresholds) != len(coefficients):
         raise ConfigError("thresholds and coefficients must have equal length")
-    tables = _enumerated_table(g)
+    verts, edges, demand, keys, dist, total, starts = _oracle_setup(g)
+    t = len(demand)
+    basis_terms = [(a, m) for a, m in zip(coefficients, thresholds) if a]
+    w = np.zeros(len(total))
+    for a, m in basis_terms:
+        w += a * np.minimum(total, m)
+    F, G = _subset_dp(w, dist, starts)
 
-    def key(table: _TreeTable) -> tuple[float, tuple[int, ...]]:
-        costs = _table_costs(table, thresholds, coefficients)
-        low = costs.min()
-        return low, min(table.edge_ids(j) for j in np.flatnonzero(costs == low))
+    # expand the winning sends, from all terminals at the root down, into
+    # paths of the destination's shortest-path tree, with their flows
+    flow: dict[int, int] = {}
+    stack = [((1 << t) - 1, keys.index(g.root))] if t else []
+    while stack:
+        s, v = stack.pop()
+        u = int(np.argmin(G[s] + w[s] * dist[:, v]))
+        amount = sum(d for i, d in enumerate(demand) if s >> i & 1)
+        x, pred = keys[u], _source_tree(g, keys[v])[1]
+        while x != keys[v]:
+            x, eid = pred[x]
+            flow[eid] = flow.get(eid, 0) + (amount if g.edge_by_id[eid].v == x else -amount)
+        if s & (s - 1):
+            sets, parts = _subsets(t)[bin(s).count("1") - 1]
+            a = parts[:, np.searchsorted(sets, s)]
+            a = int(a[np.argmin(F[a, u] + F[s ^ a, u])])
+            stack += [(a, u), (s ^ a, u)]
 
-    return route(g, min(map(key, tables))[1])
+    support = _acyclic_support(g, flow, lambda x: sum(a * min(x, m) for a, m in basis_terms))
+    uf = UnionFind(verts)
+    for eid in support:
+        uf.union(g.edge_by_id[eid].u, g.edge_by_id[eid].v)
+    return route(g, [*support, *(e.eid for e in edges if uf.union(e.u, e.v))])
 
 
 def exact_ssrob(g: Instance, threshold: float) -> RoutedTree:
-    """Minimum-cost routing tree for one basis threshold, by enumeration.
+    """Minimum-cost routing tree for one basis threshold, by the subset DP.
 
     The single-term case of :func:`best_tree_for_combination`, with its
-    row budget and tie rule.
+    budget and tie rule.
     """
     return best_tree_for_combination(g, (threshold,), (1.0,))
 
 
-def _terminal_tree(g: Instance, source: int) -> PathTree:
+def _source_tree(g: Instance, source: int) -> PathTree:
     """``shortest_path_tree(g, source)``, run once per instance and source.
 
-    Terminals are demand vertices or the root, so every threshold and trial
-    of one instance shares at most |demands| + 1 trees. Callers must not
-    mutate the returned dicts.
+    Sample-and-augment searches from terminals (demand vertices or the
+    root) and the exact oracle from branch vertices, so every threshold and
+    trial of one instance shares at most one tree per vertex. Callers must
+    not mutate the returned dicts.
     """
     trees = g.source_trees
     tree = trees.get(source)
@@ -478,7 +302,7 @@ def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int
     terms = sorted(terminals)
     if len(terms) <= 1:
         return frozenset()
-    trees = {t: _terminal_tree(g, t) for t in terms}
+    trees = {t: _source_tree(g, t) for t in terms}
     closure: list[tuple[float, int, int]] = []
     for i, a in enumerate(terms):
         dist_a = trees[a][0]
@@ -540,7 +364,7 @@ def _spt_demand_paths(g: Instance) -> frozenset[int]:
     SUPERNODE, not the root's id, which changes how (distance, predecessor
     id) ties break.
     """
-    return _demand_paths(g, _terminal_tree(g, g.root), g.root, ())
+    return _demand_paths(g, _source_tree(g, g.root), g.root, ())
 
 
 def _marked_vertices(g: Instance, seed: int, chances: Sequence[float]) -> frozenset[int]:
@@ -618,7 +442,7 @@ def sample_and_augment(
 
 @dataclass(frozen=True)
 class ExactSolver:
-    """Optimal basis trees by exhaustive enumeration; tiny instances only."""
+    """Optimal basis trees by the subset DP; few demand vertices only."""
 
     name: ClassVar[str] = "exact"
     quality: ClassVar[str] = "exact"

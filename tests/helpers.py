@@ -1,27 +1,25 @@
 """Independent oracles used only by the tests.
 
 The brute-force tree oracles deliberately share nothing with the package's
-contraction-deletion enumerator: spanning trees are found by filtering
-fixed-size edge subsets, and :func:`count_spanning_trees` counts them
-exactly by the matrix-tree theorem. :func:`reference_spanning_edge_sets`
-is a plain contraction-deletion walk over every spanning tree, one partial
-tree at a time, and :func:`reference_flow_classes` groups its trees by
-their walked flows, keeping the least edge-id tuple per class: the rows
-the package's Steiner-topology enumerator must produce. :func:`flagged_edge_sets` reads
-that enumerator's 0/1 flag blocks back as edge-id tuples to compare, and
-:func:`edge_flags` writes tuples as flags. The numeric parameter optimizer
+subset-DP oracle: spanning trees are found by filtering fixed-size edge
+subsets, and :func:`count_spanning_trees` counts them exactly by the
+matrix-tree theorem. :func:`reference_spanning_edge_sets` is a plain
+contraction-deletion walk over every spanning tree, one partial tree at a
+time, and :func:`reference_flow_classes` groups its trees by their walked
+flows, keeping the least edge-id tuple per class. :func:`exact_cost` costs
+a tree in rational arithmetic, so that a test can ask for the least cost
+exactly, whatever order a float sum takes. The numeric parameter optimizer
 checks the closed form in :func:`onetree.optimal_parameters` without using
-it.
-:func:`reference_frontier_order` recomputes the enumerator's greedy edge
-order from scratch at every step, and :func:`answers_in_both_orders` runs
-the oracle once in that order and once in edge-id order
-(:func:`edge_id_order`), for tests that the order changes no answer, on
-graphs that include :func:`oracle_n14_instances`, the benchmark's own.
+it. :func:`oracle_n14_instances` gives the benchmark's own oracle graphs.
 :func:`reference_sample_and_augment` is the plain form of the package's
 sample-and-augment solver, which the faster one must match tree for tree,
 and :func:`reference_K` the loop that the closed form of ``compute_K`` must
 match. :func:`reference_shortest_path_tree` is the shortest-path search
 over per-vertex ``Edge`` tuples that the dense-indexed one replaced.
+:class:`ConcaveFunction`, :func:`decompose_function`, :func:`eval_cost` and
+:func:`best_tree_for_function` state a concave cost function over the
+threshold basis, for the tests of the reduction from any concave function
+to the basis.
 """
 
 from __future__ import annotations
@@ -31,14 +29,14 @@ import itertools
 import math
 import random
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-import pytest
-
 from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, basis_threshold, contract, route
-from onetree import InvalidTreeError, load_instance, shortest_path_tree, ssrob
+from onetree import ConfigError, InvariantError, load_instance, shortest_path_tree
 from onetree.graph import (
     INF,
     Edge,
@@ -48,7 +46,7 @@ from onetree.graph import (
     tree_vertices,
 )
 from onetree.routing import compute_flows
-from onetree.ssrob import _enumerated_table, _table_costs, best_tree_for_combination
+from onetree.ssrob import best_tree_for_combination
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -149,16 +147,6 @@ def reference_spanning_edge_sets(
             stack.append((k + 1, merged, components - 1, chosen + (edges[k].eid,)))
 
 
-def flagged_edge_sets(
-    blocks: Iterable[Sequence[Sequence[int]]], edges: Sequence[Edge]
-) -> Iterator[tuple[int, ...]]:
-    """Each row of each block of 0/1 flags, one flag per edge of ``edges``,
-    as the edge-id tuple of its flagged edges, in row order."""
-    for flags in blocks:
-        for row in flags:
-            yield tuple(e.eid for e, flag in zip(edges, row) if flag)
-
-
 def reference_flow_classes(
     g: Instance, verts: Sequence[int], edges: Sequence[Edge]
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -171,79 +159,6 @@ def reference_flow_classes(
         flows = tuple(walk.get(e.eid, 0) for e in edges)
         classes[flows] = min(classes.get(flows, eids), eids)
     return classes
-
-
-def edge_flags(trees: Sequence[tuple[int, ...]], edges: Sequence[Edge]) -> list[list[int]]:
-    """Each edge-id tuple of ``trees`` as a row of 0/1 flags, one flag per
-    edge of ``edges``: the inverse of :func:`flagged_edge_sets`."""
-    return [[int(e.eid in chosen) for e in edges] for chosen in map(set, trees)]
-
-
-def edge_id_order(n: int, ends: Sequence[tuple[int, int]]) -> list[int]:
-    """Stand-in for ``ssrob._frontier_order`` that branches in edge-id order."""
-    return list(range(len(ends)))
-
-
-def reference_frontier_order(n: int, ends: Sequence[tuple[int, int]]) -> list[int]:
-    """The greedy min-frontier edge order, every growth recomputed from
-    scratch at every step: place vertex 0, then repeatedly the unplaced
-    neighbour v of the placed set with the least (v has an unplaced
-    neighbour) minus (placed neighbours whose only unplaced neighbour is
-    v), ties to the smaller v; then sort edges by (later end's place,
-    earlier end's place, index)."""
-    near = [set() for _ in range(n)]
-    for a, b in ends:
-        near[a].add(b)
-        near[b].add(a)
-    place = {0: 0}
-
-    def growth(v: int) -> int:
-        opens = any(u not in place for u in near[v])
-        closes = sum(u in place and near[u] - place.keys() == {v} for u in near[v])
-        return opens - closes
-
-    while len(place) < n:
-        _, v = min((growth(v), v) for v in range(n) if v not in place and near[v] & place.keys())
-        place[v] = len(place)
-    spans = [sorted((place[a], place[b])) for a, b in ends]
-    return sorted(range(len(ends)), key=lambda k: (spans[k][1], spans[k][0], k))
-
-
-def oracle_answers(g: Instance, combinations) -> tuple[list, list[tuple[int, ...] | str]]:
-    """What the exact oracle answers for ``g`` from a fresh enumeration:
-    its rows as sorted (edge ids, flows, one cost per combination), the
-    costs from ``_table_costs``, and ``best_tree_for_combination``'s tree
-    per combination, or its error where demand lies outside the root's
-    component. ``combinations`` holds (thresholds, coefficients) pairs; the
-    table cache is cleared before and after."""
-    def best(combination) -> tuple[int, ...] | str:
-        try:
-            return best_tree_for_combination(g, *combination).edge_ids
-        except InvalidTreeError as error:
-            return str(error)
-
-    _enumerated_table.cache_clear()
-    try:
-        rows = []
-        for table in _enumerated_table(g):
-            costs = [_table_costs(table, *combination).tolist() for combination in combinations]
-            rows += [
-                (table.edge_ids(j), table.flows[j].tolist(), [c[j] for c in costs])
-                for j in range(len(table.flows))
-            ]
-        trees = [best(combination) for combination in combinations]
-    finally:
-        _enumerated_table.cache_clear()
-    return sorted(rows), trees
-
-
-def answers_in_both_orders(g: Instance, combinations) -> tuple[tuple, tuple]:
-    """:func:`oracle_answers` with the enumerator branching in its own edge
-    order, then in edge-id order (``_frontier_order`` patched)."""
-    first = oracle_answers(g, combinations)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ssrob, "_frontier_order", edge_id_order)
-        return first, oracle_answers(g, combinations)
 
 
 def oracle_n14_instances(seeds: Iterable[int]) -> list[Instance]:
@@ -287,6 +202,39 @@ def brute_min_cost(
             best = key
     assert best is not None, "instance has no spanning tree"
     return best
+
+
+def exact_cost(
+    tree: RoutedTree, thresholds: Sequence[float], coefficients: Sequence[float]
+) -> Fraction:
+    """sum_i coefficients[i] * cost(thresholds[i]) of ``tree``, in rationals:
+    every float is a binary fraction, so the sum is exact."""
+    return sum(
+        (
+            Fraction(a) * Fraction(e.length) * min(Fraction(flow), Fraction(m))
+            for e, flow in zip(tree.edges, tree.flows)
+            for a, m in zip(coefficients, thresholds)
+        ),
+        Fraction(0),
+    )
+
+
+def least_exact_cost(
+    trees: Iterable[RoutedTree], thresholds: Sequence[float], coefficients: Sequence[float]
+) -> Fraction:
+    """The least :func:`exact_cost` of ``trees``. Only trees within a
+    relative 1e-9 of the least float cost are costed exactly: a float sum of
+    so few terms is off by far less, so no other tree can be least."""
+    costed = [
+        (sum(a * basis_cost(tree, m) for a, m in zip(coefficients, thresholds)), tree)
+        for tree in trees
+    ]
+    low = min(cost for cost, _ in costed)
+    return min(
+        exact_cost(tree, thresholds, coefficients)
+        for cost, tree in costed
+        if cost <= low + 1e-9 * abs(low)
+    )
 
 
 def combined_objective(alpha: float, gamma: float, delta: float) -> float:
@@ -473,3 +421,86 @@ def reference_sample_and_augment(
         if best is None or key < best[0]:
             best = (key, tree)
     return best[1]
+
+
+@dataclass(frozen=True)
+class ConcaveFunction:
+    """f(x) = sum_i coefficients[i] * min(x, (1 + eps) ** i).
+
+    Nonnegative coefficients make f concave, nondecreasing, and 0 at 0.
+    Tiny negative coefficients from float noise are clamped to 0; anything
+    materially negative is rejected.
+    """
+
+    eps: float
+    coefficients: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.coefficients:
+            raise ConfigError("at least one coefficient is required")
+        cleaned = []
+        for a in self.coefficients:
+            if a < -1e-12:
+                raise ConfigError("coefficients must be nonnegative")
+            cleaned.append(max(0.0, float(a)))
+        object.__setattr__(self, "coefficients", tuple(cleaned))
+
+    @property
+    def thresholds(self) -> tuple[float, ...]:
+        return tuple(basis_threshold(i, self.eps) for i in range(len(self.coefficients)))
+
+    def value(self, x: float) -> float:
+        total = 0.0
+        for a, m in zip(self.coefficients, self.thresholds):
+            if a:
+                total += a * (x if x < m else m)
+        return total
+
+
+def decompose_function(samples: Sequence[float], eps: float) -> ConcaveFunction:
+    """Fit grid samples g((1+eps)**i), i = 0..K, as slope drops.
+
+    Samples must be nonnegative, nondecreasing, and concave on the grid
+    (g(0) = 0 is implied). The coefficient at index i is the slope drop at
+    the i-th threshold, with the slope beyond the last threshold taken as 0;
+    reconstruction at the grid points is then exact.
+    """
+    pts = [float(s) for s in samples]
+    if not pts:
+        raise ConfigError("at least one sample is required")
+    if pts[0] < 0.0:
+        raise ConfigError("samples must be nonnegative")
+    grid = [basis_threshold(i, eps) for i in range(len(pts))]
+    slopes = [pts[0] / grid[0]]
+    for i in range(1, len(pts)):
+        slopes.append((pts[i] - pts[i - 1]) / (grid[i] - grid[i - 1]))
+    scale = max(1.0, max(abs(s) for s in slopes))
+    tol = 1e-12 * scale
+    for s in slopes:
+        if s < -tol:
+            raise ConfigError("samples are decreasing")
+    for i in range(len(slopes) - 1):
+        if slopes[i + 1] > slopes[i] + tol:
+            raise ConfigError("samples are not concave on the threshold grid")
+    coefficients = [slopes[i] - slopes[i + 1] for i in range(len(slopes) - 1)]
+    coefficients.append(slopes[-1])
+    fn = ConcaveFunction(eps=eps, coefficients=tuple(coefficients))
+    for x, expected in zip(grid, pts):
+        got = fn.value(x)
+        if abs(got - expected) > 1e-9 * max(1.0, abs(expected)):
+            raise InvariantError("grid reconstruction drifted beyond 1e-9")
+    return fn
+
+
+def eval_cost(tree: RoutedTree, fn: ConcaveFunction) -> float:
+    """Tree cost under ``fn``: sum_i a_i * basis cost at the i-th threshold."""
+    total = 0.0
+    for a, m in zip(fn.coefficients, fn.thresholds):
+        if a:
+            total += a * basis_cost(tree, m)
+    return total
+
+
+def best_tree_for_function(g: Instance, fn: ConcaveFunction) -> RoutedTree:
+    """The exact oracle's optimum of :func:`eval_cost` over spanning trees."""
+    return best_tree_for_combination(g, fn.thresholds, fn.coefficients)

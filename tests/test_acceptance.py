@@ -13,14 +13,11 @@ import time
 import pytest
 
 from onetree import (
-    ConcaveFunction,
     ExactSolver,
     SampleAugmentSolver,
     basis_cost,
-    best_tree_for_function,
     build_last,
     compute_layers,
-    eval_cost,
     exact_ssrob,
     optimal_parameters,
     verify_last,
@@ -30,7 +27,15 @@ from onetree.corpus import instance_text, random_connected_instance, random_inst
 from onetree.builder import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
 from onetree.last import guaranteed_beta
 
-from helpers import brute_min_cost, count_spanning_trees, refine_parameters, search_parameters
+from helpers import (
+    ConcaveFunction,
+    best_tree_for_function,
+    brute_min_cost,
+    count_spanning_trees,
+    eval_cost,
+    refine_parameters,
+    search_parameters,
+)
 
 EPS = 0.5
 CORPUS_SEED = 20260809

@@ -151,7 +151,8 @@ def test_corpus_unwritable_report_exits_2(tmp_path, capsys):
 
 
 def test_exact_solver_on_long_path_exits_0(tmp_path):
-    # one spanning tree, but 1499 edges: the enumerator must not recurse per edge
+    # one spanning tree over 1499 edges: the oracle searches from its two
+    # branch vertices, the root and the terminal, not from all 1500
     n = 1500
     g = make_instance(n, [(v, v + 1, 1) for v in range(n - 1)], 0, {n - 1: 1})
     instance = write(tmp_path, "path1500.graph", instance_text(g))
@@ -171,7 +172,7 @@ def test_rent_bound_underflow_keeps_index_0(tmp_path, text, delta):
 
 
 def test_exact_oracle_on_demand_beyond_int64_exits_0(tmp_path):
-    # flows wider than any fixed-width integer the flow table can hold
+    # a flow wider than any fixed-width integer
     text = f"3 3 0\n0 1 1\n1 2 1\n0 2 1\nd 1 {10**20}\n"
     instance = write(tmp_path, "huge.graph", text)
     assert main(["run", instance, "--eps", "1", "--ssrob", "exact", "--oracle"]) == EXIT_OK
@@ -330,10 +331,7 @@ def test_corpus_oversized_instance_marked_skipped(tmp_path):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
     (corpus_dir / "small.graph").write_text(PATH3)
-    n = 12
-    edges = [(u, v, 1) for u in range(n) for v in range(u + 1, n)]
-    big = make_instance(n, edges, 0, {1: 1})
-    (corpus_dir / "big.graph").write_text(instance_text(big))
+    (corpus_dir / "big.graph").write_text(_over_budget_text())
     out = tmp_path / "summary.json"
     cfg = RunConfig(eps=0.5, ssrob="sample-augment", trials=4, oracle=True, out_report=str(out))
     assert run_corpus(str(corpus_dir), cfg) == EXIT_OK
@@ -343,16 +341,17 @@ def test_corpus_oversized_instance_marked_skipped(tmp_path):
     assert by_name["small.graph"]["status"] == "ok"
 
 
-def _k12_text():
-    # K_12 passes the oracle's work budget: the exact solver refuses it
-    n = 12
-    return instance_text(make_instance(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)], 0, {1: 1}))
+def _over_budget_text():
+    # 20 demand vertices on a path of 21 take 3^20·21 cells, past the
+    # oracle's budget: the exact solver refuses it
+    path = [(v, v + 1, 1) for v in range(20)]
+    return instance_text(make_instance(21, path, 0, {v: 1 for v in range(1, 21)}))
 
 
 def test_corpus_exact_solver_refusal_is_an_error_row(tmp_path):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
-    (corpus_dir / "big.graph").write_text(_k12_text())
+    (corpus_dir / "big.graph").write_text(_over_budget_text())
     (corpus_dir / "small.graph").write_text(PATH3)
     out = tmp_path / "summary.json"
     code = main(["run", "--corpus", str(corpus_dir), "--ssrob", "exact", "--out-report", str(out)])
@@ -367,7 +366,7 @@ def test_corpus_exact_solver_refusal_is_an_error_row(tmp_path):
 
 
 def test_exact_solver_refusal_exits_2_naming_the_file(tmp_path, capsys):
-    instance = write(tmp_path, "big.graph", _k12_text())
+    instance = write(tmp_path, "big.graph", _over_budget_text())
     assert main(["run", instance, "--ssrob", "exact"]) == EXIT_INVALID
     assert capsys.readouterr().err.startswith(f"error: {instance}: instance too large for oracle")
 

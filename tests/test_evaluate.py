@@ -4,13 +4,9 @@ import random
 import pytest
 
 from onetree import (
-    ConcaveFunction,
     ConfigError,
     ExactSolver,
     Parameters,
-    decompose_function,
-    eval_cost,
-    best_tree_for_function,
     make_instance,
     optimal_parameters,
     route,
@@ -20,7 +16,15 @@ from onetree.corpus import random_instance
 from onetree.builder import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
 from onetree.cli import build_report, solve_instance
 
-from helpers import combined_objective, refine_parameters, search_parameters
+from helpers import (
+    ConcaveFunction,
+    best_tree_for_function,
+    combined_objective,
+    decompose_function,
+    eval_cost,
+    refine_parameters,
+    search_parameters,
+)
 
 ROOT5 = math.sqrt(5.0)
 

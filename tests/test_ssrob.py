@@ -1,12 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from onetree import (
     ConfigError,
     ExactSolver,
+    InvalidTreeError,
     OracleLimitError,
     SampleAugmentSolver,
     basis_cost,
@@ -15,36 +16,29 @@ from onetree import (
     make_instance,
     route,
     sample_and_augment,
+    shortest_path_tree,
 )
 from onetree import ssrob
 from onetree.corpus import random_instance
-from onetree.graph import tree_order
 from onetree.layers import compute_K
-from onetree.routing import basis_threshold, compute_flows
+from onetree.routing import basis_threshold
 from onetree.ssrob import (
-    _enumerated_table,
-    _flow_table,
     _marked_vertices,
+    _oracle_setup,
     _rent_paths,
     _root_component,
-    _steiner_topologies,
-    _table_costs,
     best_tree_for_combination,
 )
 
 from helpers import (
-    answers_in_both_orders,
     brute_min_cost,
     count_spanning_trees,
-    edge_flags,
-    edge_id_order,
-    flagged_edge_sets,
+    exact_cost,
+    least_exact_cost,
     oracle_n14_instances,
-    reference_frontier_order,
     reference_flow_classes,
     reference_marking,
     reference_sample_and_augment,
-    reference_spanning_edge_sets,
     subset_spanning_trees,
 )
 
@@ -67,8 +61,11 @@ def test_exact_on_unique_tree(path3):
 def test_exact_cycle_all_trees_tie(cycle4):
     t = exact_ssrob(cycle4, 1.0)
     assert basis_cost(t, 1.0) == 3.0
-    # every 3-edge tree costs 3; the smallest edge-id set wins
-    assert t.edge_ids == (0, 1, 2)
+    # every 3-edge tree costs 3, and the first minimum in the DP's scan order
+    # wins: at the root, the send from the root itself (the least vertex id),
+    # then the split that sends terminal 1 alone (the part holding the least
+    # terminal with the smallest bitmask); terminals 2 and 3 join at 3
+    assert t.edge_ids == (0, 2, 3)
 
 
 def test_exact_prefers_star_for_large_threshold(triangle_cheap_root):
@@ -82,37 +79,21 @@ def test_exact_matches_independent_subset_oracle():
     for _ in range(20):
         g = random_instance(rng, n_min=3, n_max=5)
         for m in (1.0, 2.0, 3.5):
-            got = basis_cost(exact_ssrob(g, m), m)
-            want, _ = brute_min_cost(g, lambda t: basis_cost(t, m))
-            assert got == pytest.approx(want, rel=1e-12)
+            got = exact_cost(exact_ssrob(g, m), (m,), (1.0,))
+            want, _ = brute_min_cost(g, lambda t: exact_cost(t, (m,), (1.0,)))
+            assert got == want
 
 
 def test_exact_oracle_guard():
-    # the complete graph on 12 vertices passes the oracle's work budget
-    # before it finds a topology
-    n = 12
-    edges = [(u, v, 1) for u in range(n) for v in range(u + 1, n)]
-    g = make_instance(n, edges, 0, {1: 1})
+    # 20 demand vertices on a path of 21 take 3^20·21 cells, past the budget
+    path = [(v, v + 1, 1) for v in range(20)]
     with pytest.raises(OracleLimitError, match="too large for oracle"):
-        exact_ssrob(g, 2.0)
-
-
-def test_enumeration_covers_every_spanning_tree():
-    # every spanning tree, found by subset filtering and routed on its own,
-    # falls in the flow class of exactly one row, and that row is the
-    # class's smallest edge-id tuple
-    rng = random.Random(17)
-    for _ in range(10):
-        g = random_instance(rng, n_min=3, n_max=6)
-        verts, edges = _root_component(g)
-        ours = list(flagged_edge_sets(_steiner_topologies(g, verts, edges), edges))
-        least: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for eids in map(tuple, map(sorted, subset_spanning_trees(g))):
-            flows = route(g, eids).flow_map
-            key = tuple(flows.get(e.eid, 0) for e in edges)
-            least[key] = min(least.get(key, eids), eids)
-        assert sorted(ours) == sorted(least.values())
-        assert len(ours) <= count_spanning_trees(g)
+        exact_ssrob(make_instance(21, path, 0, {v: 1 for v in range(1, 21)}), 2.0)
+    # K_12 with one demand vertex takes 3·12 + 2·12² cells: the direct edge,
+    # completed by the rest of the star at the root
+    n = 12
+    g = make_instance(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)], 0, {1: 1})
+    assert exact_ssrob(g, 2.0).edge_ids == tuple(range(n - 1))
 
 
 def _flow_test_instance(rng: random.Random):
@@ -135,29 +116,62 @@ def _flow_test_instance(rng: random.Random):
     return make_instance(n, edges, rng.randrange(inside), demands)
 
 
-def test_flow_table_matches_tree_walk():
-    # every row's peeled flows equal the per-tree walk's, column by column
+
+def _combinations(g):
+    total = float(g.total_demand)
+    return [((1.0,), (1.0,)), ((2.0,), (1.0,)), ((total,), (1.0,)),
+            ((1.0, 2.0, total), (0.5, 0.0, 1.25))]
+
+
+def _flows(g, tree):
+    """``tree``'s flow on each edge of the root's component."""
+    return tuple(tree.flow_map.get(e.eid, 0) for e in _root_component(g)[1])
+
+
+def _spans_demand(g):
+    return set(g.demands) <= set(_root_component(g)[0])
+
+
+def _check_oracle(g, combinations):
+    """The reference flow classes of ``g``, after checking that for each
+    (thresholds, coefficients) pair the oracle's tree is the least tree of
+    its flow class and costs exactly the least cost of any class."""
+    verts, edges = _root_component(g)
+    classes = reference_flow_classes(g, verts, edges)
+    least = [route(g, eids) for eids in classes.values()]
+    for thresholds, coefficients in combinations:
+        tree = best_tree_for_combination(g, thresholds, coefficients)
+        assert classes[_flows(g, tree)] == tree.edge_ids, (g, thresholds)
+        want = least_exact_cost(least, thresholds, coefficients)
+        assert exact_cost(tree, thresholds, coefficients) == want, (g, thresholds)
+    return classes
+
+
+def test_oracle_flows_match_tree_walk():
+    # on small instances with lone roots, demand at the root, vertices and
+    # demand outside the root's component, parallel edges and flows beyond
+    # int32, the oracle's tree carries the walked flows of a reference flow
+    # class, is that class's least tree and costs exactly the least of any
+    # class; demand outside the root's component cannot be spanned
     rng = random.Random(5150)
     seen = set()
     for _ in range(300):
         g = _flow_test_instance(rng)
         verts, edges = _root_component(g)
-        trees = list(reference_spanning_edge_sets(verts, edges))
-        table = _flow_table(g, verts, edges, np.array(edge_flags(trees, edges)))
-        assert [table.edge_ids(j) for j in range(len(trees))] == trees
-        assert table.flows.shape == (len(trees), len(edges))
-        for eids, flows in zip(trees, table.flows.tolist()):
-            walk = compute_flows(tree_order(g.root, [g.edge_by_id[i] for i in eids]), g.demands)
-            assert flows == [walk.get(e.eid, 0) for e in edges], (g, eids)
+        if _spans_demand(g):
+            _check_oracle(g, _combinations(g))
+        else:
+            with pytest.raises(InvalidTreeError, match="demand vertex not spanned"):
+                exact_ssrob(g, 2.0)
         pairs = [frozenset((e.u, e.v)) for e in edges]
         seen.update(
             name
             for name, present in [
                 ("lone root", len(verts) == 1),
                 ("root demand", g.root in g.demands),
-                ("outside", len(verts) < g.n),
+                ("outside", not _spans_demand(g)),
                 ("parallel", len(set(pairs)) < len(pairs)),
-                ("beyond int32", table.flows.max(initial=0) > 2**31),
+                ("beyond int32", _spans_demand(g) and g.total_demand > 2**31),
             ]
             if present
         )
@@ -172,7 +186,6 @@ def _enumeration_test_instance(rng: random.Random, kind: str):
     if kind == "random":
         return _flow_test_instance(rng)
     if kind == "complete":
-        # later edges join k's ends on levels whose frontiers are large
         n = rng.randint(5, 6)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         pairs.append(rng.choice(pairs))
@@ -206,24 +219,18 @@ def _enumeration_corpus(count: int):
     return corpus + [make_instance(300, path, 150, {0: 1}), make_instance(206, tail, 205, {0: 2})]
 
 
-def _check_classes(g):
-    """The enumerator's blocks for ``g``, after checking that its rows are
-    one per flow class, each the class's smallest edge-id tuple, against the
-    depth-first walk's trees grouped by their walked flows."""
-    verts, edges = _root_component(g)
-    blocks = list(_steiner_topologies(g, verts, edges))
-    trees = list(flagged_edge_sets(blocks, edges))
-    classes = reference_flow_classes(g, verts, edges)
-    assert len(trees) == len(classes) <= count_spanning_trees(g), g
-    assert sorted(trees) == sorted(classes.values()), g
-    return blocks
-
 
 def test_enumeration_matches_reference():
+    # the oracle against the reference walk of every spanning tree, grouped
+    # into flow classes: paths, cycles, cycles with pendant trees, complete
+    # graphs with a parallel edge, small random instances and two long
+    # graphs of bridges
     seen = set()
     for g in _enumeration_corpus(500):
+        if not _spans_demand(g):
+            continue
         verts, edges = _root_component(g)
-        trees = list(flagged_edge_sets(_check_classes(g), edges))
+        trees = list(_check_oracle(g, _combinations(g)).values())
         pairs = [frozenset((e.u, e.v)) for e in edges]
         seen.update(
             name
@@ -234,7 +241,7 @@ def test_enumeration_matches_reference():
                 ("bridge", any(all(e.eid in t for t in trees) for e in edges)),
                 ("cycle", len(edges) >= len(verts) > 2),
                 ("merged classes", len(trees) < count_spanning_trees(g)),
-                ("demand at the root only", set(g.demands) & set(verts) <= {g.root}),
+                ("demand at the root only", set(g.demands) <= {g.root}),
             ]
             if present
         )
@@ -243,85 +250,69 @@ def test_enumeration_matches_reference():
 
 @pytest.mark.parametrize("limit", [1, 7])
 def test_split_enumeration_matches_reference(monkeypatch, limit):
-    # a frontier split into blocks of at most `limit` rows keeps every class
-    monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", limit)
+    # the DP split into blocks of at most `limit` array cells (one set and
+    # one destination column a block where a set's splits alone pass it)
+    # still matches the reference
+    monkeypatch.setattr(ssrob, "_DP_BLOCK", limit)
     for g in _enumeration_corpus(150):
-        assert all(len(flags) <= limit for flags in _check_classes(g)), g
-
-
-def _combinations(g):
-    total = float(g.total_demand)
-    return [((1.0,), (1.0,)), ((2.0,), (1.0,)), ((total,), (1.0,)),
-            ((1.0, 2.0, total), (0.5, 0.0, 1.25))]
-
-
-def test_frontier_order_matches_plain_greedy(monkeypatch):
-    # the lazy heap gives the order a from-scratch greedy gives, on every
-    # component the enumerator sees
-    seen = []
-    frontier_order = ssrob._frontier_order
-
-    def recorded(n, ends):
-        seen.append((n, list(ends), frontier_order(n, ends)))
-        return seen[-1][2]
-
-    monkeypatch.setattr(ssrob, "_frontier_order", recorded)
-    for g in _enumeration_corpus(150) + oracle_n14_instances([1]):
-        list(_steiner_topologies(g, *_root_component(g)))
-    assert all(got == reference_frontier_order(n, ends) for n, ends, got in seen)
-    assert sum(got != sorted(got) for _n, _ends, got in seen) > 100
+        if _spans_demand(g):
+            _check_oracle(g, _combinations(g))
 
 
 def test_edge_order_does_not_change_answers():
-    # branching in edge-id order instead gives the same rows, flows and row
-    # cost bits, and the same best trees
-    corpus = _enumeration_corpus(150) + oracle_n14_instances([1, 2, 3])
-    for g in corpus:
-        ours, by_id = answers_in_both_orders(g, _combinations(g))
-        assert ours == by_id, g
+    # renumbering the edges (a shuffled edge list) changes no exact optimum,
+    # on the corpus and the oracle_n14 graphs; only where flow classes tie
+    # may it pick another tree
+    rng = random.Random(31337)
+    for g in _enumeration_corpus(150) + oracle_n14_instances([1, 2, 3]):
+        if not _spans_demand(g):
+            continue
+        shuffled = list(g.edges)
+        rng.shuffle(shuffled)
+        h = make_instance(g.n, [(e.u, e.v, e.length) for e in shuffled], g.root, g.demands)
+        for combination in _combinations(g):
+            ours = exact_cost(best_tree_for_combination(g, *combination), *combination)
+            theirs = exact_cost(best_tree_for_combination(h, *combination), *combination)
+            assert ours == theirs, g
 
 
-def _full_scan(g, thresholds, coefficients):
-    """Best tree by a scan of every spanning tree's row, ties to the smallest ids."""
-    verts, edges = _root_component(g)
-    trees = list(reference_spanning_edge_sets(verts, edges))
-    table = _flow_table(g, verts, edges, np.array(edge_flags(trees, edges)))
-    costs = _table_costs(table, thresholds, coefficients)
-    return min(table.edge_ids(j) for j in np.flatnonzero(costs == costs.min()))
-
-
-def test_distinct_rows_scan_matches_full_table():
-    # the table of one row per flow class picks the full scan's tree, ties
-    # included, for one- and multi-term combinations
+def test_oracle_matches_full_scan():
+    # every spanning tree, found by subset filtering and routed on its own,
+    # costs at least the oracle's tree, exactly, for one- and multi-term
+    # combinations, and the oracle's tree is the least of the trees with its
+    # flows. One instance in ten has its demands and thresholds scaled by
+    # 2^64, past int64; a power of two scales every float step exactly
     rng = random.Random(7373)
-    cut = object_flows = 0
+    cut = 0
     for k in range(150):
         g = random_instance(rng, n_min=3, n_max=7, max_length=2, max_extra_edges=5)
-        if k % 10 == 0:
-            # flows beyond int64 make the flow table an object array
+        scale = 2**64 if k % 10 == 0 else 1
+        if scale > 1:
             g = make_instance(g.n, [(e.u, e.v, e.length) for e in g.edges], g.root,
-                              {v: a * 10**19 for v, a in g.demands.items()})
-        tables = _enumerated_table(g)
-        cut += sum(len(table.flows) for table in tables) < count_spanning_trees(g)
-        object_flows += tables[0].flows.dtype == object
+                              {v: a * scale for v, a in g.demands.items()})
+        trees = [route(g, eids) for eids in subset_spanning_trees(g)]
+        cut += len({_flows(g, t) for t in trees}) < len(trees)
         total = float(g.total_demand)
         for thresholds, coefficients in [
-            ((1.0,), (1.0,)),
+            ((1.0 * scale,), (1.0,)),
             ((total,), (1.0,)),
-            ((2.0,), (1.0,)),
-            ((1.0, 2.0, total), (0.5, 0.0, 1.25)),
-            ((1.0, 3.0), (rng.random(), rng.random())),
+            ((2.0 * scale,), (1.0,)),
+            ((1.0 * scale, 2.0 * scale, total), (0.5, 0.0, 1.25)),
+            ((1.0 * scale, 3.0 * scale), (rng.random(), rng.random())),
         ]:
-            got = best_tree_for_combination(g, thresholds, coefficients).edge_ids
-            assert got == _full_scan(g, thresholds, coefficients), (k, thresholds)
-    assert cut > 50 and object_flows == 15
+            got = best_tree_for_combination(g, thresholds, coefficients)
+            want = least_exact_cost(trees, thresholds, coefficients)
+            assert exact_cost(got, thresholds, coefficients) == want, (k, thresholds)
+            same = [t.edge_ids for t in trees if _flows(g, t) == _flows(g, got)]
+            assert got.edge_ids == min(same), (k, thresholds)
+    assert cut > 50
 
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_split_tables_scan_matches_one_table(monkeypatch, block):
-    # trees split over many cached tables give the one-table answer, ties
-    # across tables included; K4 (16 trees) has one optimum, the star at
-    # vertex 3, which is enumerated last
+    # the DP's tables filled in blocks of at most `block` cells give the
+    # answers of one block per size, ties included; K4 (16 trees) has one
+    # optimum, the star at vertex 3
     k4 = [(0, 1, 10), (0, 2, 10), (0, 3, 1), (1, 2, 10), (1, 3, 1), (2, 3, 1)]
     rng = random.Random(4242)
     corpus = [make_instance(4, k4, 0, {1: 1, 2: 1})]
@@ -339,83 +330,82 @@ def test_split_tables_scan_matches_one_table(monkeypatch, block):
         ]
 
     table = solve_all()
-    monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", block)
-    _enumerated_table.cache_clear()
-    try:
-        assert solve_all() == table
-        assert all(len(kept.columns) <= block for g in corpus for kept in _enumerated_table(g))
-    finally:
-        _enumerated_table.cache_clear()
+    assert table[0][0] == [(2, 4, 5)] * 3
+    monkeypatch.setattr(ssrob, "_DP_BLOCK", block)
+    assert solve_all() == table
 
 
-def test_budget_counts_branched_cells(monkeypatch):
-    # K5 with one demand vertex has 16 flow classes, the simple paths from
-    # the root to it, and the enumerator branches 264 frontier rows to find
-    # them, 6,395 array cells by the budget's count: each row's 2n+m cells
-    # plus n per exclude probe group. Under a smaller budget it stops within
-    # one frontier block of it, on every call; at 6,395 it answers,
-    # enumerating once for three calls
-    spent = []
-    enumerations = []
-    branch = ssrob._branch
-    topologies = ssrob._steiner_topologies
+def _k5(demands):
+    """K5 with edge u-v of length 1 + u + v, rooted at 0."""
+    return make_instance(5, [(u, v, 1 + u + v) for u in range(5) for v in range(u + 1, 5)], 0,
+                         demands)
 
-    def counted_branch(rows, n, k, a, b, probe, ending):
-        spent.append(len(rows) * (rows.shape[1] + n * len(probe)))
-        return branch(rows, n, k, a, b, probe, ending)
 
-    def counted_topologies(*args):
-        enumerations.append(args)
-        return topologies(*args)
-
-    monkeypatch.setattr(ssrob, "_branch", counted_branch)
-    monkeypatch.setattr(ssrob, "_steiner_topologies", counted_topologies)
-    monkeypatch.setattr(ssrob, "_FRONTIER_BLOCK", 8)
-    g = make_instance(5, [(u, v, 1 + u + v) for u in range(5) for v in range(u + 1, 5)], 0, {4: 3})
-    # a block of 8 rows of 2*5+10 cells, with at most 2 probe groups of K5
-    block_cells = 8 * (2 * 5 + 10 + 5 * 2)
-    _enumerated_table.cache_clear()
-    try:
-        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 2000)
-        for _ in range(2):
-            spent.clear()
-            with pytest.raises(OracleLimitError, match="^instance too large for oracle"):
-                exact_ssrob(g, 1.0)
-            assert 2000 - block_cells < sum(spent) <= 2000
-        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 6395)
-        spent.clear()
-        enumerations.clear()
-        trees = [exact_ssrob(g, m).edge_ids for m in (1.0, 2.0, 3.0)]
-        assert sum(len(table.flows) for table in _enumerated_table(g)) == 16
-    finally:
-        _enumerated_table.cache_clear()
-    # the direct edge 3 wins; edges 0..2 complete it to the least tree
-    assert trees == [(0, 1, 2, 3)] * 3
-    assert len(enumerations) == 1 and sum(spent) == 6395
+def test_budget_counts_dp_cells(monkeypatch):
+    # K5 with one demand vertex has 5 branch vertices, so 3·5 + 2·5² = 65
+    # cells: under a budget of 64 it is refused on every call, and at 65 it
+    # is answered, the direct edge 3 completed by edges 0..2. A 1500-vertex
+    # path has two branch vertices, its root and its one terminal: 14 cells
+    _oracle_setup.cache_clear()
+    g = _k5({4: 3})
+    monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 64)
+    for _ in range(2):
+        with pytest.raises(
+            OracleLimitError,
+            match="^instance too large for oracle: its subset DP takes 65 array cells, over 64$",
+        ):
+            exact_ssrob(g, 1.0)
+    monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 65)
+    assert [exact_ssrob(g, m).edge_ids for m in (1.0, 2.0, 3.0)] == [(0, 1, 2, 3)] * 3
+    path = make_instance(1500, [(v, v + 1, 1) for v in range(1499)], 0, {1499: 1})
+    monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 13)
+    with pytest.raises(OracleLimitError, match="takes 14 array cells"):
+        exact_ssrob(path, 1.0)
+    monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 14)
+    assert exact_ssrob(path, 1.0).edge_ids == tuple(range(1499))
+    _oracle_setup.cache_clear()
 
 
 def test_wide_graph_refused_before_set_up(monkeypatch):
-    # K5 branches at least one row of 2n+m = 20 cells at each of its 10
-    # edges, 200 cells in all: under a budget of 199 the enumerator refuses
-    # before it orders the edges, and at 200 it goes on to order them
+    # the budget is checked before any shortest-path search and any table:
+    # one cell short of K5's 65, the oracle refuses without a search, and at
+    # 65 it goes on to search
     class SetUp(Exception):
         pass
 
     def no_set_up(*args):
         raise SetUp
 
-    monkeypatch.setattr(ssrob, "_frontier_order", no_set_up)
-    g = make_instance(5, [(u, v, 1) for u in range(5) for v in range(u + 1, 5)], 0, {4: 1})
-    _enumerated_table.cache_clear()
-    try:
-        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 199)
-        with pytest.raises(OracleLimitError, match="^instance too large for oracle"):
-            exact_ssrob(g, 1.0)
-        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 200)
-        with pytest.raises(SetUp):
-            exact_ssrob(g, 1.0)
-    finally:
-        _enumerated_table.cache_clear()
+    monkeypatch.setattr(ssrob, "shortest_path_tree", no_set_up)
+    monkeypatch.setattr(ssrob, "_subset_dp", no_set_up)
+    g = _k5({4: 1})
+    _oracle_setup.cache_clear()
+    monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 64)
+    with pytest.raises(OracleLimitError, match="^instance too large for oracle"):
+        exact_ssrob(g, 1.0)
+    monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 65)
+    with pytest.raises(SetUp):
+        exact_ssrob(g, 1.0)
+
+
+def test_cycle_in_the_path_union_is_cancelled(monkeypatch):
+    # on this 2x3 grid of unit edges at threshold 8, the DP's winning sends,
+    # expanded into shortest paths, close a cycle; pushing flow around it to
+    # the cheaper end leaves a tree of exactly the least cost of any
+    closed = []
+    first_cycle = ssrob._first_cycle
+
+    def recorded(g, eids):
+        closed.append(first_cycle(g, eids))
+        return closed[-1]
+
+    monkeypatch.setattr(ssrob, "_first_cycle", recorded)
+    edges = [(0, 1, 1), (0, 3, 1), (1, 2, 1), (1, 4, 1), (2, 5, 1), (3, 4, 1), (4, 5, 1)]
+    g = make_instance(6, edges, 5, {0: 1, 1: 6, 2: 8, 3: 6, 4: 6, 5: 8})
+    tree = exact_ssrob(g, 8.0)
+    assert closed[0] and not closed[-1]
+    want, _ = brute_min_cost(g, lambda t: exact_cost(t, (8.0,), (1.0,)))
+    assert exact_cost(tree, (8.0,), (1.0,)) == want
 
 
 def _sparse_instance(seed: int, n: int = 20, m: int = 32, demand_vertices: int = 6):
@@ -430,27 +420,20 @@ def _sparse_instance(seed: int, n: int = 20, m: int = 32, demand_vertices: int =
     return make_instance(n, edges, 0, demands)
 
 
-def test_frontier_order_answers_what_id_order_refuses(monkeypatch):
-    # in edge-id order every extra edge, each closing a cycle, comes after
-    # the tree edges, so the connect rule prunes late: this graph takes
-    # about 1.2e8 cells that way, past the budget, and 4.4e6 in the greedy
-    # order; under a budget raised for it, id order finds the same trees
-    g = _sparse_instance(36)
-    thresholds = (1.0, 3.0, float(g.total_demand))
-    _enumerated_table.cache_clear()
-    try:
-        ours = [exact_ssrob(g, m) for m in thresholds]
-        monkeypatch.setattr(ssrob, "_frontier_order", edge_id_order)
-        _enumerated_table.cache_clear()
-        with pytest.raises(OracleLimitError, match="^instance too large for oracle"):
-            exact_ssrob(g, 1.0)
-        monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 2**27)
-        by_id = [exact_ssrob(g, m) for m in thresholds]
-    finally:
-        _enumerated_table.cache_clear()
-    for m, got, want in zip(thresholds, ours, by_id):
-        assert got.edge_ids == want.edge_ids
-        assert basis_cost(got, m) == basis_cost(want, m)
+
+def test_oracle_answers_sparse_graphs():
+    # 60 seeded graphs with n=20, m=32 and 6 demand vertices are all
+    # answered. At the total demand every unit takes a shortest path to the
+    # root, and at other thresholds no sample-and-augment tree costs less
+    for seed in range(60):
+        g = _sparse_instance(seed)
+        total = float(g.total_demand)
+        dist = shortest_path_tree(g, g.root)[0]
+        want = sum(amount * Fraction(dist[v]) for v, amount in g.demand_items)
+        assert exact_cost(exact_ssrob(g, total), (total,), (1.0,)) == want
+        for m in (1.0, 3.0):
+            heuristic = sample_and_augment(g, m, seed=seed, trials=8)
+            assert exact_cost(exact_ssrob(g, m), (m,), (1.0,)) <= exact_cost(heuristic, (m,), (1.0,))
 
 
 def _cycle_chain(cycles: int):
