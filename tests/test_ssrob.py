@@ -308,6 +308,62 @@ def test_oracle_matches_full_scan():
     assert cut > 50
 
 
+def test_enumeration_covers_every_spanning_tree():
+    # every spanning tree, found by subset filtering and routed on its own,
+    # falls in the flow class of exactly one reference row, and that row is
+    # the class's smallest edge-id tuple; the oracle's tree costs exactly no
+    # more than any of them
+    rng = random.Random(17)
+    for _ in range(10):
+        g = random_instance(rng, n_min=3, n_max=6)
+        classes = _check_oracle(g, _combinations(g))
+        least: dict[tuple[int, ...], tuple[int, ...]] = {}
+        trees = [route(g, eids) for eids in map(tuple, map(sorted, subset_spanning_trees(g)))]
+        for tree in trees:
+            least[_flows(g, tree)] = min(least.get(_flows(g, tree), tree.edge_ids), tree.edge_ids)
+        assert least == classes
+        assert len(classes) <= count_spanning_trees(g) == len(trees)
+        for thresholds, coefficients in _combinations(g):
+            got = exact_cost(best_tree_for_combination(g, thresholds, coefficients),
+                             thresholds, coefficients)
+            assert all(got <= exact_cost(t, thresholds, coefficients) for t in trees)
+
+
+def test_distinct_rows_scan_matches_full_table():
+    # a scan of one least tree per flow class finds the least exact cost of
+    # a scan of every spanning tree, and the oracle's tree costs exactly that
+    # and is the least tree of its class, for one- and multi-term
+    # combinations; one instance in ten has demands scaled by 10^19, so its
+    # flows pass int64
+    rng = random.Random(2718)
+    cut = beyond_int64 = 0
+    for k in range(60):
+        g = random_instance(rng, n_min=3, n_max=7, max_length=2, max_extra_edges=5)
+        if k % 10 == 0:
+            g = make_instance(g.n, [(e.u, e.v, e.length) for e in g.edges], g.root,
+                              {v: a * 10**19 for v, a in g.demands.items()})
+        verts, edges = _root_component(g)
+        rows = [route(g, eids) for eids in reference_flow_classes(g, verts, edges).values()]
+        trees = [route(g, eids) for eids in subset_spanning_trees(g)]
+        cut += len(rows) < len(trees)
+        beyond_int64 += g.total_demand > 2**63
+        total = float(g.total_demand)
+        for thresholds, coefficients in [
+            ((1.0,), (1.0,)),
+            ((total,), (1.0,)),
+            ((2.0,), (1.0,)),
+            ((1.0, 2.0, total), (0.5, 0.0, 1.25)),
+            ((1.0, 3.0), (rng.random(), rng.random())),
+        ]:
+            want = least_exact_cost(trees, thresholds, coefficients)
+            assert least_exact_cost(rows, thresholds, coefficients) == want, (k, thresholds)
+            got = best_tree_for_combination(g, thresholds, coefficients)
+            assert exact_cost(got, thresholds, coefficients) == want, (k, thresholds)
+            same = [t.edge_ids for t in rows if _flows(g, t) == _flows(g, got)]
+            assert same == [got.edge_ids], (k, thresholds)
+    assert cut > 20 and beyond_int64 == 6
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_split_tables_scan_matches_one_table(monkeypatch, block):
     # the DP's tables filled in blocks of at most `block` cells give the
