@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, InvalidTreeError, InvariantError
-from .graph import SUPERNODE, Instance, contract, tree_vertices
+from .graph import SUPERNODE, Instance, contract
 from .last import build_last, guaranteed_beta
 from .layers import LayerSet
 from .routing import RoutedTree, basis_cost, basis_threshold, route
@@ -36,28 +36,23 @@ class SimultaneousTree:
     """Final routed tree plus the per-layer edge partition and build trace.
 
     ``buy_parts[i]`` holds the edges present right after the round that added
-    layer i's core; ``rent_parts[i]`` holds the rest of the final tree.
+    layer i's core; the rest of the final tree is layer i's rent part.
     """
 
     tree: RoutedTree
-    alpha: float
     buy_parts: Mapping[int, frozenset[int]]
-    rent_parts: Mapping[int, frozenset[int]]
     rounds: tuple[BuildRound, ...]
 
 
-def build_tree(
-    g: Instance, layers: LayerSet, alpha: float, prune_zero_flow: bool = False
-) -> SimultaneousTree:
-    """Run the stitching rounds and route the result.
+def build_tree(g: Instance, layers: LayerSet, prune_zero_flow: bool = False) -> SimultaneousTree:
+    """Run the stitching rounds, with LASTs of stretch ``layers.params.alpha``,
+    and route the result.
 
     Rounds visit the kept indices in decreasing order. Each round can only
     attach vertices not yet spanned, so the union stays acyclic; a cycle or
     an unspanned demand vertex here is a bug and raises InvariantError.
     Zero-flow pruning is off by default; it never changes any cost.
     """
-    if alpha <= 1:
-        raise ConfigError("alpha must be > 1")
     built: set[int] = set()
     spanned: set[int] = {g.root}
     snapshots: dict[int, frozenset[int]] = {}
@@ -65,13 +60,14 @@ def build_tree(
     for i in sorted(layers.kept, reverse=True):
         core = layers.decompositions[i].core
         contracted = contract(g, spanned, keep=core)
-        light = build_last(contracted, SUPERNODE, alpha)
+        light = build_last(contracted, SUPERNODE, layers.params.alpha)
         added = tuple(sorted(light.edge_ids))
         for eid in added:
             if eid in built:
                 raise InvariantError(f"round {i} re-added edge {eid}")
         built.update(added)
-        spanned.update(core, tree_vertices(g.root, (g.edge_by_id[eid] for eid in added)))
+        # every edge of the contraction has both base ends in spanned or core
+        spanned.update(core)
         snapshots[i] = frozenset(built)
         rounds.append(
             BuildRound(
@@ -94,15 +90,9 @@ def build_tree(
         tree = route(g, keep)
         snapshots = {i: snap & keep for i, snap in snapshots.items()}
 
-    all_edges = frozenset(tree.edge_ids)
-    buy_parts = {i: snapshots[i] for i in layers.kept}
-    rent_parts = {i: all_edges - snapshots[i] for i in layers.kept}
-
     return SimultaneousTree(
         tree=tree,
-        alpha=alpha,
-        buy_parts=buy_parts,
-        rent_parts=rent_parts,
+        buy_parts={i: snapshots[i] for i in layers.kept},
         rounds=tuple(rounds),
     )
 
@@ -158,12 +148,15 @@ class Parameters:
         return self.alpha * self.delta / (self.delta - self.alpha - 1.0)
 
     @property
+    def branch_bound(self) -> float:
+        """The larger cost branch: max(buy_constant * gamma, rent_constant * delta)."""
+        return max(self.buy_constant * self.gamma, self.rent_constant * self.delta)
+
+    @property
     def headline_ratio(self) -> float:
-        """(1 + eps) * max(buy branch, rent branch); the solver quality factor
-        is reported separately as ``lambda_mode``."""
-        return (1.0 + self.eps) * max(
-            self.buy_constant * self.gamma, self.rent_constant * self.delta
-        )
+        """(1 + eps) * branch_bound; the solver quality factor is reported
+        separately as ``lambda_mode``."""
+        return (1.0 + self.eps) * self.branch_bound
 
     def to_json_dict(self) -> dict:
         return {
@@ -239,28 +232,21 @@ class LayerBoundReport:
         return None
 
 
-def check_layer_bounds(
-    result: SimultaneousTree, layers: LayerSet, params: Parameters
-) -> LayerBoundReport:
-    """Check the per-layer cost bounds and the whole-tree consequence.
+def check_layer_bounds(result: SimultaneousTree, layers: LayerSet) -> LayerBoundReport:
+    """Check the per-layer cost bounds and the whole-tree consequence, with
+    the constants of ``layers.params``.
 
     For each kept layer, the plain length of the edges laid through its round
     must stay within buy_constant of the layer's buy cost, and the
     flow-weighted cost of the remaining edges within rent_constant of its
-    rent cost. The final tree must then cost at most
-    max(buy_constant * gamma, rent_constant * delta) times each basis tree at
-    that tree's own threshold. Relative slack 1e-9 throughout.
+    rent cost. The final tree must then cost at most branch_bound times each
+    basis tree at that tree's own threshold. Relative slack 1e-9 throughout.
     """
-    if abs(params.alpha - result.alpha) > 1e-12:
-        raise ConfigError("parameters do not match the alpha the tree was built with")
-    if abs(params.gamma - layers.gamma) > 1e-12 or abs(params.delta - layers.delta) > 1e-12:
-        raise ConfigError("parameters do not match the gamma/delta the layers used")
-    if abs(params.eps - layers.eps) > 1e-12:
-        raise ConfigError("parameters do not match the eps the layers used")
-
+    params = layers.params
     slack = 1e-9
     by_id = result.tree.instance.edge_by_id
     flow = result.tree.flow_map
+    all_edges = frozenset(result.tree.edge_ids)
 
     rows: list[LayerBoundRow] = []
     buy_observed: float | None = None
@@ -268,7 +254,8 @@ def check_layer_bounds(
     for i in layers.kept:
         dec = layers.decompositions[i]
         buy_edge_cost = sum(by_id[eid].length for eid in result.buy_parts[i])
-        rent_flow_cost = sum(by_id[eid].length * flow[eid] for eid in result.rent_parts[i])
+        rent_part = all_edges - result.buy_parts[i]
+        rent_flow_cost = sum(by_id[eid].length * flow[eid] for eid in rent_part)
         buy_bound = params.buy_constant * dec.buy_cost
         rent_bound = params.rent_constant * dec.rent_cost
         buy_ok = buy_edge_cost <= buy_bound * (1.0 + slack) + 1e-12
@@ -291,14 +278,11 @@ def check_layer_bounds(
             )
         )
 
-    cap_factor = max(
-        params.buy_constant * params.gamma, params.rent_constant * params.delta
-    )
     structure_rows: list[StructureRow] = []
     for k in range(layers.top_index + 1):
-        m = basis_threshold(k, layers.eps)
+        m = basis_threshold(k, params.eps)
         tree_cost = basis_cost(result.tree, m)
-        cap = cap_factor * basis_cost(layers.trees[k], m)
+        cap = params.branch_bound * basis_cost(layers.trees[k], m)
         structure_rows.append(
             StructureRow(
                 index=k,

@@ -121,10 +121,10 @@ def solve_instance(
     Raises InvariantError if any structural property or cost bound fails.
     An oracle refusing an oversized instance is recorded, not raised.
     """
-    layers = compute_layers(g, params.eps, solver, params.gamma, params.delta, seed=seed)
+    layers = compute_layers(g, params, solver, seed=seed)
     verify_layerset(layers)
-    result = build_tree(g, layers, params.alpha, prune_zero_flow=prune_zero_flow)
-    bounds = check_layer_bounds(result, layers, params)
+    result = build_tree(g, layers, prune_zero_flow=prune_zero_flow)
+    bounds = check_layer_bounds(result, layers)
     if not bounds.all_ok:
         raise InvariantError(f"layer cost bound violated: {bounds.first_failure()}")
 

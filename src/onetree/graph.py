@@ -114,17 +114,20 @@ class Instance(Lookups):
         threshold grows, and the run draws from K+T seeds."""
         return {}
 
+    @cached_property
+    def oracle_setup(self) -> list:
+        """Memo of the exact oracle's set-up: empty, or its one entry; see ssrob."""
+        return []
+
 
 @dataclass(frozen=True)
 class ContractedGraph(Lookups):
-    """``base`` with ``merged`` collapsed to SUPERNODE, optionally restricted.
+    """An instance with a vertex set collapsed to SUPERNODE; see ``contract``.
 
     Retained edges keep their base edge id. Among parallel edges between the
     same contracted endpoints only the shortest survives (ties by smaller id).
     """
 
-    base: Instance
-    merged: frozenset[int]
     vertex_ids: tuple[int, ...]
     edges: tuple[Edge, ...]
 
@@ -370,12 +373,7 @@ def contract(
         if cur is None or (e.length, e.eid) < (cur.length, cur.eid):
             best[(a, b)] = Edge(e.eid, a, b, e.length)
     edges = tuple(sorted(best.values(), key=lambda e: e.eid))
-    return ContractedGraph(
-        base=g,
-        merged=s,
-        vertex_ids=(SUPERNODE, *sorted(kept_base)),
-        edges=edges,
-    )
+    return ContractedGraph(vertex_ids=(SUPERNODE, *sorted(kept_base)), edges=edges)
 
 
 def tree_vertices(root: int, edges: Iterable[Edge]) -> set[int]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigError, InvariantError
 from .graph import Instance
@@ -16,6 +16,9 @@ from .routing import (
     basis_threshold,
     decompose,
 )
+
+if TYPE_CHECKING:
+    from .builder import Parameters
 
 
 #: Most threshold indices K a run may ask for; it makes K+1 basis solves.
@@ -113,13 +116,11 @@ def prune(
 
 @dataclass(frozen=True)
 class LayerSet:
-    """Everything the stitching stage needs: one tree and decomposition per
-    threshold index, plus the pruned index list (ascending) and the
-    intermediate buy-pass survivors."""
+    """Everything the stitching stage needs: the parameters the layers were
+    found with, one tree and decomposition per threshold index, plus the
+    pruned index list (ascending) and the intermediate buy-pass survivors."""
 
-    eps: float
-    gamma: float
-    delta: float
+    params: Parameters
     top_index: int
     trees: tuple[RoutedTree, ...]
     decompositions: tuple[RentBuyDecomposition, ...]
@@ -127,25 +128,18 @@ class LayerSet:
     kept_buy: tuple[int, ...]
 
 
-def compute_layers(
-    g: Instance,
-    eps: float,
-    solver,
-    gamma: float,
-    delta: float,
-    seed: int = 0,
-) -> LayerSet:
+def compute_layers(g: Instance, params: Parameters, solver, seed: int = 0) -> LayerSet:
     """Full layer-finding pass: one rent-or-buy solve per threshold index,
-    monotonize, decompose, prune. Solves receive seed + index."""
+    monotonize, decompose, prune by ``params``' gamma and delta. Solves
+    receive seed + index."""
+    eps = params.eps
     top = compute_K(g.total_demand, eps)
     raw = [solver.solve(g, basis_threshold(i, eps), seed=seed + i) for i in range(top + 1)]
     trees = monotonize(raw, eps)
     decs = tuple(decompose(t, i, eps) for i, t in enumerate(trees))
-    kept, survivors = prune(decs, gamma, delta)
+    kept, survivors = prune(decs, params.gamma, params.delta)
     return LayerSet(
-        eps=eps,
-        gamma=gamma,
-        delta=delta,
+        params=params,
         top_index=top,
         trees=trees,
         decompositions=decs,
@@ -163,6 +157,7 @@ def verify_layerset(layers: LayerSet) -> None:
     """
     slack = 1e-9
     decs = layers.decompositions
+    gamma, delta = layers.params.gamma, layers.params.delta
     for i in range(layers.top_index):
         b_i, b_next = decs[i].buy_cost, decs[i + 1].buy_cost
         r_i, r_next = decs[i].rent_cost, decs[i + 1].rent_cost
@@ -177,11 +172,11 @@ def verify_layerset(layers: LayerSet) -> None:
     for k in range(layers.top_index + 1):
         anchor = max(j for j in layers.kept_buy if j <= k)
         i = min(i for i in layers.kept if i >= anchor)
-        if decs[i].buy_cost > layers.gamma * decs[k].buy_cost * (1.0 + slack) + 1e-12:
+        if decs[i].buy_cost > gamma * decs[k].buy_cost * (1.0 + slack) + 1e-12:
             raise InvariantError(
                 f"kept index {i} exceeds the gamma buy cap relative to index {k}"
             )
-        if decs[i].rent_cost > layers.delta * decs[k].rent_cost * (1.0 + slack) + 1e-12:
+        if decs[i].rent_cost > delta * decs[k].rent_cost * (1.0 + slack) + 1e-12:
             raise InvariantError(
                 f"kept index {i} exceeds the delta rent cap relative to index {k}"
             )

@@ -171,19 +171,20 @@ def _acyclic_support(
     return frozenset(flow)
 
 
-@lru_cache(maxsize=4)
 def _oracle_setup(g: Instance):
     """What every subset-DP solve of ``g`` shares: the root's component
     (vertices, edges), the terminals' demands, the branch vertices, the
     distances between them (dist[u, v] from u to v in v's shortest-path
     tree), each terminal set's total demand in float64, indexed by bitmask,
-    and each terminal's column. Cached, since the oracle solves an instance
-    once per threshold index.
+    and each terminal's column. Kept in ``g.oracle_setup``, since the oracle
+    solves an instance once per threshold index, and dropped with ``g``.
 
     Raises OracleLimitError, before any search, when 3^t·n + 2^t·n² passes
-    ORACLE_CELL_BUDGET. An exception is not cached, so a refused instance is
+    ORACLE_CELL_BUDGET. A refusal is not kept, so a refused instance is
     refused on every call.
     """
+    if g.oracle_setup:
+        return g.oracle_setup[0]
     verts, edges = _root_component(g)
     near: dict[int, set[int]] = {v: set() for v in verts}
     for e in edges:
@@ -209,7 +210,8 @@ def _oracle_setup(g: Instance):
     for d in demand:
         total = np.concatenate((total, total + float(d)))
     starts = np.array([keys.index(v) for v in terms], np.intp)
-    return verts, edges, demand, tuple(keys), dist, total, starts
+    g.oracle_setup.append((verts, edges, demand, tuple(keys), dist, total, starts))
+    return g.oracle_setup[0]
 
 
 def best_tree_for_combination(

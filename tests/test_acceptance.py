@@ -14,6 +14,7 @@ import pytest
 
 from onetree import (
     ExactSolver,
+    Parameters,
     SampleAugmentSolver,
     basis_cost,
     build_last,
@@ -114,9 +115,10 @@ def test_criterion_2_monotonicity(corpus, exact_runs, heuristic_runs):
 
     rng = random.Random(CORPUS_SEED + 1)
     solver = SampleAugmentSolver(trials=2)
+    params = Parameters(eps=EPS, alpha=GOLDEN_ALPHA, gamma=2.0, delta=3 + math.sqrt(5))
     for trial in range(1000):
         g = random_instance(rng)
-        check(compute_layers(g, EPS, solver, 2.0, 3 + math.sqrt(5), seed=trial))
+        check(compute_layers(g, params, solver, seed=trial))
     print(f"\nPASS criterion 2: buy/rent monotonicity held in {checked} runs")
 
 

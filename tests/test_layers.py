@@ -3,6 +3,7 @@ import random
 
 from onetree import (
     ExactSolver,
+    Parameters,
     SampleAugmentSolver,
     basis_cost,
     basis_threshold,
@@ -13,6 +14,7 @@ from onetree import (
     route,
     verify_layerset,
 )
+from onetree.builder import GOLDEN_ALPHA
 from onetree.corpus import random_instance
 from onetree.routing import RentBuyDecomposition
 
@@ -135,9 +137,10 @@ def test_prune_keeps_zero_cost_where_the_quotient_underflows():
 
 def test_layerset_invariants_on_random_instances():
     rng = random.Random(3)
+    params = Parameters(eps=0.5, alpha=GOLDEN_ALPHA, gamma=2.0, delta=5.236)
     for k in range(40):
         g = random_instance(rng)
-        layers = compute_layers(g, 0.5, ExactSolver(), 2.0, 5.236, seed=k)
+        layers = compute_layers(g, params, ExactSolver(), seed=k)
         verify_layerset(layers)
         assert 0 in layers.kept
         assert max(layers.kept_buy) in layers.kept
@@ -149,10 +152,11 @@ def test_layerset_invariants_on_random_instances():
 
 def test_structure_indexing_caps():
     rng = random.Random(8)
+    gamma, delta = 2.0, 5.236
+    params = Parameters(eps=0.5, alpha=GOLDEN_ALPHA, gamma=gamma, delta=delta)
     for k in range(30):
         g = random_instance(rng)
-        gamma, delta = 2.0, 5.236
-        layers = compute_layers(g, 0.5, SampleAugmentSolver(trials=4), gamma, delta, seed=k)
+        layers = compute_layers(g, params, SampleAugmentSolver(trials=4), seed=k)
         verify_layerset(layers)
         decs = layers.decompositions
         for want in range(layers.top_index + 1):
@@ -164,10 +168,11 @@ def test_structure_indexing_caps():
 
 def test_geometric_drop_along_kept_indices():
     rng = random.Random(13)
+    gamma, delta = 2.0, 5.236
+    params = Parameters(eps=0.5, alpha=GOLDEN_ALPHA, gamma=gamma, delta=delta)
     for k in range(30):
         g = random_instance(rng)
-        gamma, delta = 2.0, 5.236
-        layers = compute_layers(g, 0.5, ExactSolver(), gamma, delta, seed=k)
+        layers = compute_layers(g, params, ExactSolver(), seed=k)
         decs = layers.decompositions
         survivors = layers.kept_buy
         for a, b in zip(survivors, survivors[1:]):
@@ -179,7 +184,8 @@ def test_geometric_drop_along_kept_indices():
 
 def test_first_index_always_fully_bought():
     rng = random.Random(44)
+    params = Parameters(eps=1.0, alpha=GOLDEN_ALPHA, gamma=2.0, delta=5.236)
     for k in range(20):
         g = random_instance(rng)
-        layers = compute_layers(g, 1.0, ExactSolver(), 2.0, 5.236, seed=k)
+        layers = compute_layers(g, params, ExactSolver(), seed=k)
         assert layers.decompositions[0].rent_cost == 0.0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from onetree import OracleLimitError, basis_cost, make_instance, route
 from onetree import ssrob
 from onetree.graph import UnionFind, tree_order
-from onetree.ssrob import _acyclic_support, _oracle_setup, _root_component
+from onetree.ssrob import _acyclic_support, _root_component
 from onetree.ssrob import best_tree_for_combination
 
 from helpers import brute_min_cost, exact_cost
@@ -95,7 +95,6 @@ def test_over_budget_refusal_comes_before_any_work(g):
         raise AssertionError("work before the budget check")
 
     cells = _dp_cells(g)
-    _oracle_setup.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ssrob, "ORACLE_CELL_BUDGET", cells - 1)
         patch.setattr(ssrob, "shortest_path_tree", no_work)
@@ -106,7 +105,6 @@ def test_over_budget_refusal_comes_before_any_work(g):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ssrob, "ORACLE_CELL_BUDGET", cells)
         best_tree_for_combination(g, (2.0,), (1.0,))
-    _oracle_setup.cache_clear()
 
 
 def _random_path(g, rnd, start: int) -> list:

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,6 @@ from onetree.layers import compute_K
 from onetree.routing import basis_threshold
 from onetree.ssrob import (
     _marked_vertices,
-    _oracle_setup,
     _rent_paths,
     _root_component,
     best_tree_for_combination,
@@ -402,7 +403,6 @@ def test_budget_counts_dp_cells(monkeypatch):
     # cells: under a budget of 64 it is refused on every call, and at 65 it
     # is answered, the direct edge 3 completed by edges 0..2. A 1500-vertex
     # path has two branch vertices, its root and its one terminal: 14 cells
-    _oracle_setup.cache_clear()
     g = _k5({4: 3})
     monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 64)
     for _ in range(2):
@@ -419,7 +419,6 @@ def test_budget_counts_dp_cells(monkeypatch):
         exact_ssrob(path, 1.0)
     monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 14)
     assert exact_ssrob(path, 1.0).edge_ids == tuple(range(1499))
-    _oracle_setup.cache_clear()
 
 
 def test_wide_graph_refused_before_set_up(monkeypatch):
@@ -435,13 +434,24 @@ def test_wide_graph_refused_before_set_up(monkeypatch):
     monkeypatch.setattr(ssrob, "shortest_path_tree", no_set_up)
     monkeypatch.setattr(ssrob, "_subset_dp", no_set_up)
     g = _k5({4: 1})
-    _oracle_setup.cache_clear()
     monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 64)
     with pytest.raises(OracleLimitError, match="^instance too large for oracle"):
         exact_ssrob(g, 1.0)
     monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 65)
     with pytest.raises(SetUp):
         exact_ssrob(g, 1.0)
+
+
+def test_dropped_instance_is_collected():
+    # the set-up, distance matrix included, is kept on its own instance: an
+    # equal instance does not share it, and dropping the instance frees it
+    g = _k5({3: 2, 4: 1})
+    exact_ssrob(g, 1.0)
+    assert g.oracle_setup and not _k5({3: 2, 4: 1}).oracle_setup
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_cycle_in_the_path_union_is_cancelled(monkeypatch):
