@@ -17,7 +17,7 @@ from .errors import ConfigError, InvalidTreeError, InvariantError
 from .graph import SUPERNODE, Instance, contract
 from .last import build_last, guaranteed_beta
 from .layers import LayerSet
-from .routing import RoutedTree, basis_cost, basis_threshold, route
+from .routing import RoutedTree, basis_cost, route
 
 
 @dataclass(frozen=True)
@@ -279,10 +279,9 @@ def check_layer_bounds(result: SimultaneousTree, layers: LayerSet) -> LayerBound
         )
 
     structure_rows: list[StructureRow] = []
-    for k in range(layers.top_index + 1):
-        m = basis_threshold(k, params.eps)
+    for k, (m, basis) in enumerate(zip(layers.thresholds, layers.costs)):
         tree_cost = basis_cost(result.tree, m)
-        cap = params.branch_bound * basis_cost(layers.trees[k], m)
+        cap = params.branch_bound * basis
         structure_rows.append(
             StructureRow(
                 index=k,

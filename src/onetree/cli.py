@@ -44,7 +44,6 @@ from .errors import (
 from .evaluate import RatioReport, simultaneous_ratio
 from .graph import Instance, load_instance
 from .layers import LayerSet, compute_layers, verify_layerset
-from .routing import basis_cost
 from .ssrob import ExactSolver, get_solver
 
 EXIT_OK = 0
@@ -89,13 +88,17 @@ class PipelineResult:
     """In-memory outcome of one pipeline run."""
 
     instance: Instance
-    params: Parameters
     layers: LayerSet
     result: SimultaneousTree
     bounds: LayerBoundReport
     ratio: RatioReport | None = None
     lambda_emp: float | None = None
     oracle_skipped: bool = False
+
+    @property
+    def params(self) -> Parameters:
+        """The run's parameters, as the layers carry them."""
+        return self.layers.params
 
 
 def make_parameters(cfg: RunConfig, lambda_mode: str) -> Parameters:
@@ -133,7 +136,7 @@ def solve_instance(
     oracle_skipped = False
     if oracle is not None:
         try:
-            ratio = simultaneous_ratio(result.tree, g, params.eps, oracle, seed=seed)
+            ratio = simultaneous_ratio(result.tree, layers.thresholds, oracle, seed=seed)
         except OracleLimitError:
             oracle_skipped = True
         else:
@@ -141,7 +144,6 @@ def solve_instance(
                 lambda_emp = _measure_solver_quality(layers, ratio)
     return PipelineResult(
         instance=g,
-        params=params,
         layers=layers,
         result=result,
         bounds=bounds,
@@ -170,8 +172,7 @@ def _measure_solver_quality(layers: LayerSet, ratio: RatioReport) -> float:
     """Worst per-threshold factor of the (monotonized) basis trees over the
     oracle optima."""
     worst = 1.0
-    for row in ratio.rows:
-        cost = basis_cost(layers.trees[row.index], row.threshold)
+    for cost, row in zip(layers.costs, ratio.rows):
         if row.optimal_cost > 0.0:
             worst = max(worst, cost / row.optimal_cost)
         elif cost > 1e-12:
@@ -213,13 +214,13 @@ def build_report(name: str, res: PipelineResult) -> dict:
         "L_B": list(res.layers.kept_buy),
         "per_index": [
             {
-                "i": dec.index,
-                "M": dec.threshold,
+                "i": i,
+                "M": res.layers.thresholds[i],
                 "B": dec.buy_cost,
                 "R": dec.rent_cost,
                 "core_size": len(dec.core),
             }
-            for dec in res.layers.decompositions
+            for i, dec in enumerate(res.layers.decompositions)
         ],
     }
     report["bound_checks"] = {
@@ -276,9 +277,9 @@ def edge_list_text(res: PipelineResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dot_text(res: PipelineResult, include_zero_flow: bool = False) -> str:
-    """Graphviz rendering: edges colored by the round that laid them,
-    zero-flow edges dashed (hidden unless ``include_zero_flow``)."""
+def dot_text(res: PipelineResult) -> str:
+    """Graphviz rendering: edges colored by the round that laid them;
+    zero-flow edges are left out."""
     g = res.instance
     tree = res.result.tree
     round_of: dict[int, int] = {}
@@ -295,13 +296,10 @@ def dot_text(res: PipelineResult, include_zero_flow: bool = False) -> str:
         else:
             lines.append(f'  {v} [color=gray, label="{v}"];')
     for e, flow in zip(tree.edges, tree.flows):
-        if flow == 0 and not include_zero_flow:
+        if flow == 0:
             continue
         color = _ROUND_COLORS[round_of.get(e.eid, 0) % len(_ROUND_COLORS)]
-        style = ", style=dashed" if flow == 0 else ""
-        lines.append(
-            f'  {e.u} -- {e.v} [label="x={flow}", color={color}{style}];'
-        )
+        lines.append(f'  {e.u} -- {e.v} [label="x={flow}", color={color}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -376,10 +374,10 @@ def _print_summary(name: str, res: PipelineResult, verbose: int) -> None:
             bits.append(f"lambda_emp={res.lambda_emp:.6f}")
     print(" ".join(bits))
     if verbose:
-        for dec in res.layers.decompositions:
-            kept = "*" if dec.index in res.layers.kept else " "
+        for i, dec in enumerate(res.layers.decompositions):
+            kept = "*" if i in res.layers.kept else " "
             print(
-                f"  [{kept}] i={dec.index} M={dec.threshold:g} "
+                f"  [{kept}] i={i} M={res.layers.thresholds[i]:g} "
                 f"B={dec.buy_cost:g} R={dec.rent_cost:g} core={len(dec.core)}"
             )
 

@@ -22,7 +22,7 @@ class DisconnectedError(OneTreeError):
 
 
 class OracleLimitError(OneTreeError):
-    """The exact oracle refused an instance above its enumeration guard."""
+    """The exact oracle refused an instance above ``ssrob.ORACLE_CELL_BUDGET``."""
 
 
 class ConfigError(OneTreeError):

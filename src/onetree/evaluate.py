@@ -5,9 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Instance
-from .layers import compute_K
-from .routing import RoutedTree, basis_cost, basis_threshold
+from .routing import RoutedTree, basis_cost
 
 
 @dataclass(frozen=True)
@@ -31,20 +29,18 @@ class RatioReport:
 
 
 def simultaneous_ratio(
-    tree: RoutedTree, g: Instance, eps: float, oracle, seed: int = 0
+    tree: RoutedTree, thresholds: tuple[float, ...], oracle, seed: int = 0
 ) -> RatioReport:
-    """Compare ``tree`` against an oracle tree at every basis threshold.
+    """Compare ``tree`` against an oracle tree at each of ``thresholds``.
 
     With an exact oracle the max ratio is the tree's simultaneous
     approximation factor over the whole basis; with a heuristic oracle the
     per-threshold ratios are only lower bounds, and the report's
     ``lambda_mode`` names that oracle's quality.
     """
-    top = compute_K(g.total_demand, eps)
     rows = []
-    for i in range(top + 1):
-        m = basis_threshold(i, eps)
-        opt = oracle.solve(g, m, seed=seed)
+    for i, m in enumerate(thresholds):
+        opt = oracle.solve(tree.instance, m, seed=seed)
         tree_cost = basis_cost(tree, m)
         optimal_cost = basis_cost(opt, m)
         if optimal_cost > 0.0:

@@ -60,7 +60,9 @@ def _strictly_less(a: float, b: float) -> bool:
     return a < b - 1e-12 * max(abs(a), abs(b), 1.0)
 
 
-def monotonize(trees: Sequence[RoutedTree], eps: float) -> tuple[RoutedTree, ...]:
+def monotonize(
+    trees: Sequence[RoutedTree], thresholds: Sequence[float]
+) -> tuple[RoutedTree, ...]:
     """Replace each tree by a strictly cheaper neighbor at its own threshold.
 
     One ascending pass (take the previous tree when cheaper) then one
@@ -69,13 +71,12 @@ def monotonize(trees: Sequence[RoutedTree], eps: float) -> tuple[RoutedTree, ...
     costs nonincreasing and rent costs nondecreasing across indices.
     """
     out = list(trees)
-    top = len(out) - 1
-    for i in range(1, top + 1):
-        m = basis_threshold(i, eps)
+    for i in range(1, len(out)):
+        m = thresholds[i]
         if _strictly_less(basis_cost(out[i - 1], m), basis_cost(out[i], m)):
             out[i] = out[i - 1]
-    for i in range(top - 1, -1, -1):
-        m = basis_threshold(i, eps)
+    for i in range(len(out) - 2, -1, -1):
+        m = thresholds[i]
         if _strictly_less(basis_cost(out[i + 1], m), basis_cost(out[i], m)):
             out[i] = out[i + 1]
     return tuple(out)
@@ -86,23 +87,21 @@ def prune(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Geometric pruning; returns (kept indices, buy-pass survivors), ascending.
 
-    The buy pass walks indices upward keeping an index only when its buy cost
-    drops strictly below 1/gamma of the last kept value; the rent pass walks
-    the survivors downward keeping strict 1/delta drops in rent cost. Ties
-    are discarded; a zero cost is a drop from any positive one.
+    A decomposition's index is its position. The buy pass walks indices
+    upward keeping an index only when its buy cost drops strictly below
+    1/gamma of the last kept value; the rent pass walks the survivors
+    downward keeping strict 1/delta drops in rent cost. Ties are discarded;
+    a zero cost is a drop from any positive one.
     """
     if gamma <= 1:
         raise ConfigError("gamma must be > 1")
     if delta <= 1:
         raise ConfigError("delta must be > 1")
-    for i, d in enumerate(decompositions):
-        if d.index != i:
-            raise ConfigError("decompositions must be indexed 0..K in order")
     survivors: list[int] = []
     bound = math.inf
-    for d in decompositions:
+    for i, d in enumerate(decompositions):
         if d.buy_cost < bound / gamma or d.buy_cost == 0.0 < bound:
-            survivors.append(d.index)
+            survivors.append(i)
             bound = d.buy_cost
     kept: list[int] = []
     bound = math.inf
@@ -116,16 +115,23 @@ def prune(
 
 @dataclass(frozen=True)
 class LayerSet:
-    """Everything the stitching stage needs: the parameters the layers were
-    found with, one tree and decomposition per threshold index, plus the
-    pruned index list (ascending) and the intermediate buy-pass survivors."""
+    """The per-threshold table every later stage reads: entry i holds basis
+    threshold (1 + eps) ** i, the monotonized basis tree, its cost at that
+    threshold and its decomposition. Also the parameters the layers were
+    found with, the pruned index list (ascending) and the buy-pass survivors."""
 
     params: Parameters
-    top_index: int
+    thresholds: tuple[float, ...]
     trees: tuple[RoutedTree, ...]
+    costs: tuple[float, ...]
     decompositions: tuple[RentBuyDecomposition, ...]
     kept: tuple[int, ...]
     kept_buy: tuple[int, ...]
+
+    @property
+    def top_index(self) -> int:
+        """K, the least index whose threshold reaches the total demand."""
+        return len(self.thresholds) - 1
 
 
 def compute_layers(g: Instance, params: Parameters, solver, seed: int = 0) -> LayerSet:
@@ -134,14 +140,16 @@ def compute_layers(g: Instance, params: Parameters, solver, seed: int = 0) -> La
     receive seed + index."""
     eps = params.eps
     top = compute_K(g.total_demand, eps)
-    raw = [solver.solve(g, basis_threshold(i, eps), seed=seed + i) for i in range(top + 1)]
-    trees = monotonize(raw, eps)
-    decs = tuple(decompose(t, i, eps) for i, t in enumerate(trees))
+    thresholds = tuple(basis_threshold(i, eps) for i in range(top + 1))
+    raw = [solver.solve(g, m, seed=seed + i) for i, m in enumerate(thresholds)]
+    trees = monotonize(raw, thresholds)
+    decs = tuple(decompose(t, m) for t, m in zip(trees, thresholds))
     kept, survivors = prune(decs, params.gamma, params.delta)
     return LayerSet(
         params=params,
-        top_index=top,
+        thresholds=thresholds,
         trees=trees,
+        costs=tuple(basis_cost(t, m) for t, m in zip(trees, thresholds)),
         decompositions=decs,
         kept=kept,
         kept_buy=survivors,

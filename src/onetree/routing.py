@@ -109,22 +109,19 @@ class RentBuyDecomposition:
     The core is the root plus every endpoint of a bought edge.
     """
 
-    index: int
-    threshold: float
     bought: frozenset[int]
     rent_cost: float
     buy_cost: float
     core: frozenset[int]
 
 
-def decompose(tree: RoutedTree, index: int, eps: float) -> RentBuyDecomposition:
+def decompose(tree: RoutedTree, threshold: float) -> RentBuyDecomposition:
     """Classify each edge as bought (flow >= threshold) or rented.
 
     Flows are exact integers, so the boundary test is exact whenever the
     threshold is an integer; otherwise a 1e-12 relative band below the
     threshold still counts as bought, guarding float error in (1+eps)**i.
     """
-    threshold = basis_threshold(index, eps)
     cutoff = threshold if threshold == math.floor(threshold) else threshold * (1.0 - 1e-12)
     bought: list[int] = []
     rent_cost = 0.0
@@ -139,8 +136,6 @@ def decompose(tree: RoutedTree, index: int, eps: float) -> RentBuyDecomposition:
         else:
             rent_cost += e.length * flow
     return RentBuyDecomposition(
-        index=index,
-        threshold=threshold,
         bought=frozenset(bought),
         rent_cost=rent_cost,
         buy_cost=buy_cost,

@@ -14,8 +14,9 @@ it. :func:`oracle_n14_instances` gives the benchmark's own oracle graphs.
 :func:`reference_sample_and_augment` is the plain form of the package's
 sample-and-augment solver, which the faster one must match tree for tree,
 and :func:`reference_K` the loop that the closed form of ``compute_K`` must
-match. :func:`reference_shortest_path_tree` is the shortest-path search
-over per-vertex ``Edge`` tuples that the dense-indexed one replaced.
+match; :func:`basis_grid` is the threshold grid of an instance.
+:func:`reference_shortest_path_tree` is the shortest-path search over
+per-vertex ``Edge`` tuples that the dense-indexed one replaced.
 :class:`ConcaveFunction`, :func:`decompose_function`, :func:`eval_cost` and
 :func:`best_tree_for_function` state a concave cost function over the
 threshold basis, for the tests of the reduction from any concave function
@@ -36,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, basis_threshold, contract, route
-from onetree import ConfigError, InvariantError, load_instance, shortest_path_tree
+from onetree import ConfigError, InvariantError, compute_K, load_instance, shortest_path_tree
 from onetree.graph import (
     INF,
     Edge,
@@ -189,6 +190,12 @@ def reference_K(total_demand: int, eps: float, start: int = 0) -> int:
     while basis_threshold(k, eps) < total_demand * (1.0 - 1e-12):
         k += 1
     return k
+
+
+def basis_grid(g: Instance, eps: float) -> tuple[float, ...]:
+    """The thresholds ``compute_layers`` puts on ``LayerSet.thresholds``:
+    (1 + eps) ** i for i = 0..K."""
+    return tuple(basis_threshold(i, eps) for i in range(compute_K(g.total_demand, eps) + 1))
 
 
 def brute_min_cost(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import random
@@ -5,19 +6,21 @@ import time
 
 import pytest
 
-from onetree import cli, make_instance, route
+from onetree import ExactSolver, cli, make_instance, route
 from onetree.cli import (
     EXIT_INVALID,
     EXIT_INVARIANT,
     EXIT_OK,
     RunConfig,
+    build_report,
     dot_text,
     main,
     make_parameters,
+    report_bytes,
     run_corpus,
     solve_instance,
 )
-from onetree.corpus import instance_text, write_corpus
+from onetree.corpus import instance_text, random_instance, write_corpus
 from onetree.errors import ConfigError, InvariantError
 
 PATH3 = "3 2 0\n0 1 1\n1 2 1\nd 1 1\nd 2 1\n"
@@ -191,15 +194,15 @@ def test_tree_artifacts_written(tmp_path):
     assert "0 -- 1" in dot
 
 
-def test_dot_marks_zero_flow_dashed():
+def test_dot_leaves_out_zero_flow_edges():
     from types import SimpleNamespace
 
     g = make_instance(3, [(0, 1, 1), (0, 2, 1)], 0, {1: 1})
     tree = route(g, (0, 1))  # edge 1 hangs flowless off the root
     res = SimpleNamespace(instance=g, result=SimpleNamespace(tree=tree, rounds=()))
-    text = dot_text(res, include_zero_flow=True)
-    assert "style=dashed" in text
-    assert "style=dashed" not in dot_text(res)
+    text = dot_text(res)
+    assert "0 -- 2" not in text
+    assert '0 -- 1 [label="x=1"' in text
 
 
 def test_corpus_mode(tmp_path):
@@ -371,6 +374,32 @@ def test_exact_solver_refusal_exits_2_naming_the_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {instance}: instance too large for oracle")
 
 
+def _report_sha256(text: str, **cfg) -> str:
+    res = cli._load_and_solve(text, RunConfig(**cfg))
+    return hashlib.sha256(report_bytes(build_report("pinned", res))).hexdigest()
+
+
+def test_sample_augment_oracle_report_bytes_pinned():
+    # a seeded sample-and-augment run with oracle ratios over K = 44
+    # thresholds (lambda_emp above 1); a change to any report byte fails here
+    g = random_instance(
+        random.Random(12), n_min=10, n_max=12, max_extra_edges=10,
+        max_demand_vertices=5, max_total_demand=120,
+    )
+    digest = _report_sha256(instance_text(g), eps=0.1, trials=2, seed=3, oracle=True)
+    assert digest == "31901d8556efc41c8bde778e4a93e0b5e886e4dbecd9cd4b615f1d9e626f3cdb"
+
+
+def test_exact_solver_report_bytes_pinned_on_parallel_edges():
+    # vertex pairs 0-1 and 1-2 each have two edges
+    text = (
+        "5 8 0\n0 1 2\n0 1 3\n1 2 1\n1 2 1\n2 3 4\n3 0 5\n3 4 1\n2 4 2\n"
+        "d 2 3\nd 3 1\nd 4 5\n"
+    )
+    digest = _report_sha256(text, eps=0.5, ssrob="exact")
+    assert digest == "60139622c4c165a571b9f32944c107d3744d12244ee4d483c02d19a89c49d897"
+
+
 def test_reports_byte_identical_for_same_seed(tmp_path):
     instance = write(tmp_path, "path3.graph", CYCLE4)
     blobs = set()
@@ -421,6 +450,9 @@ def test_make_parameters_overrides():
     assert p.gamma == 2.0  # default retained
     with pytest.raises(ConfigError):
         make_parameters(RunConfig(eps=0.5, alpha=0.5), "exact")
+    g = make_instance(3, [(0, 1, 1), (1, 2, 1)], 0, {1: 1, 2: 1})
+    res = solve_instance(g, p, ExactSolver())
+    assert res.params is res.layers.params is p
 
 
 class _InstantSolver:

@@ -18,6 +18,7 @@ from onetree.cli import build_report, solve_instance
 
 from helpers import (
     ConcaveFunction,
+    basis_grid,
     best_tree_for_function,
     combined_objective,
     decompose_function,
@@ -88,7 +89,7 @@ def test_concave_function_rejects_negative_coefficients():
 
 def test_ratio_unique_tree_is_one(path3):
     t = route(path3, (0, 1))
-    report = simultaneous_ratio(t, path3, 1.0, ExactSolver())
+    report = simultaneous_ratio(t, basis_grid(path3, 1.0), ExactSolver())
     assert report.max_ratio == 1.0
     assert all(row.ratio == 1.0 for row in report.rows)
 
@@ -96,7 +97,7 @@ def test_ratio_unique_tree_is_one(path3):
 def test_ratio_cycle_far_demand_is_three():
     g = make_instance(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)], 0, {3: 1})
     t = route(g, (0, 1, 2))  # the MST path; vertex 3 sits at tree distance 3
-    report = simultaneous_ratio(t, g, 1.0, ExactSolver())
+    report = simultaneous_ratio(t, basis_grid(g, 1.0), ExactSolver())
     assert report.max_ratio == pytest.approx(3.0)
     assert report.rows[report.argmax_index].optimal_cost == pytest.approx(1.0)
 
@@ -125,7 +126,7 @@ def test_ratio_with_heuristic_oracle_carries_caveat(path3):
     from onetree import SampleAugmentSolver
 
     t = route(path3, (0, 1))
-    report = simultaneous_ratio(t, path3, 1.0, SampleAugmentSolver(trials=2))
+    report = simultaneous_ratio(t, basis_grid(path3, 1.0), SampleAugmentSolver(trials=2))
     # the oracle's quality, named in the report, marks its ratios as lower bounds
     assert report.lambda_mode == "heuristic(trials=2)"
 

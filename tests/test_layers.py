@@ -18,20 +18,18 @@ from onetree.builder import GOLDEN_ALPHA
 from onetree.corpus import random_instance
 from onetree.routing import RentBuyDecomposition
 
-from helpers import reference_K
+from helpers import basis_grid, reference_K
 
 
 def fake_decompositions(buys, rents):
     return tuple(
         RentBuyDecomposition(
-            index=i,
-            threshold=float(2**i),
             bought=frozenset(),
             rent_cost=float(r),
             buy_cost=float(b),
             core=frozenset({0}),
         )
-        for i, (b, r) in enumerate(zip(buys, rents))
+        for b, r in zip(buys, rents)
     )
 
 
@@ -61,14 +59,14 @@ def test_compute_K_matches_the_loop():
 
 def test_monotonize_identical_trees_unchanged(path3):
     t = route(path3, (0, 1))
-    assert monotonize([t, t], 1.0) == (t, t)
+    assert monotonize([t, t], basis_grid(path3, 1.0)) == (t, t)
 
 
 def test_monotonize_descending_pass_fires(triangle_cheap_root):
     g = triangle_cheap_root
     expensive = route(g, (0, 2))  # r-a plus the length-10 edge
     cheap = route(g, (0, 1))  # the two unit edges
-    out = monotonize([expensive, cheap], 1.0)
+    out = monotonize([expensive, cheap], basis_grid(g, 1.0))
     assert out == (cheap, cheap)
 
 
@@ -76,12 +74,12 @@ def test_monotonize_ascending_pass_fires(triangle_cheap_root):
     g = triangle_cheap_root
     expensive = route(g, (0, 2))
     cheap = route(g, (0, 1))
-    out = monotonize([cheap, expensive], 1.0)
+    out = monotonize([cheap, expensive], basis_grid(g, 1.0))
     assert out == (cheap, cheap)
     # buy/rent monotonicity restored
     from onetree import decompose
 
-    decs = [decompose(t, i, 1.0) for i, t in enumerate(out)]
+    decs = [decompose(t, m) for t, m in zip(out, basis_grid(g, 1.0))]
     assert decs[0].buy_cost >= decs[1].buy_cost
     assert decs[0].rent_cost <= decs[1].rent_cost
 
@@ -94,7 +92,7 @@ def test_monotonize_improves_each_index():
         top = compute_K(g.total_demand, eps)
         solver = SampleAugmentSolver(trials=2)
         raw = [solver.solve(g, (1 + eps) ** i, seed=k + i) for i in range(top + 1)]
-        out = monotonize(raw, eps)
+        out = monotonize(raw, basis_grid(g, eps))
         for i in range(top + 1):
             m = (1 + eps) ** i
             here = basis_cost(out[i], m)
@@ -148,6 +146,9 @@ def test_layerset_invariants_on_random_instances():
         for i in range(layers.top_index):
             assert decs[i].buy_cost >= decs[i + 1].buy_cost - 1e-9
             assert decs[i].rent_cost <= decs[i + 1].rent_cost + 1e-9
+        for i in range(layers.top_index + 1):
+            assert layers.thresholds[i] == basis_threshold(i, params.eps)
+            assert layers.costs[i] == basis_cost(layers.trees[i], layers.thresholds[i])
 
 
 def test_structure_indexing_caps():

@@ -86,13 +86,12 @@ def test_basis_cost_examples(path3):
 
 def test_decompose_path_examples(path3):
     t = route(path3, (0, 1))
-    d1 = decompose(t, 1, 1.0)
-    assert d1.threshold == 2.0
+    d1 = decompose(t, basis_threshold(1, 1.0))
     assert d1.bought == {0}
     assert d1.buy_cost == 1.0
     assert d1.rent_cost == 1.0
     assert d1.core == {0, 1}
-    d0 = decompose(t, 0, 1.0)
+    d0 = decompose(t, basis_threshold(0, 1.0))
     assert d0.bought == {0, 1}
     assert d0.buy_cost == 2.0
     assert d0.rent_cost == 0.0
@@ -102,7 +101,7 @@ def test_decompose_path_examples(path3):
 def test_decompose_zero_flow_edge_rented_free():
     g = make_instance(3, [(0, 1, 1), (0, 2, 5)], 0, {1: 1})
     t = route(g, (0, 1))
-    d = decompose(t, 0, 1.0)
+    d = decompose(t, basis_threshold(0, 1.0))
     assert 1 not in d.bought
     assert d.rent_cost == 0.0
     assert d.core == {0, 1}
@@ -111,7 +110,7 @@ def test_decompose_zero_flow_edge_rented_free():
 def test_boundary_flow_equal_threshold_is_bought(path3):
     t = route(path3, (0, 1))
     # flow on edge 0 is exactly 2 and the threshold is exactly 2
-    d = decompose(t, 1, 1.0)
+    d = decompose(t, basis_threshold(1, 1.0))
     assert 0 in d.bought
 
 
@@ -125,11 +124,9 @@ def test_cost_identity_on_random_trees():
         for eids in trees[:: max(1, len(trees) // 5)]:
             t = route(g, eids)
             for i in range(top + 1):
-                d = decompose(t, i, eps)
-                direct = basis_cost(t, d.threshold)
-                assert direct == pytest.approx(
-                    d.rent_cost + d.threshold * d.buy_cost, rel=1e-9
-                )
+                m = basis_threshold(i, eps)
+                d = decompose(t, m)
+                assert basis_cost(t, m) == pytest.approx(d.rent_cost + m * d.buy_cost, rel=1e-9)
 
 
 def test_basis_cost_concave_nondecreasing_in_threshold():
