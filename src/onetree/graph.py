@@ -116,7 +116,12 @@ class Instance(Lookups):
 
     @cached_property
     def oracle_setup(self) -> list:
-        """Memo of the exact oracle's set-up: empty, or its one entry; see ssrob."""
+        """Memo of the exact oracle's set-up: empty, or its one entry; see
+        ssrob. The entry holds the branch vertices and their distances, each
+        terminal set's demand and the routed trees by acyclic flow support,
+        one per support whatever the thresholds: cancelling no cycle,
+        completing and routing read the support alone. Its branch-vertex
+        searches are not counted in the oracle's cell budget."""
         return []
 
 

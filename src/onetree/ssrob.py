@@ -15,13 +15,21 @@ Two interchangeable solvers, both deterministic given a seed:
   - send: F[S][v] = min over u of G[S][u] + w(S)·dist(u, v).
 
   F[T][root] over all terminals T is the least cost of any tree, exact for
-  every concave w with w(0) = 0, so one code path serves a single
-  threshold and a combination of them. The winning sends are expanded into
-  shortest paths, any cycle their union closes is cancelled, and the flow
-  support is completed to a spanning tree by Kruskal in edge-id order: the
-  least tree of that flow class. Cost ties go to the first minimum in the
-  DP's scan order. Its one limit is 3^t·n + 2^t·n² array cells over n
-  branch vertices (``ORACLE_CELL_BUDGET``), checked before any work.
+  every concave nondecreasing w with w(0) = 0 (a negative or NaN
+  threshold or coefficient is refused), so one code path serves a single
+  threshold and a combination of them. The tables' rows run by subset size, so each size reads and
+  writes contiguous slices. The winning sends are read back in Python from
+  the few rows they touch, expanded into shortest paths, any cycle their
+  union closes is cancelled, and the flow support is completed to a
+  spanning tree by Kruskal in edge-id order: the least tree of that flow
+  class. Cost ties go to the first minimum in the DP's scan order. What
+  every threshold shares (the branch vertices, their distances, the subset
+  demands and the routed trees by acyclic flow support) is set up once per
+  instance (``_oracle_setup``): a support that needed no cancelling fixes
+  its tree whatever the weights, so a solve that lands on a known one
+  skips routing. Its one limit is 3^t·n + 2^t·n² array cells over n
+  branch vertices (``ORACLE_CELL_BUDGET``), checked before any work; the n
+  shortest-path searches of the set-up are not counted in it.
 - A randomized sample-and-augment heuristic (``sample_and_augment``);
   cost ties between its trials go to the smaller edge-id tuple. It
   gives the plain per-trial algorithm's trees but memoizes on the instance
@@ -40,7 +48,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, ClassVar, Container, Iterator, Sequence
+from typing import Callable, ClassVar, Container, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,49 +82,67 @@ def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
 
 
 @lru_cache(maxsize=16)
-def _subsets(t: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per size k = 1..t, the bitmasks of every k-set of t terminals, in
-    ascending order, and under each set (one column per set) the bitmask of
-    the part holding its least terminal, one row per proper split, in
-    ascending order."""
+def _dp_plan(
+    t: int,
+) -> tuple[np.ndarray, tuple[int, ...], tuple[tuple[int, int, np.ndarray], ...]]:
+    """The subset DP's index plan for t terminals. Its rows hold the terminal
+    sets by size, and within a size by ascending bitmask, so row 0 is the
+    empty set and the last row all terminals. Returns each row's bitmask,
+    each row's size and, per size k = 1..t, the first row, the row after the
+    last and a (2, splits, sets) array: under each k-set, one column per
+    set, the rows of the part holding its least terminal, one per proper
+    split in ascending bitmask order, and the rows of their complements.
+    Rows are stored in the least unsigned type that holds them."""
     masks = np.arange(1 << t)
-    size = sum((masks >> i) & 1 for i in range(t))
-    out = []
-    for k in range(1, t + 1):
-        sets = masks[size == k]
+    size = sum(((masks >> i) & 1 for i in range(t)), np.zeros_like(masks))
+    by_size = [masks[size == k] for k in range(t + 1)]
+    order = np.concatenate(by_size)
+    row = np.empty(1 << t, np.min_scalar_type(masks[-1]))
+    row[order] = masks
+    levels, lo = [], 1
+    for k, sets in enumerate(by_size[1:], start=1):
         bits = np.nonzero((sets[:, None] >> np.arange(t)) & 1)[1].reshape(len(sets), k)
         picks = (np.arange(2 ** (k - 1) - 1)[:, None] >> np.arange(k - 1)) & 1
-        out.append((sets, (1 << bits[:, 0]) + picks @ (1 << bits[:, 1:]).T))
-    return tuple(out)
+        parts = picks @ (1 << bits[:, 1:]).T
+        parts += 1 << bits[:, 0]
+        pairs = np.empty((2, *parts.shape), row.dtype)
+        np.take(row, parts, out=pairs[0])
+        parts ^= sets
+        np.take(row, parts, out=pairs[1])
+        levels.append((lo, lo + len(sets), pairs))
+        lo += len(sets)
+    return order, tuple(size[order].tolist()), tuple(levels)
 
 
 def _subset_dp(
-    w: np.ndarray, dist: np.ndarray, starts: Sequence[int]
+    w: np.ndarray, dist_t: np.ndarray, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The send table F and the split table G, one row per terminal bitmask
-    and one column per branch vertex, for per-set weights ``w``, branch
-    distances ``dist`` (dist[u, v] from u to v) and each terminal's column
-    ``starts``. A one-terminal set starts at its terminal at no cost; every
-    size is then split and sent in blocks of at most _DP_BLOCK cells."""
-    n = len(dist)
+    """The send table F and the split table G, one row per terminal set in
+    ``_dp_plan`` order and one column per branch vertex, for per-row weights
+    ``w``, transposed branch distances ``dist_t`` (dist_t[v, u] from u to v)
+    and the one-terminal sets' split rows ``starts`` (0 at the terminal's
+    own column, INF elsewhere). Every size is then split and sent, each step
+    in blocks of at most _DP_BLOCK cells that write their slice of the table
+    in place."""
+    n = len(dist_t)
     F = np.empty((len(w), n))
     G = np.empty((len(w), n))
     cols = max(1, min(n, _DP_BLOCK // n))
-    for sets, parts in _subsets(len(starts)):
-        if len(parts):
-            step = max(1, _DP_BLOCK // (len(parts) * n))
-            for lo in range(0, len(sets), step):
-                s, a = sets[lo : lo + step], parts[:, lo : lo + step]
-                G[s] = (F[a] + F[s ^ a]).min(axis=0)
+    least = np.minimum.reduce
+    for lo, hi, pairs in _dp_plan(len(starts))[2]:
+        if pairs.shape[1]:
+            step = max(1, _DP_BLOCK // (pairs.shape[1] * n))
+            for a in range(lo, hi, step):
+                p = pairs[:, :, a - lo : a - lo + step]
+                least(F[p[0]] + F[p[1]], axis=0, out=G[a : min(a + step, hi)])
         else:
-            G[sets] = INF
-            G[sets, starts] = 0.0
+            G[lo:hi] = starts
         step = max(1, _DP_BLOCK // (n * cols))
-        for lo in range(0, len(sets), step):
-            s = sets[lo : lo + step]
-            here, weight = G[s][:, :, None], w[s][:, None, None]
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            here, weight = G[a:b, None, :], w[a:b, None, None]
             for c in range(0, n, cols):
-                F[s, c : c + cols] = (here + weight * dist[:, c : c + cols]).min(axis=1)
+                least(here + weight * dist_t[c : c + cols], axis=2, out=F[a:b, c : c + cols])
     return F, G
 
 
@@ -171,17 +197,35 @@ def _acyclic_support(
     return frozenset(flow)
 
 
-def _oracle_setup(g: Instance):
+class _OracleSetup(NamedTuple):
+    """What every subset-DP solve of one instance shares; see _oracle_setup."""
+
+    verts: tuple[int, ...]
+    edges: tuple[Edge, ...]
+    keys: tuple[int, ...]
+    root: int
+    dist_t: np.ndarray
+    total: np.ndarray
+    amount: tuple[int, ...]
+    starts: np.ndarray
+    trees: dict[frozenset[int], RoutedTree]
+
+
+def _oracle_setup(g: Instance) -> _OracleSetup:
     """What every subset-DP solve of ``g`` shares: the root's component
-    (vertices, edges), the terminals' demands, the branch vertices, the
-    distances between them (dist[u, v] from u to v in v's shortest-path
-    tree), each terminal set's total demand in float64, indexed by bitmask,
-    and each terminal's column. Kept in ``g.oracle_setup``, since the oracle
+    (``verts``, ``edges``), the branch vertices (``keys``) and the root's
+    column among them, the transposed distances between them (dist_t[v, u]
+    from u to v in v's shortest-path tree), each terminal set's demand per
+    DP row (``_dp_plan`` order), summed in float64 (``total``) and as an
+    integer (``amount``), the one-terminal sets' split rows (``starts``),
+    and the routed trees by acyclic flow support (``trees``; see
+    best_tree_for_combination). Kept in ``g.oracle_setup``, since the oracle
     solves an instance once per threshold index, and dropped with ``g``.
 
     Raises OracleLimitError, before any search, when 3^t·n + 2^t·n² passes
     ORACLE_CELL_BUDGET. A refusal is not kept, so a refused instance is
-    refused on every call.
+    refused on every call. The budget does not count the n shortest-path
+    searches, one per branch vertex, that the set-up runs once.
     """
     if g.oracle_setup:
         return g.oracle_setup[0]
@@ -201,16 +245,21 @@ def _oracle_setup(g: Instance):
         )
     # one search per branch vertex; only those from terminals and the root,
     # which sample-and-augment shares, are kept, since n trees hold n² labels
-    dist = np.empty((n, n))
+    dist_t = np.empty((n, n))
     for j, v in enumerate(keys):
         tree = _source_tree(g, v) if v in terms or v == g.root else shortest_path_tree(g, v)
-        dist[:, j] = [tree[0][u] for u in keys]
-    demand = tuple(g.demands[v] for v in terms)
-    total = np.zeros(1)
-    for d in demand:
-        total = np.concatenate((total, total + float(d)))
-    starts = np.array([keys.index(v) for v in terms], np.intp)
-    g.oracle_setup.append((verts, edges, demand, tuple(keys), dist, total, starts))
+        dist_t[j] = [tree[0][u] for u in keys]
+    total, amount = np.zeros(1), [0]
+    for v in terms:
+        total = np.concatenate((total, total + float(g.demands[v])))
+        amount += [a + g.demands[v] for a in amount]
+    starts = np.full((t, n), INF)
+    starts[range(t), [keys.index(v) for v in terms]] = 0.0
+    order = _dp_plan(t)[0]
+    g.oracle_setup.append(_OracleSetup(
+        verts, edges, tuple(keys), keys.index(g.root), dist_t, total[order],
+        tuple(amount[s] for s in order.tolist()), starts, {},
+    ))
     return g.oracle_setup[0]
 
 
@@ -224,42 +273,64 @@ def best_tree_for_combination(
     least branch vertex id, then a split whose part holding the set's least
     terminal has the smallest bitmask (terminals ordered by vertex id). The
     flow class found is completed to its least spanning tree. Raises
+    ConfigError for a negative or NaN threshold or a negative, NaN or
+    infinite coefficient, where w is no concave nondecreasing function, and
     OracleLimitError, before any work, when 3^t·n + 2^t·n² passes
     ORACLE_CELL_BUDGET (see ``_oracle_setup``).
+
+    The routed tree is memoized under its flow support when no cycle had to
+    be cancelled: cancelling, completing and routing then read the support
+    alone, so the tree is the same for every threshold and combination.
     """
     if len(thresholds) != len(coefficients):
         raise ConfigError("thresholds and coefficients must have equal length")
-    verts, edges, demand, keys, dist, total, starts = _oracle_setup(g)
-    t = len(demand)
+    if not all(m >= 0 for m in thresholds):
+        raise ConfigError("thresholds must be nonnegative numbers")
+    if not all(0 <= a < INF for a in coefficients):
+        raise ConfigError("coefficients must be finite nonnegative numbers")
+    setup = _oracle_setup(g)
+    _order, size, levels = _dp_plan(len(setup.starts))
     basis_terms = [(a, m) for a, m in zip(coefficients, thresholds) if a]
-    w = np.zeros(len(total))
+    w = np.zeros(len(setup.total))
     for a, m in basis_terms:
-        w += a * np.minimum(total, m)
-    F, G = _subset_dp(w, dist, starts)
+        w += a * np.minimum(setup.total, m)
+    F, G = _subset_dp(w, setup.dist_t, setup.starts)
 
     # expand the winning sends, from all terminals at the root down, into
-    # paths of the destination's shortest-path tree, with their flows
-    flow: dict[int, int] = {}
-    stack = [((1 << t) - 1, keys.index(g.root))] if t else []
+    # paths of the destination's shortest-path tree, with their flows; each
+    # minimum is taken over Python floats formed as the DP forms them, and
+    # list.index gives np.argmin's first minimum
+    keys, flow = setup.keys, {}
+    stack = [(len(w) - 1, setup.root)] if len(w) > 1 else []
     while stack:
-        s, v = stack.pop()
-        u = int(np.argmin(G[s] + w[s] * dist[:, v]))
-        amount = sum(d for i, d in enumerate(demand) if s >> i & 1)
+        r, v = stack.pop()
+        weight = float(w[r])
+        sends = [x + weight * d for x, d in zip(G[r].tolist(), setup.dist_t[v].tolist())]
+        u = sends.index(min(sends))
+        amount = setup.amount[r]
         x, pred = keys[u], _source_tree(g, keys[v])[1]
         while x != keys[v]:
             x, eid = pred[x]
             flow[eid] = flow.get(eid, 0) + (amount if g.edge_by_id[eid].v == x else -amount)
-        if s & (s - 1):
-            sets, parts = _subsets(t)[bin(s).count("1") - 1]
-            a = parts[:, np.searchsorted(sets, s)]
-            a = int(a[np.argmin(F[a, u] + F[s ^ a, u])])
-            stack += [(a, u), (s ^ a, u)]
+        if size[r] > 1:
+            lo, _hi, pairs = levels[size[r] - 1]
+            split = pairs[:, :, r - lo]
+            ones, others = F[split, u].tolist()
+            joined = [a + b for a, b in zip(ones, others)]
+            i = joined.index(min(joined))
+            stack += [(int(split[0, i]), u), (int(split[1, i]), u)]
 
-    support = _acyclic_support(g, flow, lambda x: sum(a * min(x, m) for a, m in basis_terms))
-    uf = UnionFind(verts)
-    for eid in support:
-        uf.union(g.edge_by_id[eid].u, g.edge_by_id[eid].v)
-    return route(g, [*support, *(e.eid for e in edges if uf.union(e.u, e.v))])
+    key = frozenset(eid for eid, f in flow.items() if f)
+    tree = setup.trees.get(key)
+    if tree is None:
+        support = _acyclic_support(g, flow, lambda x: sum(a * min(x, m) for a, m in basis_terms))
+        uf = UnionFind(setup.verts)
+        for eid in support:
+            uf.union(g.edge_by_id[eid].u, g.edge_by_id[eid].v)
+        tree = route(g, [*support, *(e.eid for e in setup.edges if uf.union(e.u, e.v))])
+        if support == key:
+            setup.trees[key] = tree
+    return tree
 
 
 def exact_ssrob(g: Instance, threshold: float) -> RoutedTree:

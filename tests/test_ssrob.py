@@ -4,6 +4,7 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from onetree import (
@@ -32,6 +33,7 @@ from onetree.ssrob import (
 )
 
 from helpers import (
+    basis_grid,
     brute_min_cost,
     count_spanning_trees,
     exact_cost,
@@ -249,15 +251,53 @@ def test_enumeration_matches_reference():
     assert len(seen) == 7
 
 
+def _count_dp_blocks(monkeypatch) -> dict[str, int]:
+    """Patch the subset DP to count, over every solve, the blocks its split
+    and its send steps write beyond one per subset size: each block is one
+    ``np.minimum.reduce`` into a slice of G (split) or of F (send)."""
+    extra = {"split": 0, "send": 0}
+    outs = []
+    reduce = np.minimum.reduce
+
+    def recorded(x, axis, out):
+        outs.append(out)
+        return reduce(x, axis=axis, out=out)
+
+    class Minimum:
+        __call__ = staticmethod(np.minimum)
+        reduce = staticmethod(recorded)
+
+    class Numpy:
+        minimum = Minimum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    dp = ssrob._subset_dp
+
+    def counted(w, dist_t, starts):
+        outs.clear()
+        F, G = dp(w, dist_t, starts)
+        extra["split"] += sum(out.base is G for out in outs) - max(0, len(starts) - 1)
+        extra["send"] += sum(out.base is F for out in outs) - len(starts)
+        return F, G
+
+    monkeypatch.setattr(ssrob, "np", Numpy())
+    monkeypatch.setattr(ssrob, "_subset_dp", counted)
+    return extra
+
+
 @pytest.mark.parametrize("limit", [1, 7])
 def test_split_enumeration_matches_reference(monkeypatch, limit):
     # the DP split into blocks of at most `limit` array cells (one set and
     # one destination column a block where a set's splits alone pass it)
-    # still matches the reference
+    # still matches the reference; both its steps do run in several blocks
     monkeypatch.setattr(ssrob, "_DP_BLOCK", limit)
+    extra = _count_dp_blocks(monkeypatch)
     for g in _enumeration_corpus(150):
         if _spans_demand(g):
             _check_oracle(g, _combinations(g))
+    assert extra["split"] > 0 and extra["send"] > 0
 
 
 def test_edge_order_does_not_change_answers():
@@ -368,8 +408,8 @@ def test_distinct_rows_scan_matches_full_table():
 @pytest.mark.parametrize("block", [1, 7])
 def test_split_tables_scan_matches_one_table(monkeypatch, block):
     # the DP's tables filled in blocks of at most `block` cells give the
-    # answers of one block per size, ties included; K4 (16 trees) has one
-    # optimum, the star at vertex 3
+    # answers of one block per size, ties included, and both steps do run in
+    # several blocks; K4 (16 trees) has one optimum, the star at vertex 3
     k4 = [(0, 1, 10), (0, 2, 10), (0, 3, 1), (1, 2, 10), (1, 3, 1), (2, 3, 1)]
     rng = random.Random(4242)
     corpus = [make_instance(4, k4, 0, {1: 1, 2: 1})]
@@ -389,7 +429,9 @@ def test_split_tables_scan_matches_one_table(monkeypatch, block):
     table = solve_all()
     assert table[0][0] == [(2, 4, 5)] * 3
     monkeypatch.setattr(ssrob, "_DP_BLOCK", block)
+    extra = _count_dp_blocks(monkeypatch)
     assert solve_all() == table
+    assert extra["split"] > 0 and extra["send"] > 0
 
 
 def _k5(demands):
@@ -603,6 +645,52 @@ def test_repeated_marked_sets_route_once(monkeypatch):
     assert len(g.trial_trees) == len(marked)
 
 
+def _fresh(g):
+    """An instance equal to ``g`` that shares none of its memos."""
+    return make_instance(g.n, [(e.u, e.v, e.length) for e in g.edges], g.root, g.demands)
+
+
+def _support(tree):
+    return frozenset(eid for eid, f in tree.flow_map.items() if f)
+
+
+def test_repeated_oracle_supports_route_once(monkeypatch):
+    # an ascending and then a descending threshold ladder, and a multi-term
+    # combination, on one instance route each distinct flow support once,
+    # and each answer is the one a fresh, equal instance gives. On the grid
+    # whose winning sends close a cycle, the support from before cancelling
+    # is never stored, so that solve routes again each time
+    routed = []
+    monkeypatch.setattr(ssrob, "route", lambda g, eids: routed.append(g) or route(g, eids))
+    g = oracle_n14_instances([1])[2]
+    ladder = basis_grid(g, 0.25)
+    combinations = [((m,), (1.0,)) for m in ladder + ladder[::-1]]
+    combinations.append((ladder[::4], (0.5, 0.0, 2.0, 1.25, 0.75)))
+    trees = [best_tree_for_combination(g, *c) for c in combinations]
+    supports = {_support(tree) for tree in trees}
+    assert len(routed) == len(supports) == 3
+    assert set(g.oracle_setup[0].trees) == supports
+    for c, tree in zip(combinations, trees):
+        again = best_tree_for_combination(_fresh(g), *c)
+        assert (again.edge_ids, again.flows) == (tree.edge_ids, tree.flows), c
+
+    before = []
+    acyclic_support = ssrob._acyclic_support
+
+    def recorded(g, flow, unit_cost):
+        before.append(frozenset(eid for eid, f in flow.items() if f))
+        return acyclic_support(g, flow, unit_cost)
+
+    monkeypatch.setattr(ssrob, "_acyclic_support", recorded)
+    edges = [(0, 1, 1), (0, 3, 1), (1, 2, 1), (1, 4, 1), (2, 5, 1), (3, 4, 1), (4, 5, 1)]
+    grid = make_instance(6, edges, 5, {0: 1, 1: 6, 2: 8, 3: 6, 4: 6, 5: 8})
+    routed.clear()
+    first, second = exact_ssrob(grid, 8.0), exact_ssrob(grid, 8.0)
+    assert len(routed) == 2 and before[0] == before[1] != _support(first)
+    assert before[0] not in grid.oracle_setup[0].trees
+    assert first.edge_ids == second.edge_ids
+
+
 def _chances(g, p):
     return [-math.expm1(amount * math.log1p(-p)) for _v, amount in g.demand_items]
 
@@ -728,6 +816,30 @@ def test_best_tree_for_combination_matches_brute_force():
             ),
         )
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_weights_that_fall_are_refused(monkeypatch):
+    # w(D) = 2·min(D, 1) - 0.5·min(D, 4) falls past D = 1, so neither the DP
+    # nor the cycle push holds for it: on these two seeded graphs the oracle
+    # returned a tree dearer than the brute-force least (graph 20) and failed
+    # with a bare ValueError while cancelling a cycle (graph 202). Every
+    # negative or NaN threshold or coefficient, or infinite coefficient, is
+    # now refused before any search; zero weights and an infinite threshold
+    # (a linear cost) are still answered
+    rng = random.Random(1)
+    graphs = [random_instance(rng, n_min=3, n_max=6) for _ in range(203)]
+    combinations = [((1.0, 4.0), (2.0, -0.5)), ((2.0,), (-1.0,)), ((2.0,), (math.nan,)),
+                    ((2.0,), (math.inf,)), ((-1.0,), (1.0,)), ((math.nan,), (1.0,))]
+    monkeypatch.setattr(ssrob, "shortest_path_tree", None)
+    for g in (graphs[20], graphs[202]):
+        for thresholds, coefficients in combinations:
+            with pytest.raises(ConfigError, match="must be (finite )?nonnegative numbers$"):
+                best_tree_for_combination(g, thresholds, coefficients)
+    monkeypatch.undo()
+    g = graphs[20]
+    assert basis_cost(best_tree_for_combination(g, (0.0, 2.0), (1.0, 0.0)), 0.0) == 0.0
+    want, _ = brute_min_cost(g, lambda t: basis_cost(t, math.inf))
+    assert basis_cost(best_tree_for_combination(g, (math.inf,), (1.0,)), math.inf) == want
 
 
 def test_solver_registry():
