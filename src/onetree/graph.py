@@ -118,10 +118,8 @@ class Instance(Lookups):
     def oracle_setup(self) -> list:
         """Memo of the exact oracle's set-up: empty, or its one entry; see
         ssrob. The entry holds the branch vertices and their distances, each
-        terminal set's demand and the routed trees by acyclic flow support,
-        one per support whatever the thresholds: cancelling no cycle,
-        completing and routing read the support alone. Its branch-vertex
-        searches are not counted in the oracle's cell budget."""
+        terminal set's demand, and the answers by acyclic flow support and
+        by weight vector, with equal weights folded to ones."""
         return []
 
 

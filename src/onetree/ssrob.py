@@ -17,19 +17,24 @@ Two interchangeable solvers, both deterministic given a seed:
   F[T][root] over all terminals T is the least cost of any tree, exact for
   every concave nondecreasing w with w(0) = 0 (a negative or NaN
   threshold or coefficient is refused), so one code path serves a single
-  threshold and a combination of them. The tables' rows run by subset size, so each size reads and
-  writes contiguous slices. The winning sends are read back in Python from
-  the few rows they touch, expanded into shortest paths, any cycle their
-  union closes is cancelled, and the flow support is completed to a
+  threshold and a combination of them. The winning sends are read back
+  from the few rows they touch, expanded into shortest paths, any cycle
+  their union closes is cancelled, and the flow support is completed to a
   spanning tree by Kruskal in edge-id order: the least tree of that flow
-  class. Cost ties go to the first minimum in the DP's scan order. What
-  every threshold shares (the branch vertices, their distances, the subset
-  demands and the routed trees by acyclic flow support) is set up once per
-  instance (``_oracle_setup``): a support that needed no cancelling fixes
-  its tree whatever the weights, so a solve that lands on a known one
-  skips routing. Its one limit is 3^t·n + 2^t·n² array cells over n
-  branch vertices (``ORACLE_CELL_BUDGET``), checked before any work; the n
-  shortest-path searches of the set-up are not counted in it.
+  class. Cost ties go to the first minimum in the DP's scan order: a send
+  from the least branch vertex id, then a split whose part holding the
+  set's least terminal has the smallest bitmask (terminals ordered by
+  vertex id). The one limit is ``ORACLE_CELL_BUDGET``.
+
+  What every solve of an instance shares is set up once (``_oracle_setup``)
+  with two memos of answers that needed no cycle cancelled (a cancel reads
+  the thresholds, not w): routed trees by flow support, which fixes its
+  tree whatever the weights, and answers by w, so a repeated w skips the
+  DP. When every nonempty set weighs the same, as at each threshold at or
+  below the least demand, w is first set to ones: each loaded edge of a
+  tree carries some set's demand, so a tree costs that one weight times its
+  support's length, the optima stay the same, and all such thresholds
+  share one answer whichever asks first.
 - A randomized sample-and-augment heuristic (``sample_and_augment``);
   cost ties between its trials go to the smaller edge-id tuple. It
   gives the plain per-trial algorithm's trees but memoizes on the instance
@@ -68,8 +73,9 @@ from .graph import (
 from .routing import RoutedTree, basis_cost, route
 
 #: Most array cells the exact oracle's subset DP may take, counted as
-#: 3^t·n + 2^t·n² for t terminals and n branch vertices; an instance over it
-#: is refused before any work.
+#: 3^t·n + 2^t·n² for t terminals and n branch vertices. An instance over it
+#: is refused with OracleLimitError before any search, on every call; the
+#: set-up's n shortest-path searches, one per branch vertex, are not counted.
 ORACLE_CELL_BUDGET = 2**26
 #: Most array cells in one block of the subset DP's temporaries.
 _DP_BLOCK = 2**16
@@ -209,6 +215,7 @@ class _OracleSetup(NamedTuple):
     amount: tuple[int, ...]
     starts: np.ndarray
     trees: dict[frozenset[int], RoutedTree]
+    answers: dict[bytes, RoutedTree]
 
 
 def _oracle_setup(g: Instance) -> _OracleSetup:
@@ -218,14 +225,9 @@ def _oracle_setup(g: Instance) -> _OracleSetup:
     from u to v in v's shortest-path tree), each terminal set's demand per
     DP row (``_dp_plan`` order), summed in float64 (``total``) and as an
     integer (``amount``), the one-terminal sets' split rows (``starts``),
-    and the routed trees by acyclic flow support (``trees``; see
-    best_tree_for_combination). Kept in ``g.oracle_setup``, since the oracle
-    solves an instance once per threshold index, and dropped with ``g``.
-
-    Raises OracleLimitError, before any search, when 3^t·n + 2^t·n² passes
-    ORACLE_CELL_BUDGET. A refusal is not kept, so a refused instance is
-    refused on every call. The budget does not count the n shortest-path
-    searches, one per branch vertex, that the set-up runs once.
+    and the answers by flow support (``trees``) and by weights (``answers``;
+    see the module docstring). Kept in ``g.oracle_setup`` and dropped with
+    ``g``; raises OracleLimitError per ORACLE_CELL_BUDGET, never kept.
     """
     if g.oracle_setup:
         return g.oracle_setup[0]
@@ -258,7 +260,7 @@ def _oracle_setup(g: Instance) -> _OracleSetup:
     order = _dp_plan(t)[0]
     g.oracle_setup.append(_OracleSetup(
         verts, edges, tuple(keys), keys.index(g.root), dist_t, total[order],
-        tuple(amount[s] for s in order.tolist()), starts, {},
+        tuple(amount[s] for s in order.tolist()), starts, {}, {},
     ))
     return g.oracle_setup[0]
 
@@ -267,20 +269,11 @@ def best_tree_for_combination(
     g: Instance, thresholds: Sequence[float], coefficients: Sequence[float]
 ) -> RoutedTree:
     """Spanning tree minimizing sum_i coefficients[i] * cost(thresholds[i]),
-    by the subset DP (module docstring).
+    by the subset DP, with its tie rule and memos (module docstring).
 
-    Ties go to the first minimum in the DP's scan order: a send from the
-    least branch vertex id, then a split whose part holding the set's least
-    terminal has the smallest bitmask (terminals ordered by vertex id). The
-    flow class found is completed to its least spanning tree. Raises
-    ConfigError for a negative or NaN threshold or a negative, NaN or
+    Raises ConfigError for a negative or NaN threshold or a negative, NaN or
     infinite coefficient, where w is no concave nondecreasing function, and
-    OracleLimitError, before any work, when 3^t·n + 2^t·n² passes
-    ORACLE_CELL_BUDGET (see ``_oracle_setup``).
-
-    The routed tree is memoized under its flow support when no cycle had to
-    be cancelled: cancelling, completing and routing then read the support
-    alone, so the tree is the same for every threshold and combination.
+    OracleLimitError per ORACLE_CELL_BUDGET.
     """
     if len(thresholds) != len(coefficients):
         raise ConfigError("thresholds and coefficients must have equal length")
@@ -294,6 +287,12 @@ def best_tree_for_combination(
     w = np.zeros(len(setup.total))
     for a, m in basis_terms:
         w += a * np.minimum(setup.total, m)
+    if w[-1] > 0 and (w[1:] == w[-1]).all():  # equal weights: one answer for all
+        w[1:] = 1.0
+    weights = w.tobytes()
+    tree = setup.answers.get(weights)
+    if tree is not None:
+        return tree
     F, G = _subset_dp(w, setup.dist_t, setup.starts)
 
     # expand the winning sends, from all terminals at the root down, into
@@ -328,17 +327,16 @@ def best_tree_for_combination(
         for eid in support:
             uf.union(g.edge_by_id[eid].u, g.edge_by_id[eid].v)
         tree = route(g, [*support, *(e.eid for e in setup.edges if uf.union(e.u, e.v))])
-        if support == key:
-            setup.trees[key] = tree
+        if support != key:
+            return tree
+        setup.trees[key] = tree
+    setup.answers[weights] = tree
     return tree
 
 
 def exact_ssrob(g: Instance, threshold: float) -> RoutedTree:
-    """Minimum-cost routing tree for one basis threshold, by the subset DP.
-
-    The single-term case of :func:`best_tree_for_combination`, with its
-    budget and tie rule.
-    """
+    """Minimum-cost routing tree for one basis threshold: the single-term
+    case of :func:`best_tree_for_combination`."""
     return best_tree_for_combination(g, (threshold,), (1.0,))
 
 

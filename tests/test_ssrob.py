@@ -17,11 +17,13 @@ from onetree import (
     exact_ssrob,
     get_solver,
     make_instance,
+    optimal_parameters,
     route,
     sample_and_augment,
     shortest_path_tree,
 )
 from onetree import ssrob
+from onetree.cli import solve_instance
 from onetree.corpus import random_instance
 from onetree.layers import compute_K
 from onetree.routing import basis_threshold
@@ -409,7 +411,9 @@ def test_distinct_rows_scan_matches_full_table():
 def test_split_tables_scan_matches_one_table(monkeypatch, block):
     # the DP's tables filled in blocks of at most `block` cells give the
     # answers of one block per size, ties included, and both steps do run in
-    # several blocks; K4 (16 trees) has one optimum, the star at vertex 3
+    # several blocks; K4 (16 trees) has one optimum, the star at vertex 3.
+    # Each pass solves fresh, equal instances, since an instance keeps its
+    # answers by weights and would not run the blocked DP again
     k4 = [(0, 1, 10), (0, 2, 10), (0, 3, 1), (1, 2, 10), (1, 3, 1), (2, 3, 1)]
     rng = random.Random(4242)
     corpus = [make_instance(4, k4, 0, {1: 1, 2: 1})]
@@ -423,7 +427,7 @@ def test_split_tables_scan_matches_one_table(monkeypatch, block):
                 [exact_ssrob(g, m).edge_ids for m in thresholds],
                 best_tree_for_combination(g, thresholds, coefficients).edge_ids,
             )
-            for g in corpus
+            for g in map(_fresh, corpus)
         ]
 
     table = solve_all()
@@ -688,7 +692,53 @@ def test_repeated_oracle_supports_route_once(monkeypatch):
     first, second = exact_ssrob(grid, 8.0), exact_ssrob(grid, 8.0)
     assert len(routed) == 2 and before[0] == before[1] != _support(first)
     assert before[0] not in grid.oracle_setup[0].trees
+    assert not grid.oracle_setup[0].answers
     assert first.edge_ids == second.edge_ids
+
+
+def test_oracle_answers_do_not_depend_on_call_order():
+    # one instance solving the basis grid ascending, descending or shuffled
+    # answers each threshold as a fresh, equal instance does: the weights
+    # below the least demand fold to ones, so every such threshold gets one
+    # answer whichever asks first
+    rng = random.Random(21)
+    for g in oracle_n14_instances([1]):
+        grid = basis_grid(g, 0.1)
+        shuffled = rng.sample(grid, len(grid))
+        want = {m: exact_ssrob(_fresh(g), m) for m in grid}
+        for order in (grid, grid[::-1], shuffled):
+            h = _fresh(g)
+            for m in order:
+                got = exact_ssrob(h, m)
+                assert (got.edge_ids, got.flows) == (want[m].edge_ids, want[m].flows), m
+
+
+def _weight_vectors(g, thresholds):
+    """The distinct per-set weight vectors min(D(S), M) of ``thresholds``
+    over the nonempty terminal sets S, counting all equal ones as one."""
+    sums = [0]
+    for v, amount in g.demand_items:
+        if v != g.root:
+            sums += [s + amount for s in sums]
+    vectors = {tuple(min(s, m) for s in sums[1:]) for m in thresholds}
+    return {w if len(set(w)) > 1 else "ones" for w in vectors}
+
+
+def test_subset_dp_runs_once_per_weight_vector(monkeypatch):
+    # the pipeline with --oracle runs the DP once per distinct weight vector
+    # of its basis grid, 19 on each oracle_n14 seed-1 graph, whether the
+    # layers come from sample-and-augment or from the exact solver, whose
+    # ratio pass asks again for every threshold the layers solved
+    calls = []
+    dp = ssrob._subset_dp
+    monkeypatch.setattr(ssrob, "_subset_dp", lambda *a: calls.append(1) or dp(*a))
+    params = optimal_parameters(eps=0.1)
+    for g in oracle_n14_instances([1]):
+        assert len(_weight_vectors(g, basis_grid(g, 0.1))) == 19
+        for solver in (SampleAugmentSolver(), ExactSolver()):
+            calls.clear()
+            solve_instance(_fresh(g), params, solver, oracle=ExactSolver())
+            assert len(calls) == 19, solver.name
 
 
 def _chances(g, p):
