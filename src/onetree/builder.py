@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, InvalidTreeError, InvariantError
 from .graph import SUPERNODE, Instance, contract
@@ -20,8 +20,7 @@ from .layers import LayerSet
 from .routing import RoutedTree, basis_cost, route
 
 
-@dataclass(frozen=True)
-class BuildRound:
+class BuildRound(NamedTuple):
     """Trace of one stitching round."""
 
     index: int
@@ -31,8 +30,7 @@ class BuildRound:
     added_edges: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SimultaneousTree:
+class SimultaneousTree(NamedTuple):
     """Final routed tree plus the per-layer edge partition and build trace.
 
     ``buy_parts[i]`` holds the edges present right after the round that added
@@ -189,8 +187,7 @@ def optimal_parameters(lambda_descriptor: str = "exact", eps: float = 0.1) -> Pa
     return params
 
 
-@dataclass(frozen=True)
-class LayerBoundRow:
+class LayerBoundRow(NamedTuple):
     """Cost bounds for one kept layer."""
 
     index: int
@@ -202,8 +199,7 @@ class LayerBoundRow:
     rent_ok: bool
 
 
-@dataclass(frozen=True)
-class StructureRow:
+class StructureRow(NamedTuple):
     """Whole-tree cost against one basis tree at its own threshold."""
 
     index: int
@@ -212,8 +208,7 @@ class StructureRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class LayerBoundReport:
+class LayerBoundReport(NamedTuple):
     rows: tuple[LayerBoundRow, ...]
     buy_constant_observed: float | None
     rent_constant_observed: float | None

@@ -14,14 +14,13 @@ exit 2 naming the file (an ``error`` row), and any other exception exit 3
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .builder import (
     LayerBoundReport,
@@ -62,8 +61,7 @@ _ROUND_COLORS = (
 )
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything one invocation needs. Each ``run`` flag stores into the
     field of its name and takes its default from here."""
 
@@ -83,8 +81,7 @@ class RunConfig:
     prune_zero_flow: bool = False
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """In-memory outcome of one pipeline run."""
 
     instance: Instance
@@ -470,6 +467,8 @@ _CSV_FIELDS = (
 
 
 def _corpus_csv(rows: list[dict]) -> str:
+    import csv  # here: a single-instance run writes no CSV and never loads csv
+
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
@@ -509,7 +508,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     run.add_argument("--out-tree", metavar="PATH", help="write the tree edge list (plus .dot)")
     run.add_argument("--out-report", metavar="PATH", help="write the JSON report (corpus: plus .csv)")
     run.add_argument("-v", "--verbose", action="count")
-    run.set_defaults(**asdict(RunConfig()))
+    run.set_defaults(**RunConfig()._asdict())
     return parser
 
 

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .routing import RoutedTree, basis_cost
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     index: int
     threshold: float
     tree_cost: float
@@ -17,8 +16,7 @@ class RatioRow:
     ratio: float
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     """Per-threshold cost ratios of one tree against oracle trees; the
     report schema that carries them is ``cli.build_report``'s."""
 

@@ -9,8 +9,7 @@ independent verifier that recomputes distances and the MST from scratch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, DisconnectedError
 from .graph import (
@@ -22,8 +21,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class LastTree:
+class LastTree(NamedTuple):
     """A spanning tree of the host graph, rooted at ``root``; ``verify_last``
     recomputes its root distances."""
 
@@ -108,8 +106,7 @@ def build_last(g: Graph, root: int, alpha: float) -> LastTree:
     return LastTree(graph=g, root=root, edge_ids=edge_ids)
 
 
-@dataclass(frozen=True)
-class LastReport:
+class LastReport(NamedTuple):
     """Outcome of an independent LAST check."""
 
     stretches: Mapping[int, float]

@@ -4,8 +4,7 @@ geometric pruning down to the layer index set."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import ConfigError, InvariantError
 from .graph import Instance
@@ -113,8 +112,7 @@ def prune(
     return tuple(sorted(kept)), tuple(survivors)
 
 
-@dataclass(frozen=True)
-class LayerSet:
+class LayerSet(NamedTuple):
     """The per-threshold table every later stage reads: entry i holds basis
     threshold (1 + eps) ** i, the monotonized basis tree, its cost at that
     threshold and its decomposition. Also the parameters the layers were

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidTreeError
 from .graph import Edge, Instance, tree_order, tree_vertices
@@ -100,8 +100,7 @@ def basis_cost(tree: RoutedTree, threshold: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class RentBuyDecomposition:
+class RentBuyDecomposition(NamedTuple):
     """Split of a routed tree at one basis threshold.
 
     Edges at or above the threshold are bought (their plain lengths sum to

@@ -51,9 +51,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, ClassVar, Container, Iterator, NamedTuple, Sequence
+from typing import Callable, Container, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -511,23 +510,22 @@ def sample_and_augment(
     )
 
 
-@dataclass(frozen=True)
 class ExactSolver:
     """Optimal basis trees by the subset DP; few demand vertices only."""
 
-    name: ClassVar[str] = "exact"
-    quality: ClassVar[str] = "exact"
+    __slots__ = ()  # no fields, and no attribute can be set
+    name = "exact"
+    quality = "exact"
 
     def solve(self, g: Instance, threshold: float, seed: int = 0) -> RoutedTree:
         return exact_ssrob(g, threshold)
 
 
-@dataclass(frozen=True)
-class SampleAugmentSolver:
+class SampleAugmentSolver(NamedTuple):
     """Randomized sample-and-augment heuristic, best of ``trials`` repeats."""
 
     trials: int = 32
-    name: ClassVar[str] = "sample-augment"
+    name = "sample-augment"
 
     @property
     def quality(self) -> str:

@@ -1,12 +1,25 @@
 import hashlib
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from onetree import ExactSolver, cli, make_instance, route
+import onetree
+from onetree import (
+    ExactSolver,
+    SampleAugmentSolver,
+    build_last,
+    cli,
+    make_instance,
+    route,
+    verify_last,
+)
 from onetree.cli import (
     EXIT_INVALID,
     EXIT_INVARIANT,
@@ -501,3 +514,59 @@ def test_pipeline_time_scales_gently_with_demand():
     small = run_with_demand(2**12)
     large = run_with_demand(2**13)
     assert large <= 2.0 * small + 0.002, (small, large)
+
+
+def test_importing_the_cli_does_not_load_csv():
+    # only the corpus CSV writer imports csv, so a single-instance run skips it
+    code = "import onetree.cli, sys; print('csv' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(onetree.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
+
+
+@pytest.fixture(scope="module")
+def solved_corpus_instance():
+    """One corpus instance through the pipeline with oracle ratios."""
+    g = random_instance(random.Random(3))
+    params = make_parameters(RunConfig(eps=0.5), "exact")
+    return solve_instance(g, params, ExactSolver(), oracle=ExactSolver())
+
+
+def _last(res):
+    return build_last(res.instance, res.instance.root, res.params.alpha)
+
+
+@pytest.mark.parametrize(
+    "get, field",
+    [
+        pytest.param(lambda res: res, "ratio", id="PipelineResult"),
+        pytest.param(lambda res: res.instance, "root", id="Instance"),
+        pytest.param(lambda res: res.instance.edges[0], "length", id="Edge"),
+        pytest.param(lambda res: res.params, "eps", id="Parameters"),
+        pytest.param(lambda res: res.layers, "kept", id="LayerSet"),
+        pytest.param(lambda res: res.layers.trees[0], "flows", id="RoutedTree"),
+        pytest.param(lambda res: res.layers.decompositions[0], "core", id="RentBuyDecomposition"),
+        pytest.param(lambda res: res.result, "rounds", id="SimultaneousTree"),
+        pytest.param(lambda res: res.result.rounds[0], "index", id="BuildRound"),
+        pytest.param(lambda res: res.bounds, "all_ok", id="LayerBoundReport"),
+        pytest.param(lambda res: res.bounds.rows[0], "buy_ok", id="LayerBoundRow"),
+        pytest.param(lambda res: res.bounds.structure_rows[0], "ok", id="StructureRow"),
+        pytest.param(lambda res: res.ratio, "max_ratio", id="RatioReport"),
+        pytest.param(lambda res: res.ratio.rows[0], "ratio", id="RatioRow"),
+        pytest.param(_last, "edge_ids", id="LastTree"),
+        pytest.param(
+            lambda res: verify_last(_last(res), res.params.alpha, res.params.beta),
+            "stretch_ok",
+            id="LastReport",
+        ),
+        pytest.param(lambda res: ExactSolver(), "quality", id="ExactSolver"),
+        pytest.param(lambda res: SampleAugmentSolver(), "trials", id="SampleAugmentSolver"),
+    ],
+)
+def test_records_are_truthy_and_refuse_assignment(solved_corpus_instance, get, field):
+    # a NamedTuple with no fields is an empty tuple, so it would be falsy;
+    # frozen dataclasses raise FrozenInstanceError, a subclass of AttributeError
+    record = get(solved_corpus_instance)
+    assert record
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
