@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from collections import Counter
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -59,6 +59,7 @@ _ROUND_COLORS = (
     "teal",
     "brown",
 )
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's float words
 
 
 class RunConfig(NamedTuple):
@@ -262,7 +263,33 @@ def build_report(name: str, res: PipelineResult) -> dict:
 
 
 def report_bytes(report: dict) -> bytes:
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    """``(json.dumps(report, sort_keys=True, indent=2) + "\\n").encode()``,
+    byte for byte, but not by json's indented encoder, a Python generator."""
+    return (_json_text(report, "\n") + "\n").encode()
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as indented JSON at nesting ``indent``, a newline and its
+    spaces. Raises TypeError where json.dumps does, and for non-str keys
+    (encode_basestring_ascii refuses them)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        ends, items = "[]", [_json_text(item, inner) for item in value]
+    elif isinstance(value, dict):
+        ends, items = "{}", [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                             for k, v in sorted(value.items())]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 def edge_list_text(res: PipelineResult) -> str:

@@ -107,11 +107,11 @@ class Instance(Lookups):
 
     @cached_property
     def trial_trees(self) -> dict[frozenset[int], RoutedTree]:
-        """Memo of the sample-and-augment trial tree by terminal set (marked
-        demand vertices plus the root); see ssrob. A pipeline run of K+1
-        thresholds and T trials holds at most min((K+1)·T, (K+T)·(d+1)) of
-        them, d demand vertices: a seed's marked set only shrinks as the
-        threshold grows, and the run draws from K+T seeds."""
+        """Memo of the sample-and-augment trial tree by marked set of demand
+        vertices; see ssrob. A pipeline run of K+1 thresholds and T trials
+        holds at most min((K+1)·T, (K+T)·(d+1)) of them, d demand vertices: a
+        seed's marked set only shrinks as the threshold grows, and the run
+        draws from K+T seeds."""
         return {}
 
     @cached_property

@@ -38,6 +38,10 @@ class RoutedTree:
         return tuple(by_id[eid] for eid in self.edge_ids)
 
     @cached_property
+    def costs(self) -> dict[float, float]:
+        return {}
+
+    @cached_property
     def vertices(self) -> frozenset[int]:
         return frozenset(tree_vertices(self.instance.root, self.edges))
 
@@ -93,10 +97,14 @@ def route(g: Instance, edge_ids: Iterable[int]) -> RoutedTree:
 
 
 def basis_cost(tree: RoutedTree, threshold: float) -> float:
-    """Cost of the tree when each edge pays length * min(flow, threshold)."""
-    total = 0.0
-    for e, flow in zip(tree.edges, tree.flows):
-        total += e.length * (flow if flow < threshold else threshold)
+    """Cost of the tree when each edge pays length * min(flow, threshold),
+    summed in edge-id order once per threshold and kept in ``tree.costs``."""
+    total = tree.costs.get(threshold)
+    if total is None:
+        total = 0.0
+        for e, flow in zip(tree.edges, tree.flows):
+            total += e.length * (flow if flow < threshold else threshold)
+        tree.costs[threshold] = total
     return total
 
 

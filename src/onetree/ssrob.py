@@ -39,12 +39,12 @@ Two interchangeable solvers, both deterministic given a seed:
   cost ties between its trials go to the smaller edge-id tuple. It
   gives the plain per-trial algorithm's trees but memoizes on the instance
   what trials and thresholds share: terminal shortest-path trees, each
-  seed's draws and each terminal set's routed trial tree. The solve at
+  seed's draws and each marked set's routed trial tree. The solve at
   threshold index i gets seed + i and its trial t draws from
   ``random.Random(seed + i + t)``, so K+1 indices of T trials use only K+T
   streams. A stream's marked set only shrinks as the threshold grows, so
   over d demand vertices a run routes at most min((K+1)·T, (K+T)·(d+1))
-  distinct trial trees.
+  distinct trial trees, one per marked set.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+from itertools import compress
+from operator import lt
 from typing import Callable, Container, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -451,25 +453,20 @@ def _marked_vertices(g: Instance, seed: int, chances: Sequence[float]) -> frozen
     if draws is None:
         rng = random.Random(seed)
         draws = memo[seed] = tuple(rng.random() for _ in g.demand_items)
-    return frozenset(
-        v for (v, _amount), u, chance in zip(g.demand_items, draws, chances) if u < chance
-    )
+    return frozenset(compress(g.demands, map(lt, draws, chances)))
 
 
 def _trial_tree(g: Instance, marked: frozenset[int]) -> RoutedTree:
     """The tree a trial builds from its ``marked`` demand vertices: a Steiner
-    core over them and the root, plus rent paths into it.
-
-    It depends on the terminal set alone, so it is memoized on the instance
-    under that set; the trials of one threshold and of its neighbours mark
-    the same sets again and again.
-    """
-    terminals = marked | {g.root}
+    core over them and the root, plus rent paths into it. Memoized on the
+    instance by marked set, which the trials of nearby thresholds draw again
+    and again; with demand on the root, a set with the root and the same set
+    without it share one tree under two keys."""
     memo = g.trial_trees
-    tree = memo.get(terminals)
+    tree = memo.get(marked)
     if tree is None:
-        core = _steiner_core_edges(g, terminals)
-        tree = memo[terminals] = route(g, core | _rent_paths(g, core))
+        core = _steiner_core_edges(g, marked | {g.root})
+        tree = memo[marked] = route(g, core | _rent_paths(g, core))
     return tree
 
 
@@ -499,15 +496,13 @@ def sample_and_augment(
     if threshold >= g.total_demand:
         return route(g, _spt_demand_paths(g))
     if threshold <= 1.0:
-        return _trial_tree(g, frozenset(v for v, _ in g.demand_items))
+        return _trial_tree(g, frozenset(g.demands))
 
     unmarked_log = math.log1p(-1.0 / threshold)
     chances = [-math.expm1(amount * unmarked_log) for _v, amount in g.demand_items]
     marked_sets = {_marked_vertices(g, seed + trial, chances) for trial in range(trials)}
-    return min(
-        (_trial_tree(g, marked) for marked in marked_sets),
-        key=lambda tree: (basis_cost(tree, threshold), tree.edge_ids),
-    )
+    trees = (_trial_tree(g, marked) for marked in marked_sets)
+    return min(trees, key=lambda tree: (basis_cost(tree, threshold), tree.edge_ids))
 
 
 class ExactSolver:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import subprocess
@@ -9,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onetree
 from onetree import (
@@ -411,6 +414,61 @@ def test_exact_solver_report_bytes_pinned_on_parallel_edges():
     )
     digest = _report_sha256(text, eps=0.5, ssrob="exact")
     assert digest == "60139622c4c165a571b9f32944c107d3744d12244ee4d483c02d19a89c49d897"
+
+
+_awkward_chars = st.sampled_from('"\\/\x00\x1f\x7f\n\té€😀')
+_awkward_text = st.text(st.one_of(_awkward_chars, st.characters()), max_size=6)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2**63]),
+    _awkward_text,
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_awkward_text, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_report_bytes_equal_json_dumps(value):
+    assert report_bytes(value) == (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [frozenset({1}), {"a": [frozenset()]}, {1: "a"}, {"a": {2: None}}, {"a": 1, 2: 3}],
+    ids=["frozenset", "nested frozenset", "int key", "nested int key", "mixed keys"],
+)
+def test_report_bytes_refuses_what_is_not_a_report(value):
+    with pytest.raises(TypeError):
+        report_bytes(value)
+
+
+def test_sample_augment_report_bytes_pinned_with_demand_on_the_root():
+    # trial trees are memoized by marked set, so a set with the root and the
+    # same set without it reach one tree under two keys; the report is the
+    # one a memo keyed by terminal set (marked set plus root) gives
+    g = random_instance(
+        random.Random(0), n_min=8, n_max=10, max_extra_edges=8,
+        max_demand_vertices=4, max_total_demand=60,
+    )
+    g = make_instance(g.n, [(e.u, e.v, e.length) for e in g.edges], g.root,
+                      {**g.demands, g.root: 5})
+    res = cli._load_and_solve(instance_text(g), RunConfig(eps=0.1, trials=4, seed=2, oracle=True))
+    trees = res.instance.trial_trees
+    twins = [m for m in trees if g.root in m and m - {g.root} in trees]
+    assert twins and all(trees[m] == trees[m - {g.root}] for m in twins)
+    digest = hashlib.sha256(report_bytes(build_report("pinned", res))).hexdigest()
+    assert digest == "5f0a4521ad999d3383e3636e17aa7cda907aa34a0ab037dd6d1f4f8538ef3985"
 
 
 def test_reports_byte_identical_for_same_seed(tmp_path):

@@ -10,10 +10,13 @@ from onetree import (
     make_instance,
     route,
 )
+from onetree.builder import optimal_parameters
+from onetree.cli import solve_instance
 from onetree.corpus import random_instance
 from onetree.layers import compute_K
+from onetree.ssrob import ExactSolver, SampleAugmentSolver
 
-from helpers import subset_spanning_trees
+from helpers import oracle_n14_instances, subset_spanning_trees
 
 
 def test_route_path_flows(path3):
@@ -164,3 +167,31 @@ def test_root_incident_flow_sums_to_total_demand():
 def test_basis_threshold_values():
     assert basis_threshold(0, 0.5) == 1.0
     assert basis_threshold(3, 1.0) == 8.0
+
+
+def _cost_in_edge_id_order(tree, threshold):
+    total = 0.0
+    for eid, flow in sorted(zip(tree.edge_ids, tree.flows)):
+        total += tree.instance.edge_by_id[eid].length * min(flow, threshold)
+    return total
+
+
+def test_memoized_costs_equal_a_fresh_sum_bit_for_bit():
+    # every tree the pipeline and the oracle keep on an oracle_n14 graph:
+    # each cost basis_cost kept, and its answer at every threshold, must be
+    # the edge-id-order sum bit for bit, whatever was asked before
+    g = oracle_n14_instances([1])[0]
+    params = optimal_parameters(lambda_descriptor="heuristic(trials=32)", eps=0.1)
+    res = solve_instance(g, params, SampleAugmentSolver(trials=32), oracle=ExactSolver())
+    setup = g.oracle_setup[0]
+    trees = {id(t): t for t in (*res.layers.trees, res.result.tree, *g.trial_trees.values(),
+                                *setup.answers.values(), *setup.trees.values())}
+    assert len(trees) > 30 and res.ratio is not None, len(trees)
+    for tree in trees.values():
+        for m in res.layers.thresholds:
+            assert basis_cost(tree, m).hex() == _cost_in_edge_id_order(tree, m).hex()
+        assert len(tree.costs) >= len(res.layers.thresholds)
+        for m, cost in tree.costs.items():
+            assert cost.hex() == _cost_in_edge_id_order(tree, m).hex()
+        fresh = _cost_in_edge_id_order(tree, 3.0).hex()
+        assert basis_cost(tree, 3).hex() == basis_cost(tree, 3.0).hex() == fresh
