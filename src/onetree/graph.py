@@ -106,12 +106,19 @@ class Instance(Lookups):
         return {}
 
     @cached_property
+    def routed_trees(self) -> dict[frozenset[int], RoutedTree]:
+        """Memo of ``routing.route`` by edge set: one valid routed tree, and so
+        one cost memo, per distinct set of edge ids, whichever caller asks."""
+        return {}
+
+    @cached_property
     def trial_trees(self) -> dict[frozenset[int], RoutedTree]:
         """Memo of the sample-and-augment trial tree by marked set of demand
         vertices; see ssrob. A pipeline run of K+1 thresholds and T trials
-        holds at most min((K+1)·T, (K+T)·(d+1)) of them, d demand vertices: a
+        holds at most min((K+1)·T, (K+T)·(d+1)) keys, d demand vertices: a
         seed's marked set only shrinks as the threshold grows, and the run
-        draws from K+T seeds."""
+        draws from K+T seeds. Marked sets whose trials build one edge set
+        share its tree from ``routed_trees``."""
         return {}
 
     @cached_property

@@ -73,8 +73,14 @@ def route(g: Instance, edge_ids: Iterable[int]) -> RoutedTree:
     One breadth-first walk checks the first: it lays one edge per vertex it
     reaches, so any edge left over closes a cycle in the root's component
     or lies off it, and the error names whichever the leftovers show.
+    A valid tree is kept in ``g.routed_trees`` by its edge set, so every later
+    call for that set returns the same object; an invalid set raises again.
     """
-    ids = tuple(sorted(set(edge_ids)))
+    key = frozenset(edge_ids)
+    tree = g.routed_trees.get(key)
+    if tree is not None:
+        return tree
+    ids = tuple(sorted(key))
     by_id = g.edge_by_id
     edges = []
     for eid in ids:
@@ -93,7 +99,8 @@ def route(g: Instance, edge_ids: Iterable[int]) -> RoutedTree:
             raise InvalidTreeError(f"demand vertex not spanned: {v}")
 
     flows = compute_flows(order, g.demands)
-    return RoutedTree(instance=g, edge_ids=ids, flows=tuple(flows[eid] for eid in ids))
+    tree = g.routed_trees[key] = RoutedTree(g, ids, tuple(flows[eid] for eid in ids))
+    return tree
 
 
 def basis_cost(tree: RoutedTree, threshold: float) -> float:

@@ -43,8 +43,8 @@ Two interchangeable solvers, both deterministic given a seed:
   threshold index i gets seed + i and its trial t draws from
   ``random.Random(seed + i + t)``, so K+1 indices of T trials use only K+T
   streams. A stream's marked set only shrinks as the threshold grows, so
-  over d demand vertices a run routes at most min((K+1)·T, (K+T)·(d+1))
-  distinct trial trees, one per marked set.
+  over d demand vertices a run builds at most min((K+1)·T, (K+T)·(d+1))
+  trial trees, one per marked set, and routes each distinct edge set once.
 """
 
 from __future__ import annotations
@@ -368,8 +368,10 @@ def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int
     """Steiner tree over ``terminals`` by the metric-closure MST approximation.
 
     MST of the complete terminal graph under shortest-path distances, paths
-    expanded back into the instance, cycles broken by dropping the longest
-    redundant edge (an MST pass over the expanded edge union).
+    expanded back into the instance. The expanded union is connected, so it
+    is returned as it is when it has one edge fewer than vertices, a tree;
+    only a union that closes a cycle takes an MST pass, which drops the
+    longest redundant edges.
     """
     terms = sorted(terminals)
     if len(terms) <= 1:
@@ -398,7 +400,9 @@ def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int
         if joined == len(terms):
             break
 
-    touched = tree_vertices(g.root, union_edges.values())
+    touched = tree_vertices(terms[0], union_edges.values())
+    if len(union_edges) == len(touched) - 1:
+        return frozenset(union_edges)
     reduced, _ = minimum_spanning_forest(touched, union_edges.values())
     return frozenset(e.eid for e in reduced)
 
@@ -461,7 +465,8 @@ def _trial_tree(g: Instance, marked: frozenset[int]) -> RoutedTree:
     core over them and the root, plus rent paths into it. Memoized on the
     instance by marked set, which the trials of nearby thresholds draw again
     and again; with demand on the root, a set with the root and the same set
-    without it share one tree under two keys."""
+    without it share one tree under two keys. Marked sets that build one
+    edge set share one routed tree: ``route`` keeps it by edge set."""
     memo = g.trial_trees
     tree = memo.get(marked)
     if tree is None:

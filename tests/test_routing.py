@@ -177,21 +177,42 @@ def _cost_in_edge_id_order(tree, threshold):
 
 
 def test_memoized_costs_equal_a_fresh_sum_bit_for_bit():
-    # every tree the pipeline and the oracle keep on an oracle_n14 graph:
-    # each cost basis_cost kept, and its answer at every threshold, must be
-    # the edge-id-order sum bit for bit, whatever was asked before
-    g = oracle_n14_instances([1])[0]
+    # every tree the pipeline and the oracle keep on the seed-1 oracle_n14
+    # graphs: route shares one tree per edge set, and each cost basis_cost
+    # kept, and its answer at every threshold, must be the edge-id-order sum
+    # bit for bit, whatever was asked before
     params = optimal_parameters(lambda_descriptor="heuristic(trials=32)", eps=0.1)
-    res = solve_instance(g, params, SampleAugmentSolver(trials=32), oracle=ExactSolver())
-    setup = g.oracle_setup[0]
-    trees = {id(t): t for t in (*res.layers.trees, res.result.tree, *g.trial_trees.values(),
-                                *setup.answers.values(), *setup.trees.values())}
-    assert len(trees) > 30 and res.ratio is not None, len(trees)
-    for tree in trees.values():
-        for m in res.layers.thresholds:
-            assert basis_cost(tree, m).hex() == _cost_in_edge_id_order(tree, m).hex()
-        assert len(tree.costs) >= len(res.layers.thresholds)
-        for m, cost in tree.costs.items():
-            assert cost.hex() == _cost_in_edge_id_order(tree, m).hex()
-        fresh = _cost_in_edge_id_order(tree, 3.0).hex()
-        assert basis_cost(tree, 3).hex() == basis_cost(tree, 3.0).hex() == fresh
+    for g in oracle_n14_instances([1]):
+        res = solve_instance(g, params, SampleAugmentSolver(trials=32), oracle=ExactSolver())
+        setup = g.oracle_setup[0]
+        trees = {id(t): t for t in (*res.layers.trees, res.result.tree, *g.trial_trees.values(),
+                                    *setup.answers.values(), *setup.trees.values())}
+        assert res.ratio is not None
+        assert len(trees) == len({t.edge_ids for t in trees.values()}) > 1, len(trees)
+        for tree in trees.values():
+            assert g.routed_trees[frozenset(tree.edge_ids)] is tree
+            for m in res.layers.thresholds:
+                assert basis_cost(tree, m).hex() == _cost_in_edge_id_order(tree, m).hex()
+            assert len(tree.costs) >= len(res.layers.thresholds)
+            for m, cost in tree.costs.items():
+                assert cost.hex() == _cost_in_edge_id_order(tree, m).hex()
+            fresh = _cost_in_edge_id_order(tree, 3.0).hex()
+            assert basis_cost(tree, 3).hex() == basis_cost(tree, 3.0).hex() == fresh
+
+
+def test_route_returns_one_tree_per_edge_set():
+    edges = [(0, 1, 1), (1, 2, 2), (0, 3, 1), (2, 3, 4)]
+    g = make_instance(4, edges, 0, {2: 3, 3: 1})
+    first = route(g, [2, 0, 1])
+    for ids in ((1, 0, 2, 0, 1), (eid for eid in (0, 2, 1)), frozenset({0, 1, 2})):
+        assert route(g, ids) is first
+    assert list(g.routed_trees.values()) == [first]
+    other = route(make_instance(4, edges, 0, {2: 3, 3: 1}), [0, 1, 2])
+    assert other is not first
+    assert (other.edge_ids, other.flows) == (first.edge_ids, first.flows)
+    for _ in range(2):
+        with pytest.raises(InvalidTreeError, match="cyclic"):
+            route(g, [0, 1, 2, 3])
+        with pytest.raises(InvalidTreeError, match="demand vertex not spanned: 3"):
+            route(g, [0, 1])
+    assert g.routed_trees == {frozenset({0, 1, 2}): first}

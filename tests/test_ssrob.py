@@ -25,6 +25,7 @@ from onetree import (
 from onetree import ssrob
 from onetree.cli import solve_instance
 from onetree.corpus import random_instance
+from onetree.graph import minimum_spanning_forest
 from onetree.layers import compute_K
 from onetree.routing import basis_threshold
 from onetree.ssrob import (
@@ -647,6 +648,32 @@ def test_repeated_marked_sets_route_once(monkeypatch):
     assert len(marked) > 1
     assert calls == {"route": len(marked), "core": len(marked)}
     assert len(g.trial_trees) == len(marked)
+    trees = g.trial_trees.values()
+    assert len({id(t) for t in trees}) == len({t.edge_ids for t in trees})
+
+    # on this oracle_n14 graph the pipeline's 32 marked sets build 2 edge
+    # sets: each edge set is routed once, and its marked sets share the tree
+    g = oracle_n14_instances([1])[0]
+    params = optimal_parameters(lambda_descriptor="heuristic(trials=32)", eps=0.1)
+    solve_instance(g, params, SampleAugmentSolver(trials=32))
+    trees = g.trial_trees.values()
+    edge_sets = {t.edge_ids for t in trees}
+    assert len(trees) > len(edge_sets) > 1
+    assert len({id(t) for t in trees}) == len(edge_sets)
+
+
+def test_steiner_core_breaks_a_cycle_its_paths_close():
+    # 1-2-3 and 1-3 tie at length 2, and each search breaks the tie on the
+    # smaller predecessor id: the closure path 5-1-2-3-4 comes from 4's
+    # tree and 4-3-1-0 from 0's, so their union closes the cycle 1-2-3,
+    # which the core's MST pass must break; every demand vertex is marked
+    # at threshold 1, so the solver's tree is that core
+    edges = [(1, 2, 1), (2, 3, 1), (1, 3, 2), (1, 0, 4), (3, 4, 1), (1, 5, 3)]
+    g = make_instance(6, edges, 0, {4: 1, 5: 1})
+    core = ssrob._steiner_core_edges(g, frozenset({0, 4, 5}))
+    reduced, _ = minimum_spanning_forest(range(6), g.edges)  # the union: every edge
+    assert core == frozenset(e.eid for e in reduced) == {0, 1, 3, 4, 5}
+    assert sample_and_augment(g, 1.0).edge_ids == (0, 1, 3, 4, 5)
 
 
 def _fresh(g):
