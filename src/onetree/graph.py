@@ -265,8 +265,15 @@ def shortest_path_tree(g: Graph, source: int | frozenset[int]) -> PathTree:
     only when it beats the label, and never for a settled vertex, so the
     heap pops that least entry first and the first pop is final. The index
     order is the id order (SUPERNODE first in a contraction), so an entry
-    tie that reaches the index, as the merged source's members do, resolves
-    as it would on ids.
+    tie that reaches the index resolves as it would on ids.
+
+    The source's members are settled before the heap loop, at distance 0,
+    with their edges relaxed in index order. That is the search that starts
+    with one (0.0, SUPERNODE - 1, -1, index) entry per member: every length
+    is positive, so those entries are the least the heap ever holds, pop
+    first and in index order, and push no entry for another member. So no
+    member enters the heap, and the labels and the settle order are the
+    same.
     """
     ids, index, adj = g.adjacency
     if isinstance(source, frozenset):
@@ -279,9 +286,18 @@ def shortest_path_tree(g: Graph, source: int | frozenset[int]) -> PathTree:
     done = [False] * len(ids)
     # (INF, INF) compares above every entry: no label yet
     label: list[tuple] = [(INF, INF)] * len(ids)
-    heap = sorted((0.0, SUPERNODE - 1, -1, index[s]) for s in members)
-    for entry in heap:
-        label[entry[3]] = entry
+    starts = sorted(index[s] for s in members)
+    for i in starts:
+        done[i] = True
+        dist[i] = 0.0
+    heap: list[tuple] = []
+    for i in starts:
+        for w, length, e in adj[i]:
+            if not done[w]:
+                cand = (length, name, e, w)
+                if cand < label[w]:
+                    label[w] = cand
+                    heappush(heap, cand)
     pred: dict[int, tuple[int, int]] = {}
     while heap:
         d, p, eid, i = heappop(heap)
@@ -290,14 +306,10 @@ def shortest_path_tree(g: Graph, source: int | frozenset[int]) -> PathTree:
         done[i] = True
         dist[i] = d
         v = ids[i]
-        if v in members:
-            via = name
-        else:
-            pred[v] = (p, eid)
-            via = v
+        pred[v] = (p, eid)
         for w, length, e in adj[i]:
             if not done[w]:
-                cand = (d + length, via, e, w)
+                cand = (d + length, v, e, w)
                 if cand < label[w]:
                     label[w] = cand
                     heappush(heap, cand)

@@ -411,15 +411,21 @@ def _demand_paths(
     g: Instance, tree: PathTree, source: int, skip: Container[int]
 ) -> frozenset[int]:
     """Edges of the shortest-path ``tree`` paths to ``source`` (a vertex or
-    SUPERNODE) from every demand vertex of ``g`` not in ``skip``."""
+    SUPERNODE) from every demand vertex of ``g`` not in ``skip``. Each walk
+    stops at the first vertex an earlier walk reached, whose path on to
+    ``source`` is already picked."""
     dist, pred = tree
     picked: set[int] = set()
+    reached = {source}
     for v, _amount in g.demand_items:
         if v in skip:
             continue
         if dist.get(v, INF) == INF:
             raise InstanceError(f"disconnected demand: vertex {v} is unreachable from the root")
-        picked.update(_path_edges(pred, v, source))
+        while v not in reached:
+            reached.add(v)
+            v, eid = pred[v]
+            picked.add(eid)
     return frozenset(picked)
 
 
@@ -427,9 +433,12 @@ def _rent_paths(g: Instance, core_edge_ids: frozenset[int]) -> frozenset[int]:
     """Shortest-path edges connecting every off-core demand to the core.
 
     The core is searched as one merged source, which gives the paths of a
-    search from SUPERNODE in ``contract(g, core)`` without building it.
+    search from SUPERNODE in ``contract(g, core)`` without building it. A
+    core that holds every demand vertex rents nothing, so it is not searched.
     """
     core = frozenset(tree_vertices(g.root, (g.edge_by_id[eid] for eid in core_edge_ids)))
+    if g.demands.keys() <= core:
+        return frozenset()
     return _demand_paths(g, shortest_path_tree(g, core), SUPERNODE, core)
 
 
@@ -492,9 +501,10 @@ def sample_and_augment(
 
     Degenerate thresholds are handled deterministically: threshold >= total
     demand reduces to shortest-path routing, threshold <= 1 to the Steiner
-    core over all demand vertices.
+    core over all demand vertices. A threshold below 1 or NaN, or fewer than
+    one trial, raises ConfigError.
     """
-    if threshold < 1.0:
+    if not threshold >= 1.0:
         raise ConfigError("threshold must be >= 1")
     if trials < 1:
         raise ConfigError("trials must be >= 1")

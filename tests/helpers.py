@@ -10,7 +10,7 @@ flows, keeping the least edge-id tuple per class. :func:`exact_cost` costs
 a tree in rational arithmetic, so that a test can ask for the least cost
 exactly, whatever order a float sum takes. The numeric parameter optimizer
 checks the closed form in :func:`onetree.optimal_parameters` without using
-it. :func:`oracle_n14_instances` gives the benchmark's own oracle graphs.
+it. :func:`workload_instances` gives the benchmark's own graphs.
 :func:`reference_sample_and_augment` is the plain form of the package's
 sample-and-augment solver, which the faster one must match tree for tree,
 and :func:`reference_K` the loop that the closed form of ``compute_K`` must
@@ -162,15 +162,15 @@ def reference_flow_classes(
     return classes
 
 
-def oracle_n14_instances(seeds: Iterable[int]) -> list[Instance]:
-    """The ``oracle_n14`` benchmark graphs of ``seeds``, made by the
+def workload_instances(name: str, seeds: Iterable[int]) -> list[Instance]:
+    """The graphs of benchmark workload ``name`` at ``seeds``, made by the
     benchmark's own stdlib-only generator, ``perfbench/workloads.py``."""
-    name = "perfbench_workloads"
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+    module = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(module, PERFBENCH / "workloads.py")
     # dataclasses look their module up by name while the module runs
-    workloads = sys.modules[name] = importlib.util.module_from_spec(spec)
+    workloads = sys.modules[module] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    w = workloads.WORKLOADS["oracle_n14"]
+    w = workloads.WORKLOADS[name]
     graphs = []
     for seed in seeds:
         rng = random.Random(f"{w.name}:{seed}")

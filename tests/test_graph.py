@@ -1,5 +1,6 @@
 import math
 import random
+from heapq import heappop
 
 import pytest
 
@@ -8,16 +9,21 @@ from onetree import (
     DisconnectedError,
     InstanceError,
     ParseError,
+    SampleAugmentSolver,
     contract,
+    graph,
     load_instance,
     make_instance,
     minimum_spanning_tree,
+    optimal_parameters,
     shortest_path_tree,
+    ssrob,
 )
+from onetree.cli import solve_instance
 from onetree.corpus import instance_text, random_instance
-from onetree.graph import tree_distances
+from onetree.graph import tree_distances, tree_vertices
 
-from helpers import brute_min_cost, reference_shortest_path_tree
+from helpers import brute_min_cost, reference_shortest_path_tree, workload_instances
 
 PATH3_TEXT = """\
 # tiny path
@@ -264,6 +270,48 @@ def test_search_matches_reference_from_merged_sets():
         g = _rounding_instance(rng) if k % 2 else random_instance(rng, n_max=12, max_length=3)
         merged = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
         _assert_same_search(g, merged)
+
+
+def test_search_pops_no_source_member(monkeypatch):
+    # the source's members are settled before the heap loop, so none of
+    # them is ever pushed, and so none is popped
+    popped = []
+
+    def recording(heap):
+        entry = heappop(heap)
+        popped.append(entry)
+        return entry
+
+    monkeypatch.setattr(graph, "heappop", recording)
+    rng = random.Random(37)
+    for k in range(300):
+        g = _rounding_instance(rng) if k % 2 else random_instance(rng, n_max=12, max_length=3)
+        merged = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        for source in (merged, rng.randrange(g.n)):
+            members = merged if source is merged else {source}
+            popped.clear()
+            _dist, pred = shortest_path_tree(g, source)
+            assert not any(i in members for *_, i in popped), source
+            assert len(popped) >= len(pred)
+
+
+def test_search_matches_reference_on_sa_mid_rent_searches(monkeypatch):
+    # every core the seed-1 sa_mid pipeline rents into, searched as one
+    # merged source on its n=200 graph: 150 cores of 1 to 52 vertices
+    (g,) = workload_instances("sa_mid", [1])
+    cores = []
+    rent_paths = ssrob._rent_paths
+
+    def recording(h, core_edge_ids):
+        cores.append(frozenset(tree_vertices(h.root, map(h.edge_by_id.get, core_edge_ids))))
+        return rent_paths(h, core_edge_ids)
+
+    monkeypatch.setattr(ssrob, "_rent_paths", recording)
+    params = optimal_parameters(lambda_descriptor="heuristic(trials=8)", eps=0.1)
+    solve_instance(g, params, SampleAugmentSolver(trials=8))
+    assert (len(cores), min(map(len, cores)), max(map(len, cores))) == (150, 1, 52)
+    for core in set(cores):
+        _assert_same_search(g, core)
 
 
 def test_search_matches_reference_on_contractions():

@@ -16,7 +16,7 @@ from onetree.corpus import random_instance
 from onetree.layers import compute_K
 from onetree.ssrob import ExactSolver, SampleAugmentSolver
 
-from helpers import oracle_n14_instances, subset_spanning_trees
+from helpers import subset_spanning_trees, workload_instances
 
 
 def test_route_path_flows(path3):
@@ -182,7 +182,7 @@ def test_memoized_costs_equal_a_fresh_sum_bit_for_bit():
     # kept, and its answer at every threshold, must be the edge-id-order sum
     # bit for bit, whatever was asked before
     params = optimal_parameters(lambda_descriptor="heuristic(trials=32)", eps=0.1)
-    for g in oracle_n14_instances([1]):
+    for g in workload_instances("oracle_n14", [1]):
         res = solve_instance(g, params, SampleAugmentSolver(trials=32), oracle=ExactSolver())
         setup = g.oracle_setup[0]
         trees = {id(t): t for t in (*res.layers.trees, res.result.tree, *g.trial_trees.values(),

@@ -41,11 +41,11 @@ from helpers import (
     count_spanning_trees,
     exact_cost,
     least_exact_cost,
-    oracle_n14_instances,
     reference_flow_classes,
     reference_marking,
     reference_sample_and_augment,
     subset_spanning_trees,
+    workload_instances,
 )
 
 
@@ -308,7 +308,7 @@ def test_edge_order_does_not_change_answers():
     # on the corpus and the oracle_n14 graphs; only where flow classes tie
     # may it pick another tree
     rng = random.Random(31337)
-    for g in _enumeration_corpus(150) + oracle_n14_instances([1, 2, 3]):
+    for g in _enumeration_corpus(150) + workload_instances("oracle_n14", [1, 2, 3]):
         if not _spans_demand(g):
             continue
         shuffled = list(g.edges)
@@ -653,7 +653,7 @@ def test_repeated_marked_sets_route_once(monkeypatch):
 
     # on this oracle_n14 graph the pipeline's 32 marked sets build 2 edge
     # sets: each edge set is routed once, and its marked sets share the tree
-    g = oracle_n14_instances([1])[0]
+    g = workload_instances("oracle_n14", [1])[0]
     params = optimal_parameters(lambda_descriptor="heuristic(trials=32)", eps=0.1)
     solve_instance(g, params, SampleAugmentSolver(trials=32))
     trees = g.trial_trees.values()
@@ -693,7 +693,7 @@ def test_repeated_oracle_supports_route_once(monkeypatch):
     # is never stored, so that solve routes again each time
     routed = []
     monkeypatch.setattr(ssrob, "route", lambda g, eids: routed.append(g) or route(g, eids))
-    g = oracle_n14_instances([1])[2]
+    g = workload_instances("oracle_n14", [1])[2]
     ladder = basis_grid(g, 0.25)
     combinations = [((m,), (1.0,)) for m in ladder + ladder[::-1]]
     combinations.append((ladder[::4], (0.5, 0.0, 2.0, 1.25, 0.75)))
@@ -729,7 +729,7 @@ def test_oracle_answers_do_not_depend_on_call_order():
     # below the least demand fold to ones, so every such threshold gets one
     # answer whichever asks first
     rng = random.Random(21)
-    for g in oracle_n14_instances([1]):
+    for g in workload_instances("oracle_n14", [1]):
         grid = basis_grid(g, 0.1)
         shuffled = rng.sample(grid, len(grid))
         want = {m: exact_ssrob(_fresh(g), m) for m in grid}
@@ -760,7 +760,7 @@ def test_subset_dp_runs_once_per_weight_vector(monkeypatch):
     dp = ssrob._subset_dp
     monkeypatch.setattr(ssrob, "_subset_dp", lambda *a: calls.append(1) or dp(*a))
     params = optimal_parameters(eps=0.1)
-    for g in oracle_n14_instances([1]):
+    for g in workload_instances("oracle_n14", [1]):
         assert len(_weight_vectors(g, basis_grid(g, 0.1))) == 19
         for solver in (SampleAugmentSolver(), ExactSolver()):
             calls.clear()
@@ -820,6 +820,14 @@ def test_rent_paths_search_from_core_vertex_set(monkeypatch):
     assert _rent_paths(g, frozenset({0})) == {2, 3}
     assert _rent_paths(g, frozenset({1})) == {2, 3}
     assert searches == [frozenset({0, 1})] * 2
+    # a core holding every demand vertex rents nothing and is not searched,
+    # also when the demand sits on the root, which every core holds
+    assert _rent_paths(g, frozenset({0, 2, 3})) == frozenset()
+    on_root = make_instance(3, [(0, 1, 1), (1, 2, 1)], 2, {1: 4, 2: 1})
+    assert _rent_paths(on_root, frozenset({1})) == frozenset()
+    only_root = make_instance(2, [(0, 1, 1)], 0, {0: 3})
+    assert _rent_paths(only_root, frozenset()) == frozenset()
+    assert searches == [frozenset({0, 1})] * 2
 
 
 def test_rent_paths_name_single_vertex_core_supernode():
@@ -844,10 +852,15 @@ def test_sample_augment_degenerate_high_threshold(path3):
 
 
 def test_sample_augment_validates_inputs(path3):
-    with pytest.raises(ConfigError):
-        sample_and_augment(path3, 0.5)
+    for bad in (0.5, math.nan):
+        with pytest.raises(ConfigError):
+            sample_and_augment(path3, bad)
+        with pytest.raises(ConfigError):
+            SampleAugmentSolver(trials=4).solve(path3, bad)
     with pytest.raises(ConfigError):
         sample_and_augment(path3, 2.0, trials=0)
+    # an infinite threshold is no error: it routes by shortest paths
+    assert sample_and_augment(path3, math.inf).edge_ids == (0, 1)
 
 
 def test_sample_augment_deterministic(cycle4):
