@@ -181,14 +181,16 @@ def _acyclic_support(
     A push of δ units around a cycle keeps each edge's flow on its side of 0
     for δ in some [lo, hi]; there the cost, a sum of concave functions of δ,
     is least at an end, so the push goes to the cheaper end (ties to lo),
-    which empties an edge and costs no more. The support left is a forest in
-    which every edge carries demand to the root.
+    which empties an edge and costs no more. An end may be infinite, when
+    every edge runs one way round the cycle: each flow grows toward it, so
+    the push goes to the finite end. The support left is a forest in which
+    every edge carries demand to the root.
     """
     flow = {eid: f for eid, f in flow.items() if f}
     while cycle := _first_cycle(g, list(flow)):
         agree = [abs(flow[eid]) for eid, d in cycle if (flow[eid] > 0) == (d > 0)]
         against = [abs(flow[eid]) for eid, d in cycle if (flow[eid] > 0) != (d > 0)]
-        pushes = [-min(agree)] * bool(agree) + [min(against)] * bool(against)
+        pushes = ([-min(agree)] if agree else []) + ([min(against)] if against else [])
 
         def cost(delta: int) -> float:
             return sum(
@@ -368,37 +370,29 @@ def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int
     """Steiner tree over ``terminals`` by the metric-closure MST approximation.
 
     MST of the complete terminal graph under shortest-path distances, paths
-    expanded back into the instance. The expanded union is connected, so it
-    is returned as it is when it has one edge fewer than vertices, a tree;
-    only a union that closes a cycle takes an MST pass, which drops the
-    longest redundant edges.
+    expanded back into the instance. Pair a < b has key (d, a, b), with d and
+    b's path to a read in a's tree. The keys are distinct, so the MST is
+    unique, and dense Prim finds the tree that Kruskal over sorted keys finds.
+    The expanded union is connected: a tree is returned as it is, and only a
+    union that closes a cycle takes an MST pass, which drops redundant edges.
     """
     terms = sorted(terminals)
     if len(terms) <= 1:
         return frozenset()
     trees = {t: _source_tree(g, t) for t in terms}
-    closure: list[tuple[float, int, int]] = []
-    for i, a in enumerate(terms):
-        dist_a = trees[a][0]
-        for b in terms[i + 1 :]:
-            d = dist_a[b]
-            if d == INF:
-                raise InstanceError(f"terminals {a} and {b} are not connected")
-            closure.append((d, a, b))
-    closure.sort()
-
-    by_id = g.edge_by_id
-    uf = UnionFind(terms)
+    best = {b: (trees[terms[0]][0][b], terms[0], b) for b in terms[1:]}
     union_edges: dict[int, Edge] = {}
-    joined = 1
-    for _d, a, b in closure:
-        if not uf.union(a, b):
-            continue
-        joined += 1
+    while best:
+        c = min(best, key=best.__getitem__)
+        d, a, b = best.pop(c)
+        if d == INF:
+            raise InstanceError(f"terminals {a} and {b} are not connected")
         for eid in _path_edges(trees[a][1], b, a):
-            union_edges[eid] = by_id[eid]
-        if joined == len(terms):
-            break
+            union_edges[eid] = g.edge_by_id[eid]
+        for x, key in best.items():
+            pair = (trees[c][0][x], c, x) if c < x else (trees[x][0][c], x, c)
+            if pair < key:
+                best[x] = pair
 
     touched = tree_vertices(terms[0], union_edges.values())
     if len(union_edges) == len(touched) - 1:

@@ -162,14 +162,25 @@ def reference_flow_classes(
     return classes
 
 
-def workload_instances(name: str, seeds: Iterable[int]) -> list[Instance]:
-    """The graphs of benchmark workload ``name`` at ``seeds``, made by the
-    benchmark's own stdlib-only generator, ``perfbench/workloads.py``."""
+def _workloads():
+    """``perfbench/workloads.py``, the benchmark's stdlib-only generator."""
     module = "perfbench_workloads"
     spec = importlib.util.spec_from_file_location(module, PERFBENCH / "workloads.py")
     # dataclasses look their module up by name while the module runs
     workloads = sys.modules[module] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def workload(name: str):
+    """Benchmark workload ``name``'s settings: its ``eps``, ``trials``, ..."""
+    return _workloads().WORKLOADS[name]
+
+
+def workload_instances(name: str, seeds: Iterable[int]) -> list[Instance]:
+    """The graphs of benchmark workload ``name`` at ``seeds``, made by the
+    benchmark's own generator."""
+    workloads = _workloads()
     w = workloads.WORKLOADS[name]
     graphs = []
     for seed in seeds:

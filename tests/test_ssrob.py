@@ -10,6 +10,7 @@ import pytest
 from onetree import (
     ConfigError,
     ExactSolver,
+    InstanceError,
     InvalidTreeError,
     OracleLimitError,
     SampleAugmentSolver,
@@ -45,6 +46,7 @@ from helpers import (
     reference_marking,
     reference_sample_and_augment,
     subset_spanning_trees,
+    workload,
     workload_instances,
 )
 
@@ -521,6 +523,18 @@ def test_cycle_in_the_path_union_is_cancelled(monkeypatch):
     assert exact_cost(tree, (8.0,), (1.0,)) == want
 
 
+def test_one_way_cycle_is_cancelled_to_its_bounded_end():
+    # every edge of the triangle runs with the cycle, so only a push against
+    # it is bounded, and that push empties all three edges. In the exact
+    # solve, the winning sends close such a cycle at threshold 0
+    g = make_instance(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)], 0, {1: 1})
+    assert ssrob._acyclic_support(g, {0: 1, 1: 1, 2: 1}, lambda x: x) == frozenset()
+    edges = [(0, 1, 1), (1, 2, 1), (0, 3, 3), (0, 4, 1), (0, 2, 2), (2, 3, 1)]
+    g = make_instance(5, edges, 3, {0: 1, 1: 1, 2: 1})
+    tree = exact_ssrob(g, 0.0)
+    assert len(tree.edge_ids) == 4 and basis_cost(tree, 0.0) == 0.0
+
+
 def _sparse_instance(seed: int, n: int = 20, m: int = 32, demand_vertices: int = 6):
     """A random tree rooted at 0, each vertex hung below a smaller one, plus
     random extra edges up to m, with demand on random non-root vertices."""
@@ -616,6 +630,28 @@ def test_sample_augment_ladder_matches_reference():
             got = sample_and_augment(g, m, seed=k + i, trials=32)
             want = reference_sample_and_augment(g, m, seed=k + i, trials=32)
             assert got.edge_ids == want.edge_ids, (k, i)
+
+
+@pytest.mark.parametrize("name", ["sa_mid", "huge_demand", "oracle_n14"])
+def test_sample_augment_workload_ladders_match_reference(name):
+    # every threshold of a workload's seed-1 ladder, solved in the
+    # pipeline's order with its seeds and trials, gives the reference's tree;
+    # the reference keeps no memo and joins its core by a sorted Kruskal
+    # closure, an independent check of the memos and of the Prim closure
+    w = workload(name)
+    for g in workload_instances(name, [1]):
+        for i, m in enumerate(basis_grid(g, w.eps)):
+            got = sample_and_augment(g, m, seed=i, trials=w.trials)
+            want = reference_sample_and_augment(g, m, seed=i, trials=w.trials)
+            assert got.edge_ids == want.edge_ids, (name, i)
+
+
+def test_disconnected_terminals_are_refused():
+    # demand vertex 3 lies off the root's component, so the core over every
+    # demand vertex finds a pair of terminals with no path between them
+    g = make_instance(4, [(0, 1, 1), (2, 3, 1)], 0, {1: 1, 3: 1})
+    with pytest.raises(InstanceError, match=r"^terminals \d+ and \d+ are not connected$"):
+        sample_and_augment(g, 1.0)
 
 
 def test_repeated_marked_sets_route_once(monkeypatch):
