@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
 )
 from .evaluate import RatioReport, simultaneous_ratio
-from .graph import Instance, load_instance
+from .graph import Instance, load_instance, tree_vertices
 from .layers import LayerSet, compute_layers, verify_layerset
 from .ssrob import ExactSolver, get_solver
 
@@ -312,7 +312,7 @@ def dot_text(res: PipelineResult) -> str:
             round_of[eid] = position
     lines = ["graph onetree {"]
     demands = g.demands
-    for v in sorted(tree.vertices):
+    for v in sorted(tree_vertices(g.root, tree.edges)):
         if v == g.root:
             lines.append(f'  {v} [shape=doublecircle, label="{v} (root)"];')
         elif v in demands:

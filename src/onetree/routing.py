@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidTreeError
-from .graph import Edge, Instance, tree_order, tree_vertices
+from .graph import Edge, Instance, tree_order
 
 
 def basis_threshold(index: int, eps: float) -> float:
@@ -40,10 +40,6 @@ class RoutedTree:
     @cached_property
     def costs(self) -> dict[float, float]:
         return {}
-
-    @cached_property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(tree_vertices(self.instance.root, self.edges))
 
     @property
     def total_length(self) -> float:
@@ -118,40 +114,33 @@ def basis_cost(tree: RoutedTree, threshold: float) -> float:
 class RentBuyDecomposition(NamedTuple):
     """Split of a routed tree at one basis threshold.
 
-    Edges at or above the threshold are bought (their plain lengths sum to
-    ``buy_cost``); the rest are rented at flow-weighted cost ``rent_cost``.
-    The core is the root plus every endpoint of a bought edge.
+    Edges whose flow is at or above the threshold are bought, at their plain
+    lengths summed in ``buy_cost``; the rest are rented at flow-weighted cost
+    ``rent_cost``. The core is the root plus every endpoint of a bought edge.
     """
 
-    bought: frozenset[int]
     rent_cost: float
     buy_cost: float
     core: frozenset[int]
 
 
 def decompose(tree: RoutedTree, threshold: float) -> RentBuyDecomposition:
-    """Classify each edge as bought (flow >= threshold) or rented.
+    """Split ``tree`` at ``threshold``: an edge is bought when its flow is
+    at or above the threshold, and rented otherwise.
 
     Flows are exact integers, so the boundary test is exact whenever the
     threshold is an integer; otherwise a 1e-12 relative band below the
     threshold still counts as bought, guarding float error in (1+eps)**i.
     """
     cutoff = threshold if threshold == math.floor(threshold) else threshold * (1.0 - 1e-12)
-    bought: list[int] = []
     rent_cost = 0.0
     buy_cost = 0.0
     core = {tree.instance.root}
     for e, flow in zip(tree.edges, tree.flows):
         if flow >= cutoff:
-            bought.append(e.eid)
             buy_cost += e.length
             core.add(e.u)
             core.add(e.v)
         else:
             rent_cost += e.length * flow
-    return RentBuyDecomposition(
-        bought=frozenset(bought),
-        rent_cost=rent_cost,
-        buy_cost=buy_cost,
-        core=frozenset(core),
-    )
+    return RentBuyDecomposition(rent_cost, buy_cost, frozenset(core))

@@ -54,7 +54,7 @@ import random
 from functools import lru_cache
 from itertools import compress
 from operator import lt
-from typing import Callable, Container, Iterator, NamedTuple, Sequence
+from typing import Callable, Container, NamedTuple, Sequence
 
 import numpy as np
 
@@ -358,16 +358,11 @@ def _source_tree(g: Instance, source: int) -> PathTree:
     return tree
 
 
-def _path_edges(pred: dict[int, tuple[int, int]], start: int, stop: int) -> Iterator[int]:
-    """Edge ids of the shortest-path tree path ``pred`` walks from ``start``
-    back to ``stop``."""
-    while start != stop:
-        start, eid = pred[start]
-        yield eid
-
-
-def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int]:
-    """Steiner tree over ``terminals`` by the metric-closure MST approximation.
+def _steiner_core(
+    g: Instance, terminals: frozenset[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """Steiner tree over ``terminals`` by the metric-closure MST approximation,
+    as its edge ids and its vertices (the terminals alone when there is one).
 
     MST of the complete terminal graph under shortest-path distances, paths
     expanded back into the instance. Pair a < b has key (d, a, b), with d and
@@ -378,7 +373,7 @@ def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int
     """
     terms = sorted(terminals)
     if len(terms) <= 1:
-        return frozenset()
+        return frozenset(), frozenset(terms)
     trees = {t: _source_tree(g, t) for t in terms}
     best = {b: (trees[terms[0]][0][b], terms[0], b) for b in terms[1:]}
     union_edges: dict[int, Edge] = {}
@@ -387,18 +382,20 @@ def _steiner_core_edges(g: Instance, terminals: frozenset[int]) -> frozenset[int
         d, a, b = best.pop(c)
         if d == INF:
             raise InstanceError(f"terminals {a} and {b} are not connected")
-        for eid in _path_edges(trees[a][1], b, a):
+        x, pred = b, trees[a][1]
+        while x != a:
+            x, eid = pred[x]
             union_edges[eid] = g.edge_by_id[eid]
         for x, key in best.items():
             pair = (trees[c][0][x], c, x) if c < x else (trees[x][0][c], x, c)
             if pair < key:
                 best[x] = pair
 
-    touched = tree_vertices(terms[0], union_edges.values())
+    touched = frozenset(tree_vertices(terms[0], union_edges.values()))
     if len(union_edges) == len(touched) - 1:
-        return frozenset(union_edges)
+        return frozenset(union_edges), touched
     reduced, _ = minimum_spanning_forest(touched, union_edges.values())
-    return frozenset(e.eid for e in reduced)
+    return frozenset(e.eid for e in reduced), touched
 
 
 def _demand_paths(
@@ -423,27 +420,17 @@ def _demand_paths(
     return frozenset(picked)
 
 
-def _rent_paths(g: Instance, core_edge_ids: frozenset[int]) -> frozenset[int]:
-    """Shortest-path edges connecting every off-core demand to the core.
+def _rent_paths(g: Instance, core: frozenset[int]) -> frozenset[int]:
+    """Shortest-path edges connecting every off-core demand to the ``core``
+    vertex set, as ``_steiner_core`` returns it (the root included).
 
     The core is searched as one merged source, which gives the paths of a
     search from SUPERNODE in ``contract(g, core)`` without building it. A
     core that holds every demand vertex rents nothing, so it is not searched.
     """
-    core = frozenset(tree_vertices(g.root, (g.edge_by_id[eid] for eid in core_edge_ids)))
     if g.demands.keys() <= core:
         return frozenset()
     return _demand_paths(g, shortest_path_tree(g, core), SUPERNODE, core)
-
-
-def _spt_demand_paths(g: Instance) -> frozenset[int]:
-    """Shortest-path edges from the root to every demand vertex.
-
-    Not ``_rent_paths(g, frozenset())``: the merged source is named
-    SUPERNODE, not the root's id, which changes how (distance, predecessor
-    id) ties break.
-    """
-    return _demand_paths(g, _source_tree(g, g.root), g.root, ())
 
 
 def _marked_vertices(g: Instance, seed: int, chances: Sequence[float]) -> frozenset[int]:
@@ -473,8 +460,8 @@ def _trial_tree(g: Instance, marked: frozenset[int]) -> RoutedTree:
     memo = g.trial_trees
     tree = memo.get(marked)
     if tree is None:
-        core = _steiner_core_edges(g, marked | {g.root})
-        tree = memo[marked] = route(g, core | _rent_paths(g, core))
+        core, core_vertices = _steiner_core(g, marked | {g.root})
+        tree = memo[marked] = route(g, core | _rent_paths(g, core_vertices))
     return tree
 
 
@@ -503,7 +490,9 @@ def sample_and_augment(
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if threshold >= g.total_demand:
-        return route(g, _spt_demand_paths(g))
+        # the root's own tree, not _rent_paths({root}): a source named SUPERNODE
+        # breaks (distance, predecessor id) ties differently
+        return route(g, _demand_paths(g, _source_tree(g, g.root), g.root, ()))
     if threshold <= 1.0:
         return _trial_tree(g, frozenset(g.demands))
 

@@ -1,11 +1,15 @@
-"""Seeded random instance and corpus generation for desk-scale runs."""
+"""Seeded random instance and corpus generation for desk-scale runs.
+
+Only the tests and CI use it, so it is not part of the installed package;
+from a checkout, ``PYTHONPATH=tests`` makes it importable as ``corpus``.
+"""
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
 
-from .graph import Instance, make_instance
+from onetree import Instance, make_instance
 
 
 def random_instance(

@@ -24,10 +24,10 @@ from onetree import (
     verify_last,
 )
 from onetree.cli import main, solve_instance
-from onetree.corpus import instance_text, random_connected_instance, random_instance
 from onetree.builder import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
 from onetree.last import guaranteed_beta
 
+from corpus import instance_text, random_connected_instance, random_instance
 from helpers import (
     ConcaveFunction,
     best_tree_for_function,

@@ -16,7 +16,8 @@ from onetree import (
     optimal_parameters,
     route,
 )
-from onetree.corpus import instance_text, random_instance
+
+from corpus import instance_text, random_instance
 
 
 def two_layer_instance():

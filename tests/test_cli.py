@@ -21,6 +21,7 @@ from onetree import (
     cli,
     make_instance,
     route,
+    sample_and_augment,
     verify_last,
 )
 from onetree.cli import (
@@ -36,8 +37,9 @@ from onetree.cli import (
     run_corpus,
     solve_instance,
 )
-from onetree.corpus import instance_text, random_instance, write_corpus
 from onetree.errors import ConfigError, InvariantError
+
+from corpus import instance_text, random_instance, write_corpus
 
 PATH3 = "3 2 0\n0 1 1\n1 2 1\nd 1 1\nd 2 1\n"
 CYCLE4 = "4 4 0\n0 1 1\n1 2 1\n2 3 1\n3 0 1\nd 1 1\nd 2 1\nd 3 1\n"
@@ -564,9 +566,7 @@ def test_pipeline_time_scales_gently_with_demand():
     def run_with_demand(demand):
         g = make_instance(n, edges, 0, {n - 1: demand})
         params = make_parameters(RunConfig(eps=0.5), "heuristic(fixed)")
-        from onetree.ssrob import _spt_demand_paths
-
-        tree = route(g, _spt_demand_paths(g))
+        tree = sample_and_augment(g, g.total_demand)
         return _pipeline_seconds(g, params, _InstantSolver(tree))
 
     small = run_with_demand(2**12)
@@ -580,6 +580,17 @@ def test_importing_the_cli_does_not_load_csv():
     env = {**os.environ, "PYTHONPATH": str(Path(onetree.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["False"]
+
+
+def test_importing_the_cli_loads_every_package_module():
+    # a module the CLI never loads is code the pipeline does not use, and
+    # belongs with the tests that do
+    package = Path(onetree.__file__).parent
+    code = "import onetree.cli, sys; print(*sorted(m for m in sys.modules if m.startswith('onetree')))"
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    modules = {f"onetree.{p.stem}" for p in package.glob("*.py")} - {"onetree.__init__"}
+    assert set(proc.stdout.split()) == {"onetree", *modules}
 
 
 @pytest.fixture(scope="module")

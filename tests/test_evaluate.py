@@ -12,10 +12,10 @@ from onetree import (
     route,
     simultaneous_ratio,
 )
-from onetree.corpus import random_instance
 from onetree.builder import GOLDEN_ALPHA, OPTIMAL_BRANCH_VALUE
 from onetree.cli import build_report, solve_instance
 
+from corpus import random_instance
 from helpers import (
     ConcaveFunction,
     basis_grid,

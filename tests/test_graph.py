@@ -20,9 +20,9 @@ from onetree import (
     ssrob,
 )
 from onetree.cli import solve_instance
-from onetree.corpus import instance_text, random_instance
 from onetree.graph import tree_distances, tree_vertices
 
+from corpus import instance_text, random_instance
 from helpers import brute_min_cost, reference_shortest_path_tree, workload_instances
 
 PATH3_TEXT = """\
@@ -297,16 +297,19 @@ def test_search_pops_no_source_member(monkeypatch):
 
 def test_search_matches_reference_on_sa_mid_rent_searches(monkeypatch):
     # every core the seed-1 sa_mid pipeline rents into, searched as one
-    # merged source on its n=200 graph: 150 cores of 1 to 52 vertices
+    # merged source on its n=200 graph: 150 cores of 1 to 52 vertices, each
+    # the vertex set of the Steiner core's edges and the root
     (g,) = workload_instances("sa_mid", [1])
     cores = []
-    rent_paths = ssrob._rent_paths
+    steiner_core = ssrob._steiner_core
 
-    def recording(h, core_edge_ids):
-        cores.append(frozenset(tree_vertices(h.root, map(h.edge_by_id.get, core_edge_ids))))
-        return rent_paths(h, core_edge_ids)
+    def recording(h, terminals):
+        edge_ids, vertices = steiner_core(h, terminals)
+        assert vertices == tree_vertices(h.root, map(h.edge_by_id.get, edge_ids))
+        cores.append(vertices)
+        return edge_ids, vertices
 
-    monkeypatch.setattr(ssrob, "_rent_paths", recording)
+    monkeypatch.setattr(ssrob, "_steiner_core", recording)
     params = optimal_parameters(lambda_descriptor="heuristic(trials=8)", eps=0.1)
     solve_instance(g, params, SampleAugmentSolver(trials=8))
     assert (len(cores), min(map(len, cores)), max(map(len, cores))) == (150, 1, 52)

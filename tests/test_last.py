@@ -10,10 +10,11 @@ from onetree import (
     minimum_spanning_tree,
     verify_last,
 )
-from onetree.corpus import random_connected_instance
 from onetree.builder import GOLDEN_ALPHA
 from onetree.graph import shortest_path_tree, tree_distances
 from onetree.last import LastTree, guaranteed_beta
+
+from corpus import random_connected_instance
 
 
 def last_distances(t: LastTree) -> dict[int, float]:

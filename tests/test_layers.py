@@ -15,16 +15,15 @@ from onetree import (
     verify_layerset,
 )
 from onetree.builder import GOLDEN_ALPHA
-from onetree.corpus import random_instance
 from onetree.routing import RentBuyDecomposition
 
+from corpus import random_instance
 from helpers import basis_grid, reference_K
 
 
 def fake_decompositions(buys, rents):
     return tuple(
         RentBuyDecomposition(
-            bought=frozenset(),
             rent_cost=float(r),
             buy_cost=float(b),
             core=frozenset({0}),

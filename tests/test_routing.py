@@ -12,10 +12,10 @@ from onetree import (
 )
 from onetree.builder import optimal_parameters
 from onetree.cli import solve_instance
-from onetree.corpus import random_instance
 from onetree.layers import compute_K
 from onetree.ssrob import ExactSolver, SampleAugmentSolver
 
+from corpus import random_instance
 from helpers import subset_spanning_trees, workload_instances
 
 
@@ -90,12 +90,10 @@ def test_basis_cost_examples(path3):
 def test_decompose_path_examples(path3):
     t = route(path3, (0, 1))
     d1 = decompose(t, basis_threshold(1, 1.0))
-    assert d1.bought == {0}
     assert d1.buy_cost == 1.0
     assert d1.rent_cost == 1.0
     assert d1.core == {0, 1}
     d0 = decompose(t, basis_threshold(0, 1.0))
-    assert d0.bought == {0, 1}
     assert d0.buy_cost == 2.0
     assert d0.rent_cost == 0.0
     assert d0.core == {0, 1, 2}
@@ -105,7 +103,8 @@ def test_decompose_zero_flow_edge_rented_free():
     g = make_instance(3, [(0, 1, 1), (0, 2, 5)], 0, {1: 1})
     t = route(g, (0, 1))
     d = decompose(t, basis_threshold(0, 1.0))
-    assert 1 not in d.bought
+    # edge 1 (length 5) is rented: it adds nothing to the buy cost or core
+    assert d.buy_cost == 1.0
     assert d.rent_cost == 0.0
     assert d.core == {0, 1}
 
@@ -114,7 +113,8 @@ def test_boundary_flow_equal_threshold_is_bought(path3):
     t = route(path3, (0, 1))
     # flow on edge 0 is exactly 2 and the threshold is exactly 2
     d = decompose(t, basis_threshold(1, 1.0))
-    assert 0 in d.bought
+    assert d.buy_cost == 1.0
+    assert d.core == {0, 1}
 
 
 def test_cost_identity_on_random_trees():

@@ -25,8 +25,7 @@ from onetree import (
 )
 from onetree import ssrob
 from onetree.cli import solve_instance
-from onetree.corpus import random_instance
-from onetree.graph import minimum_spanning_forest
+from onetree.graph import minimum_spanning_forest, tree_vertices
 from onetree.layers import compute_K
 from onetree.routing import basis_threshold
 from onetree.ssrob import (
@@ -36,6 +35,7 @@ from onetree.ssrob import (
     best_tree_for_combination,
 )
 
+from corpus import random_instance
 from helpers import (
     basis_grid,
     brute_min_cost,
@@ -673,7 +673,7 @@ def test_repeated_marked_sets_route_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ssrob, "route", counted("route", ssrob.route))
-    monkeypatch.setattr(ssrob, "_steiner_core_edges", counted("core", ssrob._steiner_core_edges))
+    monkeypatch.setattr(ssrob, "_steiner_core", counted("core", ssrob._steiner_core))
     marked = {frozenset(v for v, _ in g.demand_items)}
     sample_and_augment(g, 1.0, seed=5, trials=32)
     for i, m in enumerate((1.5, 2.0, 3.0, 5.0), start=1):
@@ -703,12 +703,14 @@ def test_steiner_core_breaks_a_cycle_its_paths_close():
     # smaller predecessor id: the closure path 5-1-2-3-4 comes from 4's
     # tree and 4-3-1-0 from 0's, so their union closes the cycle 1-2-3,
     # which the core's MST pass must break; every demand vertex is marked
-    # at threshold 1, so the solver's tree is that core
+    # at threshold 1, so the solver's tree is that core; the core's vertex
+    # set is the union's, which the MST pass keeps
     edges = [(1, 2, 1), (2, 3, 1), (1, 3, 2), (1, 0, 4), (3, 4, 1), (1, 5, 3)]
     g = make_instance(6, edges, 0, {4: 1, 5: 1})
-    core = ssrob._steiner_core_edges(g, frozenset({0, 4, 5}))
+    core, core_vertices = ssrob._steiner_core(g, frozenset({0, 4, 5}))
     reduced, _ = minimum_spanning_forest(range(6), g.edges)  # the union: every edge
     assert core == frozenset(e.eid for e in reduced) == {0, 1, 3, 4, 5}
+    assert core_vertices == tree_vertices(0, reduced) == set(range(6))
     assert sample_and_augment(g, 1.0).edge_ids == (0, 1, 3, 4, 5)
 
 
@@ -851,19 +853,17 @@ def test_rent_paths_search_from_core_vertex_set(monkeypatch):
 
     monkeypatch.setattr(ssrob, "shortest_path_tree", counted)
     g = make_instance(4, [(0, 1, 1), (0, 1, 2), (1, 2, 1), (2, 3, 1), (0, 3, 5)], 0, {2: 1, 3: 2})
-    # either parallel edge buys the core vertex set {0, 1}, searched as one
-    # merged source, so both give the same rent paths
-    assert _rent_paths(g, frozenset({0})) == {2, 3}
-    assert _rent_paths(g, frozenset({1})) == {2, 3}
-    assert searches == [frozenset({0, 1})] * 2
+    # the core vertex set {0, 1} is searched as one merged source
+    assert _rent_paths(g, frozenset({0, 1})) == {2, 3}
+    assert searches == [frozenset({0, 1})]
     # a core holding every demand vertex rents nothing and is not searched,
     # also when the demand sits on the root, which every core holds
-    assert _rent_paths(g, frozenset({0, 2, 3})) == frozenset()
+    assert _rent_paths(g, frozenset({0, 1, 2, 3})) == frozenset()
     on_root = make_instance(3, [(0, 1, 1), (1, 2, 1)], 2, {1: 4, 2: 1})
-    assert _rent_paths(on_root, frozenset({1})) == frozenset()
+    assert _rent_paths(on_root, frozenset({1, 2})) == frozenset()
     only_root = make_instance(2, [(0, 1, 1)], 0, {0: 3})
-    assert _rent_paths(only_root, frozenset()) == frozenset()
-    assert searches == [frozenset({0, 1})] * 2
+    assert _rent_paths(only_root, frozenset({0})) == frozenset()
+    assert searches == [frozenset({0, 1})]
 
 
 def test_rent_paths_name_single_vertex_core_supernode():
@@ -873,7 +873,7 @@ def test_rent_paths_name_single_vertex_core_supernode():
     edges = [(0, 1, 1), (1, 2, 3), (2, 3, 3), (0, 3, 2), (1, 3, 3), (3, 2, 1), (0, 2, 3),
              (1, 3, 1), (3, 1, 3)]
     g = make_instance(4, edges, 3, {0: 15, 1: 31, 3: 27})
-    assert _rent_paths(g, frozenset()) == {3, 7}
+    assert _rent_paths(g, frozenset({3})) == {3, 7}
 
 
 def test_sample_augment_degenerate_low_threshold(path3):
