@@ -129,6 +129,9 @@ class Parameters:
             raise ConfigError("gamma must be > 1")
         if self.delta <= self.alpha + 1:
             raise ConfigError("delta must exceed alpha + 1")
+        for name in ("buy_constant", "rent_constant", "branch_bound"):  # inf·0 bounds would be NaN
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} overflows: choose a smaller alpha, gamma or delta")
 
     @property
     def beta(self) -> float:
@@ -238,6 +241,7 @@ def check_layer_bounds(result: SimultaneousTree, layers: LayerSet) -> LayerBound
     basis tree at that tree's own threshold. Relative slack 1e-9 throughout.
     """
     params = layers.params
+    branch_bound = params.branch_bound
     slack = 1e-9
     by_id = result.tree.instance.edge_by_id
     flow = result.tree.flow_map
@@ -276,7 +280,7 @@ def check_layer_bounds(result: SimultaneousTree, layers: LayerSet) -> LayerBound
     structure_rows: list[StructureRow] = []
     for k, (m, basis) in enumerate(zip(layers.thresholds, layers.costs)):
         tree_cost = basis_cost(result.tree, m)
-        cap = params.branch_bound * basis
+        cap = branch_bound * basis
         structure_rows.append(
             StructureRow(
                 index=k,

@@ -41,8 +41,8 @@ Two interchangeable solvers, both deterministic given a seed:
   what trials and thresholds share: terminal shortest-path trees, each
   seed's draws and each marked set's routed trial tree. The solve at
   threshold index i gets seed + i and its trial t draws from
-  ``random.Random(seed + i + t)``, so K+1 indices of T trials use only K+T
-  streams. A stream's marked set only shrinks as the threshold grows, so
+  ``random.Random(seed + i + t)``, so K+1 indices of T trials use at most
+  K+T streams. A stream's marked set only shrinks as the threshold grows, so
   over d demand vertices a run builds at most min((K+1)·T, (K+T)·(d+1))
   trial trees, one per marked set, and routes each distinct edge set once.
 """
@@ -481,9 +481,9 @@ def sample_and_augment(
     once: their tree, and so its (cost, edge ids) key, is the same.
 
     Degenerate thresholds are handled deterministically: threshold >= total
-    demand reduces to shortest-path routing, threshold <= 1 to the Steiner
-    core over all demand vertices. A threshold below 1 or NaN, or fewer than
-    one trial, raises ConfigError.
+    demand reduces to shortest-path routing; threshold <= 1, or one at which
+    every chance rounds to 1, to the Steiner core over all demand vertices,
+    with no draw. A threshold below 1 or NaN, or < 1 trial, raises ConfigError.
     """
     if not threshold >= 1.0:
         raise ConfigError("threshold must be >= 1")
@@ -498,6 +498,8 @@ def sample_and_augment(
 
     unmarked_log = math.log1p(-1.0 / threshold)
     chances = [-math.expm1(amount * unmarked_log) for _v, amount in g.demand_items]
+    if min(chances) == 1.0:  # every draw lies in [0, 1), so every trial marks all
+        return _trial_tree(g, frozenset(g.demands))
     marked_sets = {_marked_vertices(g, seed + trial, chances) for trial in range(trials)}
     trees = (_trial_tree(g, marked) for marked in marked_sets)
     return min(trees, key=lambda tree: (basis_cost(tree, threshold), tree.edge_ids))

@@ -30,7 +30,7 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from pathlib import Path
@@ -177,11 +177,12 @@ def workload(name: str):
     return _workloads().WORKLOADS[name]
 
 
-def workload_instances(name: str, seeds: Iterable[int]) -> list[Instance]:
+def workload_instances(name: str, seeds: Iterable[int], **changes) -> list[Instance]:
     """The graphs of benchmark workload ``name`` at ``seeds``, made by the
-    benchmark's own generator."""
+    benchmark's own generator; ``changes`` replace fields of the workload,
+    such as ``total_demand``, before generating."""
     workloads = _workloads()
-    w = workloads.WORKLOADS[name]
+    w = replace(workloads.WORKLOADS[name], **changes)
     graphs = []
     for seed in seeds:
         rng = random.Random(f"{w.name}:{seed}")

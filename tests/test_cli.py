@@ -114,6 +114,29 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, name, value):
     assert f"{name} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, constant",
+    [
+        (["--gamma", "1e308"], "buy_constant"),
+        (["--delta", "1.7e308"], "rent_constant"),
+        (["--alpha", "1e154", "--delta", "1e160"], "rent_constant"),
+        # alpha·delta is finite here, and so is rent_constant, but not its product with delta
+        (["--alpha", "9e153", "--delta", "1.8e154"], "branch_bound"),
+    ],
+)
+def test_overflowing_derived_constants_exit_2(tmp_path, capsys, flags, constant):
+    # finite inputs whose derived constants overflow would give inf·0 = NaN
+    # bounds, which the bound check then reports as a bug (exit 3)
+    instance = write(tmp_path, "path3.graph", PATH3)
+    assert main(["run", instance, *flags]) == EXIT_INVALID
+    assert f"{constant} overflows" in capsys.readouterr().err
+
+
+def test_large_finite_gamma_exits_0(tmp_path):
+    instance = write(tmp_path, "path3.graph", PATH3)
+    assert main(["run", instance, "--gamma", "1e300"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("solver", ["sample-augment", "exact"])
 def test_sample_augment_demand_beyond_ssize_t_exits_0(tmp_path, solver):
     # marking draws once per demand vertex, so no amount is too large to mark

@@ -1,7 +1,8 @@
 """Property tests on random small graphs, drawn by hypothesis: the exact
 oracle against the brute-force tree oracle, against itself on renumbered
-edges (in rational arithmetic), and its budget refusal; and the cycle
-cancelling behind it, on superposed random paths."""
+edges (in rational arithmetic), and its budget refusal; the cycle
+cancelling behind it, on superposed random paths; and sample-and-augment
+against its plain reference."""
 
 from fractions import Fraction
 
@@ -9,20 +10,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onetree import OracleLimitError, basis_cost, make_instance, route
+from onetree import OracleLimitError, basis_cost, make_instance, route, sample_and_augment
 from onetree import ssrob
 from onetree.graph import UnionFind, tree_order
 from onetree.ssrob import _acyclic_support, _root_component
 from onetree.ssrob import best_tree_for_combination
 
-from helpers import brute_min_cost, exact_cost
+from helpers import brute_min_cost, exact_cost, reference_sample_and_augment
 
 
 @st.composite
-def small_instances(draw, max_n=6, max_extra=4):
+def small_instances(draw, max_n=6, max_extra=4, max_amount=6):
     """A random tree plus a few extra edges (parallel ones included) on up
-    to ``max_n`` vertices, in a drawn edge order, with demand on a drawn
-    vertex set that may hold the root."""
+    to ``max_n`` vertices, in a drawn edge order, with demand of 1 to
+    ``max_amount`` units on a drawn vertex set that may hold the root."""
     n = draw(st.integers(1, max_n))
     vertex = st.integers(0, n - 1)
     length = st.integers(1, 4)
@@ -30,7 +31,7 @@ def small_instances(draw, max_n=6, max_extra=4):
     extra = draw(st.lists(st.tuples(vertex, vertex, length), max_size=max_extra))
     edges = draw(st.permutations(edges + [(u, v, w) for u, v, w in extra if u != v]))
     demanded = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
-    demands = {v: draw(st.integers(1, 6)) for v in demanded}
+    demands = {v: draw(st.integers(1, max_amount)) for v in demanded}
     return make_instance(n, edges, draw(vertex), demands)
 
 
@@ -159,3 +160,20 @@ def test_cancelling_cycles_never_costs_more(g, combination, rnd):
         for a, m in zip(coefficients, thresholds)
     )
     assert exact_cost(tree, thresholds, coefficients) <= superposed
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    small_instances(max_n=7, max_extra=6, max_amount=10**6),
+    st.floats(0.05, 0.95),
+    st.integers(0, 1000),
+    st.integers(1, 4),
+)
+def test_sample_and_augment_matches_reference(g, power, seed, trials):
+    # amounts up to 10^6 at the threshold D^power, D the total demand: all,
+    # some or none of the marking chances round to 1, and only where all do
+    # may the solver skip its draws; the reference draws every trial's stream
+    threshold = float(g.total_demand) ** power
+    got = sample_and_augment(g, threshold, seed=seed, trials=trials)
+    want = reference_sample_and_augment(g, threshold, seed=seed, trials=trials)
+    assert got.edge_ids == want.edge_ids

@@ -646,6 +646,44 @@ def test_sample_augment_workload_ladders_match_reference(name):
             assert got.edge_ids == want.edge_ids, (name, i)
 
 
+def test_certain_marking_draws_no_stream():
+    # with 60 and 90 units every chance 1 - (1 - 1/M)^amount rounds to 1.0 at
+    # M = 2, and every draw lies in [0, 1): each trial would mark both demand
+    # vertices, so no stream is drawn and the tree is threshold 1's
+    edges = [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 0, 1), (1, 3, 2)]
+    g = make_instance(4, edges, 0, {1: 60, 2: 90})
+
+    def certain(m):
+        return all(-math.expm1(a * math.log1p(-1.0 / m)) == 1.0 for _v, a in g.demand_items)
+
+    assert certain(2.0)
+    tree = sample_and_augment(g, 2.0, trials=4)
+    assert g.unit_draws == {}
+    assert tree is sample_and_augment(g, 1.0)
+    # the least threshold of the ladder 1.25^i with a chance below 1 draws
+    # one stream per trial
+    i = next(i for i in range(1, 100) if not certain(1.25**i))
+    assert 1.25**i < g.total_demand
+    sample_and_augment(g, 1.25 ** (i - 1), seed=i - 1, trials=4)
+    assert g.unit_draws == {}
+    sample_and_augment(g, 1.25**i, seed=i, trials=4)
+    assert sorted(g.unit_draws) == [i, i + 1, i + 2, i + 3]
+
+
+def test_huge_demand_streams_drawn_do_not_grow_with_total_demand():
+    # the huge_demand graph with its demand scaled by 100: K grows by 48
+    # thresholds, but the new ones are all certain to mark every demand
+    # vertex, so the pipeline draws the same 61 streams
+    w = workload("huge_demand")
+    params = optimal_parameters(lambda_descriptor=f"heuristic(trials={w.trials})", eps=w.eps)
+    counts = []
+    for total in (3 * 10**5, 3 * 10**7):
+        (g,) = workload_instances("huge_demand", [1], total_demand=total)
+        res = solve_instance(g, params, SampleAugmentSolver(trials=w.trials))
+        counts.append((res.layers.top_index, len(g.unit_draws)))
+    assert counts == [(133, 61), (181, 61)]
+
+
 def test_disconnected_terminals_are_refused():
     # demand vertex 3 lies off the root's component, so the core over every
     # demand vertex finds a pair of terminals with no path between them
