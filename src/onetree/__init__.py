@@ -28,7 +28,6 @@ from .errors import (
 from .evaluate import RatioReport, simultaneous_ratio
 from .graph import (
     SUPERNODE,
-    ContractedGraph,
     Edge,
     Instance,
     contract,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SUPERNODE",
     "ConfigError",
-    "ContractedGraph",
     "DisconnectedError",
     "Edge",
     "ExactSolver",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, InvalidTreeError, InvariantError
-from .graph import SUPERNODE, Instance, contract
+from .graph import Instance, contract
 from .last import build_last, guaranteed_beta
 from .layers import LayerSet
 from .routing import RoutedTree, basis_cost, route
@@ -58,7 +58,7 @@ def build_tree(g: Instance, layers: LayerSet, prune_zero_flow: bool = False) -> 
     for i in sorted(layers.kept, reverse=True):
         core = layers.decompositions[i].core
         contracted = contract(g, spanned, keep=core)
-        light = build_last(contracted, SUPERNODE, layers.params.alpha)
+        light = build_last(contracted, contracted.root, layers.params.alpha)
         added = tuple(sorted(light.edge_ids))
         for eid in added:
             if eid in built:
@@ -71,7 +71,7 @@ def build_tree(g: Instance, layers: LayerSet, prune_zero_flow: bool = False) -> 
             BuildRound(
                 index=i,
                 core_size=len(core),
-                graph_vertices=len(contracted.vertex_ids),
+                graph_vertices=contracted.n,
                 graph_edges=len(contracted.edges),
                 added_edges=added,
             )
@@ -129,9 +129,10 @@ class Parameters:
             raise ConfigError("gamma must be > 1")
         if self.delta <= self.alpha + 1:
             raise ConfigError("delta must exceed alpha + 1")
-        for name in ("buy_constant", "rent_constant", "branch_bound"):  # inf·0 bounds would be NaN
+        # inf·0 bounds would be NaN, and an inf headline is no JSON number
+        for name in ("buy_constant", "rent_constant", "branch_bound", "headline_ratio"):
             if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} overflows: choose a smaller alpha, gamma or delta")
+                raise ConfigError(f"{name} overflows: choose a smaller eps, alpha, gamma or delta")
 
     @property
     def beta(self) -> float:

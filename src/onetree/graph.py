@@ -12,20 +12,21 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import DisconnectedError, InstanceError, ParseError
 
 if TYPE_CHECKING:
     from .routing import RoutedTree
 
-#: Vertex id of the merged supervertex in a contracted graph.
+#: Name of a merged source in ``shortest_path_tree``'s predecessor links.
 SUPERNODE = -1
 
 INF = math.inf
 
-#: ``shortest_path_tree`` result: distances and ``(parent, edge id)`` links.
-PathTree = tuple[dict[int, float], dict[int, tuple[int, int]]]
+#: ``shortest_path_tree`` result: distances by vertex id and ``(parent,
+#: edge id)`` links.
+PathTree = tuple[list[float], dict[int, tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -42,33 +43,13 @@ class Edge:
         return self.v if w == self.u else self.u
 
 
-class Lookups:
-    """Per-graph indexes, built once from ``vertex_ids`` and ``edges``."""
-
-    @cached_property
-    def edge_by_id(self) -> dict[int, Edge]:
-        return {e.eid: e for e in self.edges}
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], dict[int, int], tuple[tuple, ...]]:
-        """The vertex ids in order, id -> index in them, and per index its
-        (neighbour index, length, edge id) triples; read only by
-        ``shortest_path_tree``."""
-        index = {v: i for i, v in enumerate(self.vertex_ids)}
-        lists: list[list[tuple[int, float, int]]] = [[] for _ in index]
-        for e in self.edges:
-            a, b = index[e.u], index[e.v]
-            lists[a].append((b, e.length, e.eid))
-            lists[b].append((a, e.length, e.eid))
-        # the ids come from ``index`` so every search's dicts share one int per id
-        return tuple(index), index, tuple(map(tuple, lists))
-
-
 @dataclass(frozen=True)
-class Instance(Lookups):
-    """A weighted graph with a root vertex and positive integer demands.
+class Instance:
+    """A weighted graph on vertices 0..n-1 with a root vertex and positive
+    integer demands; ``contract`` also returns one, with no demands.
 
-    Raises InstanceError when total edge length times total demand is not
+    Raises InstanceError when the root, an edge end or a demand vertex is
+    outside 0..n-1, and when total edge length times total demand is not
     finite: every cost the pipeline forms is at most that product.
     """
 
@@ -78,6 +59,15 @@ class Instance(Lookups):
     demand_items: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        n = self.n
+        if not 0 <= self.root < n:
+            raise InstanceError(f"root {self.root} out of range 0..{n - 1}")
+        for e in self.edges:
+            if not (0 <= e.u < n and 0 <= e.v < n):
+                raise InstanceError(f"edge {e.eid} ({e.u}, {e.v}) has an end out of range 0..{n - 1}")
+        for v, _ in self.demand_items:
+            if not 0 <= v < n:
+                raise InstanceError(f"demand vertex {v} out of range 0..{n - 1}")
         total = self.total_demand
         length = sum(e.length for e in self.edges)
         if total > sys.float_info.max or not math.isfinite(length * total):
@@ -86,6 +76,20 @@ class Instance(Lookups):
     @property
     def vertex_ids(self) -> range:
         return range(self.n)
+
+    @cached_property
+    def edge_by_id(self) -> dict[int, Edge]:
+        return {e.eid: e for e in self.edges}
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, float, int], ...], ...]:
+        """Per vertex, its (neighbour, length, edge id) triples; read only by
+        ``shortest_path_tree``."""
+        lists: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
+        for e in self.edges:
+            lists[e.u].append((e.v, e.length, e.eid))
+            lists[e.v].append((e.u, e.length, e.eid))
+        return tuple(map(tuple, lists))
 
     @cached_property
     def demands(self) -> dict[int, int]:
@@ -128,21 +132,6 @@ class Instance(Lookups):
         terminal set's demand, and the answers by acyclic flow support and
         by weight vector, with equal weights folded to ones."""
         return []
-
-
-@dataclass(frozen=True)
-class ContractedGraph(Lookups):
-    """An instance with a vertex set collapsed to SUPERNODE; see ``contract``.
-
-    Retained edges keep their base edge id. Among parallel edges between the
-    same contracted endpoints only the shortest survives (ties by smaller id).
-    """
-
-    vertex_ids: tuple[int, ...]
-    edges: tuple[Edge, ...]
-
-
-Graph = Union[Instance, ContractedGraph]
 
 
 def make_instance(
@@ -242,57 +231,58 @@ def load_instance(text: str) -> Instance:
     return g
 
 
-def shortest_path_tree(g: Graph, source: int | frozenset[int]) -> PathTree:
+def shortest_path_tree(g: Instance, source: int | frozenset[int]) -> PathTree:
     """Exact single-source shortest paths by edge length.
 
-    Returns (distances, predecessors) where predecessors maps each reached
-    vertex other than the source to ``(parent vertex, edge id)``. Unreachable
-    vertices get distance +inf and no predecessor. Ties are broken by
-    (distance, smaller predecessor id, smaller edge id).
+    Returns (distances, predecessors): distances is a list indexed by
+    vertex id, +inf where unreachable, and predecessors maps each reached
+    vertex other than the source to ``(parent vertex, edge id)``. Ties are
+    broken by (distance, smaller predecessor id, smaller edge id). A source
+    outside 0..n-1 raises ValueError.
 
     ``source`` may also be a frozenset of vertices, searched as one merged
     source named SUPERNODE: its members get distance 0 and no predecessor,
     and an edge leaving the set records parent SUPERNODE. Outside the set
-    this gives the (distance, predecessor, edge id) labels of this search
-    from SUPERNODE on ``contract(g, source)``, without building the
-    contraction. That holds for a one-vertex set too: SUPERNODE (-1) is
-    below every vertex id, so it wins predecessor ties that the member's own
-    id could lose. Parallel edges resolve by (length, edge id) in both, as
-    long as adding a distance does not round two of their lengths to one sum.
+    this gives the labels of this search from vertex 0 on
+    ``contract(g, source)``, read through its numbering, without building
+    the contraction. That numbering keeps the id order, and SUPERNODE (-1)
+    is below every vertex id as 0 is in the contraction, so the ties break
+    alike; a one-vertex set is no exception, since SUPERNODE wins
+    predecessor ties that the member's own id could lose. Parallel edges
+    resolve by (length, edge id) in both, as long as adding a distance does
+    not round two of their lengths to one sum.
 
-    The search runs over ``g.adjacency``'s dense indices. A vertex's label is
-    its least heap entry (distance, via, edge id, index): an entry is pushed
-    only when it beats the label, and never for a settled vertex, so the
-    heap pops that least entry first and the first pop is final. The index
-    order is the id order (SUPERNODE first in a contraction), so an entry
-    tie that reaches the index resolves as it would on ids.
+    A vertex's label is its least heap entry (distance, via, edge id,
+    vertex): an entry is pushed only when it beats the label, and never for
+    a settled vertex, so the heap pops that least entry first and the first
+    pop is final.
 
     The source's members are settled before the heap loop, at distance 0,
-    with their edges relaxed in index order. That is the search that starts
-    with one (0.0, SUPERNODE - 1, -1, index) entry per member: every length
+    with their edges relaxed in id order. That is the search that starts
+    with one (0.0, SUPERNODE - 1, -1, member) entry per member: every length
     is positive, so those entries are the least the heap ever holds, pop
-    first and in index order, and push no entry for another member. So no
+    first and in id order, and push no entry for another member. So no
     member enters the heap, and the labels and the settle order are the
     same.
     """
-    ids, index, adj = g.adjacency
+    adj = g.adjacency
+    n = len(adj)
     if isinstance(source, frozenset):
-        members, name = source, SUPERNODE
+        members, name = sorted(source), SUPERNODE
     else:
-        members, name = frozenset((source,)), source
-    if not members or not members <= index.keys():
+        members, name = [source], source
+    if not members or not all(0 <= s < n for s in members):
         raise ValueError(f"source vertex {source} is not in the graph")
-    dist = [INF] * len(ids)
-    done = [False] * len(ids)
+    dist = [INF] * n
+    done = [False] * n
     # (INF, INF) compares above every entry: no label yet
-    label: list[tuple] = [(INF, INF)] * len(ids)
-    starts = sorted(index[s] for s in members)
-    for i in starts:
-        done[i] = True
-        dist[i] = 0.0
+    label: list[tuple] = [(INF, INF)] * n
+    for s in members:
+        done[s] = True
+        dist[s] = 0.0
     heap: list[tuple] = []
-    for i in starts:
-        for w, length, e in adj[i]:
+    for s in members:
+        for w, length, e in adj[s]:
             if not done[w]:
                 cand = (length, name, e, w)
                 if cand < label[w]:
@@ -300,20 +290,19 @@ def shortest_path_tree(g: Graph, source: int | frozenset[int]) -> PathTree:
                     heappush(heap, cand)
     pred: dict[int, tuple[int, int]] = {}
     while heap:
-        d, p, eid, i = heappop(heap)
-        if done[i]:
+        d, p, eid, v = heappop(heap)
+        if done[v]:
             continue
-        done[i] = True
-        dist[i] = d
-        v = ids[i]
+        done[v] = True
+        dist[v] = d
         pred[v] = (p, eid)
-        for w, length, e in adj[i]:
+        for w, length, e in adj[v]:
             if not done[w]:
                 cand = (d + length, v, e, w)
                 if cand < label[w]:
                     label[w] = cand
                     heappush(heap, cand)
-    return dict(zip(ids, dist)), pred
+    return dist, pred
 
 
 class UnionFind:
@@ -352,7 +341,7 @@ def minimum_spanning_forest(
     return chosen, components
 
 
-def minimum_spanning_tree(g: Graph) -> frozenset[int]:
+def minimum_spanning_tree(g: Instance) -> frozenset[int]:
     """MST edge ids of a connected graph; deterministic under ties."""
     chosen, components = minimum_spanning_forest(g.vertex_ids, g.edges)
     if components != 1:
@@ -360,14 +349,15 @@ def minimum_spanning_tree(g: Graph) -> frozenset[int]:
     return frozenset(e.eid for e in chosen)
 
 
-def contract(
-    g: Instance, merged: Iterable[int], keep: Iterable[int] | None = None
-) -> ContractedGraph:
-    """Collapse ``merged`` to SUPERNODE, optionally restricting to ``keep``.
+def contract(g: Instance, merged: Iterable[int], keep: Iterable[int] | None = None) -> Instance:
+    """Collapse ``merged`` to vertex 0, the root, optionally restricting to ``keep``.
 
     ``keep`` is a base-vertex filter realizing an induced subgraph of the
-    contraction; the supernode is always retained. Self-loops at the
-    supernode vanish; parallel contracted edges reduce to the shortest.
+    contraction. The other kept vertices are numbered 1..k in ascending id
+    order, so every tie by vertex id breaks as it would on base ids. Edges
+    keep their base ids; self-loops at vertex 0 vanish, and among parallel
+    contracted edges only the shortest survives (ties by smaller id). The
+    result has no demands.
     """
     s = frozenset(merged)
     if not s:
@@ -375,19 +365,13 @@ def contract(
     for v in s:
         if not 0 <= v < g.n:
             raise ValueError(f"contraction vertex {v} out of range")
-    if keep is None:
-        kept_base = set(g.vertex_ids) - s
-    else:
-        kept_base = set(keep) - s
+    kept = sorted(set(g.vertex_ids if keep is None else keep) - s)
+    number = dict.fromkeys(s, 0)
+    number.update((v, k) for k, v in enumerate(kept, start=1))
     best: dict[tuple[int, int], Edge] = {}
     for e in g.edges:
-        a = SUPERNODE if e.u in s else e.u
-        b = SUPERNODE if e.v in s else e.v
-        if a == b:
-            continue
-        if a != SUPERNODE and a not in kept_base:
-            continue
-        if b != SUPERNODE and b not in kept_base:
+        a, b = number.get(e.u), number.get(e.v)
+        if a is None or b is None or a == b:
             continue
         if a > b:
             a, b = b, a
@@ -395,7 +379,7 @@ def contract(
         if cur is None or (e.length, e.eid) < (cur.length, cur.eid):
             best[(a, b)] = Edge(e.eid, a, b, e.length)
     edges = tuple(sorted(best.values(), key=lambda e: e.eid))
-    return ContractedGraph(vertex_ids=(SUPERNODE, *sorted(kept_base)), edges=edges)
+    return Instance(n=len(kept) + 1, edges=edges, root=0, demand_items=())
 
 
 def tree_vertices(root: int, edges: Iterable[Edge]) -> set[int]:

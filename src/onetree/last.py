@@ -12,20 +12,14 @@ import math
 from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, DisconnectedError
-from .graph import (
-    Edge,
-    Graph,
-    minimum_spanning_tree,
-    shortest_path_tree,
-    tree_distances,
-)
+from .graph import Edge, Instance, minimum_spanning_tree, shortest_path_tree, tree_distances
 
 
 class LastTree(NamedTuple):
     """A spanning tree of the host graph, rooted at ``root``; ``verify_last``
     recomputes its root distances."""
 
-    graph: Graph
+    graph: Instance
     root: int
     edge_ids: frozenset[int]
 
@@ -37,7 +31,7 @@ def guaranteed_beta(alpha: float) -> float:
     return (alpha + 1.0) / (alpha - 1.0)
 
 
-def build_last(g: Graph, root: int, alpha: float) -> LastTree:
+def build_last(g: Instance, root: int, alpha: float) -> LastTree:
     """Relax-on-DFS construction of an (alpha, (alpha+1)/(alpha-1)) LAST.
 
     Walks the MST depth-first from the root carrying the length of the
@@ -55,7 +49,7 @@ def build_last(g: Graph, root: int, alpha: float) -> LastTree:
         return LastTree(graph=g, root=root, edge_ids=frozenset())
 
     dist_true, pred_true = shortest_path_tree(g, root)
-    if any(d == math.inf for d in dist_true.values()):
+    if math.inf in dist_true:
         raise DisconnectedError("LAST construction requires a connected graph")
     mst_ids = minimum_spanning_tree(g)
     by_id = g.edge_by_id

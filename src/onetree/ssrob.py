@@ -411,7 +411,7 @@ def _demand_paths(
     for v, _amount in g.demand_items:
         if v in skip:
             continue
-        if dist.get(v, INF) == INF:
+        if dist[v] == INF:
             raise InstanceError(f"disconnected demand: vertex {v} is unreachable from the root")
         while v not in reached:
             reached.add(v)
@@ -425,8 +425,9 @@ def _rent_paths(g: Instance, core: frozenset[int]) -> frozenset[int]:
     vertex set, as ``_steiner_core`` returns it (the root included).
 
     The core is searched as one merged source, which gives the paths of a
-    search from SUPERNODE in ``contract(g, core)`` without building it. A
-    core that holds every demand vertex rents nothing, so it is not searched.
+    search from vertex 0 of ``contract(g, core)``, read back through its
+    numbering, without building it. A core that holds every demand vertex
+    rents nothing, so it is not searched.
     """
     if g.demands.keys() <= core:
         return frozenset()

@@ -16,7 +16,9 @@ sample-and-augment solver, which the faster one must match tree for tree,
 and :func:`reference_K` the loop that the closed form of ``compute_K`` must
 match; :func:`basis_grid` is the threshold grid of an instance.
 :func:`reference_shortest_path_tree` is the shortest-path search over
-per-vertex ``Edge`` tuples that the dense-indexed one replaced.
+per-vertex ``Edge`` tuples, keyed by vertex id, that the package's list
+search must match, and :func:`reference_contract` the contraction keyed by
+base vertex id that the package's renumbered one must match.
 :class:`ConcaveFunction`, :func:`decompose_function`, :func:`eval_cost` and
 :func:`best_tree_for_function` state a concave cost function over the
 threshold basis, for the tests of the reduction from any concave function
@@ -331,7 +333,8 @@ def search_parameters() -> tuple[float, float, float, float]:
 def reference_shortest_path_tree(g, source):
     """The package's shortest-path search as it stood over per-vertex
     ``Edge`` tuples, keyed by vertex id, with a pop-time label test: the
-    dense-indexed search must give the same ``(dist, pred)`` dicts."""
+    package's search must give this ``pred`` dict, in the same settle order,
+    and as its distance list this ``dist`` dict's values in id order."""
     adj: dict[int, list[Edge]] = {v: [] for v in g.vertex_ids}
     for e in g.edges:
         adj[e.u].append(e)
@@ -370,13 +373,29 @@ def reference_shortest_path_tree(g, source):
     return dist, pred
 
 
-def _reference_paths(g: Instance, graph, source: int, skip) -> set[int]:
-    dist, pred = shortest_path_tree(graph, source)
+def reference_contract(g: Instance, merged, keep=None) -> tuple[tuple[int, ...], list[Edge]]:
+    """``contract`` keyed by base vertex id: the vertex ids with SUPERNODE
+    for the merged set, SUPERNODE first and the rest ascending, and the
+    kept edges between them, by edge id, where each pair of ends keeps the
+    shortest of its parallel edges (ties by smaller id)."""
+    merged = set(merged)
+    kept = set(g.vertex_ids if keep is None else keep) - merged
+    name = {v: SUPERNODE for v in merged} | {v: v for v in kept}
+    best: dict[frozenset[int], Edge] = {}
+    for e in sorted(g.edges, key=lambda e: (e.length, e.eid)):
+        ends = frozenset((name.get(e.u), name.get(e.v)))
+        if None not in ends and len(ends) == 2 and ends not in best:
+            best[ends] = Edge(e.eid, *sorted(ends), e.length)
+    return (SUPERNODE, *sorted(kept)), sorted(best.values(), key=lambda e: e.eid)
+
+
+def _reference_paths(g: Instance, tree, source: int, skip) -> set[int]:
+    dist, pred = tree
     picked: set[int] = set()
     for v, _amount in g.demand_items:
         if v in skip:
             continue
-        assert dist.get(v, INF) < INF
+        assert dist[v] < INF
         w = v
         while w != source:
             w, eid = pred[w]
@@ -406,8 +425,16 @@ def _reference_core(g: Instance, terminals: set[int]) -> frozenset[int]:
 
 
 def _reference_rent(g: Instance, core_ids: frozenset[int]) -> set[int]:
+    """Rent paths searched from vertex 0 of an explicit contraction of the
+    core, with labels mapped back to base ids by the ascending kept ids."""
     core = tree_vertices(g.root, (g.edge_by_id[eid] for eid in core_ids))
-    return _reference_paths(g, contract(g, core), SUPERNODE, core)
+    base = [SUPERNODE, *sorted(set(g.vertex_ids) - core)]
+    dist, pred = reference_shortest_path_tree(contract(g, core), 0)
+    tree = (
+        {base[v]: d for v, d in dist.items()},
+        {base[v]: (base[p], eid) for v, (p, eid) in pred.items()},
+    )
+    return _reference_paths(g, tree, SUPERNODE, core)
 
 
 def reference_marking(g: Instance, rng: random.Random, mark_probability: float) -> set[int]:
@@ -427,7 +454,7 @@ def reference_sample_and_augment(
     searched in an explicit contraction of the core, and fresh marking draws
     and chances in every trial."""
     if threshold >= g.total_demand:
-        return route(g, _reference_paths(g, g, g.root, ()))
+        return route(g, _reference_paths(g, shortest_path_tree(g, g.root), g.root, ()))
     if threshold <= 1.0:
         core = _reference_core(g, {v for v, _ in g.demand_items} | {g.root})
         return route(g, core | _reference_rent(g, core))

@@ -122,6 +122,9 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, name, value):
         (["--alpha", "1e154", "--delta", "1e160"], "rent_constant"),
         # alpha·delta is finite here, and so is rent_constant, but not its product with delta
         (["--alpha", "9e153", "--delta", "1.8e154"], "branch_bound"),
+        # the bounds are finite, but (1 + eps)·branch_bound is not, and the
+        # report would hold "Infinity", which is no JSON number
+        (["--eps", "1e308"], "headline_ratio"),
     ],
 )
 def test_overflowing_derived_constants_exit_2(tmp_path, capsys, flags, constant):

@@ -23,7 +23,12 @@ from onetree.cli import solve_instance
 from onetree.graph import tree_distances, tree_vertices
 
 from corpus import instance_text, random_instance
-from helpers import brute_min_cost, reference_shortest_path_tree, workload_instances
+from helpers import (
+    brute_min_cost,
+    reference_contract,
+    reference_shortest_path_tree,
+    workload_instances,
+)
 
 PATH3_TEXT = """\
 # tiny path
@@ -66,6 +71,24 @@ def test_make_instance_rejects_non_finite_cost_range(lengths, amount):
     edges = [(0, 1, lengths[0]), (1, 2, lengths[1]), (0, 2, lengths[2])]
     with pytest.raises(InstanceError, match="not finite"):
         make_instance(3, edges, 0, {2: amount})
+
+
+@pytest.mark.parametrize(
+    "edges, root, demands, match",
+    [
+        ([(0, 1, 1), (1, 5, 1)], 0, {1: 1}, r"^edge 1 \(1, 5\) has an end out of range 0\.\.2$"),
+        ([(-1, 2, 1), (0, 2, 1)], 0, {2: 1}, r"^edge 0 \(-1, 2\) has an end out of range"),
+        ([(0, 1, 1)], 3, {1: 1}, r"^root 3 out of range 0\.\.2$"),
+        ([(0, 1, 1)], -1, {1: 1}, r"^root -1 out of range"),
+        ([(0, 1, 1)], 0, {1: 1, 3: 1}, r"^demand vertex 3 out of range 0\.\.2$"),
+        ([(0, 1, 1)], 0, {-1: 1}, r"^demand vertex -1 out of range"),
+    ],
+    ids=["edge end", "negative edge end", "root", "negative root", "demand", "negative demand"],
+)
+def test_make_instance_rejects_out_of_range_vertices(edges, root, demands, match):
+    # a negative id would otherwise index a search list from its end
+    with pytest.raises(InstanceError, match=match):
+        make_instance(3, edges, root, demands)
 
 
 def test_load_ignores_disconnected_non_demand_vertex():
@@ -116,7 +139,7 @@ def test_instance_text_round_trip():
 
 def test_spt_path(path3):
     dist, pred = shortest_path_tree(path3, 0)
-    assert dist == {0: 0.0, 1: 1.0, 2: 2.0}
+    assert dist == [0.0, 1.0, 2.0]
     assert pred == {1: (0, 0), 2: (1, 1)}
 
 
@@ -130,7 +153,7 @@ def test_spt_tie_break_prefers_smaller_predecessor(cycle4):
 def test_spt_single_vertex():
     g = make_instance(1, [], 0, {0: 1})
     dist, pred = shortest_path_tree(g, 0)
-    assert dist == {0: 0.0}
+    assert dist == [0.0]
     assert pred == {}
 
 
@@ -182,41 +205,50 @@ def test_mst_matches_brute_force_minimum():
 
 def test_contract_singleton_keeps_graph(path3):
     cg = contract(path3, {0})
-    assert cg.vertex_ids == (SUPERNODE, 1, 2)
-    assert [(e.eid, e.u, e.v) for e in cg.edges] == [(0, SUPERNODE, 1), (1, 1, 2)]
+    assert (cg.n, cg.root, cg.demand_items) == (3, 0, ())
+    assert [(e.eid, e.u, e.v) for e in cg.edges] == [(0, 0, 1), (1, 1, 2)]
 
 
 def test_contract_pair_on_path(path3):
     cg = contract(path3, {0, 1})
-    assert cg.vertex_ids == (SUPERNODE, 2)
-    assert [(e.eid, e.u, e.v, e.length) for e in cg.edges] == [(1, SUPERNODE, 2, 1.0)]
+    # vertex 1 is base vertex 2, the one kept vertex
+    assert (cg.n, cg.root, cg.demand_items) == (2, 0, ())
+    assert [(e.eid, e.u, e.v, e.length) for e in cg.edges] == [(1, 0, 1, 1.0)]
 
 
 def test_contract_reduces_parallel_edges(cycle4):
     cg = contract(cycle4, {0, 2})
-    assert cg.vertex_ids == (SUPERNODE, 1, 3)
+    # vertices 1 and 2 are base vertices 1 and 3
+    assert (cg.n, cg.root, cg.demand_items) == (3, 0, ())
     # edges 1 and 3 lose their ties to the parallel edges 0 and 2
-    assert [(e.eid, e.u, e.v, e.length) for e in cg.edges] == [
-        (0, SUPERNODE, 1, 1.0),
-        (2, SUPERNODE, 3, 1.0),
-    ]
+    assert [(e.eid, e.u, e.v, e.length) for e in cg.edges] == [(0, 0, 1, 1.0), (2, 0, 2, 1.0)]
 
 
 def test_contract_vertex_filter_restricts(cycle4):
     cg = contract(cycle4, {0}, keep={1})
-    assert cg.vertex_ids == (SUPERNODE, 1)
-    assert [e.eid for e in cg.edges] == [0]
+    assert (cg.n, cg.root, cg.demand_items) == (2, 0, ())
+    assert [(e.eid, e.u, e.v) for e in cg.edges] == [(0, 0, 1)]
 
 
 def test_contract_preserves_lengths_and_counts():
+    # vertex k is the k-th kept base id, and every edge keeps its id and
+    # length with its ends mapped back, as in the contraction keyed by base id
     rng = random.Random(7)
-    for _ in range(30):
-        g = random_instance(rng)
-        merged = {g.root, rng.randrange(g.n)}
-        cg = contract(g, merged)
+    for k in range(300):
+        if k % 3 == 0:
+            g = random_instance(rng)
+        else:
+            g = _rounding_instance(rng) if k % 3 == 1 else random_instance(rng, n_max=12, max_length=3)
+        merged = rng.sample(range(g.n), rng.randint(1, g.n))
+        keep = rng.sample(range(g.n), rng.randint(0, g.n)) if k % 2 else None
+        cg = contract(g, merged, keep)
+        ids, edges = reference_contract(g, merged, keep)
+        assert (cg.n, cg.root, cg.demand_items) == (len(ids), 0, ())
+        assert [(e.eid, ids[e.u], ids[e.v], e.length) for e in cg.edges] == [
+            (e.eid, e.u, e.v, e.length) for e in edges
+        ]
         assert len(cg.edges) <= len(g.edges)
-        for e in cg.edges:
-            assert e.length == g.edge_by_id[e.eid].length
+        assert all(e.length == g.edge_by_id[e.eid].length for e in cg.edges)
 
 
 def test_merged_source_matches_contraction():
@@ -225,19 +257,26 @@ def test_merged_source_matches_contraction():
         g = random_instance(rng, n_max=9, max_length=3, max_extra_edges=8)
         merged = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
         dist, pred = shortest_path_tree(g, merged)
-        cdist, cpred = shortest_path_tree(contract(g, merged), SUPERNODE)
-        for v in set(g.vertex_ids) - merged:
-            assert dist[v] == cdist[v]
-            assert pred.get(v) == cpred.get(v)
+        cdist, cpred = shortest_path_tree(contract(g, merged), 0)
+        # contracted vertex k is base[k]: SUPERNODE, then the kept ids ascending
+        base = [SUPERNODE, *sorted(set(g.vertex_ids) - merged)]
+        for k, v in enumerate(base[1:], start=1):
+            assert dist[v] == cdist[k]
+            if k in cpred:
+                p, eid = cpred[k]
+                assert pred[v] == (base[p], eid)
+            else:
+                assert v not in pred
         assert all(dist[v] == 0.0 and v not in pred for v in merged)
 
 
 def _assert_same_search(g, source):
-    got = shortest_path_tree(g, source)
-    want = reference_shortest_path_tree(g, source)
-    assert got == want, source
-    # same settle order and the same distance keys, in the same order
-    assert [list(part) for part in got] == [list(part) for part in want], source
+    dist, pred = shortest_path_tree(g, source)
+    want_dist, want_pred = reference_shortest_path_tree(g, source)
+    assert dist == [want_dist[v] for v in g.vertex_ids], source
+    assert pred == want_pred, source
+    # same settle order
+    assert list(pred) == list(want_pred), source
 
 
 def _rounding_instance(rng):
@@ -347,7 +386,7 @@ def test_search_matches_reference_on_parallel_and_rounding_edges():
 def test_search_rejects_what_reference_rejects(path3):
     cg = contract(path3, {1})
     for g, source in ((path3, 7), (path3, -1), (path3, frozenset()), (path3, frozenset({0, 7})),
-                      (cg, 1), (cg, frozenset({SUPERNODE, 1}))):
+                      (cg, 3), (cg, SUPERNODE), (cg, frozenset({SUPERNODE, 1}))):
         for search in (shortest_path_tree, reference_shortest_path_tree):
             with pytest.raises(ValueError, match="is not in the graph"):
                 search(g, source)
