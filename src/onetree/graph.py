@@ -232,13 +232,21 @@ def load_instance(text: str) -> Instance:
 
 
 def shortest_path_tree(g: Instance, source: int | frozenset[int]) -> PathTree:
-    """Exact single-source shortest paths by edge length.
+    """``bounded_search`` with no bound: exact single-source shortest paths."""
+    return bounded_search(g, source, None)
+
+
+def bounded_search(
+    g: Instance, source: int | frozenset[int], bound: Sequence[float] | None
+) -> PathTree:
+    """Single-source shortest paths by edge length, labelled within ``bound``.
 
     Returns (distances, predecessors): distances is a list indexed by
     vertex id, +inf where unreachable, and predecessors maps each reached
-    vertex other than the source to ``(parent vertex, edge id)``. Ties are
-    broken by (distance, smaller predecessor id, smaller edge id). A source
-    outside 0..n-1 raises ValueError.
+    vertex other than the source to ``(parent vertex, edge id)``, with keys
+    in settle order, so by nondecreasing distance. Ties are broken by
+    (distance, smaller predecessor id, smaller edge id). A source outside
+    0..n-1 raises ValueError.
 
     ``source`` may also be a frozenset of vertices, searched as one merged
     source named SUPERNODE: its members get distance 0 and no predecessor,
@@ -254,16 +262,18 @@ def shortest_path_tree(g: Instance, source: int | frozenset[int]) -> PathTree:
 
     A vertex's label is its least heap entry (distance, via, edge id,
     vertex): an entry is pushed only when it beats the label, and never for
-    a settled vertex, so the heap pops that least entry first and the first
-    pop is final.
+    a settled vertex, so the first pop is final. w's label starts at
+    (INF, INF), or at (bound[w], INF), which only entries of distance at
+    most bound[w] beat. A bound can raise a distance, never lower it; a
+    vertex keeps its unbounded label when every x on its unbounded path has
+    distance at most bound[x], unless some d + length rounds back to d: each
+    is relaxed by its parent before it can pop, and no other entry is less.
 
     The source's members are settled before the heap loop, at distance 0,
-    with their edges relaxed in id order. That is the search that starts
-    with one (0.0, SUPERNODE - 1, -1, member) entry per member: every length
-    is positive, so those entries are the least the heap ever holds, pop
-    first and in id order, and push no entry for another member. So no
-    member enters the heap, and the labels and the settle order are the
-    same.
+    with their edges relaxed in id order: as (0.0, SUPERNODE - 1, -1,
+    member) entries they would be the least the heap ever holds, pop first
+    in id order and push no entry for another member, so the labels and the
+    settle order are the same.
     """
     adj = g.adjacency
     n = len(adj)
@@ -276,7 +286,7 @@ def shortest_path_tree(g: Instance, source: int | frozenset[int]) -> PathTree:
     dist = [INF] * n
     done = [False] * n
     # (INF, INF) compares above every entry: no label yet
-    label: list[tuple] = [(INF, INF)] * n
+    label: list[tuple] = [(INF, INF)] * n if bound is None else [(b, INF) for b in bound]
     for s in members:
         done[s] = True
         dist[s] = 0.0

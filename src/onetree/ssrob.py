@@ -36,11 +36,12 @@ Two interchangeable solvers, both deterministic given a seed:
   support's length, the optima stay the same, and all such thresholds
   share one answer whichever asks first.
 - A randomized sample-and-augment heuristic (``sample_and_augment``);
-  cost ties between its trials go to the smaller edge-id tuple. It
-  gives the plain per-trial algorithm's trees but memoizes on the instance
-  what trials and thresholds share: terminal shortest-path trees, each
-  seed's draws and each marked set's routed trial tree. The solve at
-  threshold index i gets seed + i and its trial t draws from
+  cost ties between its trials go to the smaller edge-id tuple. It gives
+  the plain per-trial algorithm's trees but memoizes on the instance what
+  trials and thresholds share: terminal shortest-path trees, which also
+  bound each rent search to the vertices a rent path can use, each seed's
+  draws and each marked set's routed trial tree. The solve at threshold
+  index i gets seed + i and its trial t draws from
   ``random.Random(seed + i + t)``, so K+1 indices of T trials use at most
   K+T streams. A stream's marked set only shrinks as the threshold grows, so
   over d demand vertices a run builds at most min((K+1)·T, (K+T)·(d+1))
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from operator import lt
 from typing import Callable, Container, NamedTuple, Sequence
 
@@ -66,6 +67,7 @@ from .graph import (
     Instance,
     PathTree,
     UnionFind,
+    bounded_search,
     minimum_spanning_forest,
     shortest_path_tree,
     tree_order,
@@ -404,7 +406,8 @@ def _demand_paths(
     """Edges of the shortest-path ``tree`` paths to ``source`` (a vertex or
     SUPERNODE) from every demand vertex of ``g`` not in ``skip``. Each walk
     stops at the first vertex an earlier walk reached, whose path on to
-    ``source`` is already picked."""
+    ``source`` is already picked. Only the walked labels are read, so
+    ``tree`` may come from a search bounded to keep them (``_rent_paths``)."""
     dist, pred = tree
     picked: set[int] = set()
     reached = {source}
@@ -428,10 +431,34 @@ def _rent_paths(g: Instance, core: frozenset[int]) -> frozenset[int]:
     search from vertex 0 of ``contract(g, core)``, read back through its
     numbering, without building it. A core that holds every demand vertex
     rents nothing, so it is not searched.
+
+    The search is goal directed (Goldberg and Harrelson, SODA 2005). With
+    D_t the distance from off-core demand vertex t to its nearest core
+    vertex, read in t's memoized tree by walking ``pred`` in settle order,
+    x is labelled only within max over t of D_t·(1 + 8·n·u) - dist_t(x),
+    u = 2^-53, so the walks read only unbounded labels. A search's float
+    distance is within 1 ± γ, γ = n·u/(1 - n·u), of its path's exact length
+    and at most the float sum along any path; bounding d(x), dist_t(x), d(t)
+    and D_t so puts d(x) + dist_t(x), for x on t's path, at most
+    ((1 + γ)/(1 - γ))^2 = (1 - 2·n·u)^-2 times D_t, and the margin covers
+    that and the two roundings of the bound while n·u < 1/8.
     """
     if g.demands.keys() <= core:
         return frozenset()
-    return _demand_paths(g, shortest_path_tree(g, core), SUPERNODE, core)
+    bound = [-INF] * g.n
+    margin = 1.0 + 8 * g.n * 2.0**-53
+    for t in g.demands.keys() - core:
+        dist_t, pred_t = _source_tree(g, t)
+        # t itself when t cannot reach the core: a bound of 0 on t alone,
+        # which the search never reaches, and _demand_paths refuses t
+        reach = dist_t[next((x for x in pred_t if x in core), t)] * margin
+        for x in chain((t,), pred_t):
+            slack = reach - dist_t[x]
+            if slack < 0.0:
+                break
+            if slack > bound[x]:
+                bound[x] = slack
+    return _demand_paths(g, bounded_search(g, core, bound), SUPERNODE, core)
 
 
 def _marked_vertices(g: Instance, seed: int, chances: Sequence[float]) -> frozenset[int]:

@@ -425,9 +425,14 @@ def _reference_core(g: Instance, terminals: set[int]) -> frozenset[int]:
 
 
 def _reference_rent(g: Instance, core_ids: frozenset[int]) -> set[int]:
-    """Rent paths searched from vertex 0 of an explicit contraction of the
-    core, with labels mapped back to base ids by the ascending kept ids."""
-    core = tree_vertices(g.root, (g.edge_by_id[eid] for eid in core_ids))
+    """``reference_rent`` to the vertices of the core with edge ids ``core_ids``."""
+    return reference_rent(g, tree_vertices(g.root, (g.edge_by_id[eid] for eid in core_ids)))
+
+
+def reference_rent(g: Instance, core: set[int]) -> set[int]:
+    """Rent paths from the off-``core`` demand vertices, searched from vertex
+    0 of an explicit contraction of the core vertex set, with labels mapped
+    back to base ids by the ascending kept ids."""
     base = [SUPERNODE, *sorted(set(g.vertex_ids) - core)]
     dist, pred = reference_shortest_path_tree(contract(g, core), 0)
     tree = (

@@ -1,8 +1,9 @@
 """Property tests on random small graphs, drawn by hypothesis: the exact
 oracle against the brute-force tree oracle, against itself on renumbered
 edges (in rational arithmetic), and its budget refusal; the cycle
-cancelling behind it, on superposed random paths; and sample-and-augment
-against its plain reference."""
+cancelling behind it, on superposed random paths; sample-and-augment
+against its plain reference; and the bounded search behind its rent paths
+against the unbounded one."""
 
 from fractions import Fraction
 
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 
 from onetree import OracleLimitError, basis_cost, make_instance, route, sample_and_augment
 from onetree import ssrob
-from onetree.graph import UnionFind, tree_order
-from onetree.ssrob import _acyclic_support, _root_component
-from onetree.ssrob import best_tree_for_combination
+from onetree.graph import INF, SUPERNODE, UnionFind, bounded_search, shortest_path_tree, tree_order
+from onetree.ssrob import _acyclic_support, _demand_paths, _rent_paths, _root_component
+from onetree.ssrob import _steiner_core, best_tree_for_combination
 
-from helpers import brute_min_cost, exact_cost, reference_sample_and_augment
+from helpers import brute_min_cost, exact_cost, reference_rent, reference_sample_and_augment
 
 
 @st.composite
@@ -177,3 +178,77 @@ def test_sample_and_augment_matches_reference(g, power, seed, trials):
     got = sample_and_augment(g, threshold, seed=seed, trials=trials)
     want = reference_sample_and_augment(g, threshold, seed=seed, trials=trials)
     assert got.edge_ids == want.edge_ids
+
+
+@st.composite
+def rent_instances(draw):
+    """Unit demand on a drawn vertex set of one of three graphs: a
+    ``small_instances`` graph (lengths 1 to 4); a grid of up to 4×4 with
+    lengths 1 and 2, where many equal-length paths tie; or a random tree
+    plus extra edges on up to 9 vertices with lengths 1/3, 0.1, 1e-9, 1e6,
+    1 and 2.5, whose sums round. Every distance stays below 2^23, where
+    adding 1e-9 still moves a sum, as the bounded search's exactness needs."""
+    kind = draw(st.sampled_from(["small", "grid", "float"]))
+    if kind == "small":
+        g = draw(small_instances(max_n=8, max_extra=8))
+        n, edges = g.n, [(e.u, e.v, e.length) for e in g.edges]
+    elif kind == "grid":
+        rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        n, length = rows * cols, st.integers(1, 2)
+        edges = [(v, v + 1, draw(length)) for v in range(n) if (v + 1) % cols]
+        edges += [(v, v + cols, draw(length)) for v in range(n - cols)]
+    else:
+        n = draw(st.integers(1, 9))
+        vertex, length = st.integers(0, n - 1), st.sampled_from([1 / 3, 0.1, 1e-9, 1e6, 1.0, 2.5])
+        edges = [(draw(st.integers(0, v - 1)), v, draw(length)) for v in range(1, n)]
+        extra = draw(st.lists(st.tuples(vertex, vertex, length), max_size=8))
+        edges += [(u, v, w) for u, v, w in extra if u != v]
+    vertex = st.integers(0, n - 1)
+    demanded = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    return make_instance(n, edges, draw(vertex), dict.fromkeys(demanded, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rent_instances(), st.data())
+def test_rent_paths_match_unbounded_search(g, data):
+    # a trial's core (the Steiner core of a random marked set and the root)
+    # or any vertex set that holds the root: the bounded rent search picks
+    # the edges that the unbounded merged-source search picks, and on
+    # integer lengths those that a search of the explicit contraction picks
+    vertex = st.integers(0, g.n - 1)
+    if data.draw(st.booleans()):
+        marked = data.draw(st.frozensets(st.sampled_from(sorted(g.demands))))
+        _, core = _steiner_core(g, marked | {g.root})
+    else:
+        core = data.draw(st.frozensets(vertex)) | {g.root}
+    off_core = g.demands.keys() - core
+    want = _demand_paths(g, shortest_path_tree(g, core), SUPERNODE, core) if off_core else set()
+    assert _rent_paths(g, core) == want
+    if all(e.length.is_integer() for e in g.edges):
+        assert reference_rent(g, core) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(rent_instances(), st.data())
+def test_bounded_search_keeps_labels_within_bound(g, data):
+    # bound each vertex at its unbounded distance times a drawn factor: no
+    # distance falls below the unbounded one, and a vertex whose unbounded
+    # path stays within the bound at every vertex keeps its label
+    vertex = st.integers(0, g.n - 1)
+    source = data.draw(st.one_of(vertex, st.frozensets(vertex, min_size=1)))
+    members = source if isinstance(source, frozenset) else {source}
+    dist, pred = shortest_path_tree(g, source)
+    factor = st.sampled_from([-1.0, 0.5, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 2.0, INF])
+    bound = [d * data.draw(factor) for d in dist]
+    got_dist, got_pred = bounded_search(g, source, bound)
+    for v in g.vertex_ids:
+        assert got_dist[v] >= dist[v]
+        if v in members:
+            assert got_dist[v] == 0.0 and v not in got_pred
+            continue
+        x, within = v, dist[v] < INF
+        while within and x != SUPERNODE and x not in members:
+            within = dist[x] <= bound[x]
+            x = pred[x][0]
+        if within:
+            assert (got_dist[v], got_pred[v]) == (dist[v], pred[v])

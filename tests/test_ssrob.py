@@ -692,6 +692,24 @@ def test_disconnected_terminals_are_refused():
         sample_and_augment(g, 1.0)
 
 
+def test_disconnected_rent_demand_is_refused():
+    # demand vertex 3 lies off the root's component and is almost never
+    # marked (chance 1e-5), so the trials rent for it: its own tree reaches
+    # no core vertex, it bounds nothing, and the bounded search from the core
+    # leaves it unreachable, also when a demand vertex after it is reachable
+    message = r"^disconnected demand: vertex 3 is unreachable from the root$"
+    for n, edges, demands in (
+        (4, [(0, 1, 1), (2, 3, 1)], {1: 10**6, 3: 1}),
+        (5, [(0, 1, 1), (2, 3, 1), (1, 4, 2)], {1: 10**6, 3: 1, 4: 1}),
+    ):
+        g = make_instance(n, edges, 0, demands)
+        with pytest.raises(InstanceError, match=message):
+            sample_and_augment(g, 10.0**5, seed=0, trials=4)
+        assert 3 in g.source_trees  # the rent bound read its tree
+        with pytest.raises(InstanceError, match=message):
+            _rent_paths(g, frozenset({0, 1}))
+
+
 def test_repeated_marked_sets_route_once(monkeypatch):
     # 32 trials over three demand vertices mark at most 8 sets per
     # threshold: each distinct set gets one core and one route per instance
@@ -882,18 +900,26 @@ def test_marking_frequency_matches_unit_marking():
 
 
 def test_rent_paths_search_from_core_vertex_set(monkeypatch):
-    searches = []
-    search = ssrob.shortest_path_tree
+    searches, trees = [], []
+    search, source_tree = ssrob.bounded_search, ssrob._source_tree
 
-    def counted(g, source):
+    def counted(g, source, bound):
         searches.append(source)
-        return search(g, source)
+        return search(g, source, bound)
 
-    monkeypatch.setattr(ssrob, "shortest_path_tree", counted)
+    def counted_tree(g, source):
+        trees.append(source)
+        return source_tree(g, source)
+
+    monkeypatch.setattr(ssrob, "bounded_search", counted)
+    monkeypatch.setattr(ssrob, "_source_tree", counted_tree)
     g = make_instance(4, [(0, 1, 1), (0, 1, 2), (1, 2, 1), (2, 3, 1), (0, 3, 5)], 0, {2: 1, 3: 2})
-    # the core vertex set {0, 1} is searched as one merged source
+    # the core vertex set {0, 1} is searched as one merged source, bounded
+    # by the off-core demand vertices' own trees, one each
     assert _rent_paths(g, frozenset({0, 1})) == {2, 3}
     assert searches == [frozenset({0, 1})]
+    assert sorted(trees) == [2, 3]
+    assert g.source_trees.keys() == {2, 3}
     # a core holding every demand vertex rents nothing and is not searched,
     # also when the demand sits on the root, which every core holds
     assert _rent_paths(g, frozenset({0, 1, 2, 3})) == frozenset()
@@ -902,6 +928,17 @@ def test_rent_paths_search_from_core_vertex_set(monkeypatch):
     only_root = make_instance(2, [(0, 1, 1)], 0, {0: 3})
     assert _rent_paths(only_root, frozenset({0})) == frozenset()
     assert searches == [frozenset({0, 1})]
+    assert sorted(trees) == [2, 3]
+
+
+def test_rent_bound_margin_covers_rounding():
+    # path 1 -(1/3)- 0 -(1)- 2 with core {1}: vertex 2 is 1/3 + 1 = 4/3 from
+    # the core in both trees, but 4/3 - 1 rounds below 1/3, so with no
+    # margin on that distance vertex 0's label would fall outside its bound
+    # and vertex 2 would be left unreachable
+    g = make_instance(3, [(0, 1, 1 / 3), (0, 2, 1.0)], 1, {2: 1})
+    assert 1 / 3 + 1.0 - 1.0 < 1 / 3
+    assert _rent_paths(g, frozenset({1})) == {0, 1}
 
 
 def test_rent_paths_name_single_vertex_core_supernode():
