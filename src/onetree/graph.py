@@ -49,8 +49,8 @@ class Instance:
     integer demands; ``contract`` also returns one, with no demands.
 
     Raises InstanceError when the root, an edge end or a demand vertex is
-    outside 0..n-1, and when total edge length times total demand is not
-    finite: every cost the pipeline forms is at most that product.
+    outside 0..n-1, when a length is not positive, and when total length
+    times total demand is not finite: every cost formed is at most that.
     """
 
     n: int
@@ -65,6 +65,8 @@ class Instance:
         for e in self.edges:
             if not (0 <= e.u < n and 0 <= e.v < n):
                 raise InstanceError(f"edge {e.eid} ({e.u}, {e.v}) has an end out of range 0..{n - 1}")
+            if not e.length > 0.0:
+                raise InstanceError(f"edge {e.eid} has length {e.length}, which is not positive")
         for v, _ in self.demand_items:
             if not 0 <= v < n:
                 raise InstanceError(f"demand vertex {v} out of range 0..{n - 1}")
@@ -262,9 +264,10 @@ def bounded_search(
 
     A vertex's label is its least heap entry (distance, via, edge id,
     vertex): an entry is pushed only when it beats the label, and never for
-    a settled vertex, so the first pop is final. w's label starts at
-    (INF, INF), or at (bound[w], INF), which only entries of distance at
-    most bound[w] beat. A bound can raise a distance, never lower it; a
+    a settled vertex, so the first pop is final. A label starts as a
+    distance cap, bound[w] or INF; a relax compares d + length with the cap
+    and builds the tuple, which settles ties, only within it. A settled
+    vertex's cap is -INF. A bound can raise a distance, never lower it; a
     vertex keeps its unbounded label when every x on its unbounded path has
     distance at most bound[x], unless some d + length rounds back to d: each
     is relaxed by its parent before it can pop, and no other entry is less.
@@ -284,33 +287,36 @@ def bounded_search(
     if not members or not all(0 <= s < n for s in members):
         raise ValueError(f"source vertex {source} is not in the graph")
     dist = [INF] * n
-    done = [False] * n
+    best = [INF] * n if bound is None else list(bound)
     # (INF, INF) compares above every entry: no label yet
-    label: list[tuple] = [(INF, INF)] * n if bound is None else [(b, INF) for b in bound]
+    label: list[tuple] = [(INF, INF)] * n
     for s in members:
-        done[s] = True
+        best[s] = -INF
         dist[s] = 0.0
     heap: list[tuple] = []
     for s in members:
         for w, length, e in adj[s]:
-            if not done[w]:
+            if length <= best[w]:
                 cand = (length, name, e, w)
                 if cand < label[w]:
                     label[w] = cand
+                    best[w] = length
                     heappush(heap, cand)
     pred: dict[int, tuple[int, int]] = {}
     while heap:
         d, p, eid, v = heappop(heap)
-        if done[v]:
+        if best[v] == -INF:
             continue
-        done[v] = True
+        best[v] = -INF
         dist[v] = d
         pred[v] = (p, eid)
         for w, length, e in adj[v]:
-            if not done[w]:
-                cand = (d + length, v, e, w)
+            dw = d + length
+            if dw <= best[w]:
+                cand = (dw, v, e, w)
                 if cand < label[w]:
                     label[w] = cand
+                    best[w] = dw
                     heappush(heap, cand)
     return dist, pred
 

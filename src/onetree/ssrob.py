@@ -71,7 +71,6 @@ from .graph import (
     minimum_spanning_forest,
     shortest_path_tree,
     tree_order,
-    tree_vertices,
 )
 from .routing import RoutedTree, basis_cost, route
 
@@ -369,9 +368,10 @@ def _steiner_core(
     MST of the complete terminal graph under shortest-path distances, paths
     expanded back into the instance. Pair a < b has key (d, a, b), with d and
     b's path to a read in a's tree. The keys are distinct, so the MST is
-    unique, and dense Prim finds the tree that Kruskal over sorted keys finds.
-    The expanded union is connected: a tree is returned as it is, and only a
-    union that closes a cycle takes an MST pass, which drops redundant edges.
+    unique, and dense Prim, which builds a key only if its d is at most the d
+    it would replace, finds the tree that Kruskal over sorted keys finds. The
+    expanded union, its vertices collected as it grows, is connected: a tree
+    is returned as it is, and a union with a cycle takes an MST pass.
     """
     terms = sorted(terminals)
     if len(terms) <= 1:
@@ -379,25 +379,29 @@ def _steiner_core(
     trees = {t: _source_tree(g, t) for t in terms}
     best = {b: (trees[terms[0]][0][b], terms[0], b) for b in terms[1:]}
     union_edges: dict[int, Edge] = {}
+    touched = set(terms)
     while best:
-        c = min(best, key=best.__getitem__)
-        d, a, b = best.pop(c)
+        d, a, b = min(best.values())
+        c = b if b in best else a
+        del best[c]
         if d == INF:
             raise InstanceError(f"terminals {a} and {b} are not connected")
         x, pred = b, trees[a][1]
         while x != a:
             x, eid = pred[x]
+            touched.add(x)
             union_edges[eid] = g.edge_by_id[eid]
         for x, key in best.items():
-            pair = (trees[c][0][x], c, x) if c < x else (trees[x][0][c], x, c)
-            if pair < key:
-                best[x] = pair
+            d = trees[c][0][x] if c < x else trees[x][0][c]
+            if d <= key[0]:
+                pair = (d, c, x) if c < x else (d, x, c)
+                if pair < key:
+                    best[x] = pair
 
-    touched = frozenset(tree_vertices(terms[0], union_edges.values()))
     if len(union_edges) == len(touched) - 1:
-        return frozenset(union_edges), touched
+        return frozenset(union_edges), frozenset(touched)
     reduced, _ = minimum_spanning_forest(touched, union_edges.values())
-    return frozenset(e.eid for e in reduced), touched
+    return frozenset(e.eid for e in reduced), frozenset(touched)
 
 
 def _demand_paths(
@@ -434,7 +438,7 @@ def _rent_paths(g: Instance, core: frozenset[int]) -> frozenset[int]:
 
     The search is goal directed (Goldberg and Harrelson, SODA 2005). With
     D_t the distance from off-core demand vertex t to its nearest core
-    vertex, read in t's memoized tree by walking ``pred`` in settle order,
+    vertex, the first core key of t's memoized ``pred`` in settle order,
     x is labelled only within max over t of D_t·(1 + 8·n·u) - dist_t(x),
     u = 2^-53, so the walks read only unbounded labels. A search's float
     distance is within 1 ± γ, γ = n·u/(1 - n·u), of its path's exact length
@@ -451,7 +455,7 @@ def _rent_paths(g: Instance, core: frozenset[int]) -> frozenset[int]:
         dist_t, pred_t = _source_tree(g, t)
         # t itself when t cannot reach the core: a bound of 0 on t alone,
         # which the search never reaches, and _demand_paths refuses t
-        reach = dist_t[next((x for x in pred_t if x in core), t)] * margin
+        reach = dist_t[next(filter(core.__contains__, pred_t), t)] * margin
         for x in chain((t,), pred_t):
             slack = reach - dist_t[x]
             if slack < 0.0:

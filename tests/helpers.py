@@ -17,8 +17,12 @@ and :func:`reference_K` the loop that the closed form of ``compute_K`` must
 match; :func:`basis_grid` is the threshold grid of an instance.
 :func:`reference_shortest_path_tree` is the shortest-path search over
 per-vertex ``Edge`` tuples, keyed by vertex id, that the package's list
-search must match, and :func:`reference_contract` the contraction keyed by
-base vertex id that the package's renumbered one must match.
+search must match; :func:`reference_search` the bounded search with a tuple
+label on every vertex, which the package's float-first relax must match;
+:func:`reference_core` the Steiner core by Kruskal over the metric closure,
+which the package's dense Prim must match; and :func:`reference_contract`
+the contraction keyed by base vertex id that the package's renumbered one
+must match.
 :class:`ConcaveFunction`, :func:`decompose_function`, :func:`eval_cost` and
 :func:`best_tree_for_function` state a concave cost function over the
 threshold basis, for the tests of the reduction from any concave function
@@ -373,6 +377,52 @@ def reference_shortest_path_tree(g, source):
     return dist, pred
 
 
+def reference_search(g: Instance, source, bound):
+    """``graph.bounded_search`` as it stood before its relax compared a float
+    cap first: every label a tuple, starting at (INF, INF) or, with a bound,
+    at (bound[w], INF), a candidate tuple built on every relax of an
+    unsettled vertex, and settled vertices flagged in a list. The package's
+    search must give this ``dist`` list and this ``pred`` dict, in the same
+    settle order."""
+    adj = g.adjacency
+    n = len(adj)
+    if isinstance(source, frozenset):
+        members, name = sorted(source), SUPERNODE
+    else:
+        members, name = [source], source
+    if not members or not all(0 <= s < n for s in members):
+        raise ValueError(f"source vertex {source} is not in the graph")
+    dist = [INF] * n
+    done = [False] * n
+    label: list[tuple] = [(INF, INF)] * n if bound is None else [(b, INF) for b in bound]
+    for s in members:
+        done[s] = True
+        dist[s] = 0.0
+    heap: list[tuple] = []
+    for s in members:
+        for w, length, e in adj[s]:
+            if not done[w]:
+                cand = (length, name, e, w)
+                if cand < label[w]:
+                    label[w] = cand
+                    heappush(heap, cand)
+    pred: dict[int, tuple[int, int]] = {}
+    while heap:
+        d, p, eid, v = heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        dist[v] = d
+        pred[v] = (p, eid)
+        for w, length, e in adj[v]:
+            if not done[w]:
+                cand = (d + length, v, e, w)
+                if cand < label[w]:
+                    label[w] = cand
+                    heappush(heap, cand)
+    return dist, pred
+
+
 def reference_contract(g: Instance, merged, keep=None) -> tuple[tuple[int, ...], list[Edge]]:
     """``contract`` keyed by base vertex id: the vertex ids with SUPERNODE
     for the merged set, SUPERNODE first and the rest ascending, and the
@@ -403,7 +453,11 @@ def _reference_paths(g: Instance, tree, source: int, skip) -> set[int]:
     return picked
 
 
-def _reference_core(g: Instance, terminals: set[int]) -> frozenset[int]:
+def reference_core(g: Instance, terminals: set[int]) -> frozenset[int]:
+    """Edge ids of the metric-closure Steiner tree over ``terminals``:
+    Kruskal over the sorted (d, a, b) keys of the pairs a < b, with d and
+    b's path to a read in a's tree, the paths expanded, and an MST pass
+    over the union."""
     terms = sorted(terminals)
     if len(terms) <= 1:
         return frozenset()
@@ -461,12 +515,12 @@ def reference_sample_and_augment(
     if threshold >= g.total_demand:
         return route(g, _reference_paths(g, shortest_path_tree(g, g.root), g.root, ()))
     if threshold <= 1.0:
-        core = _reference_core(g, {v for v, _ in g.demand_items} | {g.root})
+        core = reference_core(g, {v for v, _ in g.demand_items} | {g.root})
         return route(g, core | _reference_rent(g, core))
     best = None
     for trial in range(trials):
         marked = reference_marking(g, random.Random(seed + trial), 1.0 / threshold)
-        core = _reference_core(g, marked | {g.root})
+        core = reference_core(g, marked | {g.root})
         tree = route(g, core | _reference_rent(g, core))
         key = (basis_cost(tree, threshold), tree.edge_ids)
         if best is None or key < best[0]:

@@ -73,6 +73,15 @@ def test_make_instance_rejects_non_finite_cost_range(lengths, amount):
         make_instance(3, edges, 0, {2: amount})
 
 
+@pytest.mark.parametrize("length", [-1.0, 0.0, -0.0, math.nan])
+def test_make_instance_rejects_nonpositive_length(length):
+    # load_instance refuses these lines; the library constructor must too,
+    # since a search's first pop is final only on positive lengths
+    edges = [(0, 1, 1.0), (1, 2, length), (0, 2, 5.0)]
+    with pytest.raises(InstanceError, match=r"^edge 1 has length .*, which is not positive$"):
+        make_instance(3, edges, 0, {2: 3})
+
+
 @pytest.mark.parametrize(
     "edges, root, demands, match",
     [

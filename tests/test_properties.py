@@ -2,8 +2,10 @@
 oracle against the brute-force tree oracle, against itself on renumbered
 edges (in rational arithmetic), and its budget refusal; the cycle
 cancelling behind it, on superposed random paths; sample-and-augment
-against its plain reference; and the bounded search behind its rent paths
-against the unbounded one."""
+against its plain reference; the bounded search behind its rent paths
+against the unbounded one and against the search that built a tuple label
+for every relax; and the Steiner core's dense Prim against Kruskal over the
+metric closure."""
 
 from fractions import Fraction
 
@@ -14,10 +16,12 @@ from hypothesis import strategies as st
 from onetree import OracleLimitError, basis_cost, make_instance, route, sample_and_augment
 from onetree import ssrob
 from onetree.graph import INF, SUPERNODE, UnionFind, bounded_search, shortest_path_tree, tree_order
+from onetree.graph import tree_vertices
 from onetree.ssrob import _acyclic_support, _demand_paths, _rent_paths, _root_component
 from onetree.ssrob import _steiner_core, best_tree_for_combination
 
-from helpers import brute_min_cost, exact_cost, reference_rent, reference_sample_and_augment
+from helpers import brute_min_cost, exact_cost, reference_core, reference_rent
+from helpers import reference_sample_and_augment, reference_search
 
 
 @st.composite
@@ -252,3 +256,50 @@ def test_bounded_search_keeps_labels_within_bound(g, data):
             x = pred[x][0]
         if within:
             assert (got_dist[v], got_pred[v]) == (dist[v], pred[v])
+
+
+@st.composite
+def tie_instances(draw):
+    """A grid of up to 4×5 with lengths 1 and 2, some of its edges doubled
+    by a parallel edge of length 1 or 2, and unit demand on a drawn vertex
+    set: many paths and many parallel edges tie on their distance."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    n, length = rows * cols, st.integers(1, 2)
+    grid = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+    grid += [(v, v + cols) for v in range(n - cols)]
+    doubled = draw(st.lists(st.sampled_from(grid), max_size=6)) if grid else []
+    edges = draw(st.permutations([(u, v, draw(length)) for u, v in grid + doubled]))
+    vertex = st.integers(0, n - 1)
+    demanded = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    return make_instance(n, edges, draw(vertex), dict.fromkeys(demanded, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_instances(), st.data())
+def test_bounded_search_matches_tuple_label_search(g, data):
+    # single-source, merged-source and bounded calls: the float-first relax
+    # gives the distances, labels and settle order of the search that built
+    # a tuple for every relax, bounds at exactly a vertex's distance included
+    vertex = st.integers(0, g.n - 1)
+    source = data.draw(st.one_of(vertex, st.frozensets(vertex, min_size=1)))
+    bound = None
+    if data.draw(st.booleans()):
+        dist, _ = shortest_path_tree(g, source)
+        cap = st.one_of(st.just("dist"), st.integers(0, 2 * g.n), st.sampled_from([INF, -INF]))
+        caps = [data.draw(cap) for _ in dist]
+        bound = [d if c == "dist" else float(c) for d, c in zip(dist, caps)]
+    got_dist, got_pred = bounded_search(g, source, bound)
+    want_dist, want_pred = reference_search(g, source, bound)
+    assert got_dist == want_dist
+    assert list(got_pred.items()) == list(want_pred.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_instances(), st.data())
+def test_steiner_core_matches_kruskal_over_closure(g, data):
+    # dense Prim picks the closure MST that Kruskal over the sorted (d, a, b)
+    # keys picks, ties in d included, and collects its vertices as it expands
+    terminals = data.draw(st.frozensets(st.integers(0, g.n - 1))) | {g.root}
+    edge_ids, vertices = _steiner_core(g, terminals)
+    assert edge_ids == reference_core(g, terminals)
+    assert vertices == tree_vertices(min(terminals), (g.edge_by_id[e] for e in edge_ids))
