@@ -408,6 +408,9 @@ def _print_summary(name: str, res: PipelineResult, verbose: int) -> None:
 
 def run_corpus(directory: str, cfg: RunConfig) -> int:
     """Batch mode over *.graph files; per-file errors do not stop the batch."""
+    if cfg.out_tree:
+        print("error: --out-tree needs a single instance, not --corpus", file=sys.stderr)
+        return EXIT_INVALID
     files = sorted(Path(directory).glob("*.graph"))
     if not files:
         print(f"error: no *.graph files in {directory}", file=sys.stderr)

@@ -31,7 +31,8 @@ def compute_K(total_demand: int, eps: float) -> int:
     an exact boundary still counts. K starts from the closed form
     log(D) / log(1 + eps), with the same base as basis_threshold, and steps
     by one against that test, so it takes a few steps whatever D and eps are.
-    Raises ConfigError when 1 + eps rounds to 1 or K exceeds MAX_K.
+    Raises ConfigError when 1 + eps rounds to 1, when K exceeds MAX_K, and
+    when the top threshold (1 + eps) ** K passes the float range.
     """
     if total_demand < 1:
         raise ConfigError("total demand must be >= 1")
@@ -40,12 +41,15 @@ def compute_K(total_demand: int, eps: float) -> int:
     step = math.log(1.0 + eps)
     if step == 0.0:
         raise ConfigError(f"eps {eps} is too small: 1 + eps rounds to 1")
-    target = total_demand * (1.0 - 1e-12)
     k = math.ceil(math.log(total_demand) / step)
-    while k > 0 and basis_threshold(k - 1, eps) >= target:
-        k -= 1
-    while basis_threshold(k, eps) < target:
-        k += 1
+    try:
+        target = total_demand * (1.0 - 1e-12)
+        while k > 0 and basis_threshold(k - 1, eps) >= target:
+            k -= 1
+        while basis_threshold(k, eps) < target:
+            k += 1
+    except OverflowError:
+        raise ConfigError(f"eps {eps}: top threshold (1 + eps) ** {k} overflows a float") from None
     if k > MAX_K:
         raise ConfigError(
             f"eps {eps} needs K = {k} threshold indices, K + 1 basis solves; "

@@ -18,23 +18,23 @@ Two interchangeable solvers, both deterministic given a seed:
   every concave nondecreasing w with w(0) = 0 (a negative or NaN
   threshold or coefficient is refused), so one code path serves a single
   threshold and a combination of them. The winning sends are read back
-  from the few rows they touch, expanded into shortest paths, any cycle
-  their union closes is cancelled, and the flow support is completed to a
-  spanning tree by Kruskal in edge-id order: the least tree of that flow
-  class. Cost ties go to the first minimum in the DP's scan order: a send
-  from the least branch vertex id, then a split whose part holding the
-  set's least terminal has the smallest bitmask (terminals ordered by
-  vertex id). The one limit is ``ORACLE_CELL_BUDGET``.
+  from the few rows they touch and expanded into shortest paths; the
+  answer is their flow support, since an edge with no flow costs nothing.
+  Only a support that ``route`` refuses (a cycle, or a circulation off the
+  root) has its cycles cancelled first. Cost ties go to the first minimum
+  in the DP's scan order: a send from the least branch vertex id, then a
+  split whose part holding the set's least terminal has the smallest
+  bitmask (terminals ordered by vertex id). The one limit is
+  ``ORACLE_CELL_BUDGET``.
 
   What every solve of an instance shares is set up once (``_oracle_setup``)
-  with two memos of answers that needed no cycle cancelled (a cancel reads
-  the thresholds, not w): routed trees by flow support, which fixes its
-  tree whatever the weights, and answers by w, so a repeated w skips the
-  DP. When every nonempty set weighs the same, as at each threshold at or
-  below the least demand, w is first set to ones: each loaded edge of a
-  tree carries some set's demand, so a tree costs that one weight times its
-  support's length, the optima stay the same, and all such thresholds
-  share one answer whichever asks first.
+  with a memo of answers by w, so a repeated w skips the DP; an answer
+  whose cycles were cancelled is not kept, since a cancel reads the
+  thresholds, not w. When every nonempty set weighs the same, as at each
+  threshold at or below the least demand, w is first set to ones: each
+  loaded edge of a tree carries some set's demand, so a tree costs that
+  one weight times its support's length, the optima stay the same, and
+  all such thresholds share one answer whichever asks first.
 - A randomized sample-and-augment heuristic (``sample_and_augment``);
   cost ties between its trials go to the smaller edge-id tuple. It gives
   the plain per-trial algorithm's trees but memoizes on the instance what
@@ -59,7 +59,7 @@ from typing import Callable, Container, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InstanceError, OracleLimitError
+from .errors import ConfigError, InstanceError, InvalidTreeError, OracleLimitError
 from .graph import (
     INF,
     SUPERNODE,
@@ -210,28 +210,25 @@ def _acyclic_support(
 class _OracleSetup(NamedTuple):
     """What every subset-DP solve of one instance shares; see _oracle_setup."""
 
-    verts: tuple[int, ...]
-    edges: tuple[Edge, ...]
     keys: tuple[int, ...]
     root: int
     dist_t: np.ndarray
     total: np.ndarray
     amount: tuple[int, ...]
     starts: np.ndarray
-    trees: dict[frozenset[int], RoutedTree]
     answers: dict[bytes, RoutedTree]
 
 
 def _oracle_setup(g: Instance) -> _OracleSetup:
-    """What every subset-DP solve of ``g`` shares: the root's component
-    (``verts``, ``edges``), the branch vertices (``keys``) and the root's
-    column among them, the transposed distances between them (dist_t[v, u]
-    from u to v in v's shortest-path tree), each terminal set's demand per
-    DP row (``_dp_plan`` order), summed in float64 (``total``) and as an
-    integer (``amount``), the one-terminal sets' split rows (``starts``),
-    and the answers by flow support (``trees``) and by weights (``answers``;
-    see the module docstring). Kept in ``g.oracle_setup`` and dropped with
-    ``g``; raises OracleLimitError per ORACLE_CELL_BUDGET, never kept.
+    """What every subset-DP solve of ``g`` shares: the branch vertices of
+    the root's component (``keys``) and the root's column among them, the
+    transposed distances between them (dist_t[v, u] from u to v in v's
+    shortest-path tree), each terminal set's demand per DP row
+    (``_dp_plan`` order), summed in float64 (``total``) and as an integer
+    (``amount``), the one-terminal sets' split rows (``starts``), and the
+    answers by weights (``answers``; see the module docstring). Kept in
+    ``g.oracle_setup`` and dropped with ``g``; raises OracleLimitError per
+    ORACLE_CELL_BUDGET, never kept.
     """
     if g.oracle_setup:
         return g.oracle_setup[0]
@@ -263,8 +260,8 @@ def _oracle_setup(g: Instance) -> _OracleSetup:
     starts[range(t), [keys.index(v) for v in terms]] = 0.0
     order = _dp_plan(t)[0]
     g.oracle_setup.append(_OracleSetup(
-        verts, edges, tuple(keys), keys.index(g.root), dist_t, total[order],
-        tuple(amount[s] for s in order.tolist()), starts, {}, {},
+        tuple(keys), keys.index(g.root), dist_t, total[order],
+        tuple(amount[s] for s in order.tolist()), starts, {},
     ))
     return g.oracle_setup[0]
 
@@ -272,8 +269,9 @@ def _oracle_setup(g: Instance) -> _OracleSetup:
 def best_tree_for_combination(
     g: Instance, thresholds: Sequence[float], coefficients: Sequence[float]
 ) -> RoutedTree:
-    """Spanning tree minimizing sum_i coefficients[i] * cost(thresholds[i]),
-    by the subset DP, with its tie rule and memos (module docstring).
+    """Tree at the root spanning the demand that minimizes
+    sum_i coefficients[i] * cost(thresholds[i]), by the subset DP, with its
+    tie rule and memo (module docstring). Every edge of it carries flow.
 
     Raises ConfigError for a negative or NaN threshold or a negative, NaN or
     infinite coefficient, where w is no concave nondecreasing function, and
@@ -323,18 +321,11 @@ def best_tree_for_combination(
             i = joined.index(min(joined))
             stack += [(int(split[0, i]), u), (int(split[1, i]), u)]
 
-    key = frozenset(eid for eid, f in flow.items() if f)
-    tree = setup.trees.get(key)
-    if tree is None:
+    try:
+        tree = setup.answers[weights] = route(g, (eid for eid, f in flow.items() if f))
+    except InvalidTreeError:  # a cycle, or a circulation off the root
         support = _acyclic_support(g, flow, lambda x: sum(a * min(x, m) for a, m in basis_terms))
-        uf = UnionFind(setup.verts)
-        for eid in support:
-            uf.union(g.edge_by_id[eid].u, g.edge_by_id[eid].v)
-        tree = route(g, [*support, *(e.eid for e in setup.edges if uf.union(e.u, e.v))])
-        if support != key:
-            return tree
-        setup.trees[key] = tree
-    setup.answers[weights] = tree
+        return route(g, support)
     return tree
 
 

@@ -169,6 +169,17 @@ def test_eps_too_fine_for_the_threshold_grid_exits_2(tmp_path, capsys, eps, mess
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps, top", [("0.5", 1751), ("1", 1024)])
+def test_top_threshold_past_the_float_range_exits_2(tmp_path, capsys, eps, top):
+    # the instance is valid, since 1 unit of length times 1.7e308 units of
+    # demand is finite, but (1 + eps) ** K must reach 1.7e308, and
+    # (1 + eps) ** top passes the float range
+    instance = write(tmp_path, "big.graph", f"2 1 0\n0 1 1\nd 1 {int(1.7e308)}\n")
+    assert main(["run", instance, "--eps", eps]) == EXIT_INVALID
+    message = f"eps {float(eps)}: top threshold (1 + eps) ** {top} overflows a float"
+    assert message in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.graph")]) == EXIT_INVALID
 
@@ -533,12 +544,18 @@ def test_demand_at_root_degenerates_cleanly(tmp_path):
     assert report["max_ratio"] == 1.0
 
 
-def test_conflicting_inputs_rejected(tmp_path):
+def test_conflicting_inputs_rejected(tmp_path, capsys):
     instance = write(tmp_path, "path3.graph", PATH3)
     corpus_dir = tmp_path / "c"
     corpus_dir.mkdir()
     assert main(["run", instance, "--corpus", str(corpus_dir)]) == EXIT_INVALID
     assert main(["run"]) == EXIT_INVALID
+    # a corpus has a tree per file, and --out-tree names one file
+    write(corpus_dir, "path3.graph", PATH3)
+    out_tree = tmp_path / "tree.txt"
+    assert main(["run", "--corpus", str(corpus_dir), "--out-tree", str(out_tree)]) == EXIT_INVALID
+    assert "--out-tree needs a single instance" in capsys.readouterr().err
+    assert not out_tree.exists() and not out_tree.with_suffix(".txt.dot").exists()
 
 
 def test_make_parameters_overrides():

@@ -1,7 +1,11 @@
 import math
 import random
+import re
+
+import pytest
 
 from onetree import (
+    ConfigError,
     ExactSolver,
     Parameters,
     SampleAugmentSolver,
@@ -37,6 +41,19 @@ def test_compute_K_values():
     assert compute_K(2, 1.0) == 1
     assert compute_K(100, 0.1) == 49
     assert compute_K(8, 1.0) == 3  # exact power boundary
+
+
+@pytest.mark.parametrize(
+    "demand, eps, top",
+    [(10**308, 1.0, 1024), (int(1.7e308), 0.5, 1751), (10**400, 1.0, 1329)],
+    ids=["1e308", "1.7e308", "1e400"],
+)
+def test_compute_K_refuses_a_top_threshold_past_the_float_range(demand, eps, top):
+    # (1 + eps) ** K must reach the demand, and (1 + eps) ** top is past
+    # the largest float; 10**400 is past it as well
+    message = f"eps {eps}: top threshold (1 + eps) ** {top} overflows a float"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        compute_K(demand, eps)
 
 
 def test_compute_K_matches_the_loop():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from onetree import OracleLimitError, basis_cost, make_instance, route, sample_and_augment
 from onetree import ssrob
-from onetree.graph import INF, SUPERNODE, UnionFind, bounded_search, shortest_path_tree, tree_order
+from onetree.graph import INF, SUPERNODE, bounded_search, shortest_path_tree, tree_order
 from onetree.graph import tree_vertices
 from onetree.ssrob import _acyclic_support, _demand_paths, _rent_paths, _root_component
 from onetree.ssrob import _steiner_core, best_tree_for_combination
@@ -137,10 +137,10 @@ def _random_path(g, rnd, start: int) -> list:
 def test_cancelling_cycles_never_costs_more(g, combination, rnd):
     # every demand vertex sends half its units to the root along one random
     # path and the rest along another, and all paths are superposed; the
-    # support left after cancelling every cycle is a forest whose edges all
-    # carry demand to the root, and its routed tree costs no more, exactly
-    reach = {v for v, _ in tree_order(g.root, g.edges)}
-    assume(set(g.demands) <= reach)
+    # support left after cancelling every cycle is, as the oracle routes it,
+    # a tree at the root whose edges all carry demand, and costs no more,
+    # exactly
+    assume(set(g.demands) <= {v for v, _ in tree_order(g.root, g.edges)})
     thresholds, coefficients = zip(*combination)
     flow: dict[int, int] = {}
     for v, amount in g.demand_items:
@@ -154,11 +154,8 @@ def test_cancelling_cycles_never_costs_more(g, combination, rnd):
         return sum(a * min(x, m) for a, m in zip(coefficients, thresholds) if a)
 
     support = _acyclic_support(g, flow, unit)
-    uf = UnionFind(reach)
-    assert all(uf.union(g.edge_by_id[eid].u, g.edge_by_id[eid].v) for eid in sorted(support))
-    rest = [e.eid for e in g.edges if e.u in reach and uf.union(e.u, e.v)]
-    tree = route(g, [*support, *rest])
-    assert all(tree.flow_map[eid] for eid in support)
+    tree = route(g, support)
+    assert all(tree.flows)
     superposed = sum(
         Fraction(a) * Fraction(g.edge_by_id[eid].length) * min(Fraction(abs(f)), Fraction(m))
         for eid, f in flow.items()

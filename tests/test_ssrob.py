@@ -98,10 +98,10 @@ def test_exact_oracle_guard():
     with pytest.raises(OracleLimitError, match="too large for oracle"):
         exact_ssrob(make_instance(21, path, 0, {v: 1 for v in range(1, 21)}), 2.0)
     # K_12 with one demand vertex takes 3·12 + 2·12² cells: the direct edge,
-    # completed by the rest of the star at the root
+    # the one edge that carries flow
     n = 12
     g = make_instance(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)], 0, {1: 1})
-    assert exact_ssrob(g, 2.0).edge_ids == tuple(range(n - 1))
+    assert exact_ssrob(g, 2.0).edge_ids == (0,)
 
 
 def _flow_test_instance(rng: random.Random):
@@ -140,16 +140,23 @@ def _spans_demand(g):
     return set(g.demands) <= set(_root_component(g)[0])
 
 
+def _loaded(tree):
+    """The ids of ``tree``'s edges that carry flow, ascending."""
+    return tuple(eid for eid, f in zip(tree.edge_ids, tree.flows) if f)
+
+
 def _check_oracle(g, combinations):
     """The reference flow classes of ``g``, after checking that for each
-    (thresholds, coefficients) pair the oracle's tree is the least tree of
-    its flow class and costs exactly the least cost of any class."""
+    (thresholds, coefficients) pair every edge of the oracle's tree carries
+    flow, the tree is the loaded edges of its flow class's least tree, and
+    it costs exactly the least cost of any class."""
     verts, edges = _root_component(g)
     classes = reference_flow_classes(g, verts, edges)
     least = [route(g, eids) for eids in classes.values()]
     for thresholds, coefficients in combinations:
         tree = best_tree_for_combination(g, thresholds, coefficients)
-        assert classes[_flows(g, tree)] == tree.edge_ids, (g, thresholds)
+        assert all(f > 0 for f in tree.flows), (g, thresholds)
+        assert _loaded(route(g, classes[_flows(g, tree)])) == tree.edge_ids, (g, thresholds)
         want = least_exact_cost(least, thresholds, coefficients)
         assert exact_cost(tree, thresholds, coefficients) == want, (g, thresholds)
     return classes
@@ -159,8 +166,9 @@ def test_oracle_flows_match_tree_walk():
     # on small instances with lone roots, demand at the root, vertices and
     # demand outside the root's component, parallel edges and flows beyond
     # int32, the oracle's tree carries the walked flows of a reference flow
-    # class, is that class's least tree and costs exactly the least of any
-    # class; demand outside the root's component cannot be spanned
+    # class, is the loaded edges of that class's least tree and costs
+    # exactly the least of any class; demand outside the root's component
+    # cannot be spanned
     rng = random.Random(5150)
     seen = set()
     for _ in range(300):
@@ -325,9 +333,10 @@ def test_edge_order_does_not_change_answers():
 def test_oracle_matches_full_scan():
     # every spanning tree, found by subset filtering and routed on its own,
     # costs at least the oracle's tree, exactly, for one- and multi-term
-    # combinations, and the oracle's tree is the least of the trees with its
-    # flows. One instance in ten has its demands and thresholds scaled by
-    # 2^64, past int64; a power of two scales every float step exactly
+    # combinations, and the oracle's tree is the loaded edges of the least of
+    # the trees with its flows. One instance in ten has its demands and
+    # thresholds scaled by 2^64, past int64; a power of two scales every
+    # float step exactly
     rng = random.Random(7373)
     cut = 0
     for k in range(150):
@@ -349,8 +358,8 @@ def test_oracle_matches_full_scan():
             got = best_tree_for_combination(g, thresholds, coefficients)
             want = least_exact_cost(trees, thresholds, coefficients)
             assert exact_cost(got, thresholds, coefficients) == want, (k, thresholds)
-            same = [t.edge_ids for t in trees if _flows(g, t) == _flows(g, got)]
-            assert got.edge_ids == min(same), (k, thresholds)
+            same = [t for t in trees if _flows(g, t) == _flows(g, got)]
+            assert got.edge_ids == _loaded(min(same, key=lambda t: t.edge_ids)), (k, thresholds)
     assert cut > 50
 
 
@@ -378,9 +387,9 @@ def test_enumeration_covers_every_spanning_tree():
 def test_distinct_rows_scan_matches_full_table():
     # a scan of one least tree per flow class finds the least exact cost of
     # a scan of every spanning tree, and the oracle's tree costs exactly that
-    # and is the least tree of its class, for one- and multi-term
-    # combinations; one instance in ten has demands scaled by 10^19, so its
-    # flows pass int64
+    # and is the loaded edges of its class's least tree, for one- and
+    # multi-term combinations; one instance in ten has demands scaled by
+    # 10^19, so its flows pass int64
     rng = random.Random(2718)
     cut = beyond_int64 = 0
     for k in range(60):
@@ -405,7 +414,7 @@ def test_distinct_rows_scan_matches_full_table():
             assert least_exact_cost(rows, thresholds, coefficients) == want, (k, thresholds)
             got = best_tree_for_combination(g, thresholds, coefficients)
             assert exact_cost(got, thresholds, coefficients) == want, (k, thresholds)
-            same = [t.edge_ids for t in rows if _flows(g, t) == _flows(g, got)]
+            same = [_loaded(t) for t in rows if _flows(g, t) == _flows(g, got)]
             assert same == [got.edge_ids], (k, thresholds)
     assert cut > 20 and beyond_int64 == 6
 
@@ -450,8 +459,9 @@ def _k5(demands):
 def test_budget_counts_dp_cells(monkeypatch):
     # K5 with one demand vertex has 5 branch vertices, so 3·5 + 2·5² = 65
     # cells: under a budget of 64 it is refused on every call, and at 65 it
-    # is answered, the direct edge 3 completed by edges 0..2. A 1500-vertex
-    # path has two branch vertices, its root and its one terminal: 14 cells
+    # is answered, the direct edge 3, the one edge that carries flow. A
+    # 1500-vertex path has two branch vertices, its root and its one
+    # terminal: 14 cells
     g = _k5({4: 3})
     monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 64)
     for _ in range(2):
@@ -461,7 +471,7 @@ def test_budget_counts_dp_cells(monkeypatch):
         ):
             exact_ssrob(g, 1.0)
     monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 65)
-    assert [exact_ssrob(g, m).edge_ids for m in (1.0, 2.0, 3.0)] == [(0, 1, 2, 3)] * 3
+    assert [exact_ssrob(g, m).edge_ids for m in (1.0, 2.0, 3.0)] == [(3,)] * 3
     path = make_instance(1500, [(v, v + 1, 1) for v in range(1499)], 0, {1499: 1})
     monkeypatch.setattr(ssrob, "ORACLE_CELL_BUDGET", 13)
     with pytest.raises(OracleLimitError, match="takes 14 array cells"):
@@ -526,13 +536,15 @@ def test_cycle_in_the_path_union_is_cancelled(monkeypatch):
 def test_one_way_cycle_is_cancelled_to_its_bounded_end():
     # every edge of the triangle runs with the cycle, so only a push against
     # it is bounded, and that push empties all three edges. In the exact
-    # solve, the winning sends close such a cycle at threshold 0
+    # solve, the winning sends close such a cycle at threshold 0; what is
+    # left is a tree of three loaded edges joining the demand to root 3
     g = make_instance(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)], 0, {1: 1})
     assert ssrob._acyclic_support(g, {0: 1, 1: 1, 2: 1}, lambda x: x) == frozenset()
     edges = [(0, 1, 1), (1, 2, 1), (0, 3, 3), (0, 4, 1), (0, 2, 2), (2, 3, 1)]
     g = make_instance(5, edges, 3, {0: 1, 1: 1, 2: 1})
     tree = exact_ssrob(g, 0.0)
-    assert len(tree.edge_ids) == 4 and basis_cost(tree, 0.0) == 0.0
+    assert (tree.edge_ids, tree.flows) == ((0, 1, 5), (1, 2, 3))
+    assert basis_cost(tree, 0.0) == 0.0
 
 
 def _sparse_instance(seed: int, n: int = 20, m: int = 32, demand_vertices: int = 6):
@@ -576,14 +588,15 @@ def _cycle_chain(cycles: int):
 def test_oracle_answers_many_trees_with_few_topologies():
     # the chain of 12 cycles has 4**12 spanning trees but only the flow
     # classes of its first two cycles; it is answered at the cost of that
-    # two-cycle truncation, whose optimum brute force finds
+    # two-cycle truncation, whose optimum brute force finds, by the loaded
+    # edges of that optimum
     g, short = _cycle_chain(12), _cycle_chain(2)
     assert count_spanning_trees(g) == 4**12
     for m in (1.0, 2.0, 5.0):
         tree = exact_ssrob(g, m)
         want, want_ids = brute_min_cost(short, lambda t: basis_cost(t, m))
         assert basis_cost(tree, m) == pytest.approx(want, rel=1e-12)
-        assert tree.edge_ids[:6] == want_ids
+        assert tree.edge_ids == _loaded(route(short, want_ids))
 
 
 def test_spt_ties_break_on_root_predecessor():
@@ -781,20 +794,25 @@ def _support(tree):
 
 def test_repeated_oracle_supports_route_once(monkeypatch):
     # an ascending and then a descending threshold ladder, and a multi-term
-    # combination, on one instance route each distinct flow support once,
-    # and each answer is the one a fresh, equal instance gives. On the grid
-    # whose winning sends close a cycle, the support from before cancelling
-    # is never stored, so that solve routes again each time
-    routed = []
+    # combination, on one instance route once per DP run, and the answers
+    # share one routed tree per distinct flow support, which is the tree's
+    # whole edge set; each answer is the one a fresh, equal instance gives.
+    # On the grid whose winning sends close a cycle, route refuses the
+    # support from before cancelling, and the answer is kept under no
+    # weights, so that solve runs and routes again each time
+    routed, runs = [], []
     monkeypatch.setattr(ssrob, "route", lambda g, eids: routed.append(g) or route(g, eids))
+    dp = ssrob._subset_dp
+    monkeypatch.setattr(ssrob, "_subset_dp", lambda *a: runs.append(1) or dp(*a))
     g = workload_instances("oracle_n14", [1])[2]
     ladder = basis_grid(g, 0.25)
     combinations = [((m,), (1.0,)) for m in ladder + ladder[::-1]]
     combinations.append((ladder[::4], (0.5, 0.0, 2.0, 1.25, 0.75)))
     trees = [best_tree_for_combination(g, *c) for c in combinations]
     supports = {_support(tree) for tree in trees}
-    assert len(routed) == len(supports) == 3
-    assert set(g.oracle_setup[0].trees) == supports
+    assert len(routed) == len(runs) > len(supports) == 3
+    assert set(g.routed_trees) == supports == {frozenset(t.edge_ids) for t in trees}
+    assert len({id(t) for t in trees}) == 3
     for c, tree in zip(combinations, trees):
         again = best_tree_for_combination(_fresh(g), *c)
         assert (again.edge_ids, again.flows) == (tree.edge_ids, tree.flows), c
@@ -811,10 +829,10 @@ def test_repeated_oracle_supports_route_once(monkeypatch):
     grid = make_instance(6, edges, 5, {0: 1, 1: 6, 2: 8, 3: 6, 4: 6, 5: 8})
     routed.clear()
     first, second = exact_ssrob(grid, 8.0), exact_ssrob(grid, 8.0)
-    assert len(routed) == 2 and before[0] == before[1] != _support(first)
-    assert before[0] not in grid.oracle_setup[0].trees
+    assert len(routed) == 4 and before[0] == before[1] != _support(first)
+    assert set(grid.routed_trees) == {_support(first)}
     assert not grid.oracle_setup[0].answers
-    assert first.edge_ids == second.edge_ids
+    assert first is second
 
 
 def test_oracle_answers_do_not_depend_on_call_order():
