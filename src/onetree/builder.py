@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, InvalidTreeError, InvariantError
-from .graph import Instance, contract
+from .graph import Instance, contract, ordered_sum
 from .last import build_last, guaranteed_beta
 from .layers import LayerSet
 from .routing import RoutedTree, basis_cost, route
@@ -253,9 +253,9 @@ def check_layer_bounds(result: SimultaneousTree, layers: LayerSet) -> LayerBound
     rent_observed: float | None = None
     for i in layers.kept:
         dec = layers.decompositions[i]
-        buy_edge_cost = sum(by_id[eid].length for eid in result.buy_parts[i])
+        buy_edge_cost = ordered_sum(by_id[eid].length for eid in result.buy_parts[i])
         rent_part = all_edges - result.buy_parts[i]
-        rent_flow_cost = sum(by_id[eid].length * flow[eid] for eid in rent_part)
+        rent_flow_cost = ordered_sum(by_id[eid].length * flow[eid] for eid in rent_part)
         buy_bound = params.buy_constant * dec.buy_cost
         rent_bound = params.rent_constant * dec.rent_cost
         buy_ok = buy_edge_cost <= buy_bound * (1.0 + slack) + 1e-12

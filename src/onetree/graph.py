@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from operator import add
+from typing import TYPE_CHECKING, Container, Iterable, Mapping, Sequence
 
 from .errors import DisconnectedError, InstanceError, ParseError
 
@@ -87,8 +88,8 @@ class Instance:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, float, int], ...], ...]:
-        """Per vertex, its (neighbour, length, edge id) triples; read only by
-        ``shortest_path_tree``."""
+        """Per vertex, its (neighbour, length, edge id) triples, in the
+        order of ``edges``; read by ``bounded_search`` and ``tree_walk``."""
         lists: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
         for e in self.edges:
             lists[e.u].append((e.v, e.length, e.eid))
@@ -226,9 +227,9 @@ def load_instance(text: str) -> Instance:
         raise ParseError("missing demand lines: at least one 'd v amount' row is required")
 
     g = Instance(n=n, edges=tuple(edges), root=root, demand_items=tuple(sorted(demands.items())))
-    component = {v for v, _ in tree_order(root, g.edges)}
+    component = tree_walk(g, root)
     for v in sorted(demands):
-        if v not in component:
+        if v != root and v not in component:
             raise InstanceError(f"disconnected demand: vertex {v} is unreachable from the root")
     return g
 
@@ -407,32 +408,31 @@ def tree_vertices(root: int, edges: Iterable[Edge]) -> set[int]:
     return touched
 
 
-def tree_order(root: int, edges: Iterable[Edge]) -> list[tuple[int, Edge | None]]:
-    """Breadth-first ``(vertex, edge to its parent)`` pairs from ``root``.
+def tree_walk(
+    g: Instance, root: int, edge_ids: Container[int] | None = None
+) -> dict[int, tuple[int, int]]:
+    """Breadth-first walk from ``root`` over ``g.adjacency``, following only
+    the edges whose id is in ``edge_ids`` (every edge when None).
 
-    The root comes first with edge None. Every vertex of the root's
-    component comes once, so the walk lays one edge per vertex past the
-    root: ``edges`` form a tree at ``root`` exactly when the walk is one
-    longer than ``edges``. Vertices outside that component are absent.
+    Returns each reached vertex other than ``root`` mapped to its ``(parent,
+    edge id)``, keys in walk order, so a parent comes before its children.
+    The walk lays one edge per vertex it reaches: edges of ``g`` form a tree
+    at ``root`` exactly when it lays every one of them.
     """
-    adj: dict[int, list[Edge]] = {root: []}
-    for e in edges:
-        adj.setdefault(e.u, []).append(e)
-        adj.setdefault(e.v, []).append(e)
-    order: list[tuple[int, Edge | None]] = [(root, None)]
-    seen = {root}
-    for v, _ in order:
-        for e in adj[v]:
-            w = e.other(v)
-            if w not in seen:
-                seen.add(w)
-                order.append((w, e))
-    return order
+    adj = g.adjacency
+    links: dict[int, tuple[int, int]] = {root: (root, -1)}
+    order = [root]
+    for v in order:
+        for w, _, e in adj[v]:
+            if (edge_ids is None or e in edge_ids) and w not in links:
+                links[w] = (v, e)
+                order.append(w)
+    del links[root]
+    return links
 
 
-def tree_distances(root: int, edges: Iterable[Edge]) -> dict[int, float]:
-    """Distance from ``root`` to every vertex reachable through ``edges``."""
-    dist = {root: 0.0}
-    for v, via in tree_order(root, edges)[1:]:
-        dist[v] = dist[via.other(v)] + via.length
-    return dist
+def ordered_sum(terms: Iterable[float]) -> float:
+    """``sum(terms)`` added left to right with no compensation, as Python
+    3.11 and earlier add floats; from 3.12, ``sum`` compensates, so a sum
+    that reaches a report or breaks a tie would change with the interpreter."""
+    return reduce(add, terms, 0)

@@ -12,7 +12,7 @@ import math
 from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, DisconnectedError
-from .graph import Edge, Instance, minimum_spanning_tree, shortest_path_tree, tree_distances
+from .graph import Edge, Instance, minimum_spanning_tree, shortest_path_tree, tree_walk
 
 
 class LastTree(NamedTuple):
@@ -125,7 +125,9 @@ def verify_last(t: LastTree, alpha: float, beta: float) -> LastReport:
     dist_true, _ = shortest_path_tree(g, t.root)
     by_id = g.edge_by_id
     edges = [by_id[eid] for eid in sorted(t.edge_ids)]
-    reached = tree_distances(t.root, edges)
+    reached = {t.root: 0.0}
+    for v, (parent, eid) in tree_walk(g, t.root, t.edge_ids).items():
+        reached[v] = reached[parent] + by_id[eid].length
 
     vertices = g.vertex_ids
     spanning = len(reached) == len(vertices) and len(edges) == len(vertices) - 1

@@ -4,6 +4,7 @@ geometric pruning down to the layer index set."""
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import ConfigError, InvariantError
@@ -25,31 +26,31 @@ MAX_K = 100_000
 
 
 def compute_K(total_demand: int, eps: float) -> int:
-    """Smallest K with (1 + eps) ** K >= total demand; 0 when demand is 1.
+    """Smallest K with basis_threshold(K, eps) >= total demand D; 0 at D = 1.
 
     "At least" is up to a relative 1e-12, so a power that rounds just below
     an exact boundary still counts. K starts from the closed form
     log(D) / log(1 + eps), with the same base as basis_threshold, and steps
-    by one against that test, so it takes a few steps whatever D and eps are.
-    Raises ConfigError when 1 + eps rounds to 1, when K exceeds MAX_K, and
-    when the top threshold (1 + eps) ** K passes the float range.
+    by one against that test, so it takes a few steps whatever D and eps are;
+    a power past the float range counts as the largest float. Raises
+    ConfigError when D is past the float range, when 1 + eps rounds to 1,
+    and when K exceeds MAX_K.
     """
     if total_demand < 1:
         raise ConfigError("total demand must be >= 1")
+    if total_demand > sys.float_info.max:
+        raise ConfigError("total demand is past the float range")
     if eps <= 0:
         raise ConfigError("eps must be positive")
     step = math.log(1.0 + eps)
     if step == 0.0:
         raise ConfigError(f"eps {eps} is too small: 1 + eps rounds to 1")
     k = math.ceil(math.log(total_demand) / step)
-    try:
-        target = total_demand * (1.0 - 1e-12)
-        while k > 0 and basis_threshold(k - 1, eps) >= target:
-            k -= 1
-        while basis_threshold(k, eps) < target:
-            k += 1
-    except OverflowError:
-        raise ConfigError(f"eps {eps}: top threshold (1 + eps) ** {k} overflows a float") from None
+    target = total_demand * (1.0 - 1e-12)
+    while k > 0 and basis_threshold(k - 1, eps) >= target:
+        k -= 1
+    while basis_threshold(k, eps) < target:
+        k += 1
     if k > MAX_K:
         raise ConfigError(
             f"eps {eps} needs K = {k} threshold indices, K + 1 basis solves; "

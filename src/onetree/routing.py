@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidTreeError
-from .graph import Edge, Instance, tree_order
+from .graph import Edge, Instance, ordered_sum, tree_walk
 
 
 def basis_threshold(index: int, eps: float) -> float:
-    """Threshold of the index-th basis function, (1 + eps) ** index."""
-    return (1.0 + eps) ** index
+    """Threshold of the index-th basis function, (1 + eps) ** index, or the
+    largest float where that overflows: no flow passes it, as no instance's
+    total demand does, so every cost there is the cost at total demand."""
+    try:
+        return (1.0 + eps) ** index
+    except OverflowError:
+        return sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -44,32 +50,18 @@ class RoutedTree:
 
     @property
     def total_length(self) -> float:
-        return sum(e.length for e in self.edges)
-
-
-def compute_flows(
-    order: Sequence[tuple[int, Edge | None]], demands: Mapping[int, int]
-) -> dict[int, int]:
-    """Rootward flow per edge of a tree: the demand hanging below it.
-
-    ``order`` is the tree's :func:`~onetree.graph.tree_order` walk; use
-    :func:`route` when the edge set needs checking first.
-    """
-    subtree = {v: demands.get(v, 0) for v, _ in order}
-    flows: dict[int, int] = {}
-    for v, via in reversed(order[1:]):
-        flows[via.eid] = subtree[v]
-        subtree[via.other(v)] += subtree[v]
-    return flows
+        return ordered_sum(e.length for e in self.edges)
 
 
 def route(g: Instance, edge_ids: Iterable[int]) -> RoutedTree:
     """Validate an edge set as a routing tree and compute its flows.
 
     The edges must form a tree at the root and span every demand vertex.
-    One breadth-first walk checks the first: it lays one edge per vertex it
-    reaches, so any edge left over closes a cycle in the root's component
-    or lies off it, and the error names whichever the leftovers show.
+    One ``tree_walk`` from the root checks the first: it lays one edge per
+    vertex it reaches, so any edge left over closes a cycle in the root's
+    component or lies off it, and the error names whichever the leftovers
+    show. Each edge's flow, the demand below it, is then summed up the
+    walk's parent links in reverse walk order.
     A valid tree is kept in ``g.routed_trees`` by its edge set, so every later
     call for that set returns the same object; an invalid set raises again.
     """
@@ -79,23 +71,25 @@ def route(g: Instance, edge_ids: Iterable[int]) -> RoutedTree:
         return tree
     ids = tuple(sorted(key))
     by_id = g.edge_by_id
-    edges = []
     for eid in ids:
         if eid not in by_id:
             raise InvalidTreeError(f"unknown edge id {eid}")
-        edges.append(by_id[eid])
-
-    order = tree_order(g.root, edges)
-    reached = {v for v, _ in order}
-    if len(order) != len(edges) + 1:
-        if any(e.u not in reached for e in edges):
+    root = g.root
+    links = tree_walk(g, root, key)
+    if len(links) != len(ids):
+        if any(by_id[eid].u != root and by_id[eid].u not in links for eid in ids):
             raise InvalidTreeError("edge set is not connected to the root")
         raise InvalidTreeError("cyclic edge set")
     for v, _amount in g.demand_items:
-        if v not in reached:
+        if v != root and v not in links:
             raise InvalidTreeError(f"demand vertex not spanned: {v}")
-
-    flows = compute_flows(order, g.demands)
+    below = [0] * g.n
+    for v, amount in g.demand_items:
+        below[v] = amount
+    flows = {}
+    for v, (parent, eid) in reversed(links.items()):
+        flow = flows[eid] = below[v]
+        below[parent] += flow
     tree = g.routed_trees[key] = RoutedTree(g, ids, tuple(flows[eid] for eid in ids))
     return tree
 

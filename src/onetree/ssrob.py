@@ -69,8 +69,9 @@ from .graph import (
     UnionFind,
     bounded_search,
     minimum_spanning_forest,
+    ordered_sum,
     shortest_path_tree,
-    tree_order,
+    tree_walk,
 )
 from .routing import RoutedTree, basis_cost, route
 
@@ -84,7 +85,7 @@ _DP_BLOCK = 2**16
 
 
 def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
-    verts = {v for v, _ in tree_order(g.root, g.edges)}
+    verts = {g.root, *tree_walk(g, g.root)}
     edges = tuple(e for e in g.edges if e.u in verts)
     return tuple(sorted(verts)), edges
 
@@ -160,15 +161,16 @@ def _first_cycle(g: Instance, eids: Sequence[int]) -> list[tuple[int, int]]:
     the edge's end u to its end v; empty if the edges form a forest."""
     edges = [g.edge_by_id[eid] for eid in sorted(eids)]
     uf = UnionFind({x for e in edges for x in (e.u, e.v)})
-    forest: list[Edge] = []
+    forest: set[int] = set()
     for e in edges:
         if uf.union(e.u, e.v):
-            forest.append(e)
+            forest.add(e.eid)
             continue
-        cycle, via, x = [(e.eid, 1)], dict(tree_order(e.u, forest)), e.v
+        cycle, via, x = [(e.eid, 1)], tree_walk(g, e.u, forest), e.v
         while x != e.u:
-            cycle.append((via[x].eid, 1 if via[x].u == x else -1))
-            x = via[x].other(x)
+            parent, eid = via[x]
+            cycle.append((eid, 1 if g.edge_by_id[eid].u == x else -1))
+            x = parent
         return cycle
     return []
 
@@ -194,7 +196,7 @@ def _acyclic_support(
         pushes = ([-min(agree)] if agree else []) + ([min(against)] if against else [])
 
         def cost(delta: int) -> float:
-            return sum(
+            return ordered_sum(
                 g.edge_by_id[eid].length * unit_cost(abs(flow[eid] + d * delta))
                 for eid, d in cycle
             )
@@ -324,7 +326,7 @@ def best_tree_for_combination(
     try:
         tree = setup.answers[weights] = route(g, (eid for eid, f in flow.items() if f))
     except InvalidTreeError:  # a cycle, or a circulation off the root
-        support = _acyclic_support(g, flow, lambda x: sum(a * min(x, m) for a, m in basis_terms))
+        support = _acyclic_support(g, flow, lambda x: ordered_sum(a * min(x, m) for a, m in basis_terms))
         return route(g, support)
     return tree
 

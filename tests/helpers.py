@@ -22,7 +22,11 @@ label on every vertex, which the package's float-first relax must match;
 :func:`reference_core` the Steiner core by Kruskal over the metric closure,
 which the package's dense Prim must match; and :func:`reference_contract`
 the contraction keyed by base vertex id that the package's renumbered one
-must match.
+must match. :func:`reference_route` checks and routes an edge set by a
+breadth-first walk over an adjacency built from its own ``Edge`` objects
+(:func:`reference_tree_order`), which ``route``'s walk over the instance's
+adjacency must match, and :func:`reference_tree_distances` sums root
+distances along that walk.
 :class:`ConcaveFunction`, :func:`decompose_function`, :func:`eval_cost` and
 :func:`best_tree_for_function` state a concave cost function over the
 threshold basis, for the tests of the reduction from any concave function
@@ -43,24 +47,74 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, basis_threshold, contract, route
-from onetree import ConfigError, InvariantError, compute_K, load_instance, shortest_path_tree
-from onetree.graph import (
-    INF,
-    Edge,
-    UnionFind,
-    minimum_spanning_forest,
-    tree_order,
-    tree_vertices,
-)
-from onetree.routing import compute_flows
+from onetree import ConfigError, InvalidTreeError, InvariantError, compute_K, load_instance
+from onetree import shortest_path_tree
+from onetree.graph import INF, Edge, UnionFind, minimum_spanning_forest, tree_vertices
 from onetree.ssrob import best_tree_for_combination
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def reference_tree_order(root: int, edges: Iterable[Edge]) -> list[tuple[int, Edge | None]]:
+    """Breadth-first ``(vertex, edge to its parent)`` pairs from ``root``
+    over an adjacency of ``Edge`` lists built from ``edges`` alone; the
+    root comes first with edge None, and vertices off its component are
+    absent."""
+    adj: dict[int, list[Edge]] = {root: []}
+    for e in edges:
+        adj.setdefault(e.u, []).append(e)
+        adj.setdefault(e.v, []).append(e)
+    order: list[tuple[int, Edge | None]] = [(root, None)]
+    seen = {root}
+    for v, _ in order:
+        for e in adj[v]:
+            w = e.other(v)
+            if w not in seen:
+                seen.add(w)
+                order.append((w, e))
+    return order
+
+
+def reference_tree_distances(root: int, edges: Iterable[Edge]) -> dict[int, float]:
+    """Distance from ``root`` to every vertex reachable through ``edges``."""
+    dist = {root: 0.0}
+    for v, via in reference_tree_order(root, edges)[1:]:
+        dist[v] = dist[via.other(v)] + via.length
+    return dist
+
+
+def reference_route(
+    g: Instance, edge_ids: Iterable[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``route``'s ``(edge_ids, flows)`` by a walk over ``edge_ids`` alone,
+    with no memo: the checks and error messages of ``route``, then each
+    edge's flow summed from the demand below it in reverse walk order."""
+    ids = tuple(sorted(set(edge_ids)))
+    edges = []
+    for eid in ids:
+        if eid not in g.edge_by_id:
+            raise InvalidTreeError(f"unknown edge id {eid}")
+        edges.append(g.edge_by_id[eid])
+    order = reference_tree_order(g.root, edges)
+    reached = {v for v, _ in order}
+    if len(order) != len(edges) + 1:
+        if any(e.u not in reached for e in edges):
+            raise InvalidTreeError("edge set is not connected to the root")
+        raise InvalidTreeError("cyclic edge set")
+    for v, _amount in g.demand_items:
+        if v not in reached:
+            raise InvalidTreeError(f"demand vertex not spanned: {v}")
+    subtree = {v: g.demands.get(v, 0) for v, _ in order}
+    flows: dict[int, int] = {}
+    for v, via in reversed(order[1:]):
+        flows[via.eid] = subtree[v]
+        subtree[via.other(v)] += subtree[v]
+    return ids, tuple(flows[eid] for eid in ids)
+
+
 def root_component(g: Instance) -> set[int]:
-    """Vertices reachable from the root."""
-    return {v for v, _ in tree_order(g.root, g.edges)}
+    """Vertices reachable from the root, by the reference walk."""
+    return {v for v, _ in reference_tree_order(g.root, g.edges)}
 
 
 def subset_spanning_trees(g: Instance) -> Iterator[tuple[int, ...]]:
@@ -162,7 +216,7 @@ def reference_flow_classes(
     from a walk of each tree, mapped to the class's smallest edge-id tuple."""
     classes: dict[tuple[int, ...], tuple[int, ...]] = {}
     for eids in reference_spanning_edge_sets(verts, edges):
-        walk = compute_flows(tree_order(g.root, [g.edge_by_id[i] for i in eids]), g.demands)
+        walk = dict(zip(*reference_route(g, eids)))
         flows = tuple(walk.get(e.eid, 0) for e in edges)
         classes[flows] = min(classes.get(flows, eids), eids)
     return classes

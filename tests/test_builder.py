@@ -146,3 +146,30 @@ def test_readme_library_snippet_runs(path3, tmp_path, monkeypatch, capsys):
     exec(snippet, {})
     # a path has one spanning tree, so the stitched tree is the optimum
     assert capsys.readouterr().out.split() == ["True", "1.0"]
+
+
+def test_float_sums_add_left_to_right():
+    # ten edges of length 0.1 add to 0.9999999999999999 left to right, and to
+    # 1.0 by sum() from Python 3.12, which compensates: the tree's length and
+    # the per-layer sums reach the report, so they add left to right in
+    # their term order, whichever interpreter runs
+    def left_to_right(terms):
+        total = 0
+        for term in terms:
+            total += term
+        return total
+
+    g = make_instance(11, [(v, v + 1, 0.1) for v in range(10)], 0, {5: 3, 10: 1})
+    layers = compute_layers(g, optimal_parameters(eps=1.0), ExactSolver())
+    result = build_tree(g, layers)
+    tree = result.tree
+    assert tree.total_length == left_to_right(e.length for e in tree.edges) == 0.9999999999999999
+    rows = check_layer_bounds(result, layers).rows
+    assert [row.index for row in rows] == list(layers.kept)
+    for row in rows:
+        buy = result.buy_parts[row.index]
+        want_buy = left_to_right(g.edge_by_id[eid].length for eid in buy)
+        rent_part = frozenset(tree.edge_ids) - buy
+        want_rent = left_to_right(g.edge_by_id[eid].length * tree.flow_map[eid] for eid in rent_part)
+        assert (row.buy_edge_cost, row.rent_flow_cost) == (want_buy, want_rent)
+    assert rows[0].buy_edge_cost == 0.9999999999999999

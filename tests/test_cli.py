@@ -169,15 +169,24 @@ def test_eps_too_fine_for_the_threshold_grid_exits_2(tmp_path, capsys, eps, mess
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps, top", [("0.5", 1751), ("1", 1024)])
-def test_top_threshold_past_the_float_range_exits_2(tmp_path, capsys, eps, top):
-    # the instance is valid, since 1 unit of length times 1.7e308 units of
-    # demand is finite, but (1 + eps) ** K must reach 1.7e308, and
-    # (1 + eps) ** top passes the float range
-    instance = write(tmp_path, "big.graph", f"2 1 0\n0 1 1\nd 1 {int(1.7e308)}\n")
-    assert main(["run", instance, "--eps", eps]) == EXIT_INVALID
-    message = f"eps {float(eps)}: top threshold (1 + eps) ** {top} overflows a float"
-    assert message in capsys.readouterr().err
+@pytest.mark.parametrize("eps, top", [("0.5", 1751), ("1", 1024), ("3", 512)])
+def test_top_threshold_past_the_float_range_exits_0(tmp_path, eps, top):
+    # (1 + eps) ** K must reach 1.7e308 units of demand, and (1 + eps) ** top
+    # passes the float range, so the top threshold is the largest float,
+    # where every cost is the cost at the total demand; the edge is short
+    # enough that every cost times its bound's constant stays finite
+    instance = write(tmp_path, "big.graph", f"2 1 0\n0 1 1e-10\nd 1 {int(1.7e308)}\n")
+    report_path = tmp_path / "report.json"
+    assert main(["run", instance, "--eps", eps, "--out-report", str(report_path)]) == EXIT_OK
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is no JSON number")
+
+    report = json.loads(report_path.read_text(), parse_constant=no_constant)
+    per_index = report["layers"]["per_index"]
+    assert len(per_index) == top + 1
+    assert per_index[-2]["M"] < 1.7e308 <= per_index[-1]["M"] == sys.float_info.max
+    assert report["bound_checks"]["all_ok"] is True
 
 
 def test_missing_file_exits_2(tmp_path):

@@ -20,13 +20,14 @@ from onetree import (
     ssrob,
 )
 from onetree.cli import solve_instance
-from onetree.graph import tree_distances, tree_vertices
+from onetree.graph import tree_vertices, tree_walk
 
 from corpus import instance_text, random_instance
 from helpers import (
     brute_min_cost,
     reference_contract,
     reference_shortest_path_tree,
+    reference_tree_distances,
     workload_instances,
 )
 
@@ -413,9 +414,19 @@ def test_contract_requires_nonempty_set(path3):
 
 
 def test_tree_distances():
+    # root distances summed down tree_walk's parent links, as verify_last
+    # sums them; the walk is breadth-first over the adjacency, so a parent
+    # comes before its children, and follows only the edge ids it is given
     g = make_instance(4, [(0, 1, 2), (1, 2, 3), (0, 3, 1)], 0, {1: 1})
-    d = tree_distances(0, g.edges)
-    assert d == {0: 0.0, 1: 2.0, 2: 5.0, 3: 1.0}
+    links = tree_walk(g, 0)
+    assert list(links.items()) == [(1, (0, 0)), (3, (0, 2)), (2, (1, 1))]
+    d = {0: 0.0}
+    for v, (parent, eid) in links.items():
+        d[v] = d[parent] + g.edge_by_id[eid].length
+    assert d == reference_tree_distances(0, g.edges) == {0: 0.0, 1: 2.0, 2: 5.0, 3: 1.0}
+    assert tree_walk(g, 0, {0, 1}) == {1: (0, 0), 2: (1, 1)}
+    assert tree_walk(g, 2, {1}) == {1: (2, 1)}
+    assert tree_walk(g, 3, ()) == {}
 
 
 def test_determinism_identical_inputs():

@@ -11,15 +11,16 @@ from onetree import (
     verify_last,
 )
 from onetree.builder import GOLDEN_ALPHA
-from onetree.graph import shortest_path_tree, tree_distances
+from onetree.graph import shortest_path_tree
 from onetree.last import LastTree, guaranteed_beta
 
 from corpus import random_connected_instance
+from helpers import reference_tree_distances
 
 
 def last_distances(t: LastTree) -> dict[int, float]:
     """Root distances along the LAST's own edges."""
-    return tree_distances(t.root, [t.graph.edge_by_id[e] for e in t.edge_ids])
+    return reference_tree_distances(t.root, [t.graph.edge_by_id[e] for e in t.edge_ids])
 
 
 def test_star_is_its_own_last():

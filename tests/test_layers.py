@@ -1,6 +1,6 @@
 import math
 import random
-import re
+import sys
 
 import pytest
 
@@ -44,16 +44,20 @@ def test_compute_K_values():
 
 
 @pytest.mark.parametrize(
-    "demand, eps, top",
-    [(10**308, 1.0, 1024), (int(1.7e308), 0.5, 1751), (10**400, 1.0, 1329)],
-    ids=["1e308", "1.7e308", "1e400"],
+    "demand, eps, top", [(10**308, 1.0, 1024), (int(1.7e308), 0.5, 1751)], ids=["1e308", "1.7e308"]
 )
-def test_compute_K_refuses_a_top_threshold_past_the_float_range(demand, eps, top):
-    # (1 + eps) ** K must reach the demand, and (1 + eps) ** top is past
-    # the largest float; 10**400 is past it as well
-    message = f"eps {eps}: top threshold (1 + eps) ** {top} overflows a float"
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        compute_K(demand, eps)
+def test_compute_K_tops_out_at_the_largest_float(demand, eps, top):
+    # (1 + eps) ** top is past the largest float, and the power before it is
+    # below the demand: the top threshold is the largest float, which no
+    # flow passes
+    assert basis_threshold(top - 1, eps) < demand
+    assert basis_threshold(top, eps) == sys.float_info.max
+    assert compute_K(demand, eps) == top
+
+
+def test_compute_K_refuses_a_demand_past_the_float_range():
+    with pytest.raises(ConfigError, match="^total demand is past the float range$"):
+        compute_K(10**400, 1.0)
 
 
 def test_compute_K_matches_the_loop():

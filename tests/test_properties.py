@@ -4,24 +4,26 @@ edges (in rational arithmetic), and its budget refusal; the cycle
 cancelling behind it, on superposed random paths; sample-and-augment
 against its plain reference; the bounded search behind its rent paths
 against the unbounded one and against the search that built a tuple label
-for every relax; and the Steiner core's dense Prim against Kruskal over the
-metric closure."""
+for every relax; the Steiner core's dense Prim against Kruskal over the
+metric closure; and ``route`` against the reference walk over an edge
+set's own edges."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from onetree import OracleLimitError, basis_cost, make_instance, route, sample_and_augment
-from onetree import ssrob
-from onetree.graph import INF, SUPERNODE, bounded_search, shortest_path_tree, tree_order
+from onetree import InvalidTreeError, OracleLimitError, basis_cost, make_instance, route
+from onetree import sample_and_augment, ssrob
+from onetree.graph import INF, SUPERNODE, UnionFind, bounded_search, shortest_path_tree
 from onetree.graph import tree_vertices
 from onetree.ssrob import _acyclic_support, _demand_paths, _rent_paths, _root_component
 from onetree.ssrob import _steiner_core, best_tree_for_combination
 
-from helpers import brute_min_cost, exact_cost, reference_core, reference_rent
-from helpers import reference_sample_and_augment, reference_search
+from helpers import brute_min_cost, exact_cost, reference_core, reference_rent, reference_route
+from helpers import reference_sample_and_augment, reference_search, root_component
 
 
 @st.composite
@@ -107,7 +109,7 @@ def test_over_budget_refusal_comes_before_any_work(g):
         patch.setattr(ssrob, "_subset_dp", no_work)
         with pytest.raises(OracleLimitError, match=f"takes {cells} array cells, over {cells - 1}$"):
             best_tree_for_combination(g, (2.0,), (1.0,))
-    assume(set(g.demands) <= {v for v, _ in tree_order(g.root, g.edges)})
+    assume(set(g.demands) <= root_component(g))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ssrob, "ORACLE_CELL_BUDGET", cells)
         best_tree_for_combination(g, (2.0,), (1.0,))
@@ -140,7 +142,7 @@ def test_cancelling_cycles_never_costs_more(g, combination, rnd):
     # support left after cancelling every cycle is, as the oracle routes it,
     # a tree at the root whose edges all carry demand, and costs no more,
     # exactly
-    assume(set(g.demands) <= {v for v, _ in tree_order(g.root, g.edges)})
+    assume(set(g.demands) <= root_component(g))
     thresholds, coefficients = zip(*combination)
     flow: dict[int, int] = {}
     for v, amount in g.demand_items:
@@ -300,3 +302,48 @@ def test_steiner_core_matches_kruskal_over_closure(g, data):
     edge_ids, vertices = _steiner_core(g, terminals)
     assert edge_ids == reference_core(g, terminals)
     assert vertices == tree_vertices(min(terminals), (g.edge_by_id[e] for e in edge_ids))
+
+
+@st.composite
+def edge_sets(draw, max_n=7, max_m=9):
+    """An instance on random edges, so perhaps disconnected and with
+    parallel pairs, and an edge-id list for it: a drawn subset, perhaps
+    with the unknown id m, or a spanning tree of the root's component by
+    Kruskal over a drawn edge order."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    drawn = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 4)), max_size=max_m))
+    edges = [(u, v, w) for u, v, w in drawn if u != v]
+    demanded = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    g = make_instance(n, edges, draw(vertex), {v: draw(st.integers(1, 6)) for v in demanded})
+    if draw(st.booleans()):
+        return g, draw(st.lists(st.integers(0, len(edges)), unique=True))
+    reached, uf = root_component(g), UnionFind(range(n))
+    order = draw(st.permutations(g.edges))
+    return g, [e.eid for e in order if e.u in reached and uf.union(e.u, e.v)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_sets())
+@example((make_instance(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)], 0, {2: 1}), [0, 1, 2]))  # cycle
+@example((make_instance(2, [(0, 1, 1), (0, 1, 2)], 0, {1: 1}), [0, 1]))  # parallel pair
+@example((make_instance(4, [(0, 1, 1), (2, 3, 1)], 0, {1: 1}), [0, 1]))  # off the root's component
+@example((make_instance(2, [(0, 1, 1)], 0, {1: 1}), [0, 1]))  # unknown id
+@example((make_instance(3, [(0, 1, 1), (1, 2, 1)], 0, {2: 1}), [0]))  # unspanned demand
+@example((make_instance(4, [(0, 1, 1), (1, 2, 2), (1, 3, 1)], 0, {2: 2, 3: 5}), [0, 1, 2]))
+def test_route_matches_reference_walk(case):
+    # route's walk over the instance's adjacency gives the reference walk's
+    # edge ids and flows; an edge set that walk refuses, route refuses with
+    # the same message and memoizes nothing
+    g, eids = case
+    memo = dict(g.routed_trees)
+    try:
+        want = reference_route(g, eids)
+    except InvalidTreeError as exc:
+        with pytest.raises(InvalidTreeError, match=f"^{re.escape(str(exc))}$"):
+            route(g, eids)
+        assert g.routed_trees == memo
+    else:
+        tree = route(g, eids)
+        assert (tree.edge_ids, tree.flows) == want
+        assert route(g, reversed(eids)) is tree
