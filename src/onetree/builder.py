@@ -245,7 +245,7 @@ def check_layer_bounds(result: SimultaneousTree, layers: LayerSet) -> LayerBound
     branch_bound = params.branch_bound
     slack = 1e-9
     by_id = result.tree.instance.edge_by_id
-    flow = result.tree.flow_map
+    flow = dict(zip(result.tree.edge_ids, result.tree.flows))
     all_edges = frozenset(result.tree.edge_ids)
 
     rows: list[LayerBoundRow] = []

@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
 )
 from .evaluate import RatioReport, simultaneous_ratio
-from .graph import Instance, load_instance, tree_vertices
+from .graph import INF, Instance, load_instance, tree_vertices
 from .layers import LayerSet, compute_layers, verify_layerset
 from .ssrob import ExactSolver, get_solver
 
@@ -119,9 +119,13 @@ def solve_instance(
 ) -> PipelineResult:
     """Layers, stitched tree, bound checks, and (optionally) oracle ratios.
 
-    Raises InvariantError if any structural property or cost bound fails.
-    An oracle refusing an oversized instance is recorded, not raised.
+    Raises ConfigError before any solve when branch_bound times total length
+    times total demand is not finite, since every bound a report holds is at
+    most that, and InvariantError if any structural property or cost bound
+    fails. An oracle refusing an oversized instance is recorded, not raised.
     """
+    if params.branch_bound * sum(e.length for e in g.edges) * g.total_demand >= INF:
+        raise ConfigError("branch_bound times total length times total demand is not finite")
     layers = compute_layers(g, params, solver, seed=seed)
     verify_layerset(layers)
     result = build_tree(g, layers, prune_zero_flow=prune_zero_flow)

@@ -2,8 +2,8 @@
 
 A LAST keeps every root distance within a stretch factor alpha of the true
 shortest path while keeping total weight within beta = (alpha+1)/(alpha-1)
-of the MST. Built by a relax-on-DFS sweep over the MST; checked by an
-independent verifier that recomputes distances and the MST from scratch.
+of the MST. Built by a relax-on-DFS over the MST edges of the adjacency;
+checked by an independent verifier that recomputes distances and the MST.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, DisconnectedError
-from .graph import Edge, Instance, minimum_spanning_tree, shortest_path_tree, tree_walk
+from .graph import Instance, minimum_spanning_tree, shortest_path_tree, tree_walk
 
 
 class LastTree(NamedTuple):
@@ -37,64 +37,47 @@ def build_last(g: Instance, root: int, alpha: float) -> LastTree:
     Walks the MST depth-first from the root carrying the length of the
     current tree path; whenever a vertex ends up more than alpha times its
     true shortest-path distance away, the whole shortest path to it is
-    spliced into the tree and the running length resets. Child order is
-    (edge length, edge id), so the output is deterministic.
+    spliced into the tree and the running length resets. The children are
+    the ``g.adjacency`` entries on other MST edges, taken in (edge length,
+    edge id) order, so the output is deterministic.
     """
     if alpha <= 1:
         raise ConfigError("alpha must be > 1")
-    vertices = g.vertex_ids
-    if root not in vertices:
+    if root not in g.vertex_ids:
         raise ConfigError(f"root {root} is not a vertex of the graph")
-    if len(vertices) == 1:
-        return LastTree(graph=g, root=root, edge_ids=frozenset())
 
     dist_true, pred_true = shortest_path_tree(g, root)
     if math.inf in dist_true:
         raise DisconnectedError("LAST construction requires a connected graph")
     mst_ids = minimum_spanning_tree(g)
-    by_id = g.edge_by_id
 
-    mst_adj: dict[int, list[Edge]] = {v: [] for v in vertices}
-    for eid in sorted(mst_ids):
-        e = by_id[eid]
-        mst_adj[e.u].append(e)
-        mst_adj[e.v].append(e)
-    for v in mst_adj:
-        mst_adj[v].sort(key=lambda e: (e.length, e.eid))
-
-    dist = {v: math.inf for v in vertices}
+    dist = [math.inf] * g.n
     dist[root] = 0.0
     parent: dict[int, tuple[int, int]] = {}
 
-    def relax(u: int, v: int, e: Edge) -> None:
-        cand = dist[u] + e.length
-        if cand < dist[v]:
-            dist[v] = cand
-            parent[v] = (u, e.eid)
+    def relax(u: int, v: int, length: float, eid: int) -> None:
+        if dist[u] + length < dist[v]:
+            dist[v] = dist[u] + length
+            parent[v] = (u, eid)
 
     def splice(v: int) -> None:
-        path: list[tuple[int, int, Edge]] = []
-        w = v
-        while w != root:
-            p, eid = pred_true[w]
-            path.append((p, w, by_id[eid]))
-            w = p
-        for p, w, e in reversed(path):
-            relax(p, w, e)
+        path: list[tuple[int, int, int]] = []
+        while v != root:
+            p, eid = pred_true[v]
+            path.append((p, v, eid))
+            v = p
+        for p, w, eid in reversed(path):
+            relax(p, w, g.edge_by_id[eid].length, eid)
 
-    stack: list[tuple[int, int | None, Edge | None]] = [(root, None, None)]
-    seen = {root}
+    stack: list[tuple[float, int | None, int, int]] = [(0.0, None, root, root)]
     while stack:
-        v, via_parent, via_edge = stack.pop()
-        if via_edge is not None and via_parent is not None:
-            relax(via_parent, v, via_edge)
+        length, via, v, u = stack.pop()
+        if via is not None:
+            relax(u, v, length, via)
             if dist[v] > alpha * dist_true[v]:
                 splice(v)
-        for e in reversed(mst_adj[v]):
-            w = e.other(v)
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, v, e))
+        children = [(ln, e, w, v) for w, ln, e in g.adjacency[v] if e in mst_ids and e != via]
+        stack += sorted(children, reverse=True)
 
     edge_ids = frozenset(eid for _, eid in parent.values())
     return LastTree(graph=g, root=root, edge_ids=edge_ids)

@@ -35,10 +35,6 @@ class RoutedTree:
     flows: tuple[int, ...]
 
     @cached_property
-    def flow_map(self) -> dict[int, int]:
-        return dict(zip(self.edge_ids, self.flows))
-
-    @cached_property
     def edges(self) -> tuple[Edge, ...]:
         by_id = self.instance.edge_by_id
         return tuple(by_id[eid] for eid in self.edge_ids)

@@ -84,12 +84,6 @@ ORACLE_CELL_BUDGET = 2**26
 _DP_BLOCK = 2**16
 
 
-def _root_component(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
-    verts = {g.root, *tree_walk(g, g.root)}
-    edges = tuple(e for e in g.edges if e.u in verts)
-    return tuple(sorted(verts)), edges
-
-
 @lru_cache(maxsize=16)
 def _dp_plan(
     t: int,
@@ -223,24 +217,22 @@ class _OracleSetup(NamedTuple):
 
 def _oracle_setup(g: Instance) -> _OracleSetup:
     """What every subset-DP solve of ``g`` shares: the branch vertices of
-    the root's component (``keys``) and the root's column among them, the
-    transposed distances between them (dist_t[v, u] from u to v in v's
-    shortest-path tree), each terminal set's demand per DP row
-    (``_dp_plan`` order), summed in float64 (``total``) and as an integer
-    (``amount``), the one-terminal sets' split rows (``starts``), and the
-    answers by weights (``answers``; see the module docstring). Kept in
-    ``g.oracle_setup`` and dropped with ``g``; raises OracleLimitError per
-    ORACLE_CELL_BUDGET, never kept.
+    the root's component in id order (``keys``; neighbours are counted in
+    ``g.adjacency``) and the root's column among them, the transposed
+    distances between them (dist_t[v, u] from u to v in v's shortest-path
+    tree), each terminal set's demand per DP row (``_dp_plan`` order),
+    summed in float64 (``total``) and as an integer (``amount``), the
+    one-terminal sets' split rows (``starts``), and the answers by weights
+    (``answers``; see the module docstring). Kept in ``g.oracle_setup`` and
+    dropped with ``g``; raises OracleLimitError per ORACLE_CELL_BUDGET,
+    never kept.
     """
     if g.oracle_setup:
         return g.oracle_setup[0]
-    verts, edges = _root_component(g)
-    near: dict[int, set[int]] = {v: set() for v in verts}
-    for e in edges:
-        near[e.u].add(e.v)
-        near[e.v].add(e.u)
-    terms = [v for v, _ in g.demand_items if v != g.root and v in near]
-    keys = [v for v in verts if len(near[v]) >= 3 or v == g.root or v in terms]
+    reached = tree_walk(g, g.root)
+    terms = [v for v, _ in g.demand_items if v in reached]
+    forks = [v for v in reached if len({w for w, _, _ in g.adjacency[v]}) >= 3]
+    keys = sorted({g.root, *terms, *forks})
     t, n = len(terms), len(keys)
     cells = 3**t * n + 2**t * n * n
     if cells > ORACLE_CELL_BUDGET:
@@ -464,8 +456,7 @@ def _marked_vertices(g: Instance, seed: int, chances: Sequence[float]) -> frozen
     The stream gives one draw per demand vertex, in ``demand_items`` order,
     and a vertex is marked when its draw is below its entry of ``chances``,
     the chance that at least one of its units is marked. Seeds recur across
-    trials and thresholds (trial t at index i uses seed + i + t), so the
-    draws are memoized on the instance by seed.
+    trials and thresholds, so the draws are memoized on the instance by seed.
     """
     memo = g.unit_draws
     draws = memo.get(seed)
@@ -480,8 +471,7 @@ def _trial_tree(g: Instance, marked: frozenset[int]) -> RoutedTree:
     core over them and the root, plus rent paths into it. Memoized on the
     instance by marked set, which the trials of nearby thresholds draw again
     and again; with demand on the root, a set with the root and the same set
-    without it share one tree under two keys. Marked sets that build one
-    edge set share one routed tree: ``route`` keeps it by edge set."""
+    without it share one tree under two keys."""
     memo = g.trial_trees
     tree = memo.get(marked)
     if tree is None:

@@ -26,7 +26,13 @@ must match. :func:`reference_route` checks and routes an edge set by a
 breadth-first walk over an adjacency built from its own ``Edge`` objects
 (:func:`reference_tree_order`), which ``route``'s walk over the instance's
 adjacency must match, and :func:`reference_tree_distances` sums root
-distances along that walk.
+distances along that walk; :func:`root_component_edges` gives the root's
+component by that walk. :func:`reference_branch_vertices` finds the exact
+oracle's terminals and branch vertices from neighbour sets, which its
+set-up's count over the instance's adjacency must match, and
+:func:`reference_last` is the LAST's relax-on-DFS over an MST adjacency of
+``Edge`` lists, which ``build_last``'s DFS over the instance's adjacency
+must match.
 :class:`ConcaveFunction`, :func:`decompose_function`, :func:`eval_cost` and
 :func:`best_tree_for_function` state a concave cost function over the
 threshold basis, for the tests of the reduction from any concave function
@@ -49,7 +55,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, basis_threshold, contract, route
 from onetree import ConfigError, InvalidTreeError, InvariantError, compute_K, load_instance
 from onetree import shortest_path_tree
-from onetree.graph import INF, Edge, UnionFind, minimum_spanning_forest, tree_vertices
+from onetree.graph import INF, Edge, UnionFind, minimum_spanning_forest, minimum_spanning_tree
+from onetree.graph import tree_vertices
 from onetree.ssrob import best_tree_for_combination
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -115,6 +122,78 @@ def reference_route(
 def root_component(g: Instance) -> set[int]:
     """Vertices reachable from the root, by the reference walk."""
     return {v for v, _ in reference_tree_order(g.root, g.edges)}
+
+
+def root_component_edges(g: Instance) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
+    """The root's component: its vertices, ascending, and its edges, in
+    ``g.edges`` order, by the reference walk."""
+    verts = root_component(g)
+    return tuple(sorted(verts)), tuple(e for e in g.edges if e.u in verts)
+
+
+def reference_branch_vertices(g: Instance) -> tuple[list[int], list[int]]:
+    """The exact oracle's terminals, in demand order, and branch vertices,
+    ascending, from neighbour sets built over the root's component: the
+    terminals are its demand vertices other than the root, and the branch
+    vertices the root, the terminals and each vertex with three or more
+    distinct neighbours."""
+    verts, edges = root_component_edges(g)
+    near: dict[int, set[int]] = {v: set() for v in verts}
+    for e in edges:
+        near[e.u].add(e.v)
+        near[e.v].add(e.u)
+    terms = [v for v, _ in g.demand_items if v != g.root and v in near]
+    keys = [v for v in verts if len(near[v]) >= 3 or v == g.root or v in terms]
+    return terms, keys
+
+
+def reference_last(g: Instance, root: int, alpha: float) -> frozenset[int]:
+    """The LAST's edge ids by the relax-on-DFS loop over an MST adjacency of
+    ``Edge`` lists, sorted per vertex by (length, id), with a seen set and
+    root distances in a dict; a lone vertex gives the empty tree."""
+    if g.n == 1:
+        return frozenset()
+    dist_true, pred_true = shortest_path_tree(g, root)
+    by_id = g.edge_by_id
+    mst_adj: dict[int, list[Edge]] = {v: [] for v in g.vertex_ids}
+    for eid in sorted(minimum_spanning_tree(g)):
+        e = by_id[eid]
+        mst_adj[e.u].append(e)
+        mst_adj[e.v].append(e)
+    for v in mst_adj:
+        mst_adj[v].sort(key=lambda e: (e.length, e.eid))
+    dist = {v: math.inf for v in g.vertex_ids}
+    dist[root] = 0.0
+    parent: dict[int, tuple[int, int]] = {}
+
+    def relax(u: int, v: int, e: Edge) -> None:
+        if dist[u] + e.length < dist[v]:
+            dist[v] = dist[u] + e.length
+            parent[v] = (u, e.eid)
+
+    def splice(v: int) -> None:
+        path = []
+        while v != root:
+            p, eid = pred_true[v]
+            path.append((p, v, by_id[eid]))
+            v = p
+        for p, w, e in reversed(path):
+            relax(p, w, e)
+
+    stack: list[tuple[int, int | None, Edge | None]] = [(root, None, None)]
+    seen = {root}
+    while stack:
+        v, via_parent, via_edge = stack.pop()
+        if via_edge is not None and via_parent is not None:
+            relax(via_parent, v, via_edge)
+            if dist[v] > alpha * dist_true[v]:
+                splice(v)
+        for e in reversed(mst_adj[v]):
+            w = e.other(v)
+            if w not in seen:
+                seen.add(w)
+                stack.append((w, v, e))
+    return frozenset(eid for _, eid in parent.values())
 
 
 def subset_spanning_trees(g: Instance) -> Iterator[tuple[int, ...]]:

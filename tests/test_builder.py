@@ -84,7 +84,7 @@ def test_tree_spans_demands_and_is_acyclic():
         result = build_tree(g, layers)
         # route() revalidates: acyclic, connected to the root, demands spanned
         again = route(g, result.tree.edge_ids)
-        assert again.flow_map == result.tree.flow_map
+        assert (again.edge_ids, again.flows) == (result.tree.edge_ids, result.tree.flows)
 
 
 def test_layer_bounds_hold_across_corpus():
@@ -170,6 +170,7 @@ def test_float_sums_add_left_to_right():
         buy = result.buy_parts[row.index]
         want_buy = left_to_right(g.edge_by_id[eid].length for eid in buy)
         rent_part = frozenset(tree.edge_ids) - buy
-        want_rent = left_to_right(g.edge_by_id[eid].length * tree.flow_map[eid] for eid in rent_part)
+        flow = dict(zip(tree.edge_ids, tree.flows))
+        want_rent = left_to_right(g.edge_by_id[eid].length * flow[eid] for eid in rent_part)
         assert (row.buy_edge_cost, row.rent_flow_cost) == (want_buy, want_rent)
     assert rows[0].buy_edge_cost == 0.9999999999999999

@@ -189,6 +189,17 @@ def test_top_threshold_past_the_float_range_exits_0(tmp_path, eps, top):
     assert report["bound_checks"]["all_ok"] is True
 
 
+def test_report_bound_past_the_float_range_exits_2(tmp_path, capsys):
+    # a demand of 10^308 on a unit edge: the report's rent bounds and caps,
+    # constants times costs near 1e308, would overflow to Infinity, which is
+    # no JSON number, so the run is refused before any solve
+    instance = write(tmp_path, "big.graph", f"2 1 0\n0 1 1\nd 1 {10**308}\n")
+    report_path = tmp_path / "report.json"
+    assert main(["run", instance, "--eps", "0.5", "--out-report", str(report_path)]) == EXIT_INVALID
+    assert "branch_bound times total length times total demand is not finite" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.graph")]) == EXIT_INVALID
 

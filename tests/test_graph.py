@@ -7,6 +7,8 @@ import pytest
 from onetree import (
     SUPERNODE,
     DisconnectedError,
+    Edge,
+    Instance,
     InstanceError,
     ParseError,
     SampleAugmentSolver,
@@ -99,6 +101,31 @@ def test_make_instance_rejects_out_of_range_vertices(edges, root, demands, match
     # a negative id would otherwise index a search list from its end
     with pytest.raises(InstanceError, match=match):
         make_instance(3, edges, root, demands)
+
+
+@pytest.mark.parametrize(
+    "extra, demand_items, match",
+    [
+        ([], ((1, 3), (2, 0)), r"^demand 0 on vertex 2 is not a positive integer$"),
+        ([], ((1, 5), (2, -3)), r"^demand -3 on vertex 2 is not a positive integer$"),
+        ([], ((2, 1.5),), r"^demand 1\.5 on vertex 2 is not a positive integer$"),
+        ([], ((2, 2), (2, 3)), r"^a demand vertex is listed twice$"),
+        ([(1, 1, 1)], ((2, 1),), r"^edge 3 is a self-loop at vertex 1$"),
+    ],
+    ids=["zero demand", "negative demand", "fractional demand", "vertex twice", "self-loop"],
+)
+def test_instance_rejects_what_load_instance_rejects(extra, demand_items, match):
+    # load_instance refuses each of these at its line; let through here, a
+    # zero demand would end in "demand vertex not spanned", a negative one in
+    # a false delta-cap InvariantError, 1.5 would route a flow of 1.5, and a
+    # vertex listed twice would count twice in total_demand, once in demands
+    triples = [(0, 1, 1), (1, 2, 1), (0, 2, 3), *extra]
+    edges = tuple(Edge(i, u, v, float(length)) for i, (u, v, length) in enumerate(triples))
+    with pytest.raises(InstanceError, match=match):
+        Instance(n=3, edges=edges, root=0, demand_items=demand_items)
+    if len(dict(demand_items)) == len(demand_items):
+        with pytest.raises(InstanceError, match=match):
+            make_instance(3, triples, 0, dict(demand_items))
 
 
 def test_load_ignores_disconnected_non_demand_vertex():

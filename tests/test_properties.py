@@ -5,8 +5,10 @@ cancelling behind it, on superposed random paths; sample-and-augment
 against its plain reference; the bounded search behind its rent paths
 against the unbounded one and against the search that built a tuple label
 for every relax; the Steiner core's dense Prim against Kruskal over the
-metric closure; and ``route`` against the reference walk over an edge
-set's own edges."""
+metric closure; ``route`` against the reference walk over an edge set's
+own edges; ``build_last`` against the reference DFS over sorted ``Edge``
+lists of the MST; and the exact oracle's branch vertices against neighbour
+sets over the root's component."""
 
 import re
 from fractions import Fraction
@@ -16,14 +18,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from onetree import InvalidTreeError, OracleLimitError, basis_cost, make_instance, route
-from onetree import sample_and_augment, ssrob
+from onetree import build_last, contract, sample_and_augment, ssrob
 from onetree.graph import INF, SUPERNODE, UnionFind, bounded_search, shortest_path_tree
 from onetree.graph import tree_vertices
-from onetree.ssrob import _acyclic_support, _demand_paths, _rent_paths, _root_component
+from onetree.ssrob import _acyclic_support, _demand_paths, _rent_paths
 from onetree.ssrob import _steiner_core, best_tree_for_combination
 
 from helpers import brute_min_cost, exact_cost, reference_core, reference_rent, reference_route
-from helpers import reference_sample_and_augment, reference_search, root_component
+from helpers import reference_branch_vertices, reference_last, reference_sample_and_augment
+from helpers import reference_search, root_component
 
 
 @st.composite
@@ -84,13 +87,8 @@ def _dp_cells(g) -> int:
     """3^t·n + 2^t·n² for t terminals and n branch vertices: the root, the
     terminals and every vertex of the root's component with three or more
     distinct neighbours."""
-    verts, edges = _root_component(g)
-    near = {v: set() for v in verts}
-    for e in edges:
-        near[e.u].add(e.v)
-        near[e.v].add(e.u)
-    t = len([v for v in g.demands if v != g.root and v in near])
-    n = len([v for v in verts if v == g.root or v in g.demands or len(near[v]) >= 3])
+    terms, keys = reference_branch_vertices(g)
+    t, n = len(terms), len(keys)
     return 3**t * n + 2**t * n * n
 
 
@@ -347,3 +345,60 @@ def test_route_matches_reference_walk(case):
         tree = route(g, eids)
         assert (tree.edge_ids, tree.flows) == want
         assert route(g, reversed(eids)) is tree
+
+
+@st.composite
+def last_cases(draw):
+    """A connected ``small_instances`` graph, or its contraction of a drawn
+    vertex set, with a drawn root and stretch bound alpha."""
+    g = draw(small_instances(max_n=9, max_extra=8))
+    if draw(st.booleans()):
+        g = contract(g, draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+    alpha = draw(st.sampled_from([1.0001, 1.2, 1.5, 2.0, 3.0, 10.0]))
+    return g, draw(st.integers(0, g.n - 1)), alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(last_cases())
+@example((make_instance(1, [], 0, {0: 1}), 0, 2.0))  # one vertex
+@example((make_instance(3, [(0, 1, 1), (0, 1, 1), (1, 2, 1), (0, 2, 1)], 0, {2: 1}), 2, 1.2))  # ties
+@example((contract(make_instance(4, [(0, 1, 1), (1, 2, 1), (2, 3, 3), (0, 3, 2)], 0, {3: 1}), {1, 2}), 0, 1.5))
+# two graphs on which the children's (length, id) order changes the tree
+@example((make_instance(7, [(1, 3, 4), (1, 2, 4), (4, 5, 2), (1, 6, 1), (0, 1, 2), (6, 5, 2),
+                            (0, 6, 1), (0, 4, 2)], 0, {6: 1}), 1, 1.0001))
+@example((make_instance(8, [(0, 4, 2), (0, 2, 1), (4, 1, 3), (2, 6, 1), (1, 7, 3), (6, 7, 3),
+                            (3, 4, 3), (5, 7, 2), (1, 3, 2), (0, 1, 4), (3, 5, 2), (6, 4, 2),
+                            (0, 6, 2), (2, 3, 3)], 0, {7: 1}), 0, 1.0001))
+def test_build_last_matches_reference_dfs(case):
+    # the DFS over the instance's adjacency lays the LAST of the reference
+    # DFS over sorted Edge lists of the MST, splices included
+    g, root, alpha = case
+    assert build_last(g, root, alpha).edge_ids == reference_last(g, root, alpha)
+
+
+@st.composite
+def split_instances(draw):
+    """A ``small_instances`` graph plus up to four vertices off its root's
+    component, with random (possibly parallel) edges and demand among them."""
+    g = draw(small_instances(max_n=7, max_extra=8))
+    k = draw(st.integers(0, 4))
+    off = st.integers(g.n, g.n + k - 1)
+    extra = draw(st.lists(st.tuples(off, off, st.integers(1, 4)), max_size=6)) if k else []
+    demanded = draw(st.lists(off, unique=True, max_size=k)) if k else []
+    edges = [(e.u, e.v, e.length) for e in g.edges] + [(u, v, w) for u, v, w in extra if u != v]
+    return make_instance(g.n + k, edges, g.root, {**g.demands, **dict.fromkeys(demanded, 1)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_instances())
+@example(make_instance(4, [(0, 1, 1), (1, 2, 1), (1, 2, 2), (1, 3, 1)], 0, {2: 1}))  # parallel pair
+@example(make_instance(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1)], 0, {1: 1, 4: 2}))  # 3 off
+def test_oracle_setup_branch_vertices_match_neighbour_sets(g):
+    # the set-up's count of distinct neighbours over the instance's
+    # adjacency finds the branch vertices and terminals that neighbour sets
+    # over the root's component do, with the root's column among them
+    terms, keys = reference_branch_vertices(g)
+    setup = ssrob._oracle_setup(g)
+    assert setup.keys == tuple(keys)
+    assert setup.root == keys.index(g.root)
+    assert [keys[j] for j in setup.starts.argmin(axis=1)] == terms

@@ -21,20 +21,20 @@ from helpers import subset_spanning_trees, workload_instances
 
 def test_route_path_flows(path3):
     t = route(path3, (0, 1))
-    assert t.flow_map == {0: 2, 1: 1}
+    assert dict(zip(t.edge_ids, t.flows)) == {0: 2, 1: 1}
 
 
 def test_route_star_flows():
     g = make_instance(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)], 0, {1: 1, 2: 1, 3: 1})
     t = route(g, (0, 1, 2))
-    assert t.flow_map == {0: 1, 1: 1, 2: 1}
+    assert dict(zip(t.edge_ids, t.flows)) == {0: 1, 1: 1, 2: 1}
 
 
 def test_route_keeps_flowless_branch():
     # vertices 2, 3 hang off the demand path but carry nothing
     g = make_instance(4, [(0, 1, 1), (0, 2, 1), (2, 3, 1)], 0, {1: 1})
     t = route(g, (0, 1, 2))
-    assert t.flow_map == {0: 1, 1: 0, 2: 0}
+    assert dict(zip(t.edge_ids, t.flows)) == {0: 1, 1: 0, 2: 0}
     assert basis_cost(t, 1.0) == 1.0
 
 

@@ -31,7 +31,6 @@ from onetree.routing import basis_threshold
 from onetree.ssrob import (
     _marked_vertices,
     _rent_paths,
-    _root_component,
     best_tree_for_combination,
 )
 
@@ -45,6 +44,7 @@ from helpers import (
     reference_flow_classes,
     reference_marking,
     reference_sample_and_augment,
+    root_component_edges,
     subset_spanning_trees,
     workload,
     workload_instances,
@@ -133,11 +133,12 @@ def _combinations(g):
 
 def _flows(g, tree):
     """``tree``'s flow on each edge of the root's component."""
-    return tuple(tree.flow_map.get(e.eid, 0) for e in _root_component(g)[1])
+    flows = dict(zip(tree.edge_ids, tree.flows))
+    return tuple(flows.get(e.eid, 0) for e in root_component_edges(g)[1])
 
 
 def _spans_demand(g):
-    return set(g.demands) <= set(_root_component(g)[0])
+    return set(g.demands) <= set(root_component_edges(g)[0])
 
 
 def _loaded(tree):
@@ -150,7 +151,7 @@ def _check_oracle(g, combinations):
     (thresholds, coefficients) pair every edge of the oracle's tree carries
     flow, the tree is the loaded edges of its flow class's least tree, and
     it costs exactly the least cost of any class."""
-    verts, edges = _root_component(g)
+    verts, edges = root_component_edges(g)
     classes = reference_flow_classes(g, verts, edges)
     least = [route(g, eids) for eids in classes.values()]
     for thresholds, coefficients in combinations:
@@ -173,7 +174,7 @@ def test_oracle_flows_match_tree_walk():
     seen = set()
     for _ in range(300):
         g = _flow_test_instance(rng)
-        verts, edges = _root_component(g)
+        verts, edges = root_component_edges(g)
         if _spans_demand(g):
             _check_oracle(g, _combinations(g))
         else:
@@ -245,7 +246,7 @@ def test_enumeration_matches_reference():
     for g in _enumeration_corpus(500):
         if not _spans_demand(g):
             continue
-        verts, edges = _root_component(g)
+        verts, edges = root_component_edges(g)
         trees = list(_check_oracle(g, _combinations(g)).values())
         pairs = [frozenset((e.u, e.v)) for e in edges]
         seen.update(
@@ -397,7 +398,7 @@ def test_distinct_rows_scan_matches_full_table():
         if k % 10 == 0:
             g = make_instance(g.n, [(e.u, e.v, e.length) for e in g.edges], g.root,
                               {v: a * 10**19 for v, a in g.demands.items()})
-        verts, edges = _root_component(g)
+        verts, edges = root_component_edges(g)
         rows = [route(g, eids) for eids in reference_flow_classes(g, verts, edges).values()]
         trees = [route(g, eids) for eids in subset_spanning_trees(g)]
         cut += len(rows) < len(trees)
@@ -789,7 +790,7 @@ def _fresh(g):
 
 
 def _support(tree):
-    return frozenset(eid for eid, f in tree.flow_map.items() if f)
+    return frozenset(eid for eid, f in zip(tree.edge_ids, tree.flows) if f)
 
 
 def test_repeated_oracle_supports_route_once(monkeypatch):
@@ -1077,4 +1078,4 @@ def test_solver_trees_are_valid_routings():
         for solver in (ExactSolver(), SampleAugmentSolver(trials=4)):
             t = solver.solve(g, 2.0, seed=k)
             again = route(g, t.edge_ids)
-            assert again.flow_map == t.flow_map
+            assert (again.edge_ids, again.flows) == (t.edge_ids, t.flows)
