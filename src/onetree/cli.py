@@ -19,6 +19,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -272,10 +273,17 @@ def report_bytes(report: dict) -> bytes:
     return (_json_text(report, "\n") + "\n").encode()
 
 
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
 def _json_text(value, indent: str) -> str:
     """``value`` as indented JSON at nesting ``indent``, a newline and its
     spaces. Raises TypeError where json.dumps does, and for non-str keys
-    (encode_basestring_ascii refuses them)."""
+    (encode_basestring_ascii refuses them). A list of same-keyed dicts whose
+    every column is all float, all int or all bool goes through one row
+    template, its keys encoded once and each column written by one ``map``."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
@@ -283,17 +291,33 @@ def _json_text(value, indent: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
+        return _float_text(value)
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
-        ends, items = "[]", [_json_text(item, inner) for item in value]
+        ends, items = "[]", _table_rows(value, inner) or [_json_text(v, inner) for v in value]
     elif isinstance(value, dict):
         ends, items = "{}", [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
                              for k, v in sorted(value.items())]
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
+def _table_rows(rows, indent: str) -> list[str] | None:
+    """Each row's ``_json_text`` at ``indent`` by one row template, or None."""
+    keys = rows and type(rows[0]) is dict and rows[0].keys()
+    if not keys or any(type(r) is not dict or r.keys() != keys for r in rows):
+        return None
+    writers = {frozenset({float}): _float_text, frozenset({int}): int.__repr__,
+               frozenset({bool}): {True: "true", False: "false"}.get}  # by a column's types
+    texts = {k: writers.get(frozenset(map(type, map(itemgetter(k), rows)))) for k in sorted(keys)}
+    if None in texts.values():
+        return None
+    inner = indent + "  "
+    template = "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in texts) + indent + "}"
+    columns = (map(text, map(itemgetter(k), rows)) for k, text in texts.items())
+    return list(map(template.__mod__, zip(*columns)))
 
 
 def edge_list_text(res: PipelineResult) -> str:

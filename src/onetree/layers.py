@@ -14,6 +14,7 @@ from .routing import (
     RoutedTree,
     basis_cost,
     basis_threshold,
+    buy_cutoff,
     decompose,
 )
 
@@ -72,17 +73,18 @@ def monotonize(
     One ascending pass (take the previous tree when cheaper) then one
     descending pass (take the next tree when cheaper). Afterwards every tree
     is no worse at its own threshold than either neighbor, which forces buy
-    costs nonincreasing and rent costs nondecreasing across indices.
+    costs nonincreasing and rent costs nondecreasing across indices. Only
+    neighbors that are different tree objects are compared.
     """
     out = list(trees)
     for i in range(1, len(out)):
-        m = thresholds[i]
-        if _strictly_less(basis_cost(out[i - 1], m), basis_cost(out[i], m)):
-            out[i] = out[i - 1]
+        m, prev, cur = thresholds[i], out[i - 1], out[i]
+        if prev is not cur and _strictly_less(basis_cost(prev, m), basis_cost(cur, m)):
+            out[i] = prev
     for i in range(len(out) - 2, -1, -1):
-        m = thresholds[i]
-        if _strictly_less(basis_cost(out[i + 1], m), basis_cost(out[i], m)):
-            out[i] = out[i + 1]
+        m, nxt, cur = thresholds[i], out[i + 1], out[i]
+        if nxt is not cur and _strictly_less(basis_cost(nxt, m), basis_cost(cur, m)):
+            out[i] = nxt
     return tuple(out)
 
 
@@ -140,20 +142,24 @@ class LayerSet(NamedTuple):
 def compute_layers(g: Instance, params: Parameters, solver, seed: int = 0) -> LayerSet:
     """Full layer-finding pass: one rent-or-buy solve per threshold index,
     monotonize, decompose, prune by ``params``' gamma and delta. Solves
-    receive seed + index."""
+    receive seed + index, and ``decompose`` runs once per tree and bought set."""
     eps = params.eps
     top = compute_K(g.total_demand, eps)
     thresholds = tuple(basis_threshold(i, eps) for i in range(top + 1))
     raw = [solver.solve(g, m, seed=seed + i) for i, m in enumerate(thresholds)]
     trees = monotonize(raw, thresholds)
-    decs = tuple(decompose(t, m) for t, m in zip(trees, thresholds))
+    split: dict[tuple[int, int], RentBuyDecomposition] = {}  # by id(tree), count of flows bought
+    decs = []
+    for t, m in zip(trees, thresholds):
+        key = (id(t), sum(map(buy_cutoff(m).__le__, t.flows)))
+        decs.append(split.get(key) or split.setdefault(key, decompose(t, m)))
     kept, survivors = prune(decs, params.gamma, params.delta)
     return LayerSet(
         params=params,
         thresholds=thresholds,
         trees=trees,
         costs=tuple(basis_cost(t, m) for t, m in zip(trees, thresholds)),
-        decompositions=decs,
+        decompositions=tuple(decs),
         kept=kept,
         kept_buy=survivors,
     )
@@ -162,9 +168,10 @@ def compute_layers(g: Instance, params: Parameters, solver, seed: int = 0) -> La
 def verify_layerset(layers: LayerSet) -> None:
     """Assert the structural properties the construction relies on.
 
-    Raises InvariantError on: non-monotone buy/rent costs, index 0 or the
-    smallest-buy-cost survivor missing from the kept set, or a threshold
-    index whose derived kept layer fails the gamma/delta cost caps.
+    Raises InvariantError on: non-monotone buy/rent costs, index 0 missing
+    from the kept set or the buy-pass survivors, the smallest-buy-cost
+    survivor missing from the kept set, or an index k whose kept layer fails
+    the gamma/delta cost caps; one forward sweep finds every k's layer.
     """
     slack = 1e-9
     decs = layers.decompositions
@@ -176,13 +183,16 @@ def verify_layerset(layers: LayerSet) -> None:
             raise InvariantError(f"buy cost increases from index {i} to {i + 1}")
         if r_i > r_next + slack * max(1.0, r_i, r_next):
             raise InvariantError(f"rent cost decreases from index {i} to {i + 1}")
-    if 0 not in layers.kept:
-        raise InvariantError("index 0 missing from the kept layer set")
-    if layers.kept_buy and max(layers.kept_buy) not in layers.kept:
+    kept, survivors = sorted(layers.kept), set(layers.kept_buy)
+    if 0 not in kept or 0 not in survivors:
+        raise InvariantError("index 0 missing from the kept layer set or the buy-pass survivors")
+    if max(survivors) not in kept:
         raise InvariantError("smallest-buy-cost survivor missing from the kept layer set")
+    layer = 0  # kept[layer]: least kept index >= the greatest survivor <= k
     for k in range(layers.top_index + 1):
-        anchor = max(j for j in layers.kept_buy if j <= k)
-        i = min(i for i in layers.kept if i >= anchor)
+        while k in survivors and kept[layer] < k:
+            layer += 1
+        i = kept[layer]
         if decs[i].buy_cost > gamma * decs[k].buy_cost * (1.0 + slack) + 1e-12:
             raise InvariantError(
                 f"kept index {i} exceeds the gamma buy cap relative to index {k}"

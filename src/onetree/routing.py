@@ -115,15 +115,16 @@ class RentBuyDecomposition(NamedTuple):
     core: frozenset[int]
 
 
+def buy_cutoff(threshold: float) -> float:
+    """Least flow bought at ``threshold``: itself when an integer, as flows
+    are; else 1e-12 relatively below it, guarding float error in (1+eps)**i."""
+    return threshold if threshold == math.floor(threshold) else threshold * (1.0 - 1e-12)
+
+
 def decompose(tree: RoutedTree, threshold: float) -> RentBuyDecomposition:
     """Split ``tree`` at ``threshold``: an edge is bought when its flow is
-    at or above the threshold, and rented otherwise.
-
-    Flows are exact integers, so the boundary test is exact whenever the
-    threshold is an integer; otherwise a 1e-12 relative band below the
-    threshold still counts as bought, guarding float error in (1+eps)**i.
-    """
-    cutoff = threshold if threshold == math.floor(threshold) else threshold * (1.0 - 1e-12)
+    at least ``buy_cutoff(threshold)``, and rented otherwise."""
+    cutoff = buy_cutoff(threshold)
     rent_cost = 0.0
     buy_cost = 0.0
     core = {tree.instance.root}

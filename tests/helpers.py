@@ -14,7 +14,9 @@ it. :func:`workload_instances` gives the benchmark's own graphs.
 :func:`reference_sample_and_augment` is the plain form of the package's
 sample-and-augment solver, which the faster one must match tree for tree,
 and :func:`reference_K` the loop that the closed form of ``compute_K`` must
-match; :func:`basis_grid` is the threshold grid of an instance.
+match; :func:`basis_grid` is the threshold grid of an instance, and
+:func:`reference_monotonize` the loops that compared costs at every index,
+which ``monotonize``'s skip of identical neighbors must match.
 :func:`reference_shortest_path_tree` is the shortest-path search over
 per-vertex ``Edge`` tuples, keyed by vertex id, that the package's list
 search must match; :func:`reference_search` the bounded search with a tuple
@@ -341,6 +343,27 @@ def reference_K(total_demand: int, eps: float, start: int = 0) -> int:
     while basis_threshold(k, eps) < total_demand * (1.0 - 1e-12):
         k += 1
     return k
+
+
+def reference_monotonize(
+    trees: Sequence[RoutedTree], thresholds: Sequence[float]
+) -> tuple[RoutedTree, ...]:
+    """The loops ``monotonize`` had before it skipped neighbors that are the
+    same tree object: costs are compared at every index, in both passes."""
+
+    def strictly_less(a: float, b: float) -> bool:
+        return a < b - 1e-12 * max(abs(a), abs(b), 1.0)
+
+    out = list(trees)
+    for i in range(1, len(out)):
+        m = thresholds[i]
+        if strictly_less(basis_cost(out[i - 1], m), basis_cost(out[i], m)):
+            out[i] = out[i - 1]
+    for i in range(len(out) - 2, -1, -1):
+        m = thresholds[i]
+        if strictly_less(basis_cost(out[i + 1], m), basis_cost(out[i], m)):
+            out[i] = out[i + 1]
+    return tuple(out)
 
 
 def basis_grid(g: Instance, eps: float) -> tuple[float, ...]:

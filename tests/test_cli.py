@@ -485,12 +485,40 @@ _json_scalars = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2**63]),
     _awkward_text,
 )
+# the report writer's row template takes a column whose cells are all one of
+# these types; a bool inside an int column, and any other cell, sends the
+# whole list through the recursive path
+_column_cells = st.sampled_from([
+    st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])),
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.one_of(st.integers(-(2**80), 2**80), st.booleans()),
+])
+
+
+@st.composite
+def _json_tables(draw, inner):
+    """A list of dicts with one key set, each key's insertion order drawn per
+    row and its cells from one of ``_column_cells``; sometimes one cell is
+    any ``inner`` value instead, such as None or a nested list."""
+    keys = draw(st.lists(_awkward_text, min_size=1, max_size=4, unique=True))
+    cells = {k: draw(_column_cells) for k in keys}
+    rows = [{k: draw(cells[k]) for k in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.sampled_from(keys))] = draw(inner)
+    return rows
+
+
 _json_values = st.recursive(
     _json_scalars,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(_awkward_text, inner, max_size=4),
+        _json_tables(inner),
+        _json_tables(inner).map(tuple),
     ),
     max_leaves=24,
 )
@@ -504,8 +532,10 @@ def test_report_bytes_equal_json_dumps(value):
 
 @pytest.mark.parametrize(
     "value",
-    [frozenset({1}), {"a": [frozenset()]}, {1: "a"}, {"a": {2: None}}, {"a": 1, 2: 3}],
-    ids=["frozenset", "nested frozenset", "int key", "nested int key", "mixed keys"],
+    [frozenset({1}), {"a": [frozenset()]}, {1: "a"}, {"a": {2: None}}, {"a": 1, 2: 3},
+     [{1: 0.5}, {1: 2.0}], [{"a": True, 2: False}, {2: True, "a": False}], [{None: 1}, {None: 2}]],
+    ids=["frozenset", "nested frozenset", "int key", "nested int key", "mixed keys",
+         "int key in rows", "mixed keys in rows", "None key in rows"],
 )
 def test_report_bytes_refuses_what_is_not_a_report(value):
     with pytest.raises(TypeError):

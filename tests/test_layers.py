@@ -7,22 +7,26 @@ import pytest
 from onetree import (
     ConfigError,
     ExactSolver,
+    InvariantError,
     Parameters,
     SampleAugmentSolver,
     basis_cost,
     basis_threshold,
     compute_K,
     compute_layers,
+    decompose,
     monotonize,
+    optimal_parameters,
     prune,
     route,
     verify_layerset,
 )
+from onetree import layers as layers_module
 from onetree.builder import GOLDEN_ALPHA
-from onetree.routing import RentBuyDecomposition
+from onetree.routing import RentBuyDecomposition, buy_cutoff
 
 from corpus import random_instance
-from helpers import basis_grid, reference_K
+from helpers import basis_grid, reference_K, reference_monotonize, workload, workload_instances
 
 
 def fake_decompositions(buys, rents):
@@ -210,3 +214,66 @@ def test_first_index_always_fully_bought():
         g = random_instance(rng)
         layers = compute_layers(g, params, ExactSolver(), seed=k)
         assert layers.decompositions[0].rent_cost == 0.0
+
+
+def _workload_layers(name, seed):
+    """Each graph of benchmark workload ``name`` at ``seed`` with its layers,
+    found as the benchmark runs it: sample-and-augment with the workload's
+    trials and eps, and seed 0."""
+    w = workload(name)
+    params = optimal_parameters(lambda_descriptor=f"heuristic(trials={w.trials})", eps=w.eps)
+    solver = SampleAugmentSolver(trials=w.trials)
+    return [(g, compute_layers(g, params, solver), solver) for g in workload_instances(name, [seed])]
+
+
+def _corpus_layers():
+    """The CI corpus (8 instances of ``random.Random(3)``) with its layers at
+    --ssrob exact --eps 0.5."""
+    rng = random.Random(3)
+    params = optimal_parameters(lambda_descriptor="exact", eps=0.5)
+    solver = ExactSolver()
+    graphs = [random_instance(rng) for _ in range(8)]
+    return [(g, compute_layers(g, params, solver), solver) for g in graphs]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [*((name, seed) for name in ("sa_mid", "huge_demand", "oracle_n14") for seed in (1, 3)), "corpus"],
+    ids=lambda source: source if source == "corpus" else "%s-seed%d" % source,
+)
+def test_decompositions_match_a_fresh_decompose_once_per_bought_set(source, monkeypatch):
+    # each index's decomposition is decompose(tree, threshold) bit for bit,
+    # though decompose runs once per tree and bought set; the monotonized
+    # trees are the reference loops' over the solver's trees, which the
+    # memos hand back as the same objects
+    calls = []
+
+    def counted(tree, threshold):
+        calls.append(threshold)
+        return decompose(tree, threshold)
+
+    monkeypatch.setattr(layers_module, "decompose", counted)
+    runs = _corpus_layers() if source == "corpus" else _workload_layers(*source)
+    bought = set()
+    for g, found, solver in runs:
+        raw = [solver.solve(g, m, seed=i) for i, m in enumerate(found.thresholds)]
+        assert list(map(id, found.trees)) == list(map(id, reference_monotonize(raw, found.thresholds)))
+        for i, (t, m, dec) in enumerate(zip(found.trees, found.thresholds, found.decompositions)):
+            fresh = decompose(t, m)
+            assert dec.rent_cost.hex() == fresh.rent_cost.hex(), i
+            assert dec.buy_cost.hex() == fresh.buy_cost.hex(), i
+            assert dec.core == fresh.core, i
+            cutoff = buy_cutoff(m)
+            bought.add((id(t), frozenset(e for e, f in zip(t.edge_ids, t.flows) if f >= cutoff)))
+    assert len(calls) == len(bought)
+
+
+@pytest.mark.parametrize("kept_buy", [(111, 128, 130), ()], ids=["no index 0", "empty"])
+def test_verify_layerset_refuses_survivors_without_index_0(kept_buy):
+    # the seed-1 huge_demand layers keep (0, 130) of survivors (0, 111, 128,
+    # 130); survivors without index 0 give no layer to index 0
+    ((_g, found, _solver),) = _workload_layers("huge_demand", 1)
+    assert (found.kept, found.kept_buy) == ((0, 130), (0, 111, 128, 130))
+    verify_layerset(found)
+    with pytest.raises(InvariantError, match="index 0 missing"):
+        verify_layerset(found._replace(kept_buy=kept_buy))

@@ -7,8 +7,11 @@ against the unbounded one and against the search that built a tuple label
 for every relax; the Steiner core's dense Prim against Kruskal over the
 metric closure; ``route`` against the reference walk over an edge set's
 own edges; ``build_last`` against the reference DFS over sorted ``Edge``
-lists of the MST; and the exact oracle's branch vertices against neighbour
-sets over the root's component."""
+lists of the MST; the exact oracle's branch vertices against neighbour
+sets over the root's component; ``monotonize`` against its loops that
+compared costs at every index; and the forward sweep of
+``verify_layerset`` against the layer each index's generator formula
+picks."""
 
 import re
 from fractions import Fraction
@@ -17,16 +20,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from onetree import InvalidTreeError, OracleLimitError, basis_cost, make_instance, route
+from onetree import InvalidTreeError, InvariantError, LayerSet, OracleLimitError, Parameters
+from onetree import basis_cost, basis_threshold, make_instance, monotonize, route, verify_layerset
 from onetree import build_last, contract, sample_and_augment, ssrob
 from onetree.graph import INF, SUPERNODE, UnionFind, bounded_search, shortest_path_tree
 from onetree.graph import tree_vertices
+from onetree.routing import RentBuyDecomposition
 from onetree.ssrob import _acyclic_support, _demand_paths, _rent_paths
 from onetree.ssrob import _steiner_core, best_tree_for_combination
 
 from helpers import brute_min_cost, exact_cost, reference_core, reference_rent, reference_route
 from helpers import reference_branch_vertices, reference_last, reference_sample_and_augment
-from helpers import reference_search, root_component
+from helpers import reference_monotonize, reference_search, root_component
+from helpers import subset_spanning_trees
 
 
 @st.composite
@@ -402,3 +408,52 @@ def test_oracle_setup_branch_vertices_match_neighbour_sets(g):
     assert setup.keys == tuple(keys)
     assert setup.root == keys.index(g.root)
     assert [keys[j] for j in setup.starts.argmin(axis=1)] == terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(max_n=5, max_extra=3), st.floats(0.05, 2.0), st.data())
+def test_monotonize_matches_reference_loops(g, eps, data):
+    # a ladder drawn from a few routed spanning trees, in runs of one object
+    # and alternating, so identical neighbors (skipped) and distinct ones
+    # with equal or unequal costs (compared) both turn up
+    pool = [route(g, ids) for ids in subset_spanning_trees(g)][:4]
+    trees = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    thresholds = [basis_threshold(i, eps) for i in range(len(trees))]
+    got = monotonize(trees, thresholds)
+    want = reference_monotonize(trees, thresholds)
+    assert [id(t) for t in got] == [id(t) for t in want]
+
+
+@st.composite
+def kept_index_sets(draw):
+    """A top index K and kept and buy-pass index sets in 0..K, as prune's
+    contract has them (0 in both, the last survivor kept), each in a drawn
+    order."""
+    top = draw(st.integers(0, 30))
+    index = st.integers(0, top)
+    survivors = sorted({0, *draw(st.lists(index, max_size=8))})
+    kept = sorted({0, survivors[-1], *draw(st.lists(index, max_size=8))})
+    return top, draw(st.permutations(kept)), draw(st.permutations(survivors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kept_index_sets())
+def test_verify_layerset_sweep_picks_the_generator_formula_layer(sets):
+    # at each k, a table cut at K = k whose buy cost is 1 but 0.5 at k fails
+    # the gamma = 1.5 cap at k alone, and names the layer it checked there,
+    # unless that layer is k; the formula the sweep replaced picks the least
+    # kept index at or above the greatest survivor at or below k
+    top, kept, survivors = sets
+    params = Parameters(eps=0.5, alpha=1.6, gamma=1.5, delta=5.236)
+    for k in range(top + 1):
+        anchor = max(j for j in survivors if j <= k)
+        want = min(i for i in kept if i >= anchor)
+        decs = tuple(RentBuyDecomposition(1.0, 0.5 if j == k else 1.0, frozenset({0}))
+                     for j in range(top + 1))
+        layers = LayerSet(params, (1.0,) * (k + 1), (), (), decs, tuple(kept), tuple(survivors))
+        if want == k:
+            verify_layerset(layers)
+            continue
+        with pytest.raises(InvariantError) as caught:
+            verify_layerset(layers)
+        assert str(caught.value) == f"kept index {want} exceeds the gamma buy cap relative to index {k}"
