@@ -28,13 +28,15 @@ Two interchangeable solvers, both deterministic given a seed:
   ``ORACLE_CELL_BUDGET``.
 
   What every solve of an instance shares is set up once (``_oracle_setup``)
-  with a memo of answers by w, so a repeated w skips the DP; an answer
-  whose cycles were cancelled is not kept, since a cancel reads the
-  thresholds, not w. When every nonempty set weighs the same, as at each
-  threshold at or below the least demand, w is first set to ones: each
-  loaded edge of a tree carries some set's demand, so a tree costs that
-  one weight times its support's length, the optima stay the same, and
-  all such thresholds share one answer whichever asks first.
+  with a memo of answers by w, so a repeated w skips the DP, and the last
+  DP's tables with their w, so a new w refills only the sizes from the
+  least one whose weights changed; an answer whose cycles were cancelled
+  is not kept, since a cancel reads the thresholds, not w. When every
+  nonempty set weighs the same, as at each threshold at or below the least
+  demand, w is first set to ones: each loaded edge of a tree carries some
+  set's demand, so a tree costs that one weight times its support's
+  length, the optima stay the same, and all such thresholds share one
+  answer whichever asks first.
 - A randomized sample-and-augment heuristic (``sample_and_augment``);
   cost ties between its trials go to the smaller edge-id tuple. It gives
   the plain per-trial algorithm's trees but memoizes on the instance what
@@ -82,6 +84,9 @@ from .routing import RoutedTree, basis_cost, route
 ORACLE_CELL_BUDGET = 2**26
 #: Most array cells in one block of the subset DP's temporaries.
 _DP_BLOCK = 2**16
+#: Most trials one sample-and-augment solve may run; a run memoizes one draw
+#: per demand vertex for each trial's seed, so more is refused with ConfigError.
+MAX_TRIALS = 10_000
 
 
 @lru_cache(maxsize=16)
@@ -118,28 +123,38 @@ def _dp_plan(
 
 
 def _subset_dp(
-    w: np.ndarray, dist_t: np.ndarray, starts: np.ndarray
+    w: np.ndarray, dist_t: np.ndarray, starts: np.ndarray, last: list
 ) -> tuple[np.ndarray, np.ndarray]:
     """The send table F and the split table G, one row per terminal set in
     ``_dp_plan`` order and one column per branch vertex, for per-row weights
     ``w``, transposed branch distances ``dist_t`` (dist_t[v, u] from u to v)
     and the one-terminal sets' split rows ``starts`` (0 at the terminal's
-    own column, INF elsewhere). Every size is then split and sent, each step
-    in blocks of at most _DP_BLOCK cells that write their slice of the table
-    in place."""
+    own column, INF elsewhere). ``last`` is empty or the previous call's
+    [w, F, G], whose tables are refilled in place; either way it is left
+    holding this call's. Size-k rows read only the weights of sets of size
+    at most k, so sizes below the least one whose weights changed are kept,
+    that size keeps its splits and is sent, and every larger size is split
+    and sent; a first call fills every size. Each step runs in blocks of at
+    most _DP_BLOCK cells that write their slice of the table in place, and
+    row 0, the empty set, is never written."""
     n = len(dist_t)
-    F = np.empty((len(w), n))
-    G = np.empty((len(w), n))
+    size, levels = _dp_plan(len(starts))[1:]
+    if last:
+        old, F, G = last
+        changed = np.flatnonzero(w != old)
+        first = size[changed[0]] if len(changed) else len(starts) + 1
+    else:
+        F, G, first = np.empty((len(w), n)), np.empty((len(w), n)), 1
+        G[1 : 1 + len(starts)] = starts
+    last[:] = w, F, G
     cols = max(1, min(n, _DP_BLOCK // n))
     least = np.minimum.reduce
-    for lo, hi, pairs in _dp_plan(len(starts))[2]:
-        if pairs.shape[1]:
+    for k, (lo, hi, pairs) in enumerate(levels[first - 1 :], start=first):
+        if k > first:
             step = max(1, _DP_BLOCK // (pairs.shape[1] * n))
             for a in range(lo, hi, step):
                 p = pairs[:, :, a - lo : a - lo + step]
                 least(F[p[0]] + F[p[1]], axis=0, out=G[a : min(a + step, hi)])
-        else:
-            G[lo:hi] = starts
         step = max(1, _DP_BLOCK // (n * cols))
         for a in range(lo, hi, step):
             b = min(a + step, hi)
@@ -204,7 +219,7 @@ def _acyclic_support(
 
 
 class _OracleSetup(NamedTuple):
-    """What every subset-DP solve of one instance shares; see _oracle_setup."""
+    """What the subset-DP solves of one instance share; see _oracle_setup."""
 
     keys: tuple[int, ...]
     root: int
@@ -213,6 +228,7 @@ class _OracleSetup(NamedTuple):
     amount: tuple[int, ...]
     starts: np.ndarray
     answers: dict[bytes, RoutedTree]
+    tables: list
 
 
 def _oracle_setup(g: Instance) -> _OracleSetup:
@@ -222,8 +238,9 @@ def _oracle_setup(g: Instance) -> _OracleSetup:
     distances between them (dist_t[v, u] from u to v in v's shortest-path
     tree), each terminal set's demand per DP row (``_dp_plan`` order),
     summed in float64 (``total``) and as an integer (``amount``), the
-    one-terminal sets' split rows (``starts``), and the answers by weights
-    (``answers``; see the module docstring). Kept in ``g.oracle_setup`` and
+    one-terminal sets' split rows (``starts``), the answers by weights
+    (``answers``; see the module docstring) and, once a DP has run, its
+    [w, F, G] (``tables``; see _subset_dp). Kept in ``g.oracle_setup`` and
     dropped with ``g``; raises OracleLimitError per ORACLE_CELL_BUDGET,
     never kept.
     """
@@ -255,7 +272,7 @@ def _oracle_setup(g: Instance) -> _OracleSetup:
     order = _dp_plan(t)[0]
     g.oracle_setup.append(_OracleSetup(
         tuple(keys), keys.index(g.root), dist_t, total[order],
-        tuple(amount[s] for s in order.tolist()), starts, {},
+        tuple(amount[s] for s in order.tolist()), starts, {}, [],
     ))
     return g.oracle_setup[0]
 
@@ -289,7 +306,7 @@ def best_tree_for_combination(
     tree = setup.answers.get(weights)
     if tree is not None:
         return tree
-    F, G = _subset_dp(w, setup.dist_t, setup.starts)
+    F, G = _subset_dp(w, setup.dist_t, setup.starts, setup.tables)
 
     # expand the winning sends, from all terminals at the root down, into
     # paths of the destination's shortest-path tree, with their flows; each
@@ -498,12 +515,13 @@ def sample_and_augment(
     Degenerate thresholds are handled deterministically: threshold >= total
     demand reduces to shortest-path routing; threshold <= 1, or one at which
     every chance rounds to 1, to the Steiner core over all demand vertices,
-    with no draw. A threshold below 1 or NaN, or < 1 trial, raises ConfigError.
+    with no draw. A threshold below 1 or NaN, or trials outside 1..MAX_TRIALS,
+    raise ConfigError.
     """
     if not threshold >= 1.0:
         raise ConfigError("threshold must be >= 1")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must be between 1 and {MAX_TRIALS}")
     if threshold >= g.total_demand:
         # the root's own tree, not _rent_paths({root}): a source named SUPERNODE
         # breaks (distance, predecessor id) ties differently

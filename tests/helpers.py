@@ -318,7 +318,7 @@ def workload(name: str):
     return _workloads().WORKLOADS[name]
 
 
-def workload_instances(name: str, seeds: Iterable[int], **changes) -> list[Instance]:
+def workload_instances(name: str, seeds: Iterable[int], /, **changes) -> list[Instance]:
     """The graphs of benchmark workload ``name`` at ``seeds``, made by the
     benchmark's own generator; ``changes`` replace fields of the workload,
     such as ``total_demand``, before generating."""

@@ -38,6 +38,7 @@ from onetree.cli import (
     solve_instance,
 )
 from onetree.errors import ConfigError, InvariantError
+from onetree.ssrob import MAX_TRIALS
 
 from corpus import instance_text, random_instance, write_corpus
 
@@ -167,6 +168,19 @@ def test_eps_too_fine_for_the_threshold_grid_exits_2(tmp_path, capsys, eps, mess
     instance = write(tmp_path, "path3.graph", PATH3)
     assert main(["run", instance, "--eps", eps]) == EXIT_INVALID
     assert message in capsys.readouterr().err
+
+
+def test_trials_past_the_cap_exit_2_and_at_the_cap_exit_0(tmp_path, capsys):
+    # each trial's seed memoizes its draws on the instance, so a trial count
+    # with no cap ran until memory ran out; past MAX_TRIALS the first solve
+    # refuses it, and a run at the cap itself finishes
+    instance = write(tmp_path, "three.graph", "3 2 0\n0 1 1\n1 2 1\nd 1 1\nd 2 2\n")
+    for trials in ("99999999999999999999", str(MAX_TRIALS + 1)):
+        assert main(["run", instance, "--trials", trials]) == EXIT_INVALID
+        assert f"trials must be between 1 and {MAX_TRIALS}" in capsys.readouterr().err
+    start = time.perf_counter()
+    assert main(["run", instance, "--trials", str(MAX_TRIALS)]) == EXIT_OK
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("eps, top", [("0.5", 1751), ("1", 1024), ("3", 512)])

@@ -8,7 +8,8 @@ for every relax; the Steiner core's dense Prim against Kruskal over the
 metric closure; ``route`` against the reference walk over an edge set's
 own edges; ``build_last`` against the reference DFS over sorted ``Edge``
 lists of the MST; the exact oracle's branch vertices against neighbour
-sets over the root's component; ``monotonize`` against its loops that
+sets over the root's component; the subset DP's tables, kept and refilled
+from call to call, against a fresh fill; ``monotonize`` against its loops that
 compared costs at every index; and the forward sweep of
 ``verify_layerset`` against the layer each index's generator formula
 picks."""
@@ -27,7 +28,7 @@ from onetree.graph import INF, SUPERNODE, UnionFind, bounded_search, shortest_pa
 from onetree.graph import tree_vertices
 from onetree.routing import RentBuyDecomposition
 from onetree.ssrob import _acyclic_support, _demand_paths, _rent_paths
-from onetree.ssrob import _steiner_core, best_tree_for_combination
+from onetree.ssrob import _steiner_core, best_tree_for_combination, exact_ssrob
 
 from helpers import brute_min_cost, exact_cost, reference_core, reference_rent, reference_route
 from helpers import reference_branch_vertices, reference_last, reference_sample_and_augment
@@ -408,6 +409,62 @@ def test_oracle_setup_branch_vertices_match_neighbour_sets(g):
     assert setup.keys == tuple(keys)
     assert setup.root == keys.index(g.root)
     assert [keys[j] for j in setup.starts.argmin(axis=1)] == terms
+
+
+#: A drawn oracle call: one threshold for ``exact_ssrob``, or one to three
+#: (threshold, coefficient) terms, zero coefficients among them, for
+#: ``best_tree_for_combination``. The thresholds lie below, among and past
+#: the demands of ``small_instances``, so weights change at every size.
+_levels = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0, 13.0, 17.0, 24.0, 40.0])
+oracle_calls = st.one_of(
+    _levels.map(lambda m: ((m,), None)),
+    st.lists(st.tuples(_levels, st.sampled_from([0.0, 0.5, 1.0, 2.5])), min_size=1, max_size=3)
+    .map(lambda terms: tuple(zip(*terms))),
+)
+
+
+def _oracle_call(g, call):
+    thresholds, coefficients = call
+    if coefficients is None:
+        return exact_ssrob(g, thresholds[0])
+    return best_tree_for_combination(g, thresholds, coefficients)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(max_n=7, max_extra=6, max_amount=9), st.lists(oracle_calls, min_size=1, max_size=10),
+       st.sampled_from(["ascending", "descending", "drawn"]))
+@example(make_instance(3, [(0, 1, 2), (1, 2, 1), (0, 2, 4)], 0, {2: 3}),  # one terminal: ones
+         [((1.0,), None), ((0.0,), None), ((5.0,), None), ((2.0, 3.0), (0.0, 0.0)), ((3.0,), None)],
+         "drawn")
+@example(make_instance(4, [(0, 1, 1), (0, 1, 2), (1, 2, 1), (1, 3, 3), (2, 3, 1)], 0,
+                       {0: 2, 1: 4, 2: 1, 3: 6}),  # parallel pair, demand at the root
+         [((13.0,), None), ((1.0, 5.0), (0.5, 2.5)), ((2.0,), None), ((0.5,), None),
+          ((5.0, 40.0), (1.0, 0.0)), ((3.0,), None)], "drawn")
+@example(make_instance(6, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 3), (4, 5, 1), (5, 0, 2), (1, 4, 2)],
+                       0, {1: 3, 2: 5, 3: 4, 4: 7, 5: 2}),  # five terminals, refilled from every size
+         [((m,), None) for m in (1.0, 3.0, 5.0, 8.0, 10.0, 13.0, 17.0, 24.0, 40.0)], "descending")
+def test_kept_dp_tables_equal_a_fresh_fill_bit_for_bit(g, calls, order):
+    # one instance answering a run of oracle calls, its first thresholds in
+    # ascending, descending or drawn order and its first two calls asked
+    # again at the end (the answers memo serves them), keeps after each
+    # call the tables that a fresh fill for the kept weights gives, byte for
+    # byte (row 0, the empty set, is never written), and answers as a
+    # fresh, equal instance does. Each fresh fill stays alive, so no
+    # allocation can hand back memory that already holds the rows
+    if order != "drawn":
+        calls = sorted(calls, key=lambda call: call[0], reverse=order == "descending")
+    fresh_fills = []
+    for call in calls + calls[:2]:
+        got = _oracle_call(g, call)
+        h = make_instance(g.n, [(e.u, e.v, e.length) for e in g.edges], g.root, g.demands)
+        want = _oracle_call(h, call)
+        assert (got.edge_ids, got.flows) == (want.edge_ids, want.flows), call
+        w, F, G = ssrob._oracle_setup(g).tables
+        fresh = ssrob._oracle_setup(h)
+        fill = ssrob._subset_dp(w, fresh.dist_t, fresh.starts, [])
+        fresh_fills.append(fill)
+        assert F[1:].tobytes() == fill[0][1:].tobytes(), call
+        assert G[1:].tobytes() == fill[1][1:].tobytes(), call
 
 
 @settings(max_examples=150, deadline=None)

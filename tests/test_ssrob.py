@@ -29,6 +29,7 @@ from onetree.graph import minimum_spanning_forest, tree_vertices
 from onetree.layers import compute_K
 from onetree.routing import basis_threshold
 from onetree.ssrob import (
+    MAX_TRIALS,
     _marked_vertices,
     _rent_paths,
     best_tree_for_combination,
@@ -267,8 +268,11 @@ def test_enumeration_matches_reference():
 
 def _count_dp_blocks(monkeypatch) -> dict[str, int]:
     """Patch the subset DP to count, over every solve, the blocks its split
-    and its send steps write beyond one per subset size: each block is one
-    ``np.minimum.reduce`` into a slice of G (split) or of F (send)."""
+    and its send steps write beyond one per subset size they refill: each
+    block is one ``np.minimum.reduce`` into a slice of G (split) or of F
+    (send). A call refills every size from the least one whose weights
+    differ from the kept tables' (size 1 on a first call); it sends at that
+    size and splits and sends at each larger one."""
     extra = {"split": 0, "send": 0}
     outs = []
     reduce = np.minimum.reduce
@@ -289,11 +293,14 @@ def _count_dp_blocks(monkeypatch) -> dict[str, int]:
 
     dp = ssrob._subset_dp
 
-    def counted(w, dist_t, starts):
+    def counted(w, dist_t, starts, last):
+        t, sizes = len(starts), ssrob._dp_plan(len(starts))[1]
+        changed = [k for k, x, y in zip(sizes, w, last[0]) if x != y] if last else [1]
+        first = min(changed, default=t + 1)
         outs.clear()
-        F, G = dp(w, dist_t, starts)
-        extra["split"] += sum(out.base is G for out in outs) - max(0, len(starts) - 1)
-        extra["send"] += sum(out.base is F for out in outs) - len(starts)
+        F, G = dp(w, dist_t, starts, last)
+        extra["split"] += sum(out.base is G for out in outs) - max(0, t - first)
+        extra["send"] += sum(out.base is F for out in outs) - (t + 1 - first)
         return F, G
 
     monkeypatch.setattr(ssrob, "np", Numpy())
@@ -838,12 +845,17 @@ def test_repeated_oracle_supports_route_once(monkeypatch):
 
 def test_oracle_answers_do_not_depend_on_call_order():
     # one instance solving the basis grid ascending, descending or shuffled
-    # answers each threshold as a fresh, equal instance does: the weights
-    # below the least demand fold to ones, so every such threshold gets one
-    # answer whichever asks first
+    # answers each threshold as a fresh, equal instance does, on the
+    # oracle_n14 graphs at eps 0.1 and on the n=200 oracle rung (sa_mid at
+    # n=200, m=400, 10 demand vertices and D=1000) at eps 0.6, 16 thresholds
+    # from 1 to past D: the weights below the least demand fold to ones, so
+    # every such threshold gets one answer whichever asks first, and each
+    # DP refills the tables that the call before it left
     rng = random.Random(21)
-    for g in workload_instances("oracle_n14", [1]):
-        grid = basis_grid(g, 0.1)
+    rung = workload_instances("sa_mid", [1], name="oracle_n200", n=200, m=400, demand_vertices=10,
+                              total_demand=1000)
+    for g, eps in [(g, 0.1) for g in workload_instances("oracle_n14", [1])] + [(rung[0], 0.6)]:
+        grid = basis_grid(g, eps)
         shuffled = rng.sample(grid, len(grid))
         want = {m: exact_ssrob(_fresh(g), m) for m in grid}
         for order in (grid, grid[::-1], shuffled):
@@ -987,8 +999,9 @@ def test_sample_augment_validates_inputs(path3):
             sample_and_augment(path3, bad)
         with pytest.raises(ConfigError):
             SampleAugmentSolver(trials=4).solve(path3, bad)
-    with pytest.raises(ConfigError):
-        sample_and_augment(path3, 2.0, trials=0)
+    for trials in (0, MAX_TRIALS + 1):
+        with pytest.raises(ConfigError, match=f"^trials must be between 1 and {MAX_TRIALS}$"):
+            sample_and_augment(path3, 2.0, trials=trials)
     # an infinite threshold is no error: it routes by shortest paths
     assert sample_and_augment(path3, math.inf).edge_ids == (0, 1)
 
