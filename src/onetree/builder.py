@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple
 from .errors import ConfigError, InvalidTreeError, InvariantError
 from .graph import Instance, contract, ordered_sum
 from .last import build_last, guaranteed_beta
-from .layers import LayerSet
+from .layers import LayerSet, within
 from .routing import RoutedTree, basis_cost, route
 
 
@@ -239,11 +239,10 @@ def check_layer_bounds(result: SimultaneousTree, layers: LayerSet) -> LayerBound
     must stay within buy_constant of the layer's buy cost, and the
     flow-weighted cost of the remaining edges within rent_constant of its
     rent cost. The final tree must then cost at most branch_bound times each
-    basis tree at that tree's own threshold. Relative slack 1e-9 throughout.
+    basis tree at that tree's own threshold, each up to ``within``'s slack.
     """
     params = layers.params
     branch_bound = params.branch_bound
-    slack = 1e-9
     by_id = result.tree.instance.edge_by_id
     flow = dict(zip(result.tree.edge_ids, result.tree.flows))
     all_edges = frozenset(result.tree.edge_ids)
@@ -258,8 +257,8 @@ def check_layer_bounds(result: SimultaneousTree, layers: LayerSet) -> LayerBound
         rent_flow_cost = ordered_sum(by_id[eid].length * flow[eid] for eid in rent_part)
         buy_bound = params.buy_constant * dec.buy_cost
         rent_bound = params.rent_constant * dec.rent_cost
-        buy_ok = buy_edge_cost <= buy_bound * (1.0 + slack) + 1e-12
-        rent_ok = rent_flow_cost <= rent_bound * (1.0 + slack) + 1e-12
+        buy_ok = within(buy_edge_cost, buy_bound)
+        rent_ok = within(rent_flow_cost, rent_bound)
         if dec.buy_cost > 0.0:
             observed = buy_edge_cost / dec.buy_cost
             buy_observed = observed if buy_observed is None else max(buy_observed, observed)
@@ -287,7 +286,7 @@ def check_layer_bounds(result: SimultaneousTree, layers: LayerSet) -> LayerBound
                 index=k,
                 tree_cost=tree_cost,
                 cap=cap,
-                ok=tree_cost <= cap * (1.0 + slack) + 1e-12,
+                ok=within(tree_cost, cap),
             )
         )
 

@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
 )
 from .evaluate import RatioReport, simultaneous_ratio
-from .graph import INF, Instance, load_instance, tree_vertices
+from .graph import INF, Instance, load_instance
 from .layers import LayerSet, compute_layers, verify_layerset
 from .ssrob import ExactSolver, get_solver
 
@@ -331,7 +331,7 @@ def edge_list_text(res: PipelineResult) -> str:
 
 def dot_text(res: PipelineResult) -> str:
     """Graphviz rendering: edges colored by the round that laid them;
-    zero-flow edges are left out."""
+    zero-flow edges, and the vertices only they touch, are left out."""
     g = res.instance
     tree = res.result.tree
     round_of: dict[int, int] = {}
@@ -340,16 +340,15 @@ def dot_text(res: PipelineResult) -> str:
             round_of[eid] = position
     lines = ["graph onetree {"]
     demands = g.demands
-    for v in sorted(tree_vertices(g.root, tree.edges)):
+    drawn = [(e, flow) for e, flow in zip(tree.edges, tree.flows) if flow]
+    for v in sorted({g.root}.union(*((e.u, e.v) for e, _ in drawn))):
         if v == g.root:
             lines.append(f'  {v} [shape=doublecircle, label="{v} (root)"];')
         elif v in demands:
             lines.append(f'  {v} [label="{v} (d={demands[v]})"];')
         else:
             lines.append(f'  {v} [color=gray, label="{v}"];')
-    for e, flow in zip(tree.edges, tree.flows):
-        if flow == 0:
-            continue
+    for e, flow in drawn:
         color = _ROUND_COLORS[round_of.get(e.eid, 0) % len(_ROUND_COLORS)]
         lines.append(f'  {e.u} -- {e.v} [label="x={flow}", color={color}];')
     lines.append("}")

@@ -60,6 +60,11 @@ def compute_K(total_demand: int, eps: float) -> int:
     return k
 
 
+def within(value: float, cap: float) -> bool:
+    """``value`` is at most ``cap``, up to a relative 1e-9 and an absolute 1e-12."""
+    return value <= cap * (1.0 + 1e-9) + 1e-12
+
+
 def _strictly_less(a: float, b: float) -> bool:
     # equal within 1e-12 relative counts as not-less, so float ties never flip
     return a < b - 1e-12 * max(abs(a), abs(b), 1.0)
@@ -173,15 +178,14 @@ def verify_layerset(layers: LayerSet) -> None:
     survivor missing from the kept set, or an index k whose kept layer fails
     the gamma/delta cost caps; one forward sweep finds every k's layer.
     """
-    slack = 1e-9
     decs = layers.decompositions
     gamma, delta = layers.params.gamma, layers.params.delta
     for i in range(layers.top_index):
         b_i, b_next = decs[i].buy_cost, decs[i + 1].buy_cost
         r_i, r_next = decs[i].rent_cost, decs[i + 1].rent_cost
-        if b_i < b_next - slack * max(1.0, b_i, b_next):
+        if b_i < b_next - 1e-9 * max(1.0, b_i, b_next):
             raise InvariantError(f"buy cost increases from index {i} to {i + 1}")
-        if r_i > r_next + slack * max(1.0, r_i, r_next):
+        if r_i > r_next + 1e-9 * max(1.0, r_i, r_next):
             raise InvariantError(f"rent cost decreases from index {i} to {i + 1}")
     kept, survivors = sorted(layers.kept), set(layers.kept_buy)
     if 0 not in kept or 0 not in survivors:
@@ -193,11 +197,11 @@ def verify_layerset(layers: LayerSet) -> None:
         while k in survivors and kept[layer] < k:
             layer += 1
         i = kept[layer]
-        if decs[i].buy_cost > gamma * decs[k].buy_cost * (1.0 + slack) + 1e-12:
+        if not within(decs[i].buy_cost, gamma * decs[k].buy_cost):
             raise InvariantError(
                 f"kept index {i} exceeds the gamma buy cap relative to index {k}"
             )
-        if decs[i].rent_cost > delta * decs[k].rent_cost * (1.0 + slack) + 1e-12:
+        if not within(decs[i].rent_cost, delta * decs[k].rent_cost):
             raise InvariantError(
                 f"kept index {i} exceeds the delta rent cap relative to index {k}"
             )

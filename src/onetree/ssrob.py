@@ -5,11 +5,10 @@ Two interchangeable solvers, both deterministic given a seed:
 - An exact oracle: the subset DP of Dreyfus and Wagner (Networks 1, 1971)
   in the send-and-split form that Erickson, Monma and Veinott give for
   single-sink concave-cost flow (Math. Oper. Res. 12, 1987). Its terminals
-  are the t positive-demand vertices of the root's component other than
-  the root. A terminal set S with demand D(S) pays w(S) = Σ a_i·min(D(S),
-  M_i) per unit of length, and over the branch vertices (the root, the
-  terminals and every vertex with three or more neighbours, the only
-  places an optimal tree can fork):
+  are the t positive-demand vertices other than the root. A terminal set S
+  with demand D(S) pays w(S) = Σ a_i·min(D(S), M_i) per unit of length, and
+  over the branch vertices (the root, the terminals and every vertex with
+  three or more neighbours, the only places an optimal tree can fork):
 
   - split: G[S][v] = min over A ⊂ S of F[A][v] + F[S∖A][v];
   - send: F[S][v] = min over u of G[S][u] + w(S)·dist(u, v).
@@ -61,7 +60,7 @@ from typing import Callable, Container, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InstanceError, InvalidTreeError, OracleLimitError
+from .errors import ConfigError, InvalidTreeError, OracleLimitError
 from .graph import (
     INF,
     SUPERNODE,
@@ -247,7 +246,7 @@ def _oracle_setup(g: Instance) -> _OracleSetup:
     if g.oracle_setup:
         return g.oracle_setup[0]
     reached = tree_walk(g, g.root)
-    terms = [v for v, _ in g.demand_items if v in reached]
+    terms = [v for v, _ in g.demand_items if v != g.root]
     forks = [v for v in reached if len({w for w, _, _ in g.adjacency[v]}) >= 3]
     keys = sorted({g.root, *terms, *forks})
     t, n = len(terms), len(keys)
@@ -386,8 +385,6 @@ def _steiner_core(
         d, a, b = min(best.values())
         c = b if b in best else a
         del best[c]
-        if d == INF:
-            raise InstanceError(f"terminals {a} and {b} are not connected")
         x, pred = b, trees[a][1]
         while x != a:
             x, eid = pred[x]
@@ -410,18 +407,17 @@ def _demand_paths(
     g: Instance, tree: PathTree, source: int, skip: Container[int]
 ) -> frozenset[int]:
     """Edges of the shortest-path ``tree`` paths to ``source`` (a vertex or
-    SUPERNODE) from every demand vertex of ``g`` not in ``skip``. Each walk
+    SUPERNODE) from every demand vertex of ``g`` not in ``skip``, which
+    ``tree`` must reach, as one from the root does (see Instance). Each walk
     stops at the first vertex an earlier walk reached, whose path on to
-    ``source`` is already picked. Only the walked labels are read, so
+    ``source`` is already picked. Only the walked links are read, so
     ``tree`` may come from a search bounded to keep them (``_rent_paths``)."""
-    dist, pred = tree
+    pred = tree[1]
     picked: set[int] = set()
     reached = {source}
     for v, _amount in g.demand_items:
         if v in skip:
             continue
-        if dist[v] == INF:
-            raise InstanceError(f"disconnected demand: vertex {v} is unreachable from the root")
         while v not in reached:
             reached.add(v)
             v, eid = pred[v]
@@ -440,14 +436,15 @@ def _rent_paths(g: Instance, core: frozenset[int]) -> frozenset[int]:
 
     The search is goal directed (Goldberg and Harrelson, SODA 2005). With
     D_t the distance from off-core demand vertex t to its nearest core
-    vertex, the first core key of t's memoized ``pred`` in settle order,
-    x is labelled only within max over t of D_t·(1 + 8·n·u) - dist_t(x),
-    u = 2^-53, so the walks read only unbounded labels. A search's float
-    distance is within 1 ± γ, γ = n·u/(1 - n·u), of its path's exact length
-    and at most the float sum along any path; bounding d(x), dist_t(x), d(t)
-    and D_t so puts d(x) + dist_t(x), for x on t's path, at most
-    ((1 + γ)/(1 - γ))^2 = (1 - 2·n·u)^-2 times D_t, and the margin covers
-    that and the two roundings of the bound while n·u < 1/8.
+    vertex, the first core key of t's memoized ``pred`` in settle order
+    (there is one: t reaches the root), x is labelled only within max over
+    t of D_t·(1 + 8·n·u) - dist_t(x), u = 2^-53, so the walks read only
+    unbounded labels. A search's float distance is within 1 ± γ, γ =
+    n·u/(1 - n·u), of its path's exact length and at most the float sum
+    along any path; bounding d(x), dist_t(x), d(t) and D_t so puts
+    d(x) + dist_t(x), for x on t's path, at most ((1 + γ)/(1 - γ))^2 =
+    (1 - 2·n·u)^-2 times D_t, and the margin covers that and the two
+    roundings of the bound while n·u < 1/8.
     """
     if g.demands.keys() <= core:
         return frozenset()
@@ -455,9 +452,7 @@ def _rent_paths(g: Instance, core: frozenset[int]) -> frozenset[int]:
     margin = 1.0 + 8 * g.n * 2.0**-53
     for t in g.demands.keys() - core:
         dist_t, pred_t = _source_tree(g, t)
-        # t itself when t cannot reach the core: a bound of 0 on t alone,
-        # which the search never reaches, and _demand_paths refuses t
-        reach = dist_t[next(filter(core.__contains__, pred_t), t)] * margin
+        reach = dist_t[next(filter(core.__contains__, pred_t))] * margin
         for x in chain((t,), pred_t):
             slack = reach - dist_t[x]
             if slack < 0.0:

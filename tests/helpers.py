@@ -28,9 +28,10 @@ must match. :func:`reference_route` checks and routes an edge set by a
 breadth-first walk over an adjacency built from its own ``Edge`` objects
 (:func:`reference_tree_order`), which ``route``'s walk over the instance's
 adjacency must match, and :func:`reference_tree_distances` sums root
-distances along that walk; :func:`root_component_edges` gives the root's
-component by that walk. :func:`reference_branch_vertices` finds the exact
-oracle's terminals and branch vertices from neighbour sets, which its
+distances along that walk; :func:`tree_vertices` gives an edge set's
+vertices and :func:`root_component_edges` the root's component by that
+walk. :func:`reference_branch_vertices` finds the exact oracle's
+terminals and branch vertices from neighbour sets, which its
 set-up's count over the instance's adjacency must match, and
 :func:`reference_last` is the LAST's relax-on-DFS over an MST adjacency of
 ``Edge`` lists, which ``build_last``'s DFS over the instance's adjacency
@@ -58,7 +59,6 @@ from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, basis_threshold
 from onetree import ConfigError, InvalidTreeError, InvariantError, compute_K, load_instance
 from onetree import shortest_path_tree
 from onetree.graph import INF, Edge, UnionFind, minimum_spanning_forest, minimum_spanning_tree
-from onetree.graph import tree_vertices
 from onetree.ssrob import best_tree_for_combination
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -119,6 +119,15 @@ def reference_route(
         flows[via.eid] = subtree[v]
         subtree[via.other(v)] += subtree[v]
     return ids, tuple(flows[eid] for eid in ids)
+
+
+def tree_vertices(root: int, edges: Iterable[Edge]) -> set[int]:
+    """``root`` plus every endpoint of ``edges``."""
+    touched = {root}
+    for e in edges:
+        touched.add(e.u)
+        touched.add(e.v)
+    return touched
 
 
 def root_component(g: Instance) -> set[int]:

@@ -292,6 +292,7 @@ def test_dot_leaves_out_zero_flow_edges():
     text = dot_text(res)
     assert "0 -- 2" not in text
     assert '0 -- 1 [label="x=1"' in text
+    assert "\n  1 [" in text and "\n  2 [" not in text  # nor its far end
 
 
 def test_corpus_mode(tmp_path):

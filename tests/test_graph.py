@@ -22,7 +22,7 @@ from onetree import (
     ssrob,
 )
 from onetree.cli import solve_instance
-from onetree.graph import tree_vertices, tree_walk
+from onetree.graph import tree_walk
 
 from corpus import instance_text, random_instance
 from helpers import (
@@ -30,6 +30,7 @@ from helpers import (
     reference_contract,
     reference_shortest_path_tree,
     reference_tree_distances,
+    tree_vertices,
     workload_instances,
 )
 
@@ -126,6 +127,30 @@ def test_instance_rejects_what_load_instance_rejects(extra, demand_items, match)
     if len(dict(demand_items)) == len(demand_items):
         with pytest.raises(InstanceError, match=match):
             make_instance(3, triples, 0, dict(demand_items))
+
+
+def test_unreachable_demand_is_refused_however_the_instance_is_built():
+    # make_instance, Instance and load_instance name the same vertex, the
+    # least the root cannot reach, before any solve; demand at an isolated
+    # root alone, and contract's demand-free output, are accepted
+    edges = [(0, 1, 1), (2, 3, 1), (4, 5, 1)]
+    demands = {5: 2, 1: 1, 3: 1}
+    built = tuple(Edge(i, u, v, float(w)) for i, (u, v, w) in enumerate(edges))
+    text = "6 3 0\n" + "".join(f"{u} {v} {w}\n" for u, v, w in edges)
+    text += "".join(f"d {v} {a}\n" for v, a in demands.items())
+    messages = []
+    for build in (
+        lambda: make_instance(6, edges, 0, demands),
+        lambda: Instance(n=6, edges=built, root=0, demand_items=tuple(demands.items())),
+        lambda: load_instance(text),
+    ):
+        with pytest.raises(InstanceError) as refused:
+            build()
+        messages.append(str(refused.value))
+    assert messages == ["disconnected demand: vertex 3 is unreachable from the root"] * 3
+    lone = make_instance(4, [(1, 2, 1), (2, 3, 1)], 0, {0: 4})
+    assert load_instance("4 2 0\n1 2 1\n2 3 1\nd 0 4\n") == lone
+    assert contract(lone, {1}, keep={0, 1, 3}).demand_items == ()
 
 
 def test_load_ignores_disconnected_non_demand_vertex():

@@ -25,7 +25,6 @@ from onetree import InvalidTreeError, InvariantError, LayerSet, OracleLimitError
 from onetree import basis_cost, basis_threshold, make_instance, monotonize, route, verify_layerset
 from onetree import build_last, contract, sample_and_augment, ssrob
 from onetree.graph import INF, SUPERNODE, UnionFind, bounded_search, shortest_path_tree
-from onetree.graph import tree_vertices
 from onetree.routing import RentBuyDecomposition
 from onetree.ssrob import _acyclic_support, _demand_paths, _rent_paths
 from onetree.ssrob import _steiner_core, best_tree_for_combination, exact_ssrob
@@ -33,7 +32,7 @@ from onetree.ssrob import _steiner_core, best_tree_for_combination, exact_ssrob
 from helpers import brute_min_cost, exact_cost, reference_core, reference_rent, reference_route
 from helpers import reference_branch_vertices, reference_last, reference_sample_and_augment
 from helpers import reference_monotonize, reference_search, root_component
-from helpers import subset_spanning_trees
+from helpers import subset_spanning_trees, tree_vertices
 
 
 @st.composite
@@ -312,15 +311,18 @@ def test_steiner_core_matches_kruskal_over_closure(g, data):
 @st.composite
 def edge_sets(draw, max_n=7, max_m=9):
     """An instance on random edges, so perhaps disconnected and with
-    parallel pairs, and an edge-id list for it: a drawn subset, perhaps
-    with the unknown id m, or a spanning tree of the root's component by
-    Kruskal over a drawn edge order."""
+    parallel pairs, with demand in the root's component, and an edge-id
+    list for it: a drawn subset, perhaps with the unknown id m, or a
+    spanning tree of the root's component by Kruskal over a drawn edge
+    order."""
     n = draw(st.integers(1, max_n))
     vertex = st.integers(0, n - 1)
     drawn = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 4)), max_size=max_m))
     edges = [(u, v, w) for u, v, w in drawn if u != v]
-    demanded = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
-    g = make_instance(n, edges, draw(vertex), {v: draw(st.integers(1, 6)) for v in demanded})
+    root = draw(vertex)
+    near = st.sampled_from(sorted(root_component(make_instance(n, edges, root, {}))))
+    demanded = draw(st.lists(near, min_size=1, max_size=n, unique=True))
+    g = make_instance(n, edges, root, {v: draw(st.integers(1, 6)) for v in demanded})
     if draw(st.booleans()):
         return g, draw(st.lists(st.integers(0, len(edges)), unique=True))
     reached, uf = root_component(g), UnionFind(range(n))
@@ -386,20 +388,21 @@ def test_build_last_matches_reference_dfs(case):
 @st.composite
 def split_instances(draw):
     """A ``small_instances`` graph plus up to four vertices off its root's
-    component, with random (possibly parallel) edges and demand among them."""
+    component, with random (possibly parallel) edges and no demand among
+    them."""
     g = draw(small_instances(max_n=7, max_extra=8))
     k = draw(st.integers(0, 4))
     off = st.integers(g.n, g.n + k - 1)
     extra = draw(st.lists(st.tuples(off, off, st.integers(1, 4)), max_size=6)) if k else []
-    demanded = draw(st.lists(off, unique=True, max_size=k)) if k else []
     edges = [(e.u, e.v, e.length) for e in g.edges] + [(u, v, w) for u, v, w in extra if u != v]
-    return make_instance(g.n + k, edges, g.root, {**g.demands, **dict.fromkeys(demanded, 1)})
+    return make_instance(g.n + k, edges, g.root, g.demands)
 
 
 @settings(max_examples=400, deadline=None)
 @given(split_instances())
 @example(make_instance(4, [(0, 1, 1), (1, 2, 1), (1, 2, 2), (1, 3, 1)], 0, {2: 1}))  # parallel pair
 @example(make_instance(5, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1)], 0, {1: 1, 4: 2}))  # 3 off
+@example(make_instance(7, [(0, 1, 1), (3, 4, 1), (3, 5, 1), (3, 6, 1)], 0, {1: 1}))  # fork off it
 def test_oracle_setup_branch_vertices_match_neighbour_sets(g):
     # the set-up's count of distinct neighbours over the instance's
     # adjacency finds the branch vertices and terminals that neighbour sets

@@ -11,7 +11,6 @@ from onetree import (
     ConfigError,
     ExactSolver,
     InstanceError,
-    InvalidTreeError,
     OracleLimitError,
     SampleAugmentSolver,
     basis_cost,
@@ -25,7 +24,7 @@ from onetree import (
 )
 from onetree import ssrob
 from onetree.cli import solve_instance
-from onetree.graph import minimum_spanning_forest, tree_vertices
+from onetree.graph import minimum_spanning_forest
 from onetree.layers import compute_K
 from onetree.routing import basis_threshold
 from onetree.ssrob import (
@@ -47,6 +46,7 @@ from helpers import (
     reference_sample_and_augment,
     root_component_edges,
     subset_spanning_trees,
+    tree_vertices,
     workload,
     workload_instances,
 )
@@ -107,7 +107,9 @@ def test_exact_oracle_guard():
 
 def _flow_test_instance(rng: random.Random):
     """Small instance whose root component may be the root alone, with
-    parallel edges, demand at the root and demand outside the component."""
+    parallel edges, demand at the root and vertices outside the component;
+    None for a draw with demand outside it, after checking that
+    ``make_instance`` refuses that draw."""
     n = rng.randint(1, 7)
     inside = rng.randint(1, n)
     edges = [(rng.randrange(v), v, rng.randint(1, 3)) for v in range(1, inside)]
@@ -122,7 +124,13 @@ def _flow_test_instance(rng: random.Random):
     demands = {v: rng.randint(1, 5) for v in rng.sample(range(n), rng.randint(1, n))}
     if rng.random() < 0.2:
         demands[rng.randrange(n)] = 3_000_000_000  # flows beyond int32
-    return make_instance(n, edges, rng.randrange(inside), demands)
+    root = rng.randrange(inside)
+    if max(demands) >= inside:  # the root reaches exactly 0..inside-1
+        lost = min(v for v in demands if v >= inside)
+        with pytest.raises(InstanceError, match=rf"^disconnected demand: vertex {lost} is unreachable"):
+            make_instance(n, edges, root, demands)
+        return None
+    return make_instance(n, edges, root, demands)
 
 
 
@@ -136,10 +144,6 @@ def _flows(g, tree):
     """``tree``'s flow on each edge of the root's component."""
     flows = dict(zip(tree.edge_ids, tree.flows))
     return tuple(flows.get(e.eid, 0) for e in root_component_edges(g)[1])
-
-
-def _spans_demand(g):
-    return set(g.demands) <= set(root_component_edges(g)[0])
 
 
 def _loaded(tree):
@@ -165,42 +169,41 @@ def _check_oracle(g, combinations):
 
 
 def test_oracle_flows_match_tree_walk():
-    # on small instances with lone roots, demand at the root, vertices and
-    # demand outside the root's component, parallel edges and flows beyond
-    # int32, the oracle's tree carries the walked flows of a reference flow
-    # class, is the loaded edges of that class's least tree and costs
-    # exactly the least of any class; demand outside the root's component
-    # cannot be spanned
+    # on small instances with lone roots, demand at the root, vertices
+    # outside the root's component, parallel edges and flows beyond int32,
+    # the oracle's tree carries the walked flows of a reference flow class,
+    # is the loaded edges of that class's least tree and costs exactly the
+    # least of any class; a draw with demand outside the root's component is
+    # refused when it is built
     rng = random.Random(5150)
     seen = set()
     for _ in range(300):
         g = _flow_test_instance(rng)
+        if g is None:
+            seen.add("outside demand")
+            continue
         verts, edges = root_component_edges(g)
-        if _spans_demand(g):
-            _check_oracle(g, _combinations(g))
-        else:
-            with pytest.raises(InvalidTreeError, match="demand vertex not spanned"):
-                exact_ssrob(g, 2.0)
+        _check_oracle(g, _combinations(g))
         pairs = [frozenset((e.u, e.v)) for e in edges]
         seen.update(
             name
             for name, present in [
                 ("lone root", len(verts) == 1),
                 ("root demand", g.root in g.demands),
-                ("outside", not _spans_demand(g)),
+                ("outside vertices", len(verts) < g.n),
                 ("parallel", len(set(pairs)) < len(pairs)),
-                ("beyond int32", _spans_demand(g) and g.total_demand > 2**31),
+                ("beyond int32", g.total_demand > 2**31),
             ]
             if present
         )
-    assert len(seen) == 5
+    assert len(seen) == 6
 
 
 def _enumeration_test_instance(rng: random.Random, kind: str):
     """Shuffled path, cycle, cycle with pendant trees, complete graph on 5 or
     6 vertices with one parallel edge, or a small random instance from
     _flow_test_instance (lone roots, parallel edges, vertices outside the
-    root's component)."""
+    root's component; None where it draws demand outside it)."""
     if kind == "random":
         return _flow_test_instance(rng)
     if kind == "complete":
@@ -227,11 +230,13 @@ def _enumeration_test_instance(rng: random.Random, kind: str):
 
 
 def _enumeration_corpus(count: int):
-    """``count`` small instances of every kind, then a 300-vertex path and a
-    6-cycle with a 200-vertex tail, where almost every edge is a bridge."""
+    """``count`` draws of every kind, less those with demand the root cannot
+    reach, then a 300-vertex path and a 6-cycle with a 200-vertex tail,
+    where almost every edge is a bridge."""
     rng = random.Random(9001)
     kinds = ("path", "cycle", "pendant", "complete", "random", "random")
-    corpus = [_enumeration_test_instance(rng, kinds[k % len(kinds)]) for k in range(count)]
+    drawn = [_enumeration_test_instance(rng, kinds[k % len(kinds)]) for k in range(count)]
+    corpus = [g for g in drawn if g is not None]
     path = [(v + 1, v, 1) for v in range(299)]
     tail = [(v, (v + 1) % 6, 1) for v in range(6)] + [(v, v + 1, 1) for v in range(5, 205)]
     return corpus + [make_instance(300, path, 150, {0: 1}), make_instance(206, tail, 205, {0: 2})]
@@ -245,8 +250,6 @@ def test_enumeration_matches_reference():
     # graphs of bridges
     seen = set()
     for g in _enumeration_corpus(500):
-        if not _spans_demand(g):
-            continue
         verts, edges = root_component_edges(g)
         trees = list(_check_oracle(g, _combinations(g)).values())
         pairs = [frozenset((e.u, e.v)) for e in edges]
@@ -316,8 +319,7 @@ def test_split_enumeration_matches_reference(monkeypatch, limit):
     monkeypatch.setattr(ssrob, "_DP_BLOCK", limit)
     extra = _count_dp_blocks(monkeypatch)
     for g in _enumeration_corpus(150):
-        if _spans_demand(g):
-            _check_oracle(g, _combinations(g))
+        _check_oracle(g, _combinations(g))
     assert extra["split"] > 0 and extra["send"] > 0
 
 
@@ -327,8 +329,6 @@ def test_edge_order_does_not_change_answers():
     # may it pick another tree
     rng = random.Random(31337)
     for g in _enumeration_corpus(150) + workload_instances("oracle_n14", [1, 2, 3]):
-        if not _spans_demand(g):
-            continue
         shuffled = list(g.edges)
         rng.shuffle(shuffled)
         h = make_instance(g.n, [(e.u, e.v, e.length) for e in shuffled], g.root, g.demands)
@@ -706,29 +706,24 @@ def test_huge_demand_streams_drawn_do_not_grow_with_total_demand():
 
 
 def test_disconnected_terminals_are_refused():
-    # demand vertex 3 lies off the root's component, so the core over every
-    # demand vertex finds a pair of terminals with no path between them
-    g = make_instance(4, [(0, 1, 1), (2, 3, 1)], 0, {1: 1, 3: 1})
-    with pytest.raises(InstanceError, match=r"^terminals \d+ and \d+ are not connected$"):
-        sample_and_augment(g, 1.0)
+    # demand vertex 3 lies off the root's component, so no core over every
+    # demand vertex could join it: the instance is refused when it is built,
+    # before any solver sees it
+    with pytest.raises(InstanceError, match=r"^disconnected demand: vertex 3 is unreachable from the root$"):
+        make_instance(4, [(0, 1, 1), (2, 3, 1)], 0, {1: 1, 3: 1})
 
 
 def test_disconnected_rent_demand_is_refused():
-    # demand vertex 3 lies off the root's component and is almost never
-    # marked (chance 1e-5), so the trials rent for it: its own tree reaches
-    # no core vertex, it bounds nothing, and the bounded search from the core
-    # leaves it unreachable, also when a demand vertex after it is reachable
+    # demand vertex 3 lies off the root's component and would almost never
+    # be marked, so no rent path could reach it: the instance is refused
+    # when it is built, also when a reachable demand vertex follows it
     message = r"^disconnected demand: vertex 3 is unreachable from the root$"
     for n, edges, demands in (
         (4, [(0, 1, 1), (2, 3, 1)], {1: 10**6, 3: 1}),
         (5, [(0, 1, 1), (2, 3, 1), (1, 4, 2)], {1: 10**6, 3: 1, 4: 1}),
     ):
-        g = make_instance(n, edges, 0, demands)
         with pytest.raises(InstanceError, match=message):
-            sample_and_augment(g, 10.0**5, seed=0, trials=4)
-        assert 3 in g.source_trees  # the rent bound read its tree
-        with pytest.raises(InstanceError, match=message):
-            _rent_paths(g, frozenset({0, 1}))
+            make_instance(n, edges, 0, demands)
 
 
 def test_repeated_marked_sets_route_once(monkeypatch):
