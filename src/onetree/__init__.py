@@ -37,7 +37,7 @@ from .graph import (
     shortest_path_tree,
 )
 from .last import LastTree, build_last, verify_last
-from .layers import LayerSet, compute_K, compute_layers, monotonize, prune, verify_layerset
+from .layers import LayerSet, compute_layers, monotonize, prune, threshold_grid, verify_layerset
 from .routing import (
     RentBuyDecomposition,
     RoutedTree,
@@ -82,7 +82,6 @@ __all__ = [
     "build_last",
     "build_tree",
     "check_layer_bounds",
-    "compute_K",
     "compute_layers",
     "contract",
     "decompose",
@@ -98,6 +97,7 @@ __all__ = [
     "sample_and_augment",
     "shortest_path_tree",
     "simultaneous_ratio",
+    "threshold_grid",
     "verify_last",
     "verify_layerset",
 ]

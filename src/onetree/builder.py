@@ -58,7 +58,7 @@ def build_tree(g: Instance, layers: LayerSet, prune_zero_flow: bool = False) -> 
     for i in sorted(layers.kept, reverse=True):
         core = layers.decompositions[i].core
         contracted = contract(g, spanned, keep=core)
-        light = build_last(contracted, contracted.root, layers.params.alpha)
+        light = build_last(contracted, layers.params.alpha)
         added = tuple(sorted(light.edge_ids))
         for eid in added:
             if eid in built:

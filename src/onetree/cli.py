@@ -371,13 +371,20 @@ def _write(path: Path, data: bytes) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def _write_tree_artifacts(res: PipelineResult, out_tree: str) -> None:
+def _tree_paths(out_tree: str) -> tuple[Path, ...]:
+    """``--out-tree``'s files: the edge list, unless PATH ends in .dot, and the .dot."""
     path = Path(out_tree)
-    if path.suffix == ".dot":
-        _write(path, dot_text(res).encode())
-    else:
-        _write(path, edge_list_text(res).encode())
-        _write(path.with_suffix(path.suffix + ".dot"), dot_text(res).encode())
+    return (path,) if path.suffix == ".dot" else (path, path.with_suffix(path.suffix + ".dot"))
+
+
+def _refuse_clashes(outputs: Sequence[Path], inputs: Sequence[str | Path]) -> None:
+    """Refuse, before any solve, an output that resolves to an input or an earlier output."""
+    seen = {Path(p).resolve(): f"input {p}" for p in inputs}
+    for path in outputs:
+        real = path.resolve()
+        if real in seen:
+            raise ConfigError(f"output {path} would overwrite {seen[real]}")
+        seen[real] = f"output {path}"
 
 
 def run_pipeline(cfg: RunConfig) -> int:
@@ -388,6 +395,9 @@ def run_pipeline(cfg: RunConfig) -> int:
     if len(cfg.instances) > 1 and (cfg.out_tree or cfg.out_report):
         print("error: --out-tree/--out-report need a single instance", file=sys.stderr)
         return EXIT_INVALID
+    report_path = (Path(cfg.out_report),) if cfg.out_report else ()
+    tree_paths = _tree_paths(cfg.out_tree) if cfg.out_tree else ()
+    _refuse_clashes(report_path + tree_paths, cfg.instances)
     for name in cfg.instances:
         text = _read(name)  # its error names the file; main reports it
         try:
@@ -402,8 +412,8 @@ def run_pipeline(cfg: RunConfig) -> int:
         report = build_report(name, res)
         if cfg.out_report:
             _write(Path(cfg.out_report), report_bytes(report))
-        if cfg.out_tree:
-            _write_tree_artifacts(res, cfg.out_tree)
+        for path in tree_paths:  # only the .dot path ends in .dot
+            _write(path, (dot_text if path.suffix == ".dot" else edge_list_text)(res).encode())
         _print_summary(name, res, cfg.verbose)
     return EXIT_OK
 
@@ -442,6 +452,9 @@ def run_corpus(directory: str, cfg: RunConfig) -> int:
     if not files:
         print(f"error: no *.graph files in {directory}", file=sys.stderr)
         return EXIT_INVALID
+    target = Path(cfg.out_report) if cfg.out_report else None  # the JSON summary
+    outputs = (target, target.parent / (target.stem + ".csv")) if target else ()  # and its CSV
+    _refuse_clashes(outputs, files)
     rows: list[dict] = []
     for path in files:
         row: dict = {"instance": path.name}
@@ -481,10 +494,9 @@ def run_corpus(directory: str, cfg: RunConfig) -> int:
         "aggregate_max_ratio": max(ratios) if ratios else None,
         "rows": rows,
     }
-    if cfg.out_report:
-        target = Path(cfg.out_report)
-        _write(target, report_bytes(summary))
-        _write(target.with_suffix(".csv"), _corpus_csv(rows).encode())
+    if outputs:
+        _write(outputs[0], report_bytes(summary))
+        _write(outputs[1], _corpus_csv(rows).encode())
     print(
         f"{directory}: {summary['ok']}/{summary['instances']} ok, "
         f"aggregate max ratio "

@@ -11,16 +11,15 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple
 
-from .errors import ConfigError, DisconnectedError
+from .errors import ConfigError
 from .graph import Instance, minimum_spanning_tree, shortest_path_tree, tree_walk
 
 
 class LastTree(NamedTuple):
-    """A spanning tree of the host graph, rooted at ``root``; ``verify_last``
-    recomputes its root distances."""
+    """A spanning tree of the host graph, rooted at the graph's root;
+    ``verify_last`` recomputes its root distances."""
 
     graph: Instance
-    root: int
     edge_ids: frozenset[int]
 
 
@@ -31,8 +30,8 @@ def guaranteed_beta(alpha: float) -> float:
     return (alpha + 1.0) / (alpha - 1.0)
 
 
-def build_last(g: Instance, root: int, alpha: float) -> LastTree:
-    """Relax-on-DFS construction of an (alpha, (alpha+1)/(alpha-1)) LAST.
+def build_last(g: Instance, alpha: float) -> LastTree:
+    """Relax-on-DFS construction of an (alpha, (alpha+1)/(alpha-1)) LAST at g.root.
 
     Walks the MST depth-first from the root carrying the length of the
     current tree path; whenever a vertex ends up more than alpha times its
@@ -43,12 +42,8 @@ def build_last(g: Instance, root: int, alpha: float) -> LastTree:
     """
     if alpha <= 1:
         raise ConfigError("alpha must be > 1")
-    if root not in g.vertex_ids:
-        raise ConfigError(f"root {root} is not a vertex of the graph")
-
+    root = g.root
     dist_true, pred_true = shortest_path_tree(g, root)
-    if math.inf in dist_true:
-        raise DisconnectedError("LAST construction requires a connected graph")
     mst_ids = minimum_spanning_tree(g)
 
     dist = [math.inf] * g.n
@@ -80,7 +75,7 @@ def build_last(g: Instance, root: int, alpha: float) -> LastTree:
         stack += sorted(children, reverse=True)
 
     edge_ids = frozenset(eid for _, eid in parent.values())
-    return LastTree(graph=g, root=root, edge_ids=edge_ids)
+    return LastTree(graph=g, edge_ids=edge_ids)
 
 
 class LastReport(NamedTuple):
@@ -105,11 +100,11 @@ def verify_last(t: LastTree, alpha: float, beta: float) -> LastReport:
     """Recompute distances and the MST from the host graph and check both
     guarantees against (alpha + 1e-9, beta + 1e-9)."""
     g = t.graph
-    dist_true, _ = shortest_path_tree(g, t.root)
+    dist_true, _ = shortest_path_tree(g, g.root)
     by_id = g.edge_by_id
     edges = [by_id[eid] for eid in sorted(t.edge_ids)]
-    reached = {t.root: 0.0}
-    for v, (parent, eid) in tree_walk(g, t.root, t.edge_ids).items():
+    reached = {g.root: 0.0}
+    for v, (parent, eid) in tree_walk(g, g.root, t.edge_ids).items():
         reached[v] = reached[parent] + by_id[eid].length
 
     vertices = g.vertex_ids
@@ -117,7 +112,7 @@ def verify_last(t: LastTree, alpha: float, beta: float) -> LastReport:
 
     stretches: dict[int, float] = {}
     for v in vertices:
-        if v == t.root:
+        if v == g.root:
             continue
         tree_d = reached.get(v, math.inf)
         true_d = dist_true[v]

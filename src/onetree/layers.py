@@ -26,38 +26,26 @@ if TYPE_CHECKING:
 MAX_K = 100_000
 
 
-def compute_K(total_demand: int, eps: float) -> int:
-    """Smallest K with basis_threshold(K, eps) >= total demand D; 0 at D = 1.
-
-    "At least" is up to a relative 1e-12, so a power that rounds just below
-    an exact boundary still counts. K starts from the closed form
-    log(D) / log(1 + eps), with the same base as basis_threshold, and steps
-    by one against that test, so it takes a few steps whatever D and eps are;
-    a power past the float range counts as the largest float. Raises
-    ConfigError when D is past the float range, when 1 + eps rounds to 1,
-    and when K exceeds MAX_K.
-    """
+def threshold_grid(total_demand: int, eps: float) -> tuple[float, ...]:
+    """basis_threshold(i, eps) for i = 0..K, K the least index whose threshold
+    reaches the total demand D up to a relative 1e-12, so that a power rounding
+    just below an exact boundary counts; K = 0 at D = 1. Raises ConfigError when
+    D is below 1 or past the float range, when 1 + eps rounds to 1, and when K
+    would pass MAX_K."""
     if total_demand < 1:
         raise ConfigError("total demand must be >= 1")
     if total_demand > sys.float_info.max:
         raise ConfigError("total demand is past the float range")
-    if eps <= 0:
+    if not eps > 0:
         raise ConfigError("eps must be positive")
-    step = math.log(1.0 + eps)
-    if step == 0.0:
+    if 1.0 + eps == 1.0:
         raise ConfigError(f"eps {eps} is too small: 1 + eps rounds to 1")
-    k = math.ceil(math.log(total_demand) / step)
-    target = total_demand * (1.0 - 1e-12)
-    while k > 0 and basis_threshold(k - 1, eps) >= target:
-        k -= 1
-    while basis_threshold(k, eps) < target:
-        k += 1
-    if k > MAX_K:
-        raise ConfigError(
-            f"eps {eps} needs K = {k} threshold indices, K + 1 basis solves; "
-            f"the cap is K = {MAX_K}"
-        )
-    return k
+    grid, target = [basis_threshold(0, eps)], total_demand * (1.0 - 1e-12)
+    while grid[-1] < target:
+        if len(grid) > MAX_K:
+            raise ConfigError(f"eps {eps} needs K > {MAX_K} threshold indices; the cap is K = {MAX_K}")
+        grid.append(basis_threshold(len(grid), eps))
+    return tuple(grid)
 
 
 def within(value: float, cap: float) -> bool:
@@ -148,9 +136,7 @@ def compute_layers(g: Instance, params: Parameters, solver, seed: int = 0) -> La
     """Full layer-finding pass: one rent-or-buy solve per threshold index,
     monotonize, decompose, prune by ``params``' gamma and delta. Solves
     receive seed + index, and ``decompose`` runs once per tree and bought set."""
-    eps = params.eps
-    top = compute_K(g.total_demand, eps)
-    thresholds = tuple(basis_threshold(i, eps) for i in range(top + 1))
+    thresholds = threshold_grid(g.total_demand, params.eps)
     raw = [solver.solve(g, m, seed=seed + i) for i, m in enumerate(thresholds)]
     trees = monotonize(raw, thresholds)
     split: dict[tuple[int, int], RentBuyDecomposition] = {}  # by id(tree), count of flows bought

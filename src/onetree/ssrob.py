@@ -364,7 +364,7 @@ def _steiner_core(
     g: Instance, terminals: frozenset[int]
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Steiner tree over ``terminals`` by the metric-closure MST approximation,
-    as its edge ids and its vertices (the terminals alone when there is one).
+    as its edge ids and its vertices; a lone terminal gives no edges and itself.
 
     MST of the complete terminal graph under shortest-path distances, paths
     expanded back into the instance. Pair a < b has key (d, a, b), with d and
@@ -375,8 +375,6 @@ def _steiner_core(
     is returned as it is, and a union with a cycle takes an MST pass.
     """
     terms = sorted(terminals)
-    if len(terms) <= 1:
-        return frozenset(), frozenset(terms)
     trees = {t: _source_tree(g, t) for t in terms}
     best = {b: (trees[terms[0]][0][b], terms[0], b) for b in terms[1:]}
     union_edges: dict[int, Edge] = {}
@@ -432,7 +430,7 @@ def _rent_paths(g: Instance, core: frozenset[int]) -> frozenset[int]:
     The core is searched as one merged source, which gives the paths of a
     search from vertex 0 of ``contract(g, core)``, read back through its
     numbering, without building it. A core that holds every demand vertex
-    rents nothing, so it is not searched.
+    sets no bound, so its search labels nothing and it rents nothing.
 
     The search is goal directed (Goldberg and Harrelson, SODA 2005). With
     D_t the distance from off-core demand vertex t to its nearest core
@@ -446,8 +444,6 @@ def _rent_paths(g: Instance, core: frozenset[int]) -> frozenset[int]:
     (1 - 2·n·u)^-2 times D_t, and the margin covers that and the two
     roundings of the bound while n·u < 1/8.
     """
-    if g.demands.keys() <= core:
-        return frozenset()
     bound = [-INF] * g.n
     margin = 1.0 + 8 * g.n * 2.0**-53
     for t in g.demands.keys() - core:

@@ -12,9 +12,8 @@ exactly, whatever order a float sum takes. The numeric parameter optimizer
 checks the closed form in :func:`onetree.optimal_parameters` without using
 it. :func:`workload_instances` gives the benchmark's own graphs.
 :func:`reference_sample_and_augment` is the plain form of the package's
-sample-and-augment solver, which the faster one must match tree for tree,
-and :func:`reference_K` the loop that the closed form of ``compute_K`` must
-match; :func:`basis_grid` is the threshold grid of an instance, and
+sample-and-augment solver, which the faster one must match tree for tree;
+:func:`basis_grid` is the threshold grid of an instance, and
 :func:`reference_monotonize` the loops that compared costs at every index,
 which ``monotonize``'s skip of identical neighbors must match.
 :func:`reference_shortest_path_tree` is the shortest-path search over
@@ -24,7 +23,8 @@ label on every vertex, which the package's float-first relax must match;
 :func:`reference_core` the Steiner core by Kruskal over the metric closure,
 which the package's dense Prim must match; and :func:`reference_contract`
 the contraction keyed by base vertex id that the package's renumbered one
-must match. :func:`reference_route` checks and routes an edge set by a
+must match. :func:`other` is an edge's far end.
+:func:`reference_route` checks and routes an edge set by a
 breadth-first walk over an adjacency built from its own ``Edge`` objects
 (:func:`reference_tree_order`), which ``route``'s walk over the instance's
 adjacency must match, and :func:`reference_tree_distances` sums root
@@ -56,12 +56,17 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from onetree import SUPERNODE, Instance, RoutedTree, basis_cost, basis_threshold, contract, route
-from onetree import ConfigError, InvalidTreeError, InvariantError, compute_K, load_instance
+from onetree import ConfigError, InvalidTreeError, InvariantError, load_instance, threshold_grid
 from onetree import shortest_path_tree
 from onetree.graph import INF, Edge, UnionFind, minimum_spanning_forest, minimum_spanning_tree
 from onetree.ssrob import best_tree_for_combination
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def other(e: Edge, w: int) -> int:
+    """The end of ``e`` opposite ``w``."""
+    return e.v if w == e.u else e.u
 
 
 def reference_tree_order(root: int, edges: Iterable[Edge]) -> list[tuple[int, Edge | None]]:
@@ -77,7 +82,7 @@ def reference_tree_order(root: int, edges: Iterable[Edge]) -> list[tuple[int, Ed
     seen = {root}
     for v, _ in order:
         for e in adj[v]:
-            w = e.other(v)
+            w = other(e, v)
             if w not in seen:
                 seen.add(w)
                 order.append((w, e))
@@ -88,7 +93,7 @@ def reference_tree_distances(root: int, edges: Iterable[Edge]) -> dict[int, floa
     """Distance from ``root`` to every vertex reachable through ``edges``."""
     dist = {root: 0.0}
     for v, via in reference_tree_order(root, edges)[1:]:
-        dist[v] = dist[via.other(v)] + via.length
+        dist[v] = dist[other(via, v)] + via.length
     return dist
 
 
@@ -117,7 +122,7 @@ def reference_route(
     flows: dict[int, int] = {}
     for v, via in reversed(order[1:]):
         flows[via.eid] = subtree[v]
-        subtree[via.other(v)] += subtree[v]
+        subtree[other(via, v)] += subtree[v]
     return ids, tuple(flows[eid] for eid in ids)
 
 
@@ -200,7 +205,7 @@ def reference_last(g: Instance, root: int, alpha: float) -> frozenset[int]:
             if dist[v] > alpha * dist_true[v]:
                 splice(v)
         for e in reversed(mst_adj[v]):
-            w = e.other(v)
+            w = other(e, v)
             if w not in seen:
                 seen.add(w)
                 stack.append((w, v, e))
@@ -340,20 +345,6 @@ def workload_instances(name: str, seeds: Iterable[int], /, **changes) -> list[In
     return graphs
 
 
-def reference_K(total_demand: int, eps: float, start: int = 0) -> int:
-    """The loop ``compute_K`` replaced: step k up until the threshold
-    reaches the total demand, up to a relative 1e-12.
-
-    ``start`` lets a sweep over ascending demands resume from the previous
-    K; the test only gets harder as D grows, so every k below that K fails
-    it again and the result is the one the loop from 0 gives.
-    """
-    k = start
-    while basis_threshold(k, eps) < total_demand * (1.0 - 1e-12):
-        k += 1
-    return k
-
-
 def reference_monotonize(
     trees: Sequence[RoutedTree], thresholds: Sequence[float]
 ) -> tuple[RoutedTree, ...]:
@@ -378,7 +369,7 @@ def reference_monotonize(
 def basis_grid(g: Instance, eps: float) -> tuple[float, ...]:
     """The thresholds ``compute_layers`` puts on ``LayerSet.thresholds``:
     (1 + eps) ** i for i = 0..K."""
-    return tuple(basis_threshold(i, eps) for i in range(compute_K(g.total_demand, eps) + 1))
+    return threshold_grid(g.total_demand, eps)
 
 
 def brute_min_cost(
@@ -532,7 +523,7 @@ def reference_shortest_path_tree(g, source):
             pred[v] = (p, eid)
             via = v
         for e in adj[v]:
-            w = e.other(v)
+            w = other(e, v)
             if w in done:
                 continue
             cand = (d + e.length, via, e.eid)

@@ -141,7 +141,7 @@ def test_criterion_4_light_tree_guarantees():
     for g in graphs:
         for alpha in alphas:
             beta = guaranteed_beta(alpha)
-            report = verify_last(build_last(g, 0, alpha), alpha, beta)
+            report = verify_last(build_last(g, alpha), alpha, beta)
             assert report.passed, (g.n, alpha, report.max_stretch, report.weight_ratio)
             checks += 1
     print(f"\nPASS criterion 4: {checks} light-tree builds verified at 5 stretch levels")

@@ -623,6 +623,75 @@ def test_conflicting_inputs_rejected(tmp_path, capsys):
     assert not out_tree.exists() and not out_tree.with_suffix(".txt.dot").exists()
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a clash must be refused before any solve")
+
+
+def test_corpus_report_clashing_with_its_csv_exits_2(tmp_path, monkeypatch, capsys):
+    # the CSV companion of summary.csv is summary.csv itself
+    write_corpus(tmp_path / "corpus", 2, seed=3)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_load_and_solve", _no_solve)
+    assert main(["run", "--corpus", "corpus", "--out-report", "summary.csv"]) == EXIT_INVALID
+    assert "error: output summary.csv would overwrite output summary.csv" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "tree, report, clash",
+    [("x", "x", "x"), ("x", "x.dot", "x.dot"), ("x.dot", "sub/../x.dot", "x.dot")],
+    ids=["same", "dot", "resolved"],
+)
+def test_tree_and_report_on_one_file_exit_2(tmp_path, monkeypatch, capsys, tree, report, clash):
+    # the edge list, its .dot companion and the report each need a file
+    write(tmp_path, "path3.graph", PATH3)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_load_and_solve", _no_solve)
+    code = main(["run", "path3.graph", "--out-tree", tree, "--out-report", report])
+    assert code == EXIT_INVALID
+    # the report is checked first, so the tree file is named as the clash
+    assert f"error: output {clash} would overwrite output {report}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["path3.graph", "sub"]
+
+
+@pytest.mark.parametrize(
+    "args, output",
+    [
+        (["a.graph", "--out-report", "a.graph"], "a.graph"),
+        (["a.dot", "--out-tree", "a"], "a.dot"),
+        (["--corpus", "c", "--out-report", "c/b.graph"], "c/b.graph"),
+    ],
+    ids=["report", "tree-dot", "corpus"],
+)
+def test_output_on_an_input_exits_2(tmp_path, monkeypatch, capsys, args, output):
+    for name in ("a.graph", "a.dot", "c/a.graph", "c/b.graph"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        write(tmp_path, name, PATH3)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_load_and_solve", _no_solve)
+    assert main(["run", *args]) == EXIT_INVALID
+    assert f"error: output {output} would overwrite input {output}" in capsys.readouterr().err
+    assert (tmp_path / output).read_text() == PATH3
+    assert not (tmp_path / "a").exists()
+
+
+def test_distinct_outputs_still_run(tmp_path, monkeypatch):
+    # an output beside the inputs, or named like one but not read, is fine
+    write(tmp_path, "a.graph", PATH3)
+    write_corpus(tmp_path / "c", 2, seed=3)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "a.graph", "--out-tree", "a", "--out-report", "a.json"]) == EXIT_OK
+    assert all((tmp_path / name).stat().st_size for name in ("a", "a.dot", "a.json"))
+    assert (tmp_path / "a").read_text().startswith("# eid u v length flow")
+    assert main(["run", "a.graph", "--out-tree", "b.dot"]) == EXIT_OK  # the .dot alone
+    assert (tmp_path / "b.dot").read_text().startswith("graph onetree")
+    assert not (tmp_path / "b").exists() and not (tmp_path / "b.dot.dot").exists()
+    assert main(["run", "--corpus", "c", "--out-report", "c/summary.graph.json"]) == EXIT_OK
+    assert json.loads((tmp_path / "c/summary.graph.json").read_text())["instances"] == 2
+    assert (tmp_path / "c/summary.graph.csv").read_text().startswith("instance,status")
+
+
 def test_make_parameters_overrides():
     cfg = RunConfig(eps=0.5, alpha=2.0)
     p = make_parameters(cfg, "exact")
@@ -710,7 +779,7 @@ def solved_corpus_instance():
 
 
 def _last(res):
-    return build_last(res.instance, res.instance.root, res.params.alpha)
+    return build_last(res.instance, res.params.alpha)
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,23 @@ def test_unreachable_demand_is_refused_however_the_instance_is_built():
     assert contract(lone, {1}, keep={0, 1, 3}).demand_items == ()
 
 
+def test_a_repeated_edge_id_is_refused():
+    # a path of two edges under one id would route as a cycle; the least
+    # repeated id is named, whatever order the edges come in
+    with pytest.raises(InstanceError, match="^edge id 0 names two edges$"):
+        Instance(n=3, edges=(Edge(0, 0, 1, 1.0), Edge(0, 1, 2, 5.0)), root=0, demand_items=((2, 1),))
+    edges = (Edge(7, 0, 1, 1.0), Edge(3, 1, 2, 1.0), Edge(7, 2, 3, 1.0), Edge(3, 0, 3, 2.0))
+    with pytest.raises(InstanceError, match="^edge id 3 names two edges$"):
+        Instance(n=4, edges=edges, root=0, demand_items=((2, 1),))
+    # make_instance and load_instance number edges by position, and contract
+    # keeps one edge per id, parallel edges and all
+    parallel = [(0, 1, 2), (0, 1, 1), (1, 2, 1), (2, 0, 3), (1, 2, 1)]
+    g = make_instance(3, parallel, 0, {2: 1})
+    assert [e.eid for e in g.edges] == [0, 1, 2, 3, 4]
+    assert load_instance(instance_text(g)) == g
+    assert len(contract(g, {0, 1}).edge_by_id) == 1
+
+
 def test_load_ignores_disconnected_non_demand_vertex():
     text = "4 2 0\n0 1 1\n2 3 1\nd 1 1\n"
     g = load_instance(text)

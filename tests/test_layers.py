@@ -12,13 +12,13 @@ from onetree import (
     SampleAugmentSolver,
     basis_cost,
     basis_threshold,
-    compute_K,
     compute_layers,
     decompose,
     monotonize,
     optimal_parameters,
     prune,
     route,
+    threshold_grid,
     verify_layerset,
 )
 from onetree import layers as layers_module
@@ -26,7 +26,7 @@ from onetree.builder import GOLDEN_ALPHA
 from onetree.routing import RentBuyDecomposition, buy_cutoff
 
 from corpus import random_instance
-from helpers import basis_grid, reference_K, reference_monotonize, workload, workload_instances
+from helpers import basis_grid, reference_monotonize, workload, workload_instances
 
 
 def fake_decompositions(buys, rents):
@@ -40,45 +40,63 @@ def fake_decompositions(buys, rents):
     )
 
 
-def test_compute_K_values():
-    assert compute_K(1, 0.5) == 0
-    assert compute_K(2, 1.0) == 1
-    assert compute_K(100, 0.1) == 49
-    assert compute_K(8, 1.0) == 3  # exact power boundary
+def test_threshold_grid_values():
+    assert threshold_grid(1, 0.5) == (1.0,)
+    assert threshold_grid(2, 1.0) == (1.0, 2.0)
+    assert threshold_grid(8, 1.0) == (1.0, 2.0, 4.0, 8.0)  # exact power boundary
+    grid = threshold_grid(100, 0.1)
+    assert grid == tuple(basis_threshold(i, 0.1) for i in range(50))
+    assert grid[-2] < 100 <= grid[-1]
 
 
 @pytest.mark.parametrize(
     "demand, eps, top", [(10**308, 1.0, 1024), (int(1.7e308), 0.5, 1751)], ids=["1e308", "1.7e308"]
 )
-def test_compute_K_tops_out_at_the_largest_float(demand, eps, top):
+def test_threshold_grid_tops_out_at_the_largest_float(demand, eps, top):
     # (1 + eps) ** top is past the largest float, and the power before it is
     # below the demand: the top threshold is the largest float, which no
     # flow passes
     assert basis_threshold(top - 1, eps) < demand
     assert basis_threshold(top, eps) == sys.float_info.max
-    assert compute_K(demand, eps) == top
+    assert len(threshold_grid(demand, eps)) == top + 1
 
 
-def test_compute_K_refuses_a_demand_past_the_float_range():
+def test_threshold_grid_refuses_a_demand_past_the_float_range():
     with pytest.raises(ConfigError, match="^total demand is past the float range$"):
-        compute_K(10**400, 1.0)
+        threshold_grid(10**400, 1.0)
 
 
-def test_compute_K_matches_the_loop():
-    # the closed form with its one-step corrections ends where the loop does;
-    # past 10^12 an integer just above a threshold is inside the loop's
-    # 1e-12 slack, and log(2^29) / log(2) rounds above 29, so both need the
-    # downward step
-    large = [10**6, 3 * 10**9, 2**29, 2**31, 2**40 - 1, 2**58, 10**12 + 1, 10**15]
-    for eps in (1e-3, 0.01, 0.1, 0.5, 1.0, 3.0):
-        k = 0
-        for demand in range(1, 2001):
-            k = reference_K(demand, eps, start=k)
-            assert compute_K(demand, eps) == k, (demand, eps)
-        first = math.ceil(12 * math.log(10) / math.log(1.0 + eps))
-        above = [math.ceil(basis_threshold(first + j, eps)) for j in range(3)]
-        for demand in large + above:
-            assert compute_K(demand, eps) == reference_K(demand, eps), (demand, eps)
+def test_threshold_grid_boundary_inputs():
+    # exact powers of two end the grid at their own index; past 10^12 an
+    # integer just above a threshold is inside the 1e-12 slack, so the grid
+    # ends at that threshold, below the demand
+    powers = [
+        (2**29, 1.0, 29), (2**31, 1.0, 31), (2**58, 1.0, 58),
+        (2**29, 0.1, 211), (2**31, 0.01, 2160), (2**58, 1e-3, 40223),
+    ]
+    just_above = [
+        (1_000_165_605_874, 1e-3, 27645), (1_001_048_212_311, 0.01, 2777),
+        (1_008_971_027_944, 0.1, 290), (1_413_503_456_554, 0.5, 69),
+    ]
+    for demand, eps, top in powers + just_above:
+        grid = threshold_grid(demand, eps)
+        assert grid == tuple(basis_threshold(i, eps) for i in range(top + 1)), (demand, eps)
+        assert grid[-2] < demand * (1.0 - 1e-12), (demand, eps)
+        assert (grid[-1] < demand) == ((demand, eps, top) in just_above), (demand, eps)
+
+
+def test_threshold_grid_refuses_eps_and_the_cap():
+    for eps in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="^eps must be positive$"):
+            threshold_grid(5, eps)
+    with pytest.raises(ConfigError, match="1 \\+ eps rounds to 1$"):
+        threshold_grid(5, 1e-300)
+    # the least demand whose grid passes K = MAX_K is refused; one below is not
+    eps = 1e-4
+    at_cap = math.floor(basis_threshold(layers_module.MAX_K, eps))
+    assert len(threshold_grid(at_cap, eps)) == layers_module.MAX_K + 1
+    with pytest.raises(ConfigError, match="the cap is K = 100000$"):
+        threshold_grid(at_cap + 1, eps)
 
 
 def test_monotonize_identical_trees_unchanged(path3):
@@ -113,7 +131,7 @@ def test_monotonize_improves_each_index():
     for k in range(20):
         g = random_instance(rng)
         eps = 0.5
-        top = compute_K(g.total_demand, eps)
+        top = len(basis_grid(g, eps)) - 1
         solver = SampleAugmentSolver(trials=2)
         raw = [solver.solve(g, (1 + eps) ** i, seed=k + i) for i in range(top + 1)]
         out = monotonize(raw, basis_grid(g, eps))

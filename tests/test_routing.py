@@ -12,7 +12,7 @@ from onetree import (
 )
 from onetree.builder import optimal_parameters
 from onetree.cli import solve_instance
-from onetree.layers import compute_K
+from onetree.layers import threshold_grid
 from onetree.ssrob import ExactSolver, SampleAugmentSolver
 
 from corpus import random_instance
@@ -122,12 +122,11 @@ def test_cost_identity_on_random_trees():
     for _ in range(20):
         g = random_instance(rng)
         eps = rng.choice([0.5, 1.0, 0.3])
-        top = compute_K(g.total_demand, eps)
+        grid = threshold_grid(g.total_demand, eps)
         trees = list(subset_spanning_trees(g))
         for eids in trees[:: max(1, len(trees) // 5)]:
             t = route(g, eids)
-            for i in range(top + 1):
-                m = basis_threshold(i, eps)
+            for m in grid:
                 d = decompose(t, m)
                 assert basis_cost(t, m) == pytest.approx(d.rent_cost + m * d.buy_cost, rel=1e-9)
 
