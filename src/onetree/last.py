@@ -43,7 +43,8 @@ def build_last(g: Instance, alpha: float) -> LastTree:
     if alpha <= 1:
         raise ConfigError("alpha must be > 1")
     root = g.root
-    dist_true, pred_true = shortest_path_tree(g, root)
+    dist_true, links = shortest_path_tree(g, root)
+    parent_true, edge_true = links.parent, links.edge
     mst_ids = minimum_spanning_tree(g)
 
     dist = [math.inf] * g.n
@@ -58,7 +59,7 @@ def build_last(g: Instance, alpha: float) -> LastTree:
     def splice(v: int) -> None:
         path: list[tuple[int, int, int]] = []
         while v != root:
-            p, eid = pred_true[v]
+            p, eid = parent_true[v], edge_true[v]
             path.append((p, v, eid))
             v = p
         for p, w, eid in reversed(path):

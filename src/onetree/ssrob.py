@@ -319,9 +319,9 @@ def best_tree_for_combination(
         sends = [x + weight * d for x, d in zip(G[r].tolist(), setup.dist_t[v].tolist())]
         u = sends.index(min(sends))
         amount = setup.amount[r]
-        x, pred = keys[u], _source_tree(g, keys[v])[1]
+        x, links = keys[u], _source_tree(g, keys[v])[1]
         while x != keys[v]:
-            x, eid = pred[x]
+            eid, x = links.edge[x], links.parent[x]
             flow[eid] = flow.get(eid, 0) + (amount if g.edge_by_id[eid].v == x else -amount)
         if size[r] > 1:
             lo, _hi, pairs = levels[size[r] - 1]
@@ -351,7 +351,7 @@ def _source_tree(g: Instance, source: int) -> PathTree:
     Sample-and-augment searches from terminals (demand vertices or the
     root) and the exact oracle from branch vertices, so every threshold and
     trial of one instance shares at most one tree per vertex. Callers must
-    not mutate the returned dicts.
+    not mutate the returned lists.
     """
     trees = g.source_trees
     tree = trees.get(source)
@@ -383,9 +383,9 @@ def _steiner_core(
         d, a, b = min(best.values())
         c = b if b in best else a
         del best[c]
-        x, pred = b, trees[a][1]
+        x, links = b, trees[a][1]
         while x != a:
-            x, eid = pred[x]
+            eid, x = links.edge[x], links.parent[x]
             touched.add(x)
             union_edges[eid] = g.edge_by_id[eid]
         for x, key in best.items():
@@ -410,7 +410,7 @@ def _demand_paths(
     stops at the first vertex an earlier walk reached, whose path on to
     ``source`` is already picked. Only the walked links are read, so
     ``tree`` may come from a search bounded to keep them (``_rent_paths``)."""
-    pred = tree[1]
+    parent, edge = tree[1].parent, tree[1].edge
     picked: set[int] = set()
     reached = {source}
     for v, _amount in g.demand_items:
@@ -418,8 +418,8 @@ def _demand_paths(
             continue
         while v not in reached:
             reached.add(v)
-            v, eid = pred[v]
-            picked.add(eid)
+            picked.add(edge[v])
+            v = parent[v]
     return frozenset(picked)
 
 
@@ -434,7 +434,7 @@ def _rent_paths(g: Instance, core: frozenset[int]) -> frozenset[int]:
 
     The search is goal directed (Goldberg and Harrelson, SODA 2005). With
     D_t the distance from off-core demand vertex t to its nearest core
-    vertex, the first core key of t's memoized ``pred`` in settle order
+    vertex, the first core vertex in the settle order of t's memoized tree
     (there is one: t reaches the root), x is labelled only within max over
     t of D_t·(1 + 8·n·u) - dist_t(x), u = 2^-53, so the walks read only
     unbounded labels. A search's float distance is within 1 ± γ, γ =
@@ -447,9 +447,9 @@ def _rent_paths(g: Instance, core: frozenset[int]) -> frozenset[int]:
     bound = [-INF] * g.n
     margin = 1.0 + 8 * g.n * 2.0**-53
     for t in g.demands.keys() - core:
-        dist_t, pred_t = _source_tree(g, t)
-        reach = dist_t[next(filter(core.__contains__, pred_t))] * margin
-        for x in chain((t,), pred_t):
+        dist_t, links_t = _source_tree(g, t)
+        reach = dist_t[next(filter(core.__contains__, links_t.order))] * margin
+        for x in chain((t,), links_t.order):
             slack = reach - dist_t[x]
             if slack < 0.0:
                 break

@@ -169,7 +169,8 @@ def reference_last(g: Instance, root: int, alpha: float) -> frozenset[int]:
     root distances in a dict; a lone vertex gives the empty tree."""
     if g.n == 1:
         return frozenset()
-    dist_true, pred_true = shortest_path_tree(g, root)
+    search = shortest_path_tree(g, root)
+    dist_true, pred_true = search[0], pred_dict(search)
     by_id = g.edge_by_id
     mst_adj: dict[int, list[Edge]] = {v: [] for v in g.vertex_ids}
     for eid in sorted(minimum_spanning_tree(g)):
@@ -317,26 +318,27 @@ def reference_flow_classes(
     return classes
 
 
-def _workloads():
-    """``perfbench/workloads.py``, the benchmark's stdlib-only generator."""
-    module = "perfbench_workloads"
-    spec = importlib.util.spec_from_file_location(module, PERFBENCH / "workloads.py")
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, a stdlib-only benchmark module such as the
+    generator ``workloads`` or the ``tracer``."""
+    module = f"perfbench_{name}"
+    spec = importlib.util.spec_from_file_location(module, PERFBENCH / f"{name}.py")
     # dataclasses look their module up by name while the module runs
-    workloads = sys.modules[module] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+    loaded = sys.modules[module] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    return loaded
 
 
 def workload(name: str):
     """Benchmark workload ``name``'s settings: its ``eps``, ``trials``, ..."""
-    return _workloads().WORKLOADS[name]
+    return perfbench_module("workloads").WORKLOADS[name]
 
 
 def workload_instances(name: str, seeds: Iterable[int], /, **changes) -> list[Instance]:
     """The graphs of benchmark workload ``name`` at ``seeds``, made by the
     benchmark's own generator; ``changes`` replace fields of the workload,
     such as ``total_demand``, before generating."""
-    workloads = _workloads()
+    workloads = perfbench_module("workloads")
     w = replace(workloads.WORKLOADS[name], **changes)
     graphs = []
     for seed in seeds:
@@ -490,6 +492,24 @@ def search_parameters() -> tuple[float, float, float, float]:
     return refine_parameters(*best[1])
 
 
+def pred_dict(tree) -> dict[int, tuple[int, int]]:
+    """A search's ``(dist, links)`` links as the ``{v: (parent, edge id)}``
+    dict the package's search returned before it kept flat lists, keys in
+    settle order. It first checks the lists' shape: ``parent`` and ``edge``
+    as long as ``dist``, no vertex twice in ``order``, a parent and an edge
+    for each vertex listed, and None in both lists for every other vertex,
+    where an int, read as an index, would silently name a vertex."""
+    dist, links = tree
+    order = links.order
+    assert len(links.parent) == len(links.edge) == len(dist)
+    assert len(links) == len(order) == len(set(order))
+    listed = set(order)
+    for v in range(len(dist)):
+        linked = (links.parent[v], links.edge[v])
+        assert (None not in linked) if v in listed else linked == (None, None), (v, linked)
+    return {v: (links.parent[v], links.edge[v]) for v in order}
+
+
 def reference_shortest_path_tree(g, source):
     """The package's shortest-path search as it stood over per-vertex
     ``Edge`` tuples, keyed by vertex id, with a pop-time label test: the
@@ -617,9 +637,10 @@ def reference_core(g: Instance, terminals: set[int]) -> frozenset[int]:
     terms = sorted(terminals)
     if len(terms) <= 1:
         return frozenset()
-    trees = {t: shortest_path_tree(g, t) for t in terms}
+    searches = {t: shortest_path_tree(g, t) for t in terms}
+    trees = {t: pred_dict(search) for t, search in searches.items()}
     closure = sorted(
-        (trees[a][0][b], a, b) for i, a in enumerate(terms) for b in terms[i + 1 :]
+        (searches[a][0][b], a, b) for i, a in enumerate(terms) for b in terms[i + 1 :]
     )
     uf = UnionFind(terms)
     union_edges = {}
@@ -627,7 +648,7 @@ def reference_core(g: Instance, terminals: set[int]) -> frozenset[int]:
         if uf.union(a, b):
             w = b
             while w != a:
-                w, eid = trees[a][1][w]
+                w, eid = trees[a][w]
                 union_edges[eid] = g.edge_by_id[eid]
     touched = tree_vertices(g.root, union_edges.values())
     reduced, _ = minimum_spanning_forest(touched, union_edges.values())
@@ -669,7 +690,8 @@ def reference_sample_and_augment(
     searched in an explicit contraction of the core, and fresh marking draws
     and chances in every trial."""
     if threshold >= g.total_demand:
-        return route(g, _reference_paths(g, shortest_path_tree(g, g.root), g.root, ()))
+        tree = shortest_path_tree(g, g.root)
+        return route(g, _reference_paths(g, (tree[0], pred_dict(tree)), g.root, ()))
     if threshold <= 1.0:
         core = reference_core(g, {v for v, _ in g.demand_items} | {g.root})
         return route(g, core | _reference_rent(g, core))

@@ -27,6 +27,8 @@ from onetree.graph import tree_walk
 from corpus import instance_text, random_instance
 from helpers import (
     brute_min_cost,
+    perfbench_module,
+    pred_dict,
     reference_contract,
     reference_shortest_path_tree,
     reference_tree_distances,
@@ -110,7 +112,7 @@ def test_make_instance_rejects_out_of_range_vertices(edges, root, demands, match
         ([], ((1, 3), (2, 0)), r"^demand 0 on vertex 2 is not a positive integer$"),
         ([], ((1, 5), (2, -3)), r"^demand -3 on vertex 2 is not a positive integer$"),
         ([], ((2, 1.5),), r"^demand 1\.5 on vertex 2 is not a positive integer$"),
-        ([], ((2, 2), (2, 3)), r"^a demand vertex is listed twice$"),
+        ([], ((2, 2), (2, 3)), r"^demand vertex 2 is listed twice$"),
         ([(1, 1, 1)], ((2, 1),), r"^edge 3 is a self-loop at vertex 1$"),
     ],
     ids=["zero demand", "negative demand", "fractional demand", "vertex twice", "self-loop"],
@@ -151,6 +153,18 @@ def test_unreachable_demand_is_refused_however_the_instance_is_built():
     lone = make_instance(4, [(1, 2, 1), (2, 3, 1)], 0, {0: 4})
     assert load_instance("4 2 0\n1 2 1\n2 3 1\nd 0 4\n") == lone
     assert contract(lone, {1}, keep={0, 1, 3}).demand_items == ()
+
+
+def test_a_repeated_demand_vertex_is_refused_by_name():
+    # the least vertex listed twice is named, whatever order the demand
+    # items come in; load_instance refuses the second one at its line
+    edges = (Edge(0, 0, 1, 1.0), Edge(1, 1, 2, 1.0))
+    with pytest.raises(InstanceError, match="^demand vertex 2 is listed twice$"):
+        Instance(n=3, edges=edges, root=0, demand_items=((2, 1), (1, 1), (2, 3)))
+    with pytest.raises(InstanceError, match="^demand vertex 1 is listed twice$"):
+        Instance(n=3, edges=edges, root=0, demand_items=((2, 1), (1, 1), (2, 3), (1, 2)))
+    with pytest.raises(ParseError, match="^line 5: duplicate demand for vertex 2$"):
+        load_instance("3 2 0\n0 1 1\n1 2 1\nd 2 1\nd 2 3\n")
 
 
 def test_a_repeated_edge_id_is_refused():
@@ -217,23 +231,23 @@ def test_instance_text_round_trip():
 
 
 def test_spt_path(path3):
-    dist, pred = shortest_path_tree(path3, 0)
-    assert dist == [0.0, 1.0, 2.0]
-    assert pred == {1: (0, 0), 2: (1, 1)}
+    tree = shortest_path_tree(path3, 0)
+    assert tree[0] == [0.0, 1.0, 2.0]
+    assert pred_dict(tree) == {1: (0, 0), 2: (1, 1)}
 
 
 def test_spt_tie_break_prefers_smaller_predecessor(cycle4):
-    dist, pred = shortest_path_tree(cycle4, 0)
-    assert dist[2] == 2.0
+    tree = shortest_path_tree(cycle4, 0)
+    assert tree[0][2] == 2.0
     # two shortest paths to vertex 2; the one through vertex 1 wins
-    assert pred[2] == (1, 1)
+    assert pred_dict(tree)[2] == (1, 1)
 
 
 def test_spt_single_vertex():
     g = make_instance(1, [], 0, {0: 1})
-    dist, pred = shortest_path_tree(g, 0)
-    assert dist == [0.0]
-    assert pred == {}
+    tree = shortest_path_tree(g, 0)
+    assert tree[0] == [0.0]
+    assert pred_dict(tree) == {}
 
 
 def test_spt_unreachable_vertex_gets_infinity():
@@ -335,8 +349,10 @@ def test_merged_source_matches_contraction():
     for _ in range(200):
         g = random_instance(rng, n_max=9, max_length=3, max_extra_edges=8)
         merged = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
-        dist, pred = shortest_path_tree(g, merged)
-        cdist, cpred = shortest_path_tree(contract(g, merged), 0)
+        tree = shortest_path_tree(g, merged)
+        dist, pred = tree[0], pred_dict(tree)
+        tree = shortest_path_tree(contract(g, merged), 0)
+        cdist, cpred = tree[0], pred_dict(tree)
         # contracted vertex k is base[k]: SUPERNODE, then the kept ids ascending
         base = [SUPERNODE, *sorted(set(g.vertex_ids) - merged)]
         for k, v in enumerate(base[1:], start=1):
@@ -349,8 +365,31 @@ def test_merged_source_matches_contraction():
         assert all(dist[v] == 0.0 and v not in pred for v in merged)
 
 
+def test_search_result_keeps_the_benchmark_tracers_shape():
+    # perfbench's tracer unpacks shortest_path_tree's result as a pair and
+    # counts len(second item) + 1 settled vertices: the second item's len is
+    # the settled vertices less the source, a merged one or a single vertex,
+    # also where part of the graph is out of the source's reach
+    g = make_instance(6, [(0, 1, 1), (1, 2, 2), (0, 2, 1), (3, 4, 1)], 0, {2: 1})
+    cases = [(0, 2), (1, 2), (3, 1), (5, 0), (frozenset({0, 1}), 1), (frozenset({2, 3}), 3)]
+    tracer = perfbench_module("tracer").Tracer()
+    tracer.install()
+    try:
+        for source, links in cases:
+            members = source if isinstance(source, frozenset) else {source}
+            result = graph.shortest_path_tree(g, source)
+            assert type(result) is tuple and len(result) == 2
+            dist, second = result
+            assert len(second) == links == sum(d < math.inf for d in dist) - len(members)
+            assert tracer.counts.pop("dijkstra_settled") == links + 1
+    finally:
+        tracer.uninstall()
+    assert graph.shortest_path_tree is shortest_path_tree
+
+
 def _assert_same_search(g, source):
-    dist, pred = shortest_path_tree(g, source)
+    tree = shortest_path_tree(g, source)
+    dist, pred = tree[0], pred_dict(tree)
     want_dist, want_pred = reference_shortest_path_tree(g, source)
     assert dist == [want_dist[v] for v in g.vertex_ids], source
     assert pred == want_pred, source
@@ -408,9 +447,9 @@ def test_search_pops_no_source_member(monkeypatch):
         for source in (merged, rng.randrange(g.n)):
             members = merged if source is merged else {source}
             popped.clear()
-            _dist, pred = shortest_path_tree(g, source)
+            _dist, links = shortest_path_tree(g, source)
             assert not any(i in members for *_, i in popped), source
-            assert len(popped) >= len(pred)
+            assert len(popped) >= len(links)
 
 
 def test_search_matches_reference_on_sa_mid_rent_searches(monkeypatch):

@@ -15,7 +15,7 @@ from onetree.graph import shortest_path_tree
 from onetree.last import LastTree, guaranteed_beta
 
 from corpus import random_connected_instance
-from helpers import reference_tree_distances
+from helpers import pred_dict, reference_tree_distances
 
 
 def last_distances(t: LastTree) -> dict[int, float]:
@@ -74,7 +74,7 @@ def test_shortest_path_tree_always_passes_stretch():
     rng = random.Random(1)
     for _ in range(20):
         g = random_connected_instance(rng, n_max=20)
-        _, pred = shortest_path_tree(g, 0)
+        pred = pred_dict(shortest_path_tree(g, 0))
         spt = LastTree(g, frozenset(eid for _, eid in pred.values()))
         report = verify_last(spt, 1.0 + 1e-12, 1e9)
         assert report.stretch_ok

@@ -33,7 +33,7 @@ from onetree.ssrob import _steiner_core, best_tree_for_combination, exact_ssrob
 from helpers import brute_min_cost, exact_cost, reference_core, reference_rent, reference_route
 from helpers import reference_branch_vertices, reference_last, reference_sample_and_augment
 from helpers import reference_monotonize, reference_search, root_component
-from helpers import other, subset_spanning_trees, tree_vertices
+from helpers import other, pred_dict, subset_spanning_trees, tree_vertices
 
 
 @st.composite
@@ -245,10 +245,12 @@ def test_bounded_search_keeps_labels_within_bound(g, data):
     vertex = st.integers(0, g.n - 1)
     source = data.draw(st.one_of(vertex, st.frozensets(vertex, min_size=1)))
     members = source if isinstance(source, frozenset) else {source}
-    dist, pred = shortest_path_tree(g, source)
+    tree = shortest_path_tree(g, source)
+    dist, pred = tree[0], pred_dict(tree)
     factor = st.sampled_from([-1.0, 0.5, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 2.0, INF])
     bound = [d * data.draw(factor) for d in dist]
-    got_dist, got_pred = bounded_search(g, source, bound)
+    got = bounded_search(g, source, bound)
+    got_dist, got_pred = got[0], pred_dict(got)
     for v in g.vertex_ids:
         assert got_dist[v] >= dist[v]
         if v in members:
@@ -292,7 +294,8 @@ def test_bounded_search_matches_tuple_label_search(g, data):
         cap = st.one_of(st.just("dist"), st.integers(0, 2 * g.n), st.sampled_from([INF, -INF]))
         caps = [data.draw(cap) for _ in dist]
         bound = [d if c == "dist" else float(c) for d, c in zip(dist, caps)]
-    got_dist, got_pred = bounded_search(g, source, bound)
+    got = bounded_search(g, source, bound)
+    got_dist, got_pred = got[0], pred_dict(got)
     want_dist, want_pred = reference_search(g, source, bound)
     assert got_dist == want_dist
     assert list(got_pred.items()) == list(want_pred.items())
